@@ -12,9 +12,17 @@ over the two fields.  The 'fourier' method resums the resulting rank-one series
     f *_V g = sum_n (-theta/2)^n / n! . IFFT[conj(w)^n fhat] . IFFT[w^n ghat]
 
 to numerical convergence — each term costs two FFTs, and the sum is the exact
-mode-pair multiplier, not a truncation.  The Moyal exponent splits into two
-such rank-one pieces and is resummed as a double series.  The 'series' method
-is the literal bidifferential exponential truncated at total order K.
+mode-pair multiplier, not a truncation.
+
+The Moyal multiplier is a pure phase, and in the mixed representation
+(Fourier in t, real in x) it becomes a pair of x-translations (the Bopp shift):
+
+    (f *_M g)(t, x) = sum_{k0, k0'} e^{i(k0+k0')t} f~(k0, x + theta k0'/2) g~(k0', x - theta k0/2)
+
+with f~(k0, x) the t-Fourier rows of f.  The 'fourier' method evaluates this
+sum directly — shifts as spectral phases, one inverse FFT over t at the end —
+with no series, at cost O(N_t^2 N_x log N_x).  The 'series' method is the
+literal bidifferential exponential truncated at total order K.
 """
 
 from __future__ import annotations
@@ -61,7 +69,10 @@ class StarKernel:
 
     method='fourier' is the exact mode-pair multiplier (ground truth);
     method='series' truncates the bidifferential exponential at total order
-    `order` (default 8).  mode_cutoff applies to the fourier method only.
+    `order` (default 8).  mode_cutoff drops input Fourier modes below that
+    fraction of each field's peak; the Voros resummation needs it for
+    stability, while for Moyal (a unimodular multiplier) it only cleans
+    rounding-level input modes.
     """
 
     theta: float
@@ -172,59 +183,30 @@ def _resum_voros(fh: np.ndarray, gh: np.ndarray, w: np.ndarray, theta: float) ->
     raise StarConvergenceError("fourier", None, term_norms[-12:])
 
 
-def _resum_moyal(fh: np.ndarray, gh: np.ndarray, w: np.ndarray, theta: float) -> np.ndarray:
-    """Double rank-one resummation for the Moyal multiplier.
+def _moyal_mixed(fh: np.ndarray, gh: np.ndarray, k_t: np.ndarray, k_x: np.ndarray,
+                 theta: float) -> np.ndarray:
+    """Exact Moyal product in the mixed (Fourier-in-t, real-in-x) representation.
 
-    exp[-(i theta/2)(k0 k1' - k1 k0')] = exp[-(theta/4) conj(w) w'] . exp[+(theta/4) w conj(w')]
+    The multiplier exp[-(i theta/2) k0 k1'] . exp[+(i theta/2) k1 k0'] shifts
+    every row a of f by +theta k0_{a'}/2 in x and row a' of g by
+    -theta k0_a/2, both as spectral phases.  The x-space product of rows a and
+    a' lands in output row (a + a') mod n_t, and one inverse FFT over t
+    finishes the sum.  Entirely zero rows (e.g. after the mode cutoff) are
+    skipped, so the cost is O(rows_f rows_g N_x log N_x).
     """
-    s = math.sqrt(theta / 4.0)
-    wmax_f = _active_wmax(fh, w)
-    wmax_g = _active_wmax(gh, w)
-    budget = _term_budget((theta / 4.0) * wmax_f * wmax_g)
-    wb = np.conj(w)
-
-    acc = np.zeros_like(fh)
-    acc_norm = 0.0
-    row_quiet = 0
-    Fj = fh.copy()
-    Gj = gh.copy()
-    log_fj = log_gj = 0.0
-    for j in range(budget + 1):
-        # inner series over l at fixed j
-        Fl, Gl = Fj.copy(), Gj.copy()
-        log_l = log_fj + log_gj
-        row_peak = 0.0
-        quiet = 0
-        sign = -1.0 if j % 2 else 1.0
-        for l in range(budget + 1):
-            if l > 0:
-                rl = math.sqrt(l)
-                Fl = Fl * (s * w / rl)
-                Gl = Gl * (s * wb / rl)
-                Fl, log_l = _renormed(Fl, log_l)
-                Gl, log_l = _renormed(Gl, log_l)
-            term = np.fft.ifft2(Fl) * np.fft.ifft2(Gl)
-            term = _apply_log_scale(term, log_l) * sign
-            acc += term
-            tn = float(np.max(np.abs(term)))
-            row_peak = max(row_peak, tn)
-            acc_norm = max(acc_norm, float(np.max(np.abs(acc))))
-            quiet = quiet + 1 if tn <= _RESUM_RTOL * max(acc_norm, 1e-300) else 0
-            if quiet >= 2:
-                break
-        else:
-            raise StarConvergenceError("fourier", None, [row_peak])
-        row_quiet = row_quiet + 1 if row_peak <= _RESUM_RTOL * max(acc_norm, 1e-300) else 0
-        if row_quiet >= 2:
-            return acc
-        rj = math.sqrt(j + 1)
-        Fj = Fj * (s * wb / rj)
-        Gj = Gj * (s * w / rj)
-        Fj, log_fj = _renormed(Fj, log_fj)
-        Gj, log_gj = _renormed(Gj, log_gj)
-    if acc_norm == 0.0:
-        return acc
-    raise StarConvergenceError("fourier", None, [acc_norm])
+    n_t, n_x = fh.shape
+    rows_f = np.flatnonzero(np.any(fh != 0, axis=1))
+    rows_g = np.flatnonzero(np.any(gh != 0, axis=1))
+    shifts_f = np.exp((0.5j * theta) * np.multiply.outer(k_t[rows_g], k_x))
+    shifts_g = np.exp((-0.5j * theta) * np.multiply.outer(k_t[rows_f], k_x))
+    f_rows = fh[rows_f]
+    acc = np.zeros((n_t, n_x), dtype=np.complex128)
+    for row_g, shift_f in zip(rows_g, shifts_f):
+        f_shifted = np.fft.ifft(f_rows * shift_f, axis=1)
+        g_shifted = np.fft.ifft(gh[row_g] * shifts_g, axis=1)
+        acc[(rows_f + row_g) % n_t] += f_shifted * g_shifted
+    # ifft over t supplies one 1/n_t; the pair sum over (a, a') needs another.
+    return np.fft.ifft(acc, axis=0) / n_t
 
 
 def _cutoff_pair(kernel: StarKernel, fh: np.ndarray, gh: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
@@ -246,11 +228,11 @@ def _star_fourier(kernel: StarKernel, f: Field2D, g: Field2D) -> Field2D:
     fh = np.fft.fft2(f.values)
     gh = np.fft.fft2(g.values)
     fh, gh, metadata = _cutoff_pair(kernel, fh, gh)
-    w = spec.k_t[:, None] + 1j * spec.k_x[None, :]
     if kernel.flavor == "voros":
+        w = spec.k_t[:, None] + 1j * spec.k_x[None, :]
         out = _resum_voros(fh, gh, w, kernel.theta)
     else:
-        out = _resum_moyal(fh, gh, w, kernel.theta)
+        out = _moyal_mixed(fh, gh, spec.k_t, spec.k_x, kernel.theta)
     return Field2D(spec, out, metadata)
 
 

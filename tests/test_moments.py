@@ -101,6 +101,12 @@ class TestSymplecticForm:
         assert om.values[0, 1] == pytest.approx(-0.5)
         assert om.values[2, 3] == pytest.approx(-0.5)
 
+    def test_frame_map_takes_deformed_form_to_canonical(self):
+        theta = 0.1
+        m = operators.transform_matrix(theta)
+        mapped = m @ moments.symplectic_form(theta).values @ m.T
+        assert np.allclose(mapped, moments.symplectic_form(0.0).values, atol=1e-15)
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError, match="theta must be >= 0"):
             moments.symplectic_form(-0.1)
@@ -250,6 +256,15 @@ class TestCoherentVarianceMatrix:
             v = moments.coherent_variance_matrix(theta)
             assert v.det == pytest.approx(1.0 / 16.0, rel=1e-12)
 
+    def test_cross_check_on_a_coarse_grid_and_at_small_theta(self):
+        s = math.sqrt(THETA)
+        coarse = GridSpec(64, 64, -8 * s, 8 * s, -8 * s, 8 * s, THETA)
+        assert moments.coherent_variance_matrix(THETA, spec=coarse).metadata[
+            "cross_check_max_abs"] < 1e-6
+        small = moments.coherent_variance_matrix(0.05)
+        assert small.values[0, 0] == pytest.approx(0.025)
+        assert small.metadata["cross_check_max_abs"] < 1e-6
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError, match="theta > 0"):
             moments.coherent_variance_matrix(0.0)
@@ -367,6 +382,21 @@ class TestEhrenfestResidual:
             assert float(np.max(out["residual"])) < 1e-5
         out = moments.ehrenfest_residual(traj, operators.p_x(), kernel, 1.0, pot)
         assert float(np.max(out["force_residual"])) < 1e-5
+
+    def test_packet_residual_is_second_order_in_the_step(self):
+        # Strang splitting: halving dt at fixed snapshot spacing cuts the
+        # residual about fourfold.
+        kernel, psi = displaced_packet()
+        pot = Potential.harmonic(1.0, 1.0)
+        peaks = {}
+        for dt, every in ((4e-3, 10), (2e-3, 20)):
+            traj = dynamics.evolve(psi, pot, kernel, 1.0, dt, int(round(2.0 / dt)),
+                                   record_every=every)
+            for name, op in (("x", operators.x_theta_l(0.0)), ("p", operators.p_x())):
+                out = moments.ehrenfest_residual(traj, op, kernel, 1.0, pot)
+                peaks[dt, name] = float(np.max(out["residual"]))
+        for name in ("x", "p"):
+            assert 3.0 < peaks[4e-3, name] / peaks[2e-3, name] < 5.0
 
     def test_free_drift_is_exact(self):
         kernel, psi = displaced_packet(p0=0.5)

@@ -273,6 +273,79 @@ class TestAlgebraicProperties:
         assert rel_max_err(lhs, rhs) < 1e-11
 
 
+def centred_gaussian(n, theta, reach, width):
+    """e^{-c r^2} of width `width` sqrt(theta) on a box of +-reach sqrt(theta); returns (field, c, r^2)."""
+    half = reach * np.sqrt(theta)
+    spec = GridSpec(n_t=n, n_x=n, t_min=-half, t_max=half, x_min=-half, x_max=half, theta=theta)
+    r2 = spec.t[:, None] ** 2 + spec.x[None, :] ** 2
+    c = 1.0 / (2.0 * width**2 * theta)
+    return Field2D(spec, np.exp(-c * r2)), c, r2
+
+
+class TestMoyalEngine:
+    """The exact mixed-representation Moyal product (no series, no cancellation)."""
+
+    @pytest.mark.parametrize("n, reach", [(64, 6.0), (32, 4.0)])
+    def test_narrow_gaussian_matches_brute_force(self, n, reach):
+        # Width sqrt(theta)/2 populates modes whose phase, split into two real
+        # growing factors, cancels catastrophically; the exact product must not.
+        f, _, _ = centred_gaussian(n, 0.1, reach, 0.5)
+        spec = f.spec
+        got = star(StarKernel(0.1, flavor="moyal"), f, f).values
+        want = brute_force_star(f.values, f.values, spec.k_t, spec.k_x, 0.1, "moyal")
+        assert rel_max_err(got, want) < 1e-13
+
+    @pytest.mark.parametrize("width", [1.0, 0.5])
+    def test_gaussian_closed_form_128(self, width):
+        # e^{-a r^2} *_M e^{-b r^2} = e^{-(a+b) r^2/(1+ab theta^2)} / (1+ab theta^2)
+        # on the 128^2 box of the coherent covariance, too large for brute force.
+        theta = 0.1
+        f, c, r2 = centred_gaussian(128, theta, 8.0, width)
+        q = 1.0 + c * c * theta**2
+        want = np.exp(-2.0 * c * r2 / q) / q
+        got = star(StarKernel(theta, flavor="moyal"), f, f).values
+        assert rel_max_err(got, want) < 1e-13
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10**6), st.floats(0.05, 1.0))
+    def test_trace_identity(self, seed, theta):
+        # The k' = -k multiplier is 1, so the zero mode of f * g is that of f g.
+        spec = star_box(16, theta)
+        f = random_band_limited(spec, seed=seed)
+        g = random_band_limited(spec, seed=seed + 1)
+        got = np.sum(star(StarKernel(theta, flavor="moyal"), f, g).values)
+        want = np.sum(f.values * g.values)
+        assert abs(got - want) < 1e-13 * np.sum(np.abs(f.values * g.values))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10**6), st.floats(0.05, 1.0))
+    def test_conjugation_reverses_factors(self, seed, theta):
+        spec = star_box(16, theta)
+        f = random_band_limited(spec, seed=seed)
+        g = random_band_limited(spec, seed=seed + 7)
+        kern = StarKernel(theta, flavor="moyal")
+        lhs = np.conj(star(kern, f, g).values)
+        rhs = star(kern, Field2D(spec, np.conj(g.values)), Field2D(spec, np.conj(f.values))).values
+        assert rel_max_err(lhs, rhs) < 1e-13
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(0, 10**6), st.floats(0.05, 1.0))
+    def test_associativity_against_brute_force(self, seed, theta):
+        # Bands 2 + 2 + 2 stay inside the 16-point mode box, so nothing aliases.
+        spec = star_box(16, theta)
+        f, g, h = (random_band_limited(spec, seed=seed + i) for i in range(3))
+        kern = StarKernel(theta, flavor="moyal")
+        lhs = star(kern, f, star(kern, g, h)).values
+        rhs = star(kern, star(kern, f, g), h).values
+
+        def brute(a, b):
+            return brute_force_star(a, b, spec.k_t, spec.k_x, theta, "moyal")
+
+        want = brute(brute(f.values, g.values), h.values)
+        assert rel_max_err(lhs, want) < 1e-12
+        assert rel_max_err(rhs, want) < 1e-12
+
+
 class TestThetaScaling:
     def test_deformation_vanishes_linearly(self):
         # |f * g - f g| scales like theta as theta -> 0.  Same physical box and
