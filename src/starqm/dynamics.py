@@ -38,27 +38,14 @@ import scipy.special
 
 from . import phasecalc, symbols
 from .fieldgrid import Field1D, Field2D, GridSpec, sample_field, spectral_derivative
-from .star import DEFAULT_MODE_CUTOFF, StarKernel
+from .fieldgrid import _csv, _drop_noise_modes
+from .star import StarKernel, _require_theta_match, _require_voros, _star_square_series
 
 # Quadratures are cut off where the integrand magnitude drops below this.
 _QUAD_FLOOR = 1e-14
 # dt * (max|V| + k_max^2/2m) must stay below this for the split-step walk.
 _STABILITY_LIMIT = 0.5
-_SERIES_RTOL = 1e-12
-_SERIES_MAX_TERMS = 512
 _REAL_TOL = 1e-12
-
-
-def _require_voros(kernel: StarKernel, what: str) -> None:
-    if kernel.flavor != "voros":
-        raise ValueError(f"{what} is defined for the voros flavor, got {kernel.flavor!r}")
-
-
-def _require_theta_match(kernel: StarKernel, spec: GridSpec) -> None:
-    if kernel.theta != spec.theta:
-        raise ValueError(
-            f"kernel theta {kernel.theta} does not match grid theta {spec.theta}"
-        )
 
 
 def _as_real(arr: np.ndarray, what: str) -> np.ndarray:
@@ -548,17 +535,16 @@ def stationary_solve(
     m: float,
     e_window: tuple[float, float],
     spec: GridSpec,
-    max_iter: int = 12,
 ) -> list[tuple[float, Field1D]]:
     """Eigenpairs of E psi = -(1/2m) psi'' + V psi inside an energy window.
 
-    The stationary reduction d_t -> -iE makes the potential term E-dependent,
-    so each level is settled by fixed-point iteration over E.  In the
-    conjugated frame the E-dependence is a pure translation of the
-    potential's argument, so the iteration converges in one step and the
-    levels land exactly on their commutative values; the iteration trace is
-    kept in the metadata as evidence.  Each returned slice is normalized to
-    unit induced norm, tagged with metadata['energy'], and carries a frame
+    The stationary reduction d_t -> -iE makes the potential E-dependent; in
+    the conjugated frame the dependence is a pure translation of its
+    argument, so every level is a fixed point after one step.  The window is
+    scanned once for eigenvalues, and each level is confirmed by one solve
+    in the frame at its own energy (metadata['iterations'] = 2 counts both);
+    a move beyond 1e-10 (1 + |E|) raises.  Each returned slice is normalized
+    to unit induced norm, tagged with metadata['energy'], and carries a frame
     residual plus an independent star-product cross residual.
     """
     _require_voros(kernel, "the stationary solver")
@@ -578,36 +564,27 @@ def stationary_solve(
     K = _kinetic_matrix(spec, m)
     damp = np.exp(-theta * spec.k_x**2 / 4.0)
 
-    def solve_at(energy: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def frame_matrix(energy: float) -> np.ndarray:
         v = potential.sample_space(spec.x - theta * energy / 2.0, 0.0)
-        A = K + np.diag(v)
-        w, vecs = scipy.linalg.eigh(A)
-        return w, vecs, A
+        return K + np.diag(v)
 
-    w, vecs, A = solve_at(0.5 * (e_lo + e_hi))
+    w = scipy.linalg.eigvalsh(frame_matrix(0.5 * (e_lo + e_hi)))
     level_ids = [i for i, val in enumerate(w) if e_lo <= val <= e_hi]
     v_profile = _operator_potential_profile(potential, spec, m)
     results: list[tuple[float, Field1D]] = []
     for lvl in level_ids:
-        energy = float(w[lvl])
-        trace = [energy]
-        for _ in range(max_iter):
-            w2, vecs2, A2 = solve_at(energy)
-            e_new = float(w2[lvl])
-            trace.append(e_new)
-            converged = abs(e_new - energy) <= 1e-10 * (1.0 + abs(e_new))
-            energy = e_new
-            if converged:
-                break
-        else:
+        A = frame_matrix(float(w[lvl]))
+        e_fixed, vecs = scipy.linalg.eigh(A, subset_by_index=[lvl, lvl])
+        energy = float(e_fixed[0])
+        if abs(energy - float(w[lvl])) > 1e-10 * (1.0 + abs(energy)):
             raise RuntimeError(
-                f"energy fixed point for level {lvl} did not settle within "
-                f"{max_iter} iterations; trace {trace}"
+                f"energy of level {lvl} is not a fixed point: {float(w[lvl])!r} in the "
+                f"window frame, {energy!r} in the frame at that energy"
             )
-        vec = vecs2[:, lvl]
+        vec = vecs[:, 0]
         vec = vec * np.sign(vec[int(np.argmax(np.abs(vec)))])
         residual = float(
-            np.linalg.norm(A2 @ vec - energy * vec) / np.linalg.norm(vec)
+            np.linalg.norm(A @ vec - energy * vec) / np.linalg.norm(vec)
         )
         if residual > 1e-6:
             raise RuntimeError(
@@ -645,7 +622,7 @@ def stationary_solve(
                 "level": int(lvl),
                 "residual": residual,
                 "cross_residual": cross,
-                "iterations": len(trace),
+                "iterations": 2,
             },
         )
         results.append((energy, fld))
@@ -729,10 +706,7 @@ def evolve(
             f"unstable step: dt (max|V| + k_max^2/2m) = {budget:.4g} >= {_STABILITY_LIMIT}"
         )
 
-    psi_hat = np.fft.fft(psi0.values)
-    peak = float(np.max(np.abs(psi_hat)))
-    if peak > 0.0:
-        psi_hat = np.where(np.abs(psi_hat) >= DEFAULT_MODE_CUTOFF * peak, psi_hat, 0.0)
+    psi_hat, _ = _drop_noise_modes(np.fft.fft(psi0.values))
     use_frame = theta > 0 and x_dependent
     grow = np.exp(theta * spec.k_x**2 / 4.0)
     damp = np.exp(-theta * spec.k_x**2 / 4.0)
@@ -809,24 +783,7 @@ def slice_density(kernel: StarKernel, fld: Field1D, m: float | None = None) -> F
             "slice density at theta > 0 needs metadata['energy'] or a mass m "
             "for the on-shell reduction"
         )
-    vhat = np.fft.fft(fld.values)
-    peak = float(np.max(np.abs(vhat)))
-    if peak > 0.0:
-        vhat = np.where(np.abs(vhat) >= DEFAULT_MODE_CUTOFF * peak, vhat, 0.0)
-    acc = np.abs(np.fft.ifft(vhat)) ** 2
-    term_hat = vhat
-    terms = 1
-    for n in range(1, _SERIES_MAX_TERMS + 1):
-        term_hat = term_hat * (mult * math.sqrt(kernel.theta / (2.0 * n)))
-        term = np.abs(np.fft.ifft(term_hat)) ** 2
-        acc += term
-        terms = n + 1
-        if np.max(term) <= _SERIES_RTOL * np.max(acc):
-            break
-    else:
-        raise RuntimeError(
-            f"density series did not converge within {_SERIES_MAX_TERMS} terms"
-        )
+    acc, terms = _star_square_series(np.fft.fft(fld.values), mult, kernel.theta)
     rho = math.sqrt(2.0 * math.pi * kernel.theta) * acc
     return Field1D(spec, fld.t_slice, rho, {"series_terms": terms})
 
@@ -923,32 +880,23 @@ def trajectory_csv(
     trajectory: Sequence[Field1D], kernel: StarKernel, m: float | None = None
 ) -> str:
     """CSV rows `step,t,x,re,im,rho` for every slice of a trajectory."""
-    if not trajectory:
-        return "step,t,x,re,im,rho\n"
-    t0 = trajectory[0].t_slice
-    lines = ["step,t,x,re,im,rho"]
+    blocks = []
     for fld in trajectory:
+        n_x = fld.spec.n_x
         step = int(fld.metadata.get("step", 0))
-        t = t0 + float(fld.metadata.get("elapsed", 0.0))
+        t = trajectory[0].t_slice + float(fld.metadata.get("elapsed", 0.0))
         rho = slice_density(kernel, fld, m=m).values.real
-        for x, val, r in zip(fld.spec.x, fld.values, rho):
-            lines.append(
-                f"{step},{t:.17g},{x:.17g},{val.real:.17g},{val.imag:.17g},{r:.17g}"
-            )
-    return "\n".join(lines) + "\n"
+        blocks.append(
+            (np.full(n_x, step), np.full(n_x, t), fld.spec.x, fld.values.real, fld.values.imag, rho)
+        )
+    return _csv("step,t,x,re,im,rho", *(np.concatenate(col) for col in zip(*blocks)))
 
 
 def spectrum_csv(energies: Sequence[float]) -> str:
     """CSV rows `n,E` of an energy ladder."""
-    lines = ["n,E"]
-    for n, energy in enumerate(energies):
-        lines.append(f"{n},{energy:.17g}")
-    return "\n".join(lines) + "\n"
+    return _csv("n,E", range(len(energies)), energies)
 
 
 def rate_scan_csv(rows: Sequence[tuple[float, float]]) -> str:
     """CSV rows `theta,rate` of a transition-rate scan."""
-    lines = ["theta,rate"]
-    for theta, rate in rows:
-        lines.append(f"{theta:.17g},{rate:.17g}")
-    return "\n".join(lines) + "\n"
+    return _csv("theta,rate", *zip(*rows))

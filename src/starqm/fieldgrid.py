@@ -20,6 +20,11 @@ import numpy as np
 # periodicity, so we flag it).
 EDGE_DECAY_TOL = 1e-10
 
+# Fourier-mode magnitudes below this fraction of the peak count as rounding
+# noise and are dropped: the Voros multiplier grows like e^{theta |k||k'|/2}
+# for anti-aligned mode pairs, so such noise must not participate.
+DEFAULT_MODE_CUTOFF = 1e-14
+
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
@@ -153,6 +158,19 @@ def sample_field(f: Callable[[np.ndarray, np.ndarray], np.ndarray], spec: GridSp
     return Field2D(spec, vals)
 
 
+def _drop_noise_modes(fhat: np.ndarray, cutoff: float = DEFAULT_MODE_CUTOFF) -> tuple[np.ndarray, int]:
+    """Zero the modes with |fhat| < cutoff * max|fhat| over the whole array; count them."""
+    mag = np.abs(fhat)
+    peak = np.max(mag)
+    if peak == 0.0:
+        return fhat, 0
+    keep = mag >= cutoff * peak
+    dropped = int(fhat.size - np.count_nonzero(keep))
+    if dropped:
+        fhat = np.where(keep, fhat, 0.0)
+    return fhat, dropped
+
+
 def _edge_magnitude(values: np.ndarray, axis: int) -> float:
     """Largest |value| on the two boundary lines of the given axis, relative to the global max."""
     peak = float(np.max(np.abs(values)))
@@ -237,16 +255,23 @@ def integrate(fld: Field2D | Field1D, axes: str | Iterable[str] | None = None) -
     return out
 
 
+def _csv(header: str, *columns) -> str:
+    """CSV text: the header, then one row per index of the equal-length columns, every value as .17g."""
+    rows = (",".join(f"{v:.17g}" for v in row) for row in zip(*columns))
+    return "\n".join((header, *rows)) + "\n"
+
+
+def _node_columns(fld: Field2D | Field1D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(t, x, value) of every sample, row-major over (i_t, i_x)."""
+    if isinstance(fld, Field1D):
+        return np.full(fld.spec.n_x, fld.t_slice), fld.spec.x, fld.values
+    if isinstance(fld, Field2D):
+        tt, xx = np.meshgrid(fld.spec.t, fld.spec.x, indexing="ij")
+        return tt.ravel(), xx.ravel(), fld.values.ravel()
+    raise TypeError(f"expected Field2D or Field1D, got {type(fld).__name__}")
+
+
 def to_csv(fld: Field2D | Field1D) -> str:
     """Serialize to CSV: header ``t,x,re,im``, row-major over (i_t, i_x), 17 significant digits."""
-    lines = ["t,x,re,im"]
-    if isinstance(fld, Field1D):
-        t_col = np.full(fld.spec.n_x, fld.t_slice)
-        x_col = fld.spec.x
-        v = fld.values
-    else:
-        tt, xx = np.meshgrid(fld.spec.t, fld.spec.x, indexing="ij")
-        t_col, x_col, v = tt.ravel(), xx.ravel(), fld.values.ravel()
-    for ti, xi, vi in zip(t_col, x_col, v):
-        lines.append(f"{ti:.17g},{xi:.17g},{vi.real:.17g},{vi.imag:.17g}")
-    return "\n".join(lines) + "\n"
+    t, x, v = _node_columns(fld)
+    return _csv("t,x,re,im", t, x, v.real, v.imag)

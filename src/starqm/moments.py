@@ -29,7 +29,7 @@ import numpy as np
 
 from . import phasecalc, symbols
 from .dynamics import Potential
-from .fieldgrid import Field1D, Field2D, GridSpec
+from .fieldgrid import Field1D, Field2D, GridSpec, _csv
 from .operators import (
     CANONICAL_ORDERING,
     SymbolOperator,
@@ -42,7 +42,7 @@ from .operators import (
     t_theta_l,
     x_theta_l,
 )
-from .star import StarKernel, star
+from .star import StarKernel, _require_theta_match, _require_voros, star
 from .symbols import CoherentPoint, coherent_symbol
 
 _IMAG_TOL = 1e-8
@@ -62,16 +62,6 @@ _PAIRING_MODE_CUTOFF = 1e-10
 
 # Members of a Williamson eigenvalue pair must agree to this relative gap.
 _PAIR_RTOL = 1e-6
-
-
-def _require_voros(kernel: StarKernel, what: str) -> None:
-    if kernel.flavor != "voros":
-        raise ValueError(f"{what} is defined through the Voros pairing; got flavor {kernel.flavor!r}")
-
-
-def _require_theta_match(kernel: StarKernel, spec: GridSpec) -> None:
-    if kernel.theta != spec.theta:
-        raise ValueError(f"kernel.theta={kernel.theta} does not match grid theta={spec.theta}")
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +567,4 @@ def residual_csv(ts: Sequence[float], values: Sequence[float]) -> str:
     values = np.asarray(values, dtype=float)
     if ts.shape != values.shape:
         raise ValueError(f"shape mismatch: t {ts.shape} vs value {values.shape}")
-    lines = ["t,value"]
-    for t, v in zip(ts, values):
-        lines.append(f"{t:.17g},{v:.17g}")
-    return "\n".join(lines) + "\n"
+    return _csv("t,value", ts, values)

@@ -25,17 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from starqm.fieldgrid import Field1D, GridSpec
+from starqm.fieldgrid import Field1D, GridSpec, _drop_noise_modes
 
 _RESUM_RTOL = 1e-16
 _MAX_TERMS = 4000
 
 # Phase frequencies within this tolerance are merged into one component.
 _FREQ_TOL = 1e-12
-
-
-def _dx_spectral(coef: np.ndarray, k_x: np.ndarray) -> np.ndarray:
-    return np.fft.ifft(np.fft.fft(coef, axis=-1) * (1j * k_x), axis=-1)
 
 
 def _dt_poly(coef: np.ndarray) -> np.ndarray:
@@ -168,23 +164,6 @@ def _poly_mult(fc: np.ndarray, gc: np.ndarray) -> np.ndarray:
     return out
 
 
-_MODE_CUTOFF = 1e-14
-
-
-def _mode_stack(coef: np.ndarray) -> np.ndarray:
-    """x-Fourier transform of the coefficient stack, rounding noise zeroed.
-
-    The star iteration runs in mode space: every operation there is diagonal
-    in the mode index, so modes zeroed now stay exactly zero and cannot be
-    amplified by the iterated i k multipliers.
-    """
-    ch = np.fft.fft(coef, axis=-1)
-    peak = np.max(np.abs(ch))
-    if peak > 0:
-        ch[np.abs(ch) < _MODE_CUTOFF * peak] = 0.0
-    return ch
-
-
 def _phase_star_pair(F: PhasePoly, G: PhasePoly) -> PhasePoly:
     """Voros product of two phase-polynomial states (exact resummation)."""
     spec = F.spec
@@ -195,8 +174,11 @@ def _phase_star_pair(F: PhasePoly, G: PhasePoly) -> PhasePoly:
 
     ik = 1j * spec.k_x
     s = math.sqrt(theta / 2.0)
-    Fh = _mode_stack(F.coef)
-    Gh = _mode_stack(G.coef)
+    # The iteration runs on x-Fourier modes of the coefficient stacks, where
+    # every operation is diagonal in the mode index: noise modes zeroed now
+    # stay exactly zero and cannot be amplified by the iterated i k factors.
+    Fh, _ = _drop_noise_modes(np.fft.fft(F.coef, axis=-1))
+    Gh, _ = _drop_noise_modes(np.fft.fft(G.coef, axis=-1))
     acc = _poly_mult(np.fft.ifft(Fh, axis=-1), np.fft.ifft(Gh, axis=-1))
     acc_norm = float(np.max(np.abs(acc)))
     quiet = 0

@@ -33,12 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from starqm.fieldgrid import Field2D
-
-# Fourier-mode magnitudes below this fraction of the per-field peak are dropped
-# before resummation: the Voros multiplier grows like e^{theta |k||k'|/2} for
-# anti-aligned mode pairs, so rounding-level mode noise must not participate.
-DEFAULT_MODE_CUTOFF = 1e-14
+from starqm.fieldgrid import DEFAULT_MODE_CUTOFF, Field2D, GridSpec, _drop_noise_modes
 
 # A term whose max-norm stays below this fraction of the running sum (twice in
 # a row) ends the resummation.
@@ -49,6 +44,11 @@ _MAX_TERMS = 20000
 # Series(K) acceptance gate: the order-K term must have fallen below this
 # fraction of the order-0 term.
 _SERIES_GATE = 1e-3
+
+# The star-square series stops at the first term below this fraction of the
+# running sum.
+_SQUARE_RTOL = 1e-12
+_SQUARE_MAX_TERMS = 512
 
 
 class StarConvergenceError(RuntimeError):
@@ -106,15 +106,42 @@ def plane_wave_star_factor(E: float, p: float, E2: float, p2: float, theta: floa
     return complex(np.exp(-(theta / 2.0) * (E + 1j * p) * (E2 - 1j * p2)))
 
 
-def _mode_cutoff(fh: np.ndarray, cutoff: float) -> tuple[np.ndarray, int]:
-    peak = np.max(np.abs(fh))
-    if peak == 0.0:
-        return fh, 0
-    keep = np.abs(fh) >= cutoff * peak
-    dropped = int(fh.size - np.count_nonzero(keep))
-    if dropped:
-        fh = np.where(keep, fh, 0.0)
-    return fh, dropped
+def _require_voros(kernel: StarKernel, what: str) -> None:
+    if kernel.flavor != "voros":
+        raise ValueError(
+            f"{what} is defined through the Voros pairing and needs flavor 'voros'; "
+            f"got flavor {kernel.flavor!r}"
+        )
+
+
+def _require_theta_match(kernel: StarKernel, spec: GridSpec) -> None:
+    if kernel.theta != spec.theta:
+        raise ValueError(f"kernel.theta={kernel.theta} does not match grid theta={spec.theta}")
+
+
+def _star_square_series(vhat: np.ndarray, mult: np.ndarray, theta: float) -> tuple[np.ndarray, int]:
+    """Voros star-square psi* * psi as the positive sum of squares.
+
+    vhat holds the Fourier modes of psi (1-D slice or 2-D field) and mult the
+    mode multiplier of d_t + i d_x.  Returns the sum
+    sum_n (theta/2)^n / n! |(d_t + i d_x)^n psi|^2 and its number of terms.
+    """
+    vhat, _ = _drop_noise_modes(vhat)
+    acc = np.abs(np.fft.ifftn(vhat)) ** 2
+    term_hat = vhat
+    for n in range(1, _SQUARE_MAX_TERMS + 1):
+        # Keep the coefficient inside the mode array: term_hat carries
+        # sqrt((theta/2)^n / n!) mult^n psi-hat, so each term is a plain
+        # square and intermediate magnitudes stay in floating-point range.
+        term_hat = term_hat * (mult * math.sqrt(theta / (2.0 * n)))
+        term = np.abs(np.fft.ifftn(term_hat)) ** 2
+        acc += term
+        if np.max(term) <= _SQUARE_RTOL * np.max(acc):
+            return acc, n + 1
+    raise RuntimeError(
+        f"density series did not converge within {_SQUARE_MAX_TERMS} terms; "
+        "the field occupies modes too close to the resolution floor"
+    )
 
 
 def _active_wmax(fh: np.ndarray, w: np.ndarray) -> float:
@@ -212,8 +239,8 @@ def _moyal_mixed(fh: np.ndarray, gh: np.ndarray, k_t: np.ndarray, k_x: np.ndarra
 def _cutoff_pair(kernel: StarKernel, fh: np.ndarray, gh: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
     metadata: dict = {}
     if kernel.mode_cutoff is not None:
-        fh, dropped_f = _mode_cutoff(fh, kernel.mode_cutoff)
-        gh, dropped_g = _mode_cutoff(gh, kernel.mode_cutoff)
+        fh, dropped_f = _drop_noise_modes(fh, kernel.mode_cutoff)
+        gh, dropped_g = _drop_noise_modes(gh, kernel.mode_cutoff)
         if dropped_f or dropped_g:
             metadata["mode_cutoff"] = {
                 "threshold": kernel.mode_cutoff,
@@ -280,10 +307,7 @@ def star(kernel: StarKernel, f: Field2D, g: Field2D) -> Field2D:
         raise TypeError("star operates on Field2D inputs")
     if f.spec != g.spec:
         raise ValueError("star requires both fields on the same GridSpec")
-    if kernel.theta != f.spec.theta:
-        raise ValueError(
-            f"kernel.theta={kernel.theta} does not match grid theta={f.spec.theta}"
-        )
+    _require_theta_match(kernel, f.spec)
     if kernel.theta == 0.0:
         return Field2D(f.spec, f.values * g.values)
     if kernel.method == "fourier":

@@ -23,16 +23,17 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import phasecalc
-from .fieldgrid import Field1D, Field2D, GridSpec, integrate, spectral_derivative
-from .star import DEFAULT_MODE_CUTOFF, StarKernel, star
-
-_SERIES_RTOL = 1e-12
-_SERIES_MAX_TERMS = 512
+from .fieldgrid import Field1D, Field2D, GridSpec, spectral_derivative
+from .fieldgrid import _csv, _drop_noise_modes, _node_columns
+from .star import StarKernel, _require_theta_match, _require_voros, _star_square_series, star
 
 # Relative floor under which a sampled kernel mode is treated as numerically
 # empty: below it the compensating growth factor would only amplify rounding
 # noise, so those modes are dropped instead of inverted.
 _KERNEL_MODE_FLOOR = 1e-13
+
+# real_field_csv rejects an imaginary part above this fraction of the peak.
+_REAL_CSV_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -137,16 +138,6 @@ def coherent_symbol(point: CoherentPoint, spec: GridSpec) -> Field2D:
 # ---------------------------------------------------------------------------
 
 
-def _require_voros(kernel: StarKernel, what: str) -> None:
-    if kernel.flavor != "voros":
-        raise ValueError(f"{what} is defined through the Voros pairing; got flavor {kernel.flavor!r}")
-
-
-def _require_theta_match(kernel: StarKernel, spec: GridSpec) -> None:
-    if kernel.theta != spec.theta:
-        raise ValueError(f"kernel.theta={kernel.theta} does not match grid theta={spec.theta}")
-
-
 def _stationary_profile(fld: Field1D) -> phasecalc.PhasePoly:
     energy = fld.metadata.get("energy")
     if energy is None:
@@ -211,31 +202,6 @@ def induced_inner_product(
 # ---------------------------------------------------------------------------
 
 
-def _density_series(spec: GridSpec, values: np.ndarray, theta: float) -> tuple[np.ndarray, int]:
-    """Positive series sum_n (theta/2)^n / n! |(d_t + i d_x)^n psi|^2."""
-    vhat = np.fft.fft2(values)
-    peak = np.max(np.abs(vhat))
-    if peak > 0.0:
-        vhat = np.where(np.abs(vhat) >= DEFAULT_MODE_CUTOFF * peak, vhat, 0.0)
-    # d_t + i d_x acts on a mode e^{i(kt t + kx x)} as multiplication by i*kt - kx.
-    mult = 1j * spec.k_t[:, None] - spec.k_x[None, :]
-    acc = np.abs(np.fft.ifft2(vhat)) ** 2
-    term_hat = vhat
-    for n in range(1, _SERIES_MAX_TERMS + 1):
-        # Keep the coefficient inside the mode array: term_hat carries
-        # sqrt((theta/2)^n / n!) mult^n psi-hat, so each term is a plain
-        # square and intermediate magnitudes stay in floating-point range.
-        term_hat = term_hat * (mult * math.sqrt(theta / (2.0 * n)))
-        term = np.abs(np.fft.ifft2(term_hat)) ** 2
-        acc += term
-        if np.max(term) <= _SERIES_RTOL * np.max(acc):
-            return acc, n + 1
-    raise RuntimeError(
-        f"density series did not converge within {_SERIES_MAX_TERMS} terms; "
-        "the field occupies modes too close to the resolution floor"
-    )
-
-
 def probability_density(
     kernel: StarKernel, psi: Field2D, cross_check: bool = False
 ) -> Field2D:
@@ -252,7 +218,9 @@ def probability_density(
     _require_theta_match(kernel, psi.spec)
     if kernel.theta <= 0.0:
         raise ValueError("the coherent-state density needs theta > 0")
-    series, n_terms = _density_series(psi.spec, psi.values, kernel.theta)
+    # d_t + i d_x acts on a mode e^{i(kt t + kx x)} as multiplication by i*kt - kx.
+    mult = 1j * psi.spec.k_t[:, None] - psi.spec.k_x[None, :]
+    series, n_terms = _star_square_series(np.fft.fft2(psi.values), mult, kernel.theta)
     scale = math.sqrt(2.0 * math.pi * kernel.theta)
     metadata = {"series_terms": n_terms}
     if cross_check:
@@ -359,10 +327,7 @@ def onshell_project(
 def _absolute_mode_amplitudes(fld: Field2D) -> np.ndarray:
     """Mode amplitudes A with psi(t,x) = sum A e^{i(kt t + kx x)} in absolute coordinates."""
     spec = fld.spec
-    amps = np.fft.fft2(fld.values) / (spec.n_t * spec.n_x)
-    peak = np.max(np.abs(amps))
-    if peak > 0.0:
-        amps = np.where(np.abs(amps) >= DEFAULT_MODE_CUTOFF * peak, amps, 0.0)
+    amps, _ = _drop_noise_modes(np.fft.fft2(fld.values) / (spec.n_t * spec.n_x))
     origin = np.exp(-1j * (spec.k_t[:, None] * spec.t_min + spec.k_x[None, :] * spec.x_min))
     return amps * origin
 
@@ -500,10 +465,7 @@ def reproducing_map(kernel: StarKernel, psi: Field2D) -> Field2D:
     live = k_hat >= _KERNEL_MODE_FLOOR * np.max(k_hat)
     mult = np.where(live, k_hat * grow, 0.0)
 
-    vhat = np.fft.fft2(psi.values)
-    peak = np.max(np.abs(vhat))
-    if peak > 0.0:
-        vhat = np.where(np.abs(vhat) >= DEFAULT_MODE_CUTOFF * peak, vhat, 0.0)
+    vhat, _ = _drop_noise_modes(np.fft.fft2(psi.values))
     dropped = int(np.sum((~live) & (vhat != 0.0)))
     out = np.fft.ifft2(vhat * mult)
     metadata: dict = {"kernel_modes_dropped": dropped}
@@ -517,21 +479,10 @@ def reproducing_map(kernel: StarKernel, psi: Field2D) -> Field2D:
 # ---------------------------------------------------------------------------
 
 
-def real_field_csv(fld: Field2D | Field1D, rtol: float = 1e-9) -> str:
+def real_field_csv(fld: Field2D | Field1D) -> str:
     """Serialize a real-valued field as CSV with header ``t,x,value``."""
-    scale = float(np.max(np.abs(fld.values))) or 1.0
-    if np.max(np.abs(fld.values.imag)) > rtol * scale:
+    t, x, v = _node_columns(fld)
+    scale = float(np.max(np.abs(v))) or 1.0
+    if np.max(np.abs(v.imag)) > _REAL_CSV_RTOL * scale:
         raise ValueError("field has a non-negligible imaginary part; not a real observable")
-    lines = ["t,x,value"]
-    if isinstance(fld, Field1D):
-        t_col = np.full(fld.spec.n_x, fld.t_slice)
-        x_col = fld.spec.x
-        v = fld.values.real
-    elif isinstance(fld, Field2D):
-        tt, xx = np.meshgrid(fld.spec.t, fld.spec.x, indexing="ij")
-        t_col, x_col, v = tt.ravel(), xx.ravel(), fld.values.real.ravel()
-    else:
-        raise TypeError(f"expected Field2D or Field1D, got {type(fld).__name__}")
-    for ti, xi, vi in zip(t_col, x_col, v):
-        lines.append(f"{ti:.17g},{xi:.17g},{vi:.17g}")
-    return "\n".join(lines) + "\n"
+    return _csv("t,x,value", t, x, v.real)

@@ -623,6 +623,40 @@ class TestSliceDensity:
         with pytest.raises(ValueError, match="mass must be > 0"):
             dyn.slice_density(kern, fld, m=-1.0)
 
+    @pytest.mark.parametrize("theta", [0.0625, 0.1, 0.2])
+    def test_energy_tagged_row_matches_plane_density(self, theta):
+        """The slice series with d_t -> -iE and the full-field series must
+        give the same density for a stationary field q(x) e^{-iEt}."""
+        energy = 0.5
+        spec = GridSpec(256, 256, 0.0, 4.0 * math.pi, -8.0, 8.0, theta)
+        kern = StarKernel(theta)
+        field = Field2D(
+            spec,
+            np.exp(-((spec.x[None, :] - 0.4) ** 2) / 1.5 + 0.7j * spec.x[None, :])
+            * np.exp(-1j * energy * spec.t[:, None]),
+        )
+        row = Field1D(spec, spec.t[0], field.values[0], {"energy": energy})
+        rho_slice = dyn.slice_density(kern, row)
+        rho_plane = symbols.probability_density(kern, field)
+        assert rel_err(rho_slice.values, rho_plane.values[0]) < 1e-14
+        assert rho_slice.metadata["series_terms"] == rho_plane.metadata["series_terms"]
+
+
+@pytest.mark.parametrize("entry", ["slice_density", "evolve", "transition_amplitude"])
+def test_moyal_kernel_rejected(entry):
+    spec = GridSpec(8, 128, 0.0, 0.2, -math.pi, math.pi, 0.05)
+    moyal = StarKernel(0.05, flavor="moyal")
+    psi = Field1D(spec, 0.0, np.exp(-(spec.x**2)), {"energy": 0.5})
+    calls = {
+        "slice_density": lambda: dyn.slice_density(moyal, psi),
+        "evolve": lambda: dyn.evolve(psi, Potential.harmonic(1.0, 1.0), moyal, 1.0, 1e-4, 10),
+        "transition_amplitude": lambda: dyn.transition_amplitude(
+            lambda t: 0.05 + 0.0 * t, psi, psi, 12.0, 0.05, moyal
+        ),
+    }
+    with pytest.raises(ValueError, match="defined through the Voros pairing.*got flavor 'moyal'"):
+        calls[entry]()
+
 
 class TestTransitionAmplitude:
     @staticmethod
