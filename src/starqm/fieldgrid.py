@@ -171,6 +171,11 @@ def _drop_noise_modes(fhat: np.ndarray, cutoff: float = DEFAULT_MODE_CUTOFF) -> 
     return fhat, dropped
 
 
+def _require_grid_theta(theta: float, spec: GridSpec, what: str) -> None:
+    if theta != spec.theta:
+        raise ValueError(f"{what} {theta} does not match grid theta {spec.theta}")
+
+
 def _edge_magnitude(values: np.ndarray, axis: int) -> float:
     """Largest |value| on the two boundary lines of the given axis, relative to the global max."""
     peak = float(np.max(np.abs(values)))

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from starqm.fieldgrid import DEFAULT_MODE_CUTOFF, Field2D, GridSpec, _drop_noise_modes
+from starqm.fieldgrid import _require_grid_theta
 
 # A term whose max-norm stays below this fraction of the running sum (twice in
 # a row) ends the resummation.
@@ -115,8 +116,7 @@ def _require_voros(kernel: StarKernel, what: str) -> None:
 
 
 def _require_theta_match(kernel: StarKernel, spec: GridSpec) -> None:
-    if kernel.theta != spec.theta:
-        raise ValueError(f"kernel.theta={kernel.theta} does not match grid theta={spec.theta}")
+    _require_grid_theta(kernel.theta, spec, "kernel theta")
 
 
 def _star_square_series(vhat: np.ndarray, mult: np.ndarray, theta: float) -> tuple[np.ndarray, int]:

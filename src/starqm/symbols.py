@@ -24,7 +24,7 @@ import numpy as np
 
 from . import phasecalc
 from .fieldgrid import Field1D, Field2D, GridSpec, spectral_derivative
-from .fieldgrid import _csv, _drop_noise_modes, _node_columns
+from .fieldgrid import _csv, _drop_noise_modes, _node_columns, _require_grid_theta
 from .star import StarKernel, _require_theta_match, _require_voros, _star_square_series, star
 
 # Relative floor under which a sampled kernel mode is treated as numerically
@@ -111,10 +111,7 @@ def coherent_symbol(point: CoherentPoint, spec: GridSpec) -> Field2D:
     6 sqrt(theta) beyond the center on every side so the periodified tails
     stay at rounding level.
     """
-    if spec.theta != point.theta:
-        raise ValueError(
-            f"basis point theta {point.theta} does not match grid theta {spec.theta}"
-        )
+    _require_grid_theta(point.theta, spec, "basis point theta")
     s = math.sqrt(point.theta)
     margin = min(
         point.t - spec.t_min, spec.t_max - point.t,
@@ -295,8 +292,7 @@ def onshell_project(
         raise ValueError("p_grid must be symmetric about 0")
     if not m > 0:
         raise ValueError(f"mass must be > 0, got {m}")
-    if theta != spec.theta:
-        raise ValueError(f"theta={theta} does not match grid theta={spec.theta}")
+    _require_grid_theta(theta, spec, "theta")
 
     step = float(dp[0])
     # Stationary-phase scale: d(phase)/dp = x - p t / m, extremal at the
@@ -352,8 +348,7 @@ def quasi_projection_apply(theta: float, t0: float, psi: Field2D) -> Field2D:
     if not isinstance(psi, Field2D):
         raise TypeError(f"quasi_projection_apply expects a Field2D, got {type(psi).__name__}")
     spec = psi.spec
-    if theta != spec.theta:
-        raise ValueError(f"theta={theta} does not match grid theta={spec.theta}")
+    _require_grid_theta(theta, spec, "theta")
     if not (spec.t_min <= t0 <= spec.t_max):
         raise ValueError(f"t0={t0} outside box [{spec.t_min}, {spec.t_max}]")
 

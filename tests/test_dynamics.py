@@ -389,6 +389,23 @@ class TestStationarySolve:
             pairs = dyn.stationary_solve(pot, kern, 1.0, (0.1, 3.0), spec)
             assert np.allclose([e for e, _ in pairs], frozen, atol=1e-8)
 
+    def test_tilted_potential_settles_by_iteration(self):
+        """V = F x sampled in the frame at energy E is F x - F theta E / 2, so a
+        level moves with E and settles at E_0 / (1 + F theta / 2), where E_0 is
+        the commutative level on the same box."""
+        force = 1.0
+        pot = Potential.custom(lambda x: force * x)
+        window = (-13.0, -9.0)
+        ((e_0, _),) = dyn.stationary_solve(
+            pot, StarKernel(0.0), 1.0, window, GridSpec(8, 512, 0.0, 0.2, -12.0, 12.0, 0.0)
+        )
+        for theta in (0.1, 0.2):
+            spec = GridSpec(8, 512, 0.0, 0.2, -12.0, 12.0, theta)
+            ((energy, st),) = dyn.stationary_solve(pot, StarKernel(theta), 1.0, window, spec)
+            assert abs(energy * (1.0 + force * theta / 2.0) - e_0) < 1e-9 * abs(e_0)
+            assert st.metadata["iterations"] > 2
+            assert st.metadata["residual"] < 1e-10
+
     def test_empty_window_returns_nothing(self):
         spec = GridSpec(8, 512, 0.0, 0.2, -12.0, 12.0, 0.0)
         kern = StarKernel(0.0)
