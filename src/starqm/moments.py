@@ -5,7 +5,10 @@ stationary-tagged slice is lifted to a phase polynomial so coordinate-t and
 d_t monomials act exactly, a full field paired on a fixed-t line goes
 through the induced product, and a full field with no line selected is
 paired over the whole plane, integral dt dx psi* (star) O psi -- the right
-reading for coherent basis elements, which are not on shell.
+reading for coherent basis elements, which are not on shell.  The whole-plane
+pairing needs only the integral of the star product, so it is evaluated in
+closed form as a trace sum over partner Fourier modes (k, -k), one FFT per
+field; no star product field is built.
 
 On top of that sit the uncertainty products, the 4x4 covariance matrix of
 the coherent element together with its commutator (symplectic) form, the
@@ -29,7 +32,7 @@ import numpy as np
 
 from . import phasecalc, symbols
 from .dynamics import Potential
-from .fieldgrid import Field1D, Field2D, GridSpec, _csv
+from .fieldgrid import Field1D, Field2D, GridSpec, _csv, _drop_noise_modes
 from .operators import (
     CANONICAL_ORDERING,
     SymbolOperator,
@@ -42,7 +45,7 @@ from .operators import (
     t_theta_l,
     x_theta_l,
 )
-from .star import StarKernel, _require_theta_match, _require_voros, star
+from .star import StarKernel, _require_theta_match, _require_voros
 from .symbols import CoherentPoint, coherent_symbol
 
 _IMAG_TOL = 1e-8
@@ -51,13 +54,17 @@ _VAR_FLOOR = -1e-10
 _CROSS_TOL = 1e-6
 _BOUND_TOL = 1e-8
 
-# Whole-plane pairings of operator-applied symbols run through the star
-# engine, whose mode multiplier grows like e^{theta |k||k'|/2} on
-# anti-aligned mode pairs.  Derivative factors in a composed operator lift
-# the rounding floor of the input spectrum above the engine's default
-# 1e-14 cutoff, and the growth then amplifies exactly those modes; pairing
-# therefore coarsens any finer cutoff to this value, which still keeps
-# every mode a Gaussian symbol populates above the 1e-10 level.
+# Pairings weight each surviving mode pair by the Voros multiplier, which
+# grows like e^{theta |k||k'|/2} on anti-aligned pairs -- on the partner
+# pairs (k, -k) of a whole-plane trace sum, like e^{theta |k|^2/2}.
+# Derivative factors in a composed operator lift the rounding floor of the
+# input spectrum above the default 1e-14 cutoff, and the growth then
+# amplifies exactly those modes: for a coherent symbol centred at
+# (0.3, -0.5) sqrt(theta) on the 128^2 box of reach 8 sqrt(theta) at
+# theta = 0.1, the plane norm reads 1.1e19 at cutoff 1e-14 (star engine and
+# trace sum alike, both being the same discrete sum) and 1.0 at 1e-12 and
+# 1e-10.  Pairing therefore coarsens any finer cutoff to this value, which
+# still keeps every mode a Gaussian symbol populates above the 1e-10 level.
 _PAIRING_MODE_CUTOFF = 1e-10
 
 # Members of a Williamson eigenvalue pair must agree to this relative gap.
@@ -206,8 +213,35 @@ def _checked_norm(norm: complex) -> float:
 
 
 def _plane_pairing(kernel: StarKernel, bra: Field2D, ket: Field2D) -> complex:
-    prod = star(kernel, Field2D(bra.spec, np.conj(bra.values)), ket)
-    return complex(np.sum(prod.values) * bra.spec.dt * bra.spec.dx)
+    """integral dt dx conj(bra) (star) ket as the closed-form trace sum.
+
+    Summing a star product over the grid keeps only the mode pairs that land
+    in the zero mode, so with F = conj(bra), G = ket the pairing is
+    (dt dx / N_t N_x) sum_k F^(k) G^(k') exp[-(theta/2) conj(w_k) w_k'] with
+    the partner index k' = -k mod N on each axis (a Nyquist mode is its own
+    partner).  This is the discrete sum the star engine's product would give
+    after the same input mode cutoff, evaluated only on pairs where both
+    modes survive.
+    """
+    spec = bra.spec
+    fh = np.fft.fft2(np.conj(bra.values))
+    gh = np.fft.fft2(ket.values)
+    # At theta = 0 the engine multiplies pointwise and drops no modes.
+    if kernel.theta > 0.0 and kernel.mode_cutoff is not None:
+        fh, _ = _drop_noise_modes(fh, kernel.mode_cutoff)
+        gh, _ = _drop_noise_modes(gh, kernel.mode_cutoff)
+    w = spec.k_t[:, None] + 1j * spec.k_x[None, :]
+    partner = np.ix_(-np.arange(spec.n_t) % spec.n_t, -np.arange(spec.n_x) % spec.n_x)
+    gh_p, w_p = gh[partner], w[partner]
+    live = (fh != 0) & (gh_p != 0)
+    weight = np.exp(-(kernel.theta / 2.0) * np.conj(w[live]) * w_p[live])
+    total = complex(np.sum(fh[live] * gh_p[live] * weight))
+    if not np.isfinite(total):
+        raise ValueError(
+            f"plane pairing overflowed ({total}): the Voros weight on the "
+            "surviving mode pairs exceeds floating-point range"
+        )
+    return total * spec.dt * spec.dx / (spec.n_t * spec.n_x)
 
 
 def expectation(
@@ -226,10 +260,13 @@ def expectation(
     untagged slice is accepted only at theta = 0 for operators free of d_t
     factors, where the reduction is vacuous.
 
-    A Field2D with explicit t pairs on that fixed-t grid line; with t=None
-    it pairs over the whole plane, integral dt dx psi* (star) O psi.  Plane
-    and fixed-line pairings coarsen a finer-than-1e-10 kernel mode cutoff
-    (see _PAIRING_MODE_CUTOFF).
+    A Field2D with explicit t pairs on that fixed-t grid line through the
+    star engine; with t=None it pairs over the whole plane, integral
+    dt dx psi* (star) O psi, evaluated as the closed-form trace sum over
+    partner modes (see _plane_pairing).  That sum is the exact mode-pair
+    multiplier, so kernel.method does not enter a plane pairing; only
+    kernel.theta and kernel.mode_cutoff do.  Plane and fixed-line pairings
+    coarsen a finer-than-1e-10 kernel mode cutoff (see _PAIRING_MODE_CUTOFF).
 
     The state must arrive normalized: a pairing norm off unity beyond 1e-6
     is rejected; the residual deviation below that is divided out.

@@ -6,12 +6,13 @@ import math
 import numpy as np
 import pytest
 
+from oracles import brute_force_star
 from starqm import dynamics, moments, operators, symbols
 from starqm.dynamics import OscillatorParams, Potential
 from starqm.fieldgrid import Field1D, Field2D, GridSpec
 from starqm.moments import SymplecticForm, VarianceMatrix
 from starqm.operators import SymbolOperator
-from starqm.star import StarKernel
+from starqm.star import StarKernel, star
 from starqm.symbols import CoherentPoint
 
 THETA = 0.1
@@ -271,6 +272,89 @@ class TestCoherentVarianceMatrix:
         spec = GridSpec(128, 128, -2.0, 2.0, -2.0, 2.0, 0.2)
         with pytest.raises(ValueError, match="does not match theta"):
             moments.coherent_variance_matrix(0.1, spec=spec)
+
+
+def coherent_box(theta: float) -> GridSpec:
+    """The 128^2 box of reach 8 sqrt(theta) that coherent_variance_matrix uses."""
+    s = math.sqrt(theta)
+    return GridSpec(128, 128, -8 * s, 8 * s, -8 * s, 8 * s, theta)
+
+
+@pytest.mark.filterwarnings("error")
+class TestPlanePairing:
+    """The whole-plane trace sum against the integral of an explicit star product.
+
+    Warnings are errors here, so an overflow in the Voros weight fails.
+    """
+
+    @pytest.mark.parametrize("theta", [0.0625, 0.1, 0.2])
+    @pytest.mark.parametrize("centre", [(0.0, 0.0), (0.3, -0.5)])
+    def test_matches_the_engine_on_covariance_operators(self, theta, centre):
+        s = math.sqrt(theta)
+        spec = coherent_box(theta)
+        psi = symbols.coherent_symbol(
+            CoherentPoint(centre[0] * s, centre[1] * s, theta), spec
+        )
+        kernel = moments._pairing_kernel(StarKernel(theta))
+        bra = Field2D(spec, np.conj(psi.values))
+        zs = [operators.x_theta_l(theta), operators.t_theta_l(theta),
+              operators.p_x(), operators.p_t()]
+        kets = [psi] + [
+            operators.apply(zs[i].compose(zs[j]) + zs[j].compose(zs[i]), psi)
+            for i in range(4) for j in range(i, 4)
+        ]
+        got = np.array([moments._plane_pairing(kernel, psi, ket) for ket in kets])
+        want = np.array(
+            [np.sum(star(kernel, bra, ket).values) * spec.dt * spec.dx for ket in kets]
+        )
+        # entries that vanish in closed form sit at rounding level, so the
+        # gap is measured against the state's largest pairing
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("theta", [0.0625, 0.1, 0.2])
+    @pytest.mark.parametrize("band", [4, None])
+    def test_matches_the_brute_force_oracle(self, theta, band):
+        # band=None populates every mode, the Nyquist lines included, whose
+        # partner is the mode itself
+        n = 32
+        half = 4 * math.sqrt(theta)
+        spec = GridSpec(n, n, -half, half, -half, half, theta)
+        rng = np.random.default_rng(7)
+
+        def random_field():
+            fh = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            if band is not None:
+                outside = np.abs(np.fft.fftfreq(n, 1.0 / n)) > band
+                fh[outside, :] = 0.0
+                fh[:, outside] = 0.0
+            return Field2D(spec, np.fft.ifft2(fh))
+
+        f, g = random_field(), random_field()
+        got = moments._plane_pairing(StarKernel(theta), f, g)
+        prod = brute_force_star(np.conj(f.values), g.values, spec.k_t, spec.k_x, theta)
+        want = np.sum(prod) * spec.dt * spec.dx
+        scale = np.sum(np.abs(prod)) * spec.dt * spec.dx
+        assert abs(got - want) <= 1e-13 * scale
+
+    def test_overflowing_weight_raises(self):
+        # spacing sqrt(theta)/32 puts the corner modes at weight ~e^{1e4}
+        theta = 0.1
+        half = math.sqrt(theta) / 4
+        spec = GridSpec(16, 16, -half, half, -half, half, theta)
+        rng = np.random.default_rng(3)
+        f = Field2D(spec, rng.standard_normal((16, 16)) + 0j)
+        with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="overflowed"):
+            moments._plane_pairing(StarKernel(theta), f, f)
+
+    def test_far_off_centre_state_is_still_rejected(self):
+        # centred at (2, -2) sqrt(theta) the pairing norm reads ~7.5e113 with
+        # an imaginary residue; the trace sum must report it, not return it
+        s = math.sqrt(THETA)
+        psi = symbols.coherent_symbol(
+            CoherentPoint(2 * s, -2 * s, THETA), coherent_box(THETA)
+        )
+        with pytest.raises(ValueError, match="imaginary residue"):
+            moments.expectation(operators.p_x(), psi, StarKernel(THETA))
 
 
 class TestSymplecticEigenvalues:
