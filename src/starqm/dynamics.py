@@ -2,11 +2,11 @@
 
 Free Gaussian packets are built by direct momentum quadrature of their
 on-shell mode sum.  Harmonic-oscillator energies come with an independent
-momentum-space diagonalization check, and eigenstate slices are produced by
-quadrature of the damped, gauge-phased momentum profiles.  The stationary
-eigensolver and the split-step evolver both treat an x-dependent potential
-as the deformed coordinate operator acting from the left: on a component
-q(x) e^{-iEt} that action is
+momentum-space diagonalization check, and eigenstate slices are the closed
+Gaussian-Hermite transforms of the damped, gauge-phased momentum profiles.
+The stationary eigensolver and the split-step evolver both treat an
+x-dependent potential as the deformed coordinate operator acting from the
+left: on a component q(x) e^{-iEt} that action is
 
     x + (theta/2)(d_x - i d_t)  ->  (x - theta E/2) + (theta/2) d_x,
 
@@ -34,7 +34,6 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.integrate
 import scipy.linalg
-import scipy.special
 
 from . import phasecalc, symbols
 from .fieldgrid import Field1D, Field2D, GridSpec, sample_field, spectral_derivative
@@ -358,52 +357,30 @@ def oscillator_spectrum(params: OscillatorParams, n_max: int) -> list[float]:
 def oscillator_eigenstate(
     params: OscillatorParams, n: int, spec: GridSpec, t: float = 0.0
 ) -> Field1D:
-    """Level-n eigenstate slice by quadrature of its momentum profile.
+    """Level-n eigenstate slice in closed form.
 
-    The momentum profile is the Hermite function carrying the gauge phase
-    e^{-i theta E_n p/2} and the mode damping e^{-theta(E_n^2+p^2)/4}; the
-    slice is normalized to unit induced norm and tagged with
-    metadata['energy'] and metadata['level'].
+    The momentum profile H_n(p/s) e^{-p^2/2s^2}, s^2 = m omega, carries the
+    gauge phase e^{-i theta E_n p/2} and the damping e^{-theta(E_n^2+p^2)/4}.
+    Its transform is e^{-y^2/4beta} h_n up to a constant, with beta =
+    1/(2 s^2) + theta/4, y = x - theta E_n/2 and h_n = g^n H_n(w/g) for
+    w = iy/(2 s beta), g^2 = 1 - 1/(s^2 beta), built by the recurrence
+    h_{k+1} = 2w h_k - 2k g^2 h_{k-1}.  Only g^2 enters, so its sign change
+    at theta m omega = 2 needs no branch.  The slice is normalized to unit
+    induced norm and tagged with metadata['energy'] and metadata['level'].
     """
     if n < 0 or int(n) != n:
         raise ValueError(f"level must be a nonnegative integer, got {n}")
     _require_grid_theta(params.theta, spec, "oscillator theta")
     energy = params.level_energy(n)
-    mw = params.m * params.omega
-    decay = 1.0 / (2.0 * mw) + params.theta / 4.0
-    # Place the cutoff where the full envelope (Hermite growth included)
-    # drops below the quadrature floor.
-    p_bound = math.sqrt(-math.log(_QUAD_FLOOR) / decay) * (2.0 + math.sqrt(n))
-    trial = np.linspace(0.0, p_bound, 8192)
-    env = np.abs(scipy.special.eval_hermite(n, trial / math.sqrt(mw))) * np.exp(
-        -decay * trial**2
-    )
-    peak = float(np.max(env))
-    dead = np.nonzero(env < _QUAD_FLOOR * peak)[0]
-    dead = dead[dead > int(np.argmax(env))]
-    p_cut = float(trial[dead[0]]) if dead.size else p_bound
-    spread = math.sqrt((2.0 * n + 1.0) * params.sigma_theta_sq)
-    reach = (
-        max(abs(spec.x_min), abs(spec.x_max))
-        + params.theta * energy / 2.0
-        + 12.0 * spread
-    )
-    dp = min(math.pi / reach, p_cut / 128.0)
-    if params.theta * energy * dp / 2.0 > math.pi:
-        raise ValueError(
-            "gauge phase wraps across one quadrature step; the level is too "
-            "high for this theta and box"
-        )
-    n_nodes = 2 * math.ceil(p_cut / dp) + 1
-    p = np.linspace(-p_cut, p_cut, n_nodes)
-    dp = float(p[1] - p[0])
-    amp = (
-        scipy.special.eval_hermite(n, p / math.sqrt(mw))
-        * np.exp(-(p**2) / (2.0 * mw))
-        * np.exp(-0.5j * params.theta * energy * p)
-        * np.exp(-params.theta * (energy**2 + p**2) / 4.0)
-    )
-    vals = np.exp(-1j * energy * t) * (np.exp(1j * np.outer(spec.x, p)) @ amp) * dp
+    s_sq = params.m * params.omega
+    beta = 1.0 / (2.0 * s_sq) + params.theta / 4.0
+    y = spec.x - params.theta * energy / 2.0
+    two_w = 1j * y / (math.sqrt(s_sq) * beta)
+    g_sq = 1.0 - 1.0 / (s_sq * beta)
+    h_prev, h = np.zeros_like(two_w), np.ones_like(two_w)
+    for k in range(int(n)):
+        h_prev, h = h, two_w * h - 2.0 * k * g_sq * h_prev
+    vals = np.exp(-1j * energy * t) * np.exp(-(y**2) / (4.0 * beta)) * h
     edge = max(abs(vals[0]), abs(vals[-1])) / float(np.max(np.abs(vals)))
     if edge > 1e-12:
         raise ValueError(
@@ -591,33 +568,31 @@ def stationary_solve(
             raise RuntimeError(
                 f"eigenpair residual {residual:.3e} exceeds 1e-6 for level {lvl}"
             )
-        vals = np.fft.ifft(np.fft.fft(vec) * damp)
-        vals = vals * np.exp(-1j * energy * spec.t[0])
+        vals = np.fft.ifft(np.fft.fft(vec) * damp) * np.exp(-1j * energy * spec.t[0])
         fld = Field1D(spec, spec.t[0], vals, {"energy": energy})
-        norm_sq = symbols.induced_inner_product(kernel, fld, fld).real
-        vals = vals / math.sqrt(norm_sq)
         # Independent check through the resummed star engine: the potential
         # acts by its operator symbol (the Gaussian-smoothed profile).  The
         # profile is windowed to the box interior by a flat-top bump (equal
         # to 1 wherever a resolvable state lives) because a non-periodic
         # potential has a kink at the box edge whose Fourier tail the star
-        # weights would amplify into pure noise.
+        # weights would amplify into pure noise.  The residual is relative,
+        # so it is taken before normalizing.
         xc = 0.5 * (spec.x_min + spec.x_max)
         half = 0.75 * (spec.x_max - spec.x_min) / 2.0
         window = np.exp(-(((spec.x - xc) / half) ** 32))
-        profile = vals * np.exp(1j * energy * spec.t[0])
         vpsi = phasecalc.phase_star(
             phasecalc.stationary_part(spec, 0.0, v_profile * window),
-            phasecalc.stationary_part(spec, energy, profile),
-        ).values_at(spec.t[0])
+            phasecalc._slice_part(fld),
+        ).values_at(fld.t_slice)
         kin = np.fft.ifft(spec.k_x**2 * np.fft.fft(vals)) / (2.0 * m)
         cross = float(
             np.linalg.norm(kin + vpsi - energy * vals) / np.linalg.norm(vals)
         )
+        norm_sq = symbols.induced_inner_product(kernel, fld, fld).real
         fld = Field1D(
             spec,
             spec.t[0],
-            vals,
+            vals / math.sqrt(norm_sq),
             {
                 "energy": energy,
                 "level": int(lvl),

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -46,26 +46,13 @@ from .operators import (
     x_theta_l,
 )
 from .star import StarKernel, _require_theta_match, _require_voros
-from .symbols import CoherentPoint, coherent_symbol
+from .symbols import _PAIRING_MODE_CUTOFF, CoherentPoint, _pairing_kernel, coherent_symbol
 
 _IMAG_TOL = 1e-8
 _NORM_TOL = 1e-6
 _VAR_FLOOR = -1e-10
 _CROSS_TOL = 1e-6
 _BOUND_TOL = 1e-8
-
-# Pairings weight each surviving mode pair by the Voros multiplier, which
-# grows like e^{theta |k||k'|/2} on anti-aligned pairs -- on the partner
-# pairs (k, -k) of a whole-plane trace sum, like e^{theta |k|^2/2}.
-# Derivative factors in a composed operator lift the rounding floor of the
-# input spectrum above the default 1e-14 cutoff, and the growth then
-# amplifies exactly those modes: for a coherent symbol centred at
-# (0.3, -0.5) sqrt(theta) on the 128^2 box of reach 8 sqrt(theta) at
-# theta = 0.1, the plane norm reads 1.1e19 at cutoff 1e-14 (star engine and
-# trace sum alike, both being the same discrete sum) and 1.0 at 1e-12 and
-# 1e-10.  Pairing therefore coarsens any finer cutoff to this value, which
-# still keeps every mode a Gaussian symbol populates above the 1e-10 level.
-_PAIRING_MODE_CUTOFF = 1e-10
 
 # Members of a Williamson eigenvalue pair must agree to this relative gap.
 _PAIR_RTOL = 1e-6
@@ -77,27 +64,33 @@ _PAIR_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
-class VarianceMatrix:
-    """Symmetrized second moments V_ij = <{Z_i - <Z_i>, Z_j - <Z_j>}>/2."""
+class _PhaseSpaceMatrix:
+    """A 4x4 matrix over a declared ordering of (X, T, P_x, P_t), frozen.
+
+    Subclasses name themselves in _what and set _sign to +1 (symmetric) or
+    -1 (antisymmetric); the input is checked for that symmetry to 1e-10 of
+    its scale and then projected onto it exactly.
+    """
 
     values: np.ndarray
     ordering: tuple[str, ...] = CANONICAL_ORDERING
     theta: float = 0.0
-    metadata: dict = field(default_factory=dict)
+
+    _what = "matrix"
+    _sign = 1
 
     def __post_init__(self) -> None:
         vals = np.array(self.values, dtype=float)
         if vals.shape != (4, 4):
-            raise ValueError(f"variance matrix must be 4x4, got shape {vals.shape}")
+            raise ValueError(f"{self._what} must be 4x4, got shape {vals.shape}")
         if not np.all(np.isfinite(vals)):
-            raise ValueError("variance matrix entries must be finite")
+            raise ValueError(f"{self._what} entries must be finite")
         scale = max(float(np.max(np.abs(vals))), 1.0)
-        asym = float(np.max(np.abs(vals - vals.T)))
-        if asym > 1e-10 * scale:
-            raise ValueError(f"variance matrix must be symmetric; asymmetry {asym:.3e}")
-        vals = 0.5 * (vals + vals.T)
-        if float(np.min(np.diag(vals))) < _VAR_FLOOR:
-            raise ValueError(f"negative diagonal variance: {np.diag(vals)}")
+        defect = float(np.max(np.abs(vals - self._sign * vals.T)))
+        if defect > 1e-10 * scale:
+            kind = "symmetric" if self._sign > 0 else "antisymmetric"
+            raise ValueError(f"{self._what} must be {kind}; defect {defect:.3e}")
+        vals = 0.5 * (vals + self._sign * vals.T)
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
         ordering = tuple(self.ordering)
@@ -105,6 +98,29 @@ class VarianceMatrix:
         object.__setattr__(self, "ordering", ordering)
         if self.theta < 0:
             raise ValueError(f"theta must be >= 0, got {self.theta}")
+
+    def to_json(self) -> str:
+        return json.dumps(
+            {
+                "ordering": list(self.ordering),
+                "theta": self.theta,
+                "values": [[float(v) for v in row] for row in self.values],
+            }
+        )
+
+
+@dataclass(frozen=True)
+class VarianceMatrix(_PhaseSpaceMatrix):
+    """Symmetrized second moments V_ij = <{Z_i - <Z_i>, Z_j - <Z_j>}>/2."""
+
+    metadata: dict = field(default_factory=dict)
+
+    _what = "variance matrix"
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if float(np.min(np.diag(self.values))) < _VAR_FLOOR:
+            raise ValueError(f"negative diagonal variance: {np.diag(self.values)}")
 
     @property
     def det(self) -> float:
@@ -121,51 +137,13 @@ class VarianceMatrix:
         """Delta_a Delta_b from the diagonal spreads."""
         return self.spread(a) * self.spread(b)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "ordering": list(self.ordering),
-                "theta": self.theta,
-                "values": [[float(v) for v in row] for row in self.values],
-            }
-        )
-
 
 @dataclass(frozen=True)
-class SymplecticForm:
+class SymplecticForm(_PhaseSpaceMatrix):
     """Commutator form Omega_ij = [Z_i, Z_j] / 2i on the declared ordering."""
 
-    values: np.ndarray
-    ordering: tuple[str, ...] = CANONICAL_ORDERING
-    theta: float = 0.0
-
-    def __post_init__(self) -> None:
-        vals = np.array(self.values, dtype=float)
-        if vals.shape != (4, 4):
-            raise ValueError(f"symplectic form must be 4x4, got shape {vals.shape}")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("symplectic form entries must be finite")
-        scale = max(float(np.max(np.abs(vals))), 1.0)
-        sym = float(np.max(np.abs(vals + vals.T)))
-        if sym > 1e-10 * scale:
-            raise ValueError(f"symplectic form must be antisymmetric; defect {sym:.3e}")
-        vals = 0.5 * (vals - vals.T)
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-        ordering = tuple(self.ordering)
-        ordering_permutation(ordering)
-        object.__setattr__(self, "ordering", ordering)
-        if self.theta < 0:
-            raise ValueError(f"theta must be >= 0, got {self.theta}")
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "ordering": list(self.ordering),
-                "theta": self.theta,
-                "values": [[float(v) for v in row] for row in self.values],
-            }
-        )
+    _what = "symplectic form"
+    _sign = -1
 
 
 def symplectic_form(theta: float = 0.0, ordering=CANONICAL_ORDERING) -> SymplecticForm:
@@ -193,12 +171,6 @@ def symplectic_form(theta: float = 0.0, ordering=CANONICAL_ORDERING) -> Symplect
 def _slice_time(fld: Field1D) -> float:
     """Physical time of a slice: its label plus any evolver offset."""
     return fld.t_slice + float(fld.metadata.get("elapsed", 0.0))
-
-
-def _pairing_kernel(kernel: StarKernel) -> StarKernel:
-    if kernel.mode_cutoff is not None and kernel.mode_cutoff < _PAIRING_MODE_CUTOFF:
-        return replace(kernel, mode_cutoff=_PAIRING_MODE_CUTOFF)
-    return kernel
 
 
 def _checked_norm(norm: complex) -> float:
@@ -279,20 +251,14 @@ def expectation(
         spec = psi.spec
         _require_theta_match(kernel, spec)
         t_eval = _slice_time(psi) if t is None else float(t)
-        energy = psi.metadata.get("energy")
-        if energy is None:
-            if spec.theta != 0.0 or any(key[2] > 0 for key in op.terms):
-                raise ValueError(
-                    "slice is missing temporal information: tag it with "
-                    "metadata['energy'] (the reduction d_t -> -i*energy); an "
-                    "untagged slice works only at theta = 0 for operators "
-                    "with no d_t factors"
-                )
-            energy = 0.0
-        energy = float(energy)
-        profile = phasecalc.stationary_part(
-            spec, energy, psi.values * np.exp(1j * energy * t_eval)
-        )
+        if (
+            psi.metadata.get("energy") is None
+            and spec.theta == 0.0
+            and not any(key[2] > 0 for key in op.terms)
+        ):
+            profile = phasecalc.stationary_part(spec, 0.0, psi.values)
+        else:
+            profile = phasecalc._slice_part(psi, t_eval)
         norm = _checked_norm(complex(phasecalc.induced_product(profile, profile, t_eval)))
         num = phasecalc.induced_product(profile, apply(op, profile), t_eval)
         return complex(num) / norm
@@ -300,11 +266,11 @@ def expectation(
     if isinstance(psi, Field2D):
         spec = psi.spec
         _require_theta_match(kernel, spec)
-        kernel = _pairing_kernel(kernel)
         if t is not None:
             norm = _checked_norm(symbols.induced_inner_product(kernel, psi, psi, t=float(t)))
             num = symbols.induced_inner_product(kernel, psi, apply(op, psi), t=float(t))
             return complex(num) / norm
+        kernel = _pairing_kernel(kernel)
         norm = _checked_norm(_plane_pairing(kernel, psi, psi))
         return _plane_pairing(kernel, psi, apply(op, psi)) / norm
 

@@ -11,8 +11,10 @@ differentiating an intermediate that coordinate multiplication has already
 made non-periodic.
 
 Application is supported for three state representations: full space-time
-fields, single-time slices carrying an energy tag (the stationary reduction
-d_t -> -iE), and phase-polynomial states.
+fields, phase-polynomial states, and single-time slices carrying an energy
+tag.  A slice is applied through its phase polynomial: it is lifted to the
+degree-0 part psi(x) e^{-iEt} (so d_t acts as -iE and t-multiplication as a
+degree shift) and read back at its slice time.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from starqm.fieldgrid import Field1D, Field2D, spectral_derivative
-from starqm.phasecalc import PhasePoly, PhaseState, _dt_poly, as_state
+from starqm.phasecalc import PhasePoly, PhaseState, _dt_poly, _slice_part, as_state
 
 Monomial = tuple[int, int, int, int]  # exponents of t, x, d_t, d_x
 
@@ -251,27 +253,6 @@ def _apply_field2d(op: SymbolOperator, fld: Field2D) -> Field2D:
     return Field2D(spec, out, metadata=dict(fld.metadata))
 
 
-def _apply_field1d(op: SymbolOperator, fld: Field1D) -> Field1D:
-    if "energy" not in fld.metadata:
-        raise ValueError(
-            "slice is missing temporal information: stationary reduction needs "
-            "an 'energy' entry in Field1D.metadata (d_t maps to -i*energy)"
-        )
-    energy = float(fld.metadata["energy"])
-    spec = fld.spec
-    out = np.zeros(spec.n_x, dtype=np.complex128)
-    for (a, b, c, d), coef in op.terms.items():
-        vals = fld.values
-        if d:
-            vals = spectral_derivative(Field1D(spec, fld.t_slice, vals), axis="x",
-                                       order=d, periodic=True).values
-        scalar = coef * (-1j * energy) ** c * fld.t_slice ** a
-        if b:
-            vals = vals * spec.x ** b
-        out += scalar * vals
-    return Field1D(spec, fld.t_slice, out, metadata=dict(fld.metadata))
-
-
 def _dx_stack(coef: np.ndarray, k_x: np.ndarray, order: int) -> np.ndarray:
     return np.fft.ifft(np.fft.fft(coef, axis=-1) * (1j * k_x) ** order, axis=-1)
 
@@ -298,7 +279,8 @@ def apply(op: SymbolOperator, psi):
     if isinstance(psi, Field2D):
         return _apply_field2d(op, psi)
     if isinstance(psi, Field1D):
-        return _apply_field1d(op, psi)
+        vals = _apply_phasepoly(op, _slice_part(psi)).values_at(psi.t_slice)
+        return Field1D(psi.spec, psi.t_slice, vals, metadata=dict(psi.metadata))
     if isinstance(psi, PhasePoly):
         return _apply_phasepoly(op, psi)
     if isinstance(psi, PhaseState):

@@ -119,6 +119,23 @@ def stationary_part(spec: GridSpec, energy: float, values: np.ndarray) -> PhaseP
     return PhasePoly(spec, -float(energy), np.atleast_2d(values))
 
 
+def _slice_part(fld: Field1D, t: float | None = None) -> PhasePoly:
+    """Lift an energy-tagged slice psi(x) e^{-iEt} to its degree-0 phase polynomial.
+
+    The slice values are unwound by e^{iEt} at time t (default: the slice
+    label), so the part evaluates back to them there.
+    """
+    energy = fld.metadata.get("energy")
+    if energy is None:
+        raise ValueError(
+            "slice is missing temporal information: the stationary reduction "
+            "d_t -> -i*energy needs metadata['energy'] on the Field1D"
+        )
+    energy = float(energy)
+    t = fld.t_slice if t is None else t
+    return stationary_part(fld.spec, energy, fld.values * np.exp(1j * energy * t))
+
+
 def merge(state: PhaseState) -> PhaseState:
     """Combine components with equal phase frequency (and pad degrees)."""
     groups: list[tuple[float, np.ndarray]] = []

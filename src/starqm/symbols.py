@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,6 +31,21 @@ from .star import StarKernel, _require_theta_match, _require_voros, _star_square
 # empty: below it the compensating growth factor would only amplify rounding
 # noise, so those modes are dropped instead of inverted.
 _KERNEL_MODE_FLOOR = 1e-13
+
+# Pairings weight each surviving mode pair by the Voros multiplier, which
+# grows like e^{theta |k||k'|/2} on anti-aligned pairs -- on the partner
+# pairs (k, -k) of a whole-plane trace sum, like e^{theta |k|^2/2}.
+# Derivative factors in a composed operator lift the rounding floor of the
+# input spectrum above the default 1e-14 cutoff, and the growth then
+# amplifies exactly those modes: for a coherent symbol centred at
+# (0.3, -0.5) sqrt(theta) on the 128^2 box of reach 8 sqrt(theta) at
+# theta = 0.1, the plane norm reads 1.1e19 at cutoff 1e-14 (star engine and
+# trace sum alike, both being the same discrete sum) and 1.0 at 1e-12 and
+# 1e-10; its fixed-line norm at t = 0 is off the closed form by a factor
+# 1.9e18 at 1e-14 and by 1.2e-9 at 1e-10.  Plane and fixed-line pairings
+# therefore coarsen any finer cutoff to this value, which still keeps every
+# mode a Gaussian symbol populates above the 1e-10 level.
+_PAIRING_MODE_CUTOFF = 1e-10
 
 # real_field_csv rejects an imaginary part above this fraction of the peak.
 _REAL_CSV_RTOL = 1e-9
@@ -135,18 +150,10 @@ def coherent_symbol(point: CoherentPoint, spec: GridSpec) -> Field2D:
 # ---------------------------------------------------------------------------
 
 
-def _stationary_profile(fld: Field1D) -> phasecalc.PhasePoly:
-    energy = fld.metadata.get("energy")
-    if energy is None:
-        raise ValueError(
-            "slice is missing temporal information: the star product needs t-derivatives, "
-            "so tag each Field1D with metadata['energy'] (the reduction d_t -> -i*energy), "
-            "or pass full Field2D neighborhoods together with a slice time t"
-        )
-    energy = float(energy)
-    # Field1D stores psi(x, t_slice); recover the profile q with psi = q e^{-iEt}.
-    profile = fld.values * np.exp(1j * energy * fld.t_slice)
-    return phasecalc.stationary_part(fld.spec, energy, profile)
+def _pairing_kernel(kernel: StarKernel) -> StarKernel:
+    if kernel.mode_cutoff is not None and kernel.mode_cutoff < _PAIRING_MODE_CUTOFF:
+        return replace(kernel, mode_cutoff=_PAIRING_MODE_CUTOFF)
+    return kernel
 
 
 def induced_inner_product(
@@ -160,7 +167,9 @@ def induced_inner_product(
     Field1D inputs must share a GridSpec and slice time, and (for theta > 0)
     each must carry metadata['energy'] so the star's t-derivatives are well
     posed on a single slice.  Field2D inputs carry their own temporal
-    neighborhoods; pass the slice time t (a grid point) explicitly.
+    neighborhoods; pass the slice time t (a grid point) explicitly.  Their
+    product coarsens a finer-than-1e-10 kernel mode cutoff (see
+    _PAIRING_MODE_CUTOFF).
     """
     _require_voros(kernel, "the induced product")
     if isinstance(psi, Field1D) and isinstance(phi, Field1D):
@@ -173,8 +182,8 @@ def induced_inner_product(
         _require_theta_match(kernel, psi.spec)
         if kernel.theta == 0.0:
             return complex(np.sum(np.conj(psi.values) * phi.values) * psi.spec.dx)
-        bra = _stationary_profile(psi)
-        ket = _stationary_profile(phi)
+        bra = phasecalc._slice_part(psi)
+        ket = phasecalc._slice_part(phi)
         return phasecalc.induced_product(bra, ket, psi.t_slice)
     if isinstance(psi, Field2D) and isinstance(phi, Field2D):
         if psi.spec != phi.spec:
@@ -189,7 +198,7 @@ def induced_inner_product(
         idx = int(np.argmin(np.abs(spec.t - t)))
         if abs(spec.t[idx] - t) > 1e-9 * (1.0 + abs(t)):
             raise ValueError(f"t={t} is not a grid point (nearest is {spec.t[idx]})")
-        prod = star(kernel, Field2D(spec, np.conj(psi.values)), phi)
+        prod = star(_pairing_kernel(kernel), Field2D(spec, np.conj(psi.values)), phi)
         return complex(np.sum(prod.values[idx, :]) * spec.dx)
     raise TypeError("induced_inner_product takes two Field1D slices or two Field2D fields")
 

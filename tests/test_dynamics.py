@@ -264,14 +264,18 @@ class TestMomentumOperator:
 
 class TestOscillatorEigenstates:
     def test_induced_orthonormality(self):
-        spec = eigenstate_grid(0.1)
-        kern = StarKernel(0.1)
-        osc = OscillatorParams(m=1.0, omega=1.0, theta=0.1)
-        states = [dyn.oscillator_eigenstate(osc, n, spec) for n in range(5)]
-        gram = np.array(
-            [[symbols.induced_inner_product(kern, a, b) for b in states] for a in states]
-        )
-        assert float(np.max(np.abs(gram - np.eye(5)))) < 1e-10
+        # theta m omega = 2.5 > 2 puts the closed form's g^2 above zero.
+        for theta, spec in (
+            (0.1, eigenstate_grid(0.1)),
+            (2.5, GridSpec(8, 512, 0.0, 0.2, -24.0, 24.0, 2.5)),
+        ):
+            kern = StarKernel(theta)
+            osc = OscillatorParams(m=1.0, omega=1.0, theta=theta)
+            states = [dyn.oscillator_eigenstate(osc, n, spec) for n in range(5)]
+            gram = np.array(
+                [[symbols.induced_inner_product(kern, a, b) for b in states] for a in states]
+            )
+            assert float(np.max(np.abs(gram - np.eye(5)))) < 1e-10
 
     def test_derivative_matrix_element_closed_form(self):
         # |(1, d_x 0)| = sqrt(m w/2) e^{-theta w^2/4}
@@ -360,15 +364,18 @@ class TestStationarySolve:
             assert st.metadata["cross_residual"] < 5e-9
             assert st.metadata["iterations"] <= 4
 
-    def test_ground_matches_quadrature_eigenstate(self):
-        spec = eigenstate_grid(0.1)
-        kern = StarKernel(0.1)
-        osc = OscillatorParams(m=1.0, omega=1.0, theta=0.1)
-        ((_, solved),) = dyn.stationary_solve(
-            Potential.harmonic(1.0, 1.0), kern, 1.0, (0.3, 0.7), spec
-        )
-        direct = dyn.oscillator_eigenstate(osc, 0, spec)
-        phase = direct.values[256] / solved.values[256]
+    @pytest.mark.parametrize("theta, m, omega", [(0.1, 1.0, 1.0), (0.1, 2.0, 0.7), (0.3, 0.5, 3.0)])
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_level_matches_closed_form_eigenstate(self, level, theta, m, omega):
+        spec = eigenstate_grid(theta)
+        kern = StarKernel(theta)
+        osc = OscillatorParams(m=m, omega=omega, theta=theta)
+        energy = osc.level_energy(level)
+        window = (energy - 0.4 * omega, energy + 0.4 * omega)
+        ((_, solved),) = dyn.stationary_solve(Potential.harmonic(m, omega), kern, m, window, spec)
+        direct = dyn.oscillator_eigenstate(osc, level, spec)
+        peak = int(np.argmax(np.abs(direct.values)))
+        phase = direct.values[peak] / solved.values[peak]
         assert abs(abs(phase) - 1.0) < 1e-10
         assert float(np.max(np.abs(solved.values * phase - direct.values))) < 1e-11
 

@@ -187,15 +187,27 @@ class TestApplySlices:
         with pytest.raises(ValueError, match="energy"):
             apply(t_theta_l(0.1), sl)
 
-    def test_stationary_reduction_matches_full_field(self):
+    @pytest.mark.parametrize(
+        "make_op",
+        [
+            pytest.param(x_theta_l, id="X_theta_L"),
+            pytest.param(t_theta_l, id="T_theta_L"),
+            pytest.param(p_t, id="P_t"),
+            pytest.param(lambda th: t_theta_l(th).compose(p_t(th)), id="T_theta_L.P_t"),
+            pytest.param(lambda th: t_theta_l(th).compose(t_theta_l(th)), id="T_theta_L.T_theta_L"),
+            pytest.param(lambda th: x_theta_l(th).compose(x_theta_l(th)), id="X_theta_L.X_theta_L"),
+        ],
+    )
+    def test_stationary_reduction_matches_full_field(self, make_op):
         theta = 0.2
         spec = square_box(64, theta, np.pi)
         E, p = 1.0, 2.0
         wave = plane_wave(spec, E, p)
-        full = apply(x_theta_l(theta), wave)
+        op = make_op(theta)
+        full = apply(op, wave)
         it = 5
         sl = Field1D(spec, spec.t[it], wave.values[it], metadata={"energy": E})
-        reduced = apply(x_theta_l(theta), sl)
+        reduced = apply(op, sl)
         assert rel_err(reduced.values, full.values[it]) < 1e-12
 
 

@@ -137,6 +137,21 @@ class TestFourierEngine:
         want = brute_force_star(f.values, g.values, spec.k_t, spec.k_x, 0.2, flavor)
         assert rel_max_err(got, want) < 1e-11
 
+    @pytest.mark.parametrize("theta", [0.1, 0.2, 0.5])
+    def test_voros_displaced_modulated_pair_matches_brute_force(self, theta):
+        # Grown high modes whose sum wraps around the grid: a Voros product
+        # written as Gaussian-conjugated Moyal, damped on the wrapped output
+        # mode, is off by 9e5 here while passing every other test.
+        half = 4.0 * np.sqrt(theta)
+        spec = GridSpec(32, 32, -half, half, -half, half, theta)
+        f = sample_field(
+            lambda t, x: np.exp(-((t - 0.1) ** 2 + (x + 0.1) ** 2) / (3 * theta) + 0.5j * x), spec
+        )
+        g = sample_field(lambda t, x: np.exp(-(t**2 + (x - 0.05) ** 2) / (2.4 * theta)) + 0j, spec)
+        got = star(StarKernel(theta), f, g).values
+        want = brute_force_star(f.values, g.values, spec.k_t, spec.k_x, theta)
+        assert rel_max_err(got, want) < 1e-9
+
     def test_plane_wave_multiplier_exact(self):
         spec = star_box(16, 0.2)
         for (mt, mx, mt2, mx2) in [(1, 0, 0, 1), (2, -1, 1, 1), (-2, 2, 3, -1)]:

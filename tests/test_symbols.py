@@ -178,6 +178,19 @@ class TestInducedInnerProduct:
         k2 = symbols.induced_inner_product(k, p2, phi1)
         assert got2d == pytest.approx(k1 + k2, rel=1e-8)
 
+    @pytest.mark.parametrize("theta", [0.0625, 0.1, 0.2])
+    def test_field2d_norm_of_displaced_coherent_symbol(self, theta):
+        # At the default 1e-14 mode cutoff the Voros weight amplifies the
+        # rounding floor of this symbol's spectrum into a norm near 1e18; the
+        # pairing cutoff keeps the closed form (2 pi theta)^{-1/2} e^{-t0^2/2 theta}.
+        s = math.sqrt(theta)
+        spec = GridSpec(128, 128, -8 * s, 8 * s, -8 * s, 8 * s, theta)
+        t0 = 0.3 * s
+        psi = symbols.coherent_symbol(CoherentPoint(t0, -0.5 * s, theta), spec)
+        got = symbols.induced_inner_product(StarKernel(theta), psi, psi, t=0.0)
+        want = math.exp(-(t0**2) / (2 * theta)) / math.sqrt(2 * math.pi * theta)
+        assert abs(got - want) < 1e-8 * want
+
     def test_missing_energy_tag_rejected_with_guidance(self):
         theta = 0.2
         spec = GridSpec(8, 64, 0.0, 0.5, -3.0, 3.0, theta)
