@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -243,8 +244,19 @@ def expectation(
     The state must arrive normalized: a pairing norm off unity beyond 1e-6
     is rejected; the residual deviation below that is divided out.
     """
-    if not isinstance(op, SymbolOperator):
-        raise TypeError(f"expected a SymbolOperator, got {type(op).__name__}")
+    return _expectations([op], psi, kernel, t)[0]
+
+
+def _expectations(
+    ops: Sequence[SymbolOperator],
+    psi: Field1D | Field2D,
+    kernel: StarKernel,
+    t: float | None = None,
+) -> list[complex]:
+    """`expectation` of each operator on one state, pairing the norm once."""
+    for op in ops:
+        if not isinstance(op, SymbolOperator):
+            raise TypeError(f"expected a SymbolOperator, got {type(op).__name__}")
     _require_voros(kernel, "the expectation value")
 
     if isinstance(psi, Field1D):
@@ -254,27 +266,23 @@ def expectation(
         if (
             psi.metadata.get("energy") is None
             and spec.theta == 0.0
-            and not any(key[2] > 0 for key in op.terms)
+            and not any(key[2] > 0 for op in ops for key in op.terms)
         ):
-            profile = phasecalc.stationary_part(spec, 0.0, psi.values)
+            state = phasecalc.stationary_part(spec, 0.0, psi.values)
         else:
-            profile = phasecalc._slice_part(psi, t_eval)
-        norm = _checked_norm(complex(phasecalc.induced_product(profile, profile, t_eval)))
-        num = phasecalc.induced_product(profile, apply(op, profile), t_eval)
-        return complex(num) / norm
-
-    if isinstance(psi, Field2D):
-        spec = psi.spec
-        _require_theta_match(kernel, spec)
+            state = phasecalc._slice_part(psi, t_eval)
+        pair = partial(phasecalc.induced_product, state, t=t_eval)
+    elif isinstance(psi, Field2D):
+        _require_theta_match(kernel, psi.spec)
+        state = psi
         if t is not None:
-            norm = _checked_norm(symbols.induced_inner_product(kernel, psi, psi, t=float(t)))
-            num = symbols.induced_inner_product(kernel, psi, apply(op, psi), t=float(t))
-            return complex(num) / norm
-        kernel = _pairing_kernel(kernel)
-        norm = _checked_norm(_plane_pairing(kernel, psi, psi))
-        return _plane_pairing(kernel, psi, apply(op, psi)) / norm
-
-    raise TypeError(f"expected a Field1D or Field2D state, got {type(psi).__name__}")
+            pair = partial(symbols.induced_inner_product, kernel, psi, t=float(t))
+        else:
+            pair = partial(_plane_pairing, _pairing_kernel(kernel), psi)
+    else:
+        raise TypeError(f"expected a Field1D or Field2D state, got {type(psi).__name__}")
+    norm = _checked_norm(complex(pair(state)))
+    return [complex(pair(apply(op, state))) / norm for op in ops]
 
 
 def _variance(
@@ -285,8 +293,7 @@ def _variance(
     label: str,
 ) -> tuple[float, float]:
     """(mean, variance) of a hermitian operator, with reality guards."""
-    mean = expectation(op, psi, kernel, t)
-    second = expectation(op.compose(op), psi, kernel, t)
+    mean, second = _expectations([op, op.compose(op)], psi, kernel, t)
     scale = 1.0 + abs(mean) + abs(second)
     if abs(mean.imag) > _IMAG_TOL * scale or abs(second.imag) > _IMAG_TOL * scale:
         raise ValueError(
@@ -355,13 +362,13 @@ def coherent_variance_matrix(
 
     psi = coherent_symbol(CoherentPoint(0.0, 0.0, theta), spec)
     ops = [x_theta_l(theta), t_theta_l(theta), p_x(), p_t()]
-    means = [expectation(op, psi, kernel).real for op in ops]
+    upper = [(i, j) for i in range(4) for j in range(i, 4)]
+    antis = [ops[i].compose(ops[j]) + ops[j].compose(ops[i]) for i, j in upper]
+    values = [v.real for v in _expectations(ops + antis, psi, kernel)]
+    means = values[:4]
     numeric = np.zeros((4, 4))
-    for i in range(4):
-        for j in range(i, 4):
-            anti = ops[i].compose(ops[j]) + ops[j].compose(ops[i])
-            second = 0.5 * expectation(anti, psi, kernel).real
-            numeric[i, j] = numeric[j, i] = second - means[i] * means[j]
+    for (i, j), anti in zip(upper, values[4:]):
+        numeric[i, j] = numeric[j, i] = 0.5 * anti - means[i] * means[j]
 
     analytic = np.zeros((4, 4))
     analytic[0, 0] = analytic[1, 1] = theta / 2.0

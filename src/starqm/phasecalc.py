@@ -3,15 +3,21 @@
 A PhasePoly is a state q(t, x) e^{iat} whose t-dependence is a polynomial with
 x-dependent coefficients (sampled on the grid's x axis).  Stationary states are
 degree 0 with a = -E; acting with the deformed time operator raises the degree.
-For such states the Voros product has a closed, rapidly convergent form
+The Voros exponent factorizes as (theta/2)(<-d_t - i<-d_x)(->d_t + i->d_x), so
+on x-mode k of F = f e^{iat} and x-mode k' of G = g e^{ibt} it is
+exp[(theta/2)(alpha + D_F)(beta + D_G)] with alpha = ia + k, beta = ib - k' and
+D = d/dt on each factor's t-polynomial.  D is nilpotent, so the exponential is
+the finite sum, over p <= deg F, q <= deg G and j <= min(p, q),
 
-    F * G = e^{i(a+b)t} sum_n (theta/2)^n / n! . [(ia + d_t - i d_x)^n f][(ib + d_t + i d_x)^n g]
+    e^{(theta/2) alpha beta} (theta/2)^{p+q-j} beta^{p-j} alpha^{q-j}
+        / ((p-j)! (q-j)! j!) . D_F^p D_G^q.
 
-because the Voros exponent factorizes as (theta/2)(<-d_t - i<-d_x)(->d_t + i->d_x).
-Here d_t lowers the polynomial degree and d_x is spectral, so every term is
-exact: no periodic t-grid is involved, and multiplication by t itself — which a
-periodic grid cannot represent — is an exact degree shift.  On plane-wave data
-the series resums to the closed-form mode multiplier.
+The product sums this over the x-mode pairs that survive the noise cutoff
+into the output mode (k + k') mod N_x: no series and no periodic t-grid, and
+multiplication by t -- which a periodic grid cannot represent -- is an exact
+degree shift.  A slice pairing integrates over x, so it needs only the partner
+pairs k' = -k.  A weight beyond floating-point range gives a non-finite
+result, which PhasePoly rejects.
 
 States with several phase frequencies (superpositions of energy eigenstates)
 are PhaseState: a sum of PhasePoly components; products distribute over the
@@ -26,9 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from starqm.fieldgrid import Field1D, GridSpec, _drop_noise_modes
-
-_RESUM_RTOL = 1e-16
-_MAX_TERMS = 4000
 
 # Phase frequencies within this tolerance are merged into one component.
 _FREQ_TOL = 1e-12
@@ -173,56 +176,70 @@ def add(*states: PhasePoly | PhaseState) -> PhaseState:
 
 
 def _poly_mult(fc: np.ndarray, gc: np.ndarray) -> np.ndarray:
-    """Product of two t-polynomials with x-dependent coefficients."""
+    """Product of two t-polynomials whose coefficients broadcast against each other."""
     Df, Dg = fc.shape[0], gc.shape[0]
-    out = np.zeros((Df + Dg - 1, fc.shape[1]), dtype=np.complex128)
+    out = np.zeros((Df + Dg - 1,) + np.broadcast_shapes(fc.shape[1:], gc.shape[1:]),
+                   dtype=np.complex128)
     for i in range(Df):
         out[i : i + Dg] += fc[i] * gc
     return out
 
 
-def _phase_star_pair(F: PhasePoly, G: PhasePoly) -> PhasePoly:
-    """Voros product of two phase-polynomial states (exact resummation)."""
+def _pair_sum(F: PhasePoly, G: PhasePoly, partners: bool) -> PhasePoly:
+    """Voros product F * G as the finite sum over x-mode pairs (module docstring).
+
+    With partners=False every pair of surviving modes is summed; with
+    partners=True only the pairs k' = -k mod N_x, which are all that reach
+    the zero x-mode, so the result is exact only for its x-integral.
+    """
     spec = F.spec
-    theta = spec.theta
     a, b = F.a, G.a
-    if theta == 0.0:
+    if spec.theta == 0.0:
         return PhasePoly(spec, a + b, _trimmed(_poly_mult(F.coef, G.coef)))
 
-    ik = 1j * spec.k_x
-    s = math.sqrt(theta / 2.0)
-    # The iteration runs on x-Fourier modes of the coefficient stacks, where
-    # every operation is diagonal in the mode index: noise modes zeroed now
-    # stay exactly zero and cannot be amplified by the iterated i k factors.
+    n = spec.n_x
     Fh, _ = _drop_noise_modes(np.fft.fft(F.coef, axis=-1))
     Gh, _ = _drop_noise_modes(np.fft.fft(G.coef, axis=-1))
-    acc = _poly_mult(np.fft.ifft(Fh, axis=-1), np.fft.ifft(Gh, axis=-1))
-    acc_norm = float(np.max(np.abs(acc)))
-    quiet = 0
-    for n in range(1, _MAX_TERMS + 1):
-        rs = s / math.sqrt(n)
-        Fh = rs * (1j * a * Fh + _dt_poly(Fh) - 1j * (ik * Fh))
-        Gh = rs * (1j * b * Gh + _dt_poly(Gh) + 1j * (ik * Gh))
-        term = _poly_mult(np.fft.ifft(Fh, axis=-1), np.fft.ifft(Gh, axis=-1))
-        acc += term
-        tn = float(np.max(np.abs(term)))
-        acc_norm = max(acc_norm, float(np.max(np.abs(acc))))
-        quiet = quiet + 1 if tn <= _RESUM_RTOL * max(acc_norm, 1e-300) else 0
-        if quiet >= 2:
-            return PhasePoly(spec, a + b, _trimmed(acc))
-    raise RuntimeError(
-        f"phase-polynomial star did not converge within {_MAX_TERMS} terms "
-        f"(a={a}, b={b}, theta={theta})"
-    )
+    kf = np.flatnonzero(np.any(Fh, axis=0))
+    if partners:
+        kf = kf[np.any(Gh[:, -kf % n], axis=0)]
+        kg = -kf % n
+    else:
+        kf, kg = kf[:, None], np.flatnonzero(np.any(Gh, axis=0))[None, :]
+    c = spec.theta / 2.0
+    alpha = 1j * a + spec.k_x[kf]
+    beta = 1j * b - spec.k_x[kg]
+    fd, gd = [Fh[:, kf]], [Gh[:, kg]]
+    for _ in range(F.degree):
+        fd.append(_dt_poly(fd[-1]))
+    for _ in range(G.degree):
+        gd.append(_dt_poly(gd[-1]))
+    acc = 0.0
+    for p, fp in enumerate(fd):
+        for q, gq in enumerate(gd):
+            w = sum(
+                c ** (p + q - j) * beta ** (p - j) * alpha ** (q - j)
+                / (math.factorial(p - j) * math.factorial(q - j) * math.factorial(j))
+                for j in range(min(p, q) + 1)
+            )
+            acc = acc + w * _poly_mult(fp, gq)
+    acc = np.exp(c * alpha * beta) * acc
+    out = np.zeros((acc.shape[0], n), dtype=np.complex128)
+    np.add.at(out, (slice(None), np.broadcast_to((kf + kg) % n, acc.shape[1:])), acc)
+    return PhasePoly(spec, a + b, _trimmed(np.fft.ifft(out, axis=-1) / n))
+
+
+def _star(F: PhasePoly | PhaseState, G: PhasePoly | PhaseState, partners: bool) -> PhaseState:
+    Fs, Gs = as_state(F), as_state(G)
+    if Fs.spec != Gs.spec:
+        raise ValueError("phase_star requires states on the same GridSpec")
+    parts = [_pair_sum(p, q, partners) for p in Fs.parts for q in Gs.parts]
+    return merge(PhaseState(tuple(parts)))
 
 
 def phase_star(F: PhasePoly | PhaseState, G: PhasePoly | PhaseState) -> PhaseState:
     """Voros star product, distributed over phase components."""
-    Fs, Gs = as_state(F), as_state(G)
-    if Fs.spec != Gs.spec:
-        raise ValueError("phase_star requires states on the same GridSpec")
-    parts = [_phase_star_pair(p, q) for p in Fs.parts for q in Gs.parts]
-    return merge(PhaseState(tuple(parts)))
+    return _star(F, G, partners=False)
 
 
 def integrate_x(state: PhasePoly | PhaseState, t: float) -> complex:
@@ -233,5 +250,4 @@ def integrate_x(state: PhasePoly | PhaseState, t: float) -> complex:
 
 def induced_product(bra: PhasePoly | PhaseState, ket: PhasePoly | PhaseState, t: float) -> complex:
     """(bra, ket)_t = integral dx  bra* * ket  at the slice t (Voros star)."""
-    prod = phase_star(conjugate(bra), ket)
-    return integrate_x(prod, t)
+    return integrate_x(_star(conjugate(bra), ket, partners=True), t)

@@ -115,10 +115,16 @@ class TestSymplecticForm:
             SymplecticForm(np.eye(4))
 
 
+# The ground-state moments checked below do not depend on theta; the larger
+# values put large Voros weights on the slice's high x-modes.
+GROUND_THETAS = [0.1, 0.4, 0.5]
+
+
 class TestExpectation:
-    def test_ground_state_space_moments(self):
-        kernel, psi = ground_state()
-        x_op = operators.x_theta_l(THETA)
+    @pytest.mark.parametrize("theta", GROUND_THETAS)
+    def test_ground_state_space_moments(self, theta):
+        kernel, psi = ground_state(theta)
+        x_op = operators.x_theta_l(theta)
         assert abs(moments.expectation(x_op, psi, kernel)) < 1e-12
         second = moments.expectation(x_op.compose(x_op), psi, kernel)
         # <X^2> = (n + 1/2)/(m omega) on the ground level
@@ -137,15 +143,16 @@ class TestExpectation:
         shifted = moments.expectation(t_sq, psi, kernel, t=0.1).real
         assert shifted - 0.1**2 == pytest.approx(0.055)
 
-    def test_ground_state_momentum_and_energy(self):
-        kernel, psi = ground_state()
+    @pytest.mark.parametrize("theta", GROUND_THETAS)
+    def test_ground_state_momentum_and_energy(self, theta):
+        kernel, psi = ground_state(theta)
         p = operators.p_x()
         pt = operators.p_t()
         assert moments.expectation(p.compose(p), psi, kernel).real == pytest.approx(0.5)
         assert moments.expectation(pt, psi, kernel).real == pytest.approx(-0.5)
         assert moments.expectation(pt.compose(pt), psi, kernel).real == pytest.approx(0.25)
-        x_op = operators.x_theta_l(THETA)
-        h = operators.hamiltonian(1.0, None, THETA) + x_op.compose(x_op) * 0.5
+        x_op = operators.x_theta_l(theta)
+        h = operators.hamiltonian(1.0, None, theta) + x_op.compose(x_op) * 0.5
         assert moments.expectation(h, psi, kernel).real == pytest.approx(0.5, rel=1e-10)
 
     def test_plain_multiplication_sees_the_displaced_density(self):
@@ -215,10 +222,11 @@ class TestExpectation:
 
 
 class TestUncertaintyProduct:
-    def test_saturates_position_momentum_on_the_ground_state(self):
-        kernel, psi = ground_state()
+    @pytest.mark.parametrize("theta", GROUND_THETAS)
+    def test_saturates_position_momentum_on_the_ground_state(self, theta):
+        kernel, psi = ground_state(theta)
         got = moments.uncertainty_product(
-            operators.x_theta_l(THETA), operators.p_x(), psi, kernel
+            operators.x_theta_l(theta), operators.p_x(), psi, kernel
         )
         assert got == pytest.approx(0.5, rel=1e-10)
 
@@ -407,10 +415,11 @@ class TestSymplecticEigenvalues:
 
 
 class TestRobertsonSchrodinger:
-    def test_ground_state_saturates_x_p(self):
-        kernel, psi = ground_state()
+    @pytest.mark.parametrize("theta", GROUND_THETAS)
+    def test_ground_state_saturates_x_p(self, theta):
+        kernel, psi = ground_state(theta)
         rec = moments.robertson_schrodinger_check(
-            operators.x_theta_l(THETA), operators.p_x(), psi, kernel
+            operators.x_theta_l(theta), operators.p_x(), psi, kernel
         )
         assert rec["lhs"] == pytest.approx(0.5, rel=1e-10)
         assert rec["robertson_rhs"] == pytest.approx(0.5, rel=1e-10)

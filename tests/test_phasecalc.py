@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import brute_force_phase_star
 
 from starqm.fieldgrid import Field1D, GridSpec
 from starqm.phasecalc import (
@@ -250,3 +251,55 @@ class TestStateAlgebra:
         spec = phase_box(32, 0.1)
         total = integrate_x(t_monomial(spec, 0), 0.0)
         assert total == pytest.approx(spec.x_max - spec.x_min)
+
+
+def oracle_rows(spec, degree, kind, rng):
+    """Coefficient rows: random low x-modes ("band") or white noise on every node."""
+    shape = (degree + 1, spec.n_x)
+    if kind == "white":
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    hat = np.zeros(shape, dtype=complex)
+    low = np.r_[0:4, -3:0]
+    size = (degree + 1, low.size)
+    hat[:, low] = rng.normal(size=size) + 1j * rng.normal(size=size)
+    return np.fft.ifft(hat, axis=-1) * spec.n_x
+
+
+@pytest.mark.parametrize("kind", ["band", "white"])
+@pytest.mark.parametrize("deg_g", [0, 1, 2])
+@pytest.mark.parametrize("deg_f", [0, 1, 2])
+@pytest.mark.parametrize("theta", [0.1, 0.5])
+class TestBruteForceOracle:
+    """The pair sum against the literal expm-per-mode-pair product F * G.
+
+    induced_product pairs bra = conj(F) with ket = G, so the one oracle
+    product serves both checks.
+    """
+
+    def test_phase_star_and_induced_product(self, theta, deg_f, deg_g, kind):
+        spec = phase_box(32, theta)
+        rng = np.random.default_rng([deg_f, deg_g, int(kind == "white"), int(100 * theta)])
+        F = PhasePoly(spec, 0.7, oracle_rows(spec, deg_f, kind, rng))
+        G = PhasePoly(spec, -0.4, oracle_rows(spec, deg_g, kind, rng))
+        t = 0.7
+        coef = brute_force_phase_star(F.coef, F.a, G.coef, G.a, spec.k_x, theta)
+        want = PhasePoly(spec, F.a + G.a, coef).values_at(t)
+
+        got = phase_star(F, G).values_at(t)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+        bra = PhasePoly(spec, -F.a, np.conj(F.coef))
+        got = induced_product(bra, G, t)
+        assert abs(got - np.sum(want) * spec.dx) <= 1e-12 * np.sum(np.abs(want)) * spec.dx
+
+
+def test_overflowing_weight_raises():
+    # White noise at spacing sqrt(theta)/32: the top Voros weights reach
+    # e^{512 pi^2}, beyond floating-point range.
+    theta = 0.1
+    spec = phase_box(32, theta, half=math.sqrt(theta) / 2.0)
+    f = PhasePoly(spec, 0.0, oracle_rows(spec, 0, "white", np.random.default_rng(5)))
+    with pytest.raises(ValueError, match="finite"), pytest.warns(RuntimeWarning):
+        phase_star(f, f)
+    with pytest.raises(ValueError, match="finite"), pytest.warns(RuntimeWarning):
+        induced_product(f, f, 0.0)
