@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.integrate
 import scipy.linalg
 
 from . import phasecalc, symbols
@@ -768,6 +767,11 @@ def slice_density(kernel: StarKernel, fld: Field1D, m: float | None = None) -> F
 # ---------------------------------------------------------------------------
 
 
+def _simpson(y: np.ndarray, h: float) -> complex:
+    """Composite Simpson rule on an odd number of samples spaced h apart."""
+    return complex(np.sum(y[0:-2:2] + 4.0 * y[1:-1:2] + y[2::2]) * (h / 3.0))
+
+
 def transition_amplitude(
     pulse: Potential | Callable,
     i_state: Field1D,
@@ -823,7 +827,7 @@ def transition_amplitude(
     ts = np.linspace(0.0, T, n_t)
     v = shape(ts)
     phase = np.exp(1j * omega_fi * ts)
-    i0 = complex(scipy.integrate.simpson(v * phase, x=ts))
+    i0 = _simpson(v * phase, ts[1] - ts[0])
     i1 = v[-1] * np.exp(1j * omega_fi * T) - v[0] - 1j * omega_fi * i0
     amplitude = -1j * (overlap * i0 + (theta / 2.0) * bracket * i1)
 

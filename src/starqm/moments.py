@@ -534,8 +534,23 @@ def ehrenfest_residual(
     H = _deformed_hamiltonian(m, potential, theta)
     rhs_op = commutator(H, op) * 1j + _explicit_time_derivative(op)
 
-    series = np.array([expectation(op, fld, kernel) for fld in trajectory])
+    # One norm per slice: the interior slices also carry the commutator side
+    # and, for P_x, the force operators V' and V'' (d_x - i d_t).
+    with_force = op.terms == _P_X_TERMS and potential.kind in ("none", "harmonic")
+    force_ops = []
+    if with_force and potential.kind == "harmonic":
+        mw2 = potential.m * potential.omega**2
+        force_ops.append(SymbolOperator("composite", theta, {(0, 1, 0, 0): mw2}))
+        if theta != 0.0:
+            force_ops.append(
+                SymbolOperator("composite", theta, {(0, 0, 0, 1): mw2, (0, 0, 1, 0): -1j * mw2})
+            )
     interior = range(2, n - 2)
+    values = [
+        _expectations([op, rhs_op, *force_ops] if k in interior else [op], fld, kernel)
+        for k, fld in enumerate(trajectory)
+    ]
+    series = np.array([v[0] for v in values])
     fd = np.array(
         [
             (-series[k + 2] + 8.0 * series[k + 1] - 8.0 * series[k - 1] + series[k - 2])
@@ -543,25 +558,15 @@ def ehrenfest_residual(
             for k in interior
         ]
     )
-    rhs = np.array([expectation(rhs_op, trajectory[k], kernel) for k in interior])
+    rhs = np.array([values[k][1] for k in interior])
     out = {"t": ts[2 : n - 2], "residual": np.abs(fd - rhs)}
 
-    if op.terms == _P_X_TERMS and potential.kind in ("none", "harmonic"):
-        if potential.kind == "none":
-            force = np.zeros(len(fd), dtype=complex)
-        else:
-            mw2 = potential.m * potential.omega**2
-            v_prime = SymbolOperator("composite", theta, {(0, 1, 0, 0): mw2})
-            force = -np.array(
-                [expectation(v_prime, trajectory[k], kernel) for k in interior]
-            )
-            if theta != 0.0:
-                v_dd_slope = SymbolOperator(
-                    "composite", theta, {(0, 0, 0, 1): mw2, (0, 0, 1, 0): -1j * mw2}
-                )
-                force = force - (theta / 2.0) * np.array(
-                    [expectation(v_dd_slope, trajectory[k], kernel) for k in interior]
-                )
+    if with_force:
+        force = np.zeros(len(fd), dtype=complex)
+        if force_ops:
+            force = -np.array([values[k][2] for k in interior])
+        if len(force_ops) == 2:
+            force = force - (theta / 2.0) * np.array([values[k][3] for k in interior])
         out["force_residual"] = np.abs(fd - force)
     return out
 

@@ -6,14 +6,6 @@ mode k' of g lands in mode k + k' carrying the multiplier
     Voros:  exp[-(theta/2) k.k' - (i theta/2)(k0 k1' - k1 k0')]
     Moyal:  exp[          - (i theta/2)(k0 k1' - k1 k0')]
 
-With w = k0 + i k1 the Voros exponent is -(theta/2) conj(w) w', which separates
-over the two fields.  The 'fourier' method resums the resulting rank-one series
-
-    f *_V g = sum_n (-theta/2)^n / n! . IFFT[conj(w)^n fhat] . IFFT[w^n ghat]
-
-to numerical convergence — each term costs two FFTs, and the sum is the exact
-mode-pair multiplier, not a truncation.
-
 The Moyal multiplier is a pure phase, and in the mixed representation
 (Fourier in t, real in x) it becomes a pair of x-translations (the Bopp shift):
 
@@ -21,8 +13,24 @@ The Moyal multiplier is a pure phase, and in the mixed representation
 
 with f~(k0, x) the t-Fourier rows of f.  The 'fourier' method evaluates this
 sum directly — shifts as spectral phases, one inverse FFT over t at the end —
-with no series, at cost O(N_t^2 N_x log N_x).  The 'series' method is the
-literal bidifferential exponential truncated at total order K.
+with no series, at cost O(N_t^2 N_x log N_x).
+
+The Voros product runs through the same engine.  Per mode pair
+
+    exp[-(theta/2) k.k'] = e^{theta|k|^2/4} . e^{theta|k'|^2/4} . e^{-theta|k + k'|^2/4},
+
+so Voros is Moyal between Gaussian-grown inputs, damped on the output mode.
+The damping must see the true sum k + k', not its image mod N: a product of
+two high modes can wrap onto a low one, where the wrapped damping is far too
+weak.  The inputs are therefore placed at their signed frequencies on a grid
+of twice the size and the same mode spacing, where no sum wraps; the damped
+output spectrum is then folded mod N onto the original grid, which is the
+periodic product.  The growth is evaluated only on modes that survive the
+mode cutoff; a weight beyond floating-point range gives non-finite values,
+which Field2D rejects.
+
+The 'series' method is the literal bidifferential exponential truncated at
+total order K.
 """
 
 from __future__ import annotations
@@ -35,12 +43,6 @@ import numpy as np
 
 from starqm.fieldgrid import DEFAULT_MODE_CUTOFF, Field2D, GridSpec, _drop_noise_modes
 from starqm.fieldgrid import _require_grid_theta
-
-# A term whose max-norm stays below this fraction of the running sum (twice in
-# a row) ends the resummation.
-_RESUM_RTOL = 1e-15
-
-_MAX_TERMS = 20000
 
 # Series(K) acceptance gate: the order-K term must have fallen below this
 # fraction of the order-0 term.
@@ -71,9 +73,8 @@ class StarKernel:
     method='fourier' is the exact mode-pair multiplier (ground truth);
     method='series' truncates the bidifferential exponential at total order
     `order` (default 8).  mode_cutoff drops input Fourier modes below that
-    fraction of each field's peak; the Voros resummation needs it for
-    stability, while for Moyal (a unimodular multiplier) it only cleans
-    rounding-level input modes.
+    fraction of each field's peak, so rounding-level modes take no part in
+    the Voros growth.
     """
 
     theta: float
@@ -144,82 +145,17 @@ def _star_square_series(vhat: np.ndarray, mult: np.ndarray, theta: float) -> tup
     )
 
 
-def _active_wmax(fh: np.ndarray, w: np.ndarray) -> float:
-    """Largest |w| over modes actually populated in fh."""
-    active = np.abs(fh) > 0
-    if not np.any(active):
-        return 0.0
-    return float(np.max(np.abs(w)[active]))
-
-
-def _term_budget(x: float) -> int:
-    """Safe series length for resumming sum x^n/n! style tails."""
-    return min(_MAX_TERMS, int(x + 20.0 * math.sqrt(x + 1.0) + 50.0))
-
-
-def _renormed(arr: np.ndarray, log_scale: float) -> tuple[np.ndarray, float]:
-    m = float(np.max(np.abs(arr)))
-    if m > 1e120 or (0.0 < m < 1e-120):
-        arr = arr / m
-        log_scale += math.log(m)
-    return arr, log_scale
-
-
-def _apply_log_scale(term: np.ndarray, log_scale: float) -> np.ndarray:
-    # exp(log_scale) can overflow even when the scaled term is moderate;
-    # multiply in bounded chunks.
-    while log_scale != 0.0:
-        step = max(min(log_scale, 600.0), -600.0)
-        term = term * math.exp(step)
-        log_scale -= step
-    return term
-
-
-def _resum_voros(fh: np.ndarray, gh: np.ndarray, w: np.ndarray, theta: float) -> np.ndarray:
-    """Resummed rank-one series for the Voros multiplier exp[-(theta/2) conj(w) w']."""
-    s = math.sqrt(theta / 2.0)
-    budget = _term_budget((theta / 2.0) * _active_wmax(fh, w) * _active_wmax(gh, w))
-    mul_f = s * np.conj(w)
-    mul_g = s * w
-
-    Fh, Gh = fh.copy(), gh.copy()
-    log_f = log_g = 0.0
-    acc = np.fft.ifft2(Fh) * np.fft.ifft2(Gh)
-    acc_norm = float(np.max(np.abs(acc)))
-    term_norms = [acc_norm]
-    quiet = 0
-    for n in range(1, budget + 1):
-        rn = math.sqrt(n)
-        Fh = Fh * (mul_f / rn)
-        Gh = Gh * (mul_g / rn)
-        Fh, log_f = _renormed(Fh, log_f)
-        Gh, log_g = _renormed(Gh, log_g)
-        term = np.fft.ifft2(Fh) * np.fft.ifft2(Gh)
-        term = _apply_log_scale(term, log_f + log_g)
-        if n % 2:
-            term = -term
-        acc += term
-        tn = float(np.max(np.abs(term)))
-        term_norms.append(tn)
-        acc_norm = max(acc_norm, float(np.max(np.abs(acc))))
-        quiet = quiet + 1 if tn <= _RESUM_RTOL * max(acc_norm, 1e-300) else 0
-        if quiet >= 2:
-            return acc
-    if acc_norm == 0.0:
-        return acc
-    raise StarConvergenceError("fourier", None, term_norms[-12:])
-
-
-def _moyal_mixed(fh: np.ndarray, gh: np.ndarray, k_t: np.ndarray, k_x: np.ndarray,
-                 theta: float) -> np.ndarray:
-    """Exact Moyal product in the mixed (Fourier-in-t, real-in-x) representation.
+def _moyal_rows(fh: np.ndarray, gh: np.ndarray, k_t: np.ndarray, k_x: np.ndarray,
+                theta: float) -> np.ndarray:
+    """Moyal mode-pair sum in the mixed (Fourier-in-t, real-in-x) representation.
 
     The multiplier exp[-(i theta/2) k0 k1'] . exp[+(i theta/2) k1 k0'] shifts
     every row a of f by +theta k0_{a'}/2 in x and row a' of g by
     -theta k0_a/2, both as spectral phases.  The x-space product of rows a and
-    a' lands in output row (a + a') mod n_t, and one inverse FFT over t
-    finishes the sum.  Entirely zero rows (e.g. after the mode cutoff) are
-    skipped, so the cost is O(rows_f rows_g N_x log N_x).
+    a' lands in row (a + a') mod n_t of the returned array, which is still
+    Fourier in t and carries a factor 1/n_x from the x transforms.  Entirely
+    zero rows (e.g. after the mode cutoff) are skipped, so the cost is
+    O(rows_f rows_g N_x log N_x).
     """
     n_t, n_x = fh.shape
     rows_f = np.flatnonzero(np.any(fh != 0, axis=1))
@@ -232,8 +168,37 @@ def _moyal_mixed(fh: np.ndarray, gh: np.ndarray, k_t: np.ndarray, k_x: np.ndarra
         f_shifted = np.fft.ifft(f_rows * shift_f, axis=1)
         g_shifted = np.fft.ifft(gh[row_g] * shifts_g, axis=1)
         acc[(rows_f + row_g) % n_t] += f_shifted * g_shifted
-    # ifft over t supplies one 1/n_t; the pair sum over (a, a') needs another.
-    return np.fft.ifft(acc, axis=0) / n_t
+    return acc
+
+
+def _voros_padded(fh: np.ndarray, gh: np.ndarray, spec: GridSpec, theta: float) -> np.ndarray:
+    """Exact Voros product as Gaussian-conjugated Moyal on a doubled mode grid.
+
+    Each surviving mode moves to its signed frequency on a 2N_t x 2N_x grid
+    of the same spacing, grown by e^{theta|k|^2/4}; the Moyal rows there,
+    transformed over x, are the unwrapped output spectrum, damped by
+    e^{-theta|K|^2/4} and folded K mod N onto the original grid.
+    """
+    n_t, n_x = fh.shape
+    k_t, k_x = spec.k_t, spec.k_x
+    big_t = 2.0 * np.pi * np.fft.fftfreq(2 * n_t, d=spec.dt / 2.0)
+    big_x = 2.0 * np.pi * np.fft.fftfreq(2 * n_x, d=spec.dx / 2.0)
+
+    def grown(h: np.ndarray) -> np.ndarray:
+        # Only surviving modes: the growth overflows on a full 256^2 grid.
+        a, b = np.nonzero(h)
+        out = np.zeros((2 * n_t, 2 * n_x), dtype=np.complex128)
+        out[np.where(a < n_t // 2, a, a + n_t), np.where(b < n_x // 2, b, b + n_x)] = (
+            h[a, b] * np.exp((theta / 4.0) * (k_t[a] ** 2 + k_x[b] ** 2))
+        )
+        return out
+
+    acc = _moyal_rows(grown(fh), grown(gh), big_t, big_x, theta)
+    np.fft.fft(acc, axis=1, out=acc)
+    # The x transforms left 1/(2 n_x); the mode-pair sum needs 1/(n_t n_x).
+    acc *= np.exp(-(theta / 4.0) * big_t**2)[:, None] * (2.0 / n_t)
+    acc *= np.exp(-(theta / 4.0) * big_x**2)
+    return np.fft.ifft2(acc.reshape(2, n_t, 2, n_x).sum(axis=(0, 2)))
 
 
 def _cutoff_pair(kernel: StarKernel, fh: np.ndarray, gh: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
@@ -256,10 +221,10 @@ def _star_fourier(kernel: StarKernel, f: Field2D, g: Field2D) -> Field2D:
     gh = np.fft.fft2(g.values)
     fh, gh, metadata = _cutoff_pair(kernel, fh, gh)
     if kernel.flavor == "voros":
-        w = spec.k_t[:, None] + 1j * spec.k_x[None, :]
-        out = _resum_voros(fh, gh, w, kernel.theta)
+        out = _voros_padded(fh, gh, spec, kernel.theta)
     else:
-        out = _moyal_mixed(fh, gh, spec.k_t, spec.k_x, kernel.theta)
+        # ifft over t supplies one 1/n_t; the pair sum over rows needs another.
+        out = np.fft.ifft(_moyal_rows(fh, gh, spec.k_t, spec.k_x, kernel.theta), axis=0) / spec.n_t
     return Field2D(spec, out, metadata)
 
 

@@ -687,6 +687,13 @@ class TestTransitionAmplitude:
     def _pulse(V0=0.05, tau=1.0, T=12.0):
         return lambda t: V0 * np.exp(-(((t - T / 2) / tau) ** 2))
 
+    @pytest.mark.parametrize("n", [33, 101, 2001])
+    def test_simpson_rule_matches_scipy(self, n):
+        ts = np.linspace(0.0, 12.0, n)
+        y = self._pulse()(ts) * np.exp(1.3j * ts)
+        want = scipy.integrate.simpson(y, x=ts)
+        assert abs(dyn._simpson(y, ts[1] - ts[0]) - want) <= 1e-15 * abs(want)
+
     def test_frozen_reference_amplitude(self):
         spec = eigenstate_grid(0.1)
         kern = StarKernel(0.1)

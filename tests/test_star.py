@@ -42,6 +42,12 @@ def random_band_limited(spec, band=2, seed=0):
     return Field2D(spec, np.fft.ifft2(fh))
 
 
+def white_noise(spec, seed):
+    rng = np.random.default_rng(seed)
+    shape = (spec.n_t, spec.n_x)
+    return Field2D(spec, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
 def rel_max_err(a, b):
     scale = max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-300)
     return np.max(np.abs(a - b)) / scale
@@ -183,6 +189,39 @@ class TestFourierEngine:
         assert out.metadata["mode_cutoff"]["dropped_f"] > 0
         out2 = star(StarKernel(0.1, mode_cutoff=None), f, f)
         assert "mode_cutoff" not in out2.metadata
+
+
+class TestBruteForceProperty:
+    """The engine against the literal mode-pair sum on random inputs."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from(["voros", "moyal"]),
+        st.sampled_from([16, 32]),
+        st.floats(0.05, 0.5),
+        st.booleans(),
+        st.integers(0, 10**6),
+    )
+    def test_matches_brute_force(self, flavor, n, theta, white, seed):
+        # White noise fills every mode up to the anti-aligned Nyquist pairs,
+        # where the Voros weight e^{theta|k||k'|/2} is largest.
+        spec = star_box(n, theta)
+        if white:
+            f, g = white_noise(spec, seed), white_noise(spec, seed + 1)
+        else:
+            f = random_band_limited(spec, band=3, seed=seed)
+            g = random_band_limited(spec, band=3, seed=seed + 1)
+        got = star(StarKernel(theta, flavor), f, g).values
+        want = brute_force_star(f.values, g.values, spec.k_t, spec.k_x, theta, flavor)
+        assert rel_max_err(got, want) < 1e-10
+
+    def test_overflowing_weight_raises(self):
+        # White noise on the 256^2 box of +-8 sqrt(theta): the corner mode's
+        # growth e^{theta|k|^2/4} = e^{128 pi^2} is beyond floating-point range.
+        spec = star_box(256, 0.1, half=8.0 * np.sqrt(0.1))
+        f = white_noise(spec, 5)
+        with pytest.raises(ValueError, match="non-finite"), pytest.warns(RuntimeWarning):
+            star(StarKernel(0.1), f, f)
 
 
 class TestSeriesMethod:
