@@ -323,12 +323,10 @@ def oscillator_momentum_operator(
             "refine the momentum box"
         )
     k = 2.0 * np.pi * np.fft.fftfreq(n_modes, d=dp)
-    modes = np.fft.fft(np.eye(n_modes), axis=0)
-    d1 = np.fft.ifft(modes * (1j * k)[:, None], axis=0)
-    shift = d1 + 0.5j * params.theta * energy * np.eye(n_modes)
-    H = np.diag(p**2 / (2.0 * params.m)) - (params.m * params.omega**2 / 2.0) * (
-        shift @ shift
-    )
+    # (d_p + i theta E/2)^2 is the Fourier multiplier (ik + i theta E/2)^2,
+    # whose dense matrix is the circulant c[(i - j) mod n] of c = ifft(symbol).
+    shift_sq = scipy.linalg.circulant(np.fft.ifft((1j * k + 0.5j * params.theta * energy) ** 2))
+    H = np.diag(p**2 / (2.0 * params.m)) - (params.m * params.omega**2 / 2.0) * shift_sq
     return p, 0.5 * (H + H.conj().T)
 
 
@@ -484,8 +482,8 @@ def oscillator_ground(
 
 def _kinetic_matrix(spec: GridSpec, m: float) -> np.ndarray:
     """Dense spectral kinetic operator k^2/2m acting on slice values."""
-    modes = np.fft.fft(np.eye(spec.n_x), axis=0)
-    K = np.fft.ifft(modes * (spec.k_x**2 / (2.0 * m))[:, None], axis=0).real
+    # The multiplier's dense matrix is the circulant c[(i - j) mod n], c = ifft(symbol).
+    K = scipy.linalg.circulant(np.fft.ifft(spec.k_x**2 / (2.0 * m)).real)
     return 0.5 * (K + K.T)
 
 

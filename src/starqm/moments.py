@@ -285,15 +285,8 @@ def _expectations(
     return [complex(pair(apply(op, state))) / norm for op in ops]
 
 
-def _variance(
-    op: SymbolOperator,
-    psi: Field1D | Field2D,
-    kernel: StarKernel,
-    t: float | None,
-    label: str,
-) -> tuple[float, float]:
-    """(mean, variance) of a hermitian operator, with reality guards."""
-    mean, second = _expectations([op, op.compose(op)], psi, kernel, t)
+def _mean_variance(mean: complex, second: complex, label: str) -> tuple[float, float]:
+    """(mean, variance) of a hermitian operator from <O> and <O^2>, with reality guards."""
     scale = 1.0 + abs(mean) + abs(second)
     if abs(mean.imag) > _IMAG_TOL * scale or abs(second.imag) > _IMAG_TOL * scale:
         raise ValueError(
@@ -317,8 +310,11 @@ def uncertainty_product(
     t: float | None = None,
 ) -> float:
     """Delta A . Delta B with Delta O = sqrt(<O^2> - <O>^2)."""
-    _, var_a = _variance(opA, psi, kernel, t, "the first operator")
-    _, var_b = _variance(opB, psi, kernel, t, "the second operator")
+    mean_a, second_a, mean_b, second_b = _expectations(
+        [opA, opA.compose(opA), opB, opB.compose(opB)], psi, kernel, t
+    )
+    _, var_a = _mean_variance(mean_a, second_a, "the first operator")
+    _, var_b = _mean_variance(mean_b, second_b, "the second operator")
     return math.sqrt(var_a) * math.sqrt(var_b)
 
 
@@ -433,10 +429,11 @@ def robertson_schrodinger_check(
     symmetrized covariance.  lhs can undercut neither bound for an exact
     pairing, so a shortfall beyond 1e-8 raises, carrying all three numbers.
     """
-    mean_a, var_a = _variance(opA, psi, kernel, t, "the first operator")
-    mean_b, var_b = _variance(opB, psi, kernel, t, "the second operator")
-    anti = expectation(opA.compose(opB) + opB.compose(opA), psi, kernel, t)
-    comm = expectation(commutator(opA, opB), psi, kernel, t)
+    ops = [opA, opA.compose(opA), opB, opB.compose(opB)]
+    ops += [opA.compose(opB) + opB.compose(opA), commutator(opA, opB)]
+    mean_a, second_a, mean_b, second_b, anti, comm = _expectations(ops, psi, kernel, t)
+    mean_a, var_a = _mean_variance(mean_a, second_a, "the first operator")
+    mean_b, var_b = _mean_variance(mean_b, second_b, "the second operator")
     lhs = math.sqrt(var_a) * math.sqrt(var_b)
     cov = 0.5 * anti.real - mean_a * mean_b
     half_comm = 0.5 * abs(comm)

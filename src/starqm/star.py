@@ -12,22 +12,33 @@ The Moyal multiplier is a pure phase, and in the mixed representation
     (f *_M g)(t, x) = sum_{k0, k0'} e^{i(k0+k0')t} f~(k0, x + theta k0'/2) g~(k0', x - theta k0/2)
 
 with f~(k0, x) the t-Fourier rows of f.  The 'fourier' method evaluates this
-sum directly — shifts as spectral phases, one inverse FFT over t at the end —
-with no series, at cost O(N_t^2 N_x log N_x).
+sum directly — shifts as spectral phases, products of x-rows, one inverse
+FFT at the end — with no series.
 
 The Voros product runs through the same engine.  Per mode pair
 
     exp[-(theta/2) k.k'] = e^{theta|k|^2/4} . e^{theta|k'|^2/4} . e^{-theta|k + k'|^2/4},
 
 so Voros is Moyal between Gaussian-grown inputs, damped on the output mode.
-The damping must see the true sum k + k', not its image mod N: a product of
-two high modes can wrap onto a low one, where the wrapped damping is far too
-weak.  The inputs are therefore placed at their signed frequencies on a grid
-of twice the size and the same mode spacing, where no sum wraps; the damped
-output spectrum is then folded mod N onto the original grid, which is the
-periodic product.  The growth is evaluated only on modes that survive the
-mode cutoff; a weight beyond floating-point range gives non-finite values,
-which Field2D rejects.
+
+Both flavors run on a compact mode grid sized to the occupied band.  On each
+axis let B_f and B_g be the largest |signed mode index| that survives the
+mode cutoff in f and in g; every output mode k + k' then has a signed index
+in [-(B_f + B_g), B_f + B_g].  The engine takes M = the smallest 2^a 3^b
+>= 2(B_f + B_g) + 1 slots of the original spacing 2 pi/L, puts each surviving
+mode in slot (signed index) mod M, and gives every slot the true frequency of
+the signed index it holds, so each shift, growth and damping is the exact one
+and no sum wraps.  The Voros M is capped at 2N: the damping must see the true
+sum k + k', not its image mod N (two high modes can wrap onto a low one,
+where the wrapped damping is far too weak), and 2N slots already hold every
+sum of two indices in [-N/2, N/2) without a wrap.  The Moyal M is capped at N:
+its multiplier has no damping, so a sum wrapped mod N is exactly the periodic
+product, and white noise runs on the original grid.  The output spectrum is
+folded K mod N onto the N_t x N_x grid and transformed back once.  A
+Gaussian of width sqrt(theta) on a +-8 sqrt(theta) box keeps 41 modes per
+axis, so it runs on 81 x 81 slots at N = 128 and N = 256 alike.  The growth
+is evaluated only on modes that survive the mode cutoff; a weight beyond
+floating-point range gives non-finite values, which Field2D rejects.
 
 The 'series' method is the literal bidifferential exponential truncated at
 total order K.
@@ -149,56 +160,111 @@ def _moyal_rows(fh: np.ndarray, gh: np.ndarray, k_t: np.ndarray, k_x: np.ndarray
                 theta: float) -> np.ndarray:
     """Moyal mode-pair sum in the mixed (Fourier-in-t, real-in-x) representation.
 
-    The multiplier exp[-(i theta/2) k0 k1'] . exp[+(i theta/2) k1 k0'] shifts
-    every row a of f by +theta k0_{a'}/2 in x and row a' of g by
-    -theta k0_a/2, both as spectral phases.  The x-space product of rows a and
-    a' lands in row (a + a') mod n_t of the returned array, which is still
-    Fourier in t and carries a factor 1/n_x from the x transforms.  Entirely
-    zero rows (e.g. after the mode cutoff) are skipped, so the cost is
-    O(rows_f rows_g N_x log N_x).
+    fh and gh are mode arrays on a compact grid of M_t x M_x slots, and k_t,
+    k_x hold the true signed frequency of each slot: slot s carries
+    2 pi s~/L, with s~ = s or s - M the signed index of the mode placed
+    there, not the frequency 2 pi s~/(M d) of an M-point grid of the original
+    spacing d.  The multiplier exp[-(i theta/2) k0 k1'] . exp[+(i theta/2) k1 k0']
+    shifts every row a of f by +theta k0_{a'}/2 in x and row a' of g by
+    -theta k0_a/2, both as spectral phases.  The x-space product of rows a
+    and a' lands in row (a + a') mod M_t of the returned array, which is
+    still Fourier in t, real on M_x x-points, and carries a factor 1/M_x
+    from the x transforms.  With M at least twice the occupied band plus one
+    no sum wraps (see the module docstring); at the Moyal cap M = N the wrap
+    mod N is the periodic product itself.  Entirely zero rows are skipped, so
+    the cost is O(rows_f rows_g M_x log M_x).
     """
-    n_t, n_x = fh.shape
+    m_t, m_x = fh.shape
     rows_f = np.flatnonzero(np.any(fh != 0, axis=1))
     rows_g = np.flatnonzero(np.any(gh != 0, axis=1))
     shifts_f = np.exp((0.5j * theta) * np.multiply.outer(k_t[rows_g], k_x))
     shifts_g = np.exp((-0.5j * theta) * np.multiply.outer(k_t[rows_f], k_x))
     f_rows = fh[rows_f]
-    acc = np.zeros((n_t, n_x), dtype=np.complex128)
+    acc = np.zeros((m_t, m_x), dtype=np.complex128)
     for row_g, shift_f in zip(rows_g, shifts_f):
         f_shifted = np.fft.ifft(f_rows * shift_f, axis=1)
         g_shifted = np.fft.ifft(gh[row_g] * shifts_g, axis=1)
-        acc[(rows_f + row_g) % n_t] += f_shifted * g_shifted
+        acc[(rows_f + row_g) % m_t] += f_shifted * g_shifted
     return acc
 
 
-def _voros_padded(fh: np.ndarray, gh: np.ndarray, spec: GridSpec, theta: float) -> np.ndarray:
-    """Exact Voros product as Gaussian-conjugated Moyal on a doubled mode grid.
+def _smooth_length(n: int) -> int:
+    """Smallest 2^a 3^b >= n."""
+    best, p3 = 1 << (n - 1).bit_length(), 1
+    while p3 < best:
+        best = min(best, p3 << (-(-n // p3) - 1).bit_length())
+        p3 *= 3
+    return best
 
-    Each surviving mode moves to its signed frequency on a 2N_t x 2N_x grid
-    of the same spacing, grown by e^{theta|k|^2/4}; the Moyal rows there,
-    transformed over x, are the unwrapped output spectrum, damped by
-    e^{-theta|K|^2/4} and folded K mod N onto the original grid.
+
+def _signed_index(n: int) -> np.ndarray:
+    """Signed mode index of each slot of an n-point FFT axis (Nyquist negative)."""
+    return (np.arange(n) + n // 2) % n - n // 2
+
+
+def _compact_axis(live: list[np.ndarray], n: int, spacing: float, cap: int):
+    """Slot map of one axis: live indices of f and g -> compact slots.
+
+    The compact length M is the smallest 2^a 3^b that holds every sum of a
+    live signed index of f and one of g without wrapping, capped at `cap`.
+    Each live mode goes to the slot (signed index) mod M, and every slot
+    carries the true frequency 2 pi s / (n spacing) of the signed index s it
+    holds.  Returns the slots of f and of g, M, and the slot frequencies.
+    """
+    signed = _signed_index(n)
+    band = sum(int(np.max(np.abs(signed[idx]), initial=0)) for idx in live)
+    m = min(_smooth_length(2 * band + 1), cap)
+    freqs = (2.0 * np.pi / (n * spacing)) * _signed_index(m)
+    return [signed[idx] % m for idx in live], m, freqs
+
+
+def _fold_rows(acc: np.ndarray, n: int) -> np.ndarray:
+    """Sum the rows of an M-slot spectrum onto their signed indices mod n."""
+    signed = _signed_index(acc.shape[0])
+    out = np.zeros((n, acc.shape[1]), dtype=acc.dtype)
+    neg = signed < 0
+    out[signed[~neg]] = acc[~neg]
+    out[signed[neg] + n] += acc[neg]
+    return out
+
+
+def _star_compact(fh: np.ndarray, gh: np.ndarray, spec: GridSpec, theta: float,
+                  voros: bool) -> tuple[np.ndarray, list[int]]:
+    """Exact product of two cutoff mode arrays through the compact Moyal rows.
+
+    Returns the product's values on the spec grid and the compact lengths
+    [M_t, M_x] it was evaluated on.
     """
     n_t, n_x = fh.shape
-    k_t, k_x = spec.k_t, spec.k_x
-    big_t = 2.0 * np.pi * np.fft.fftfreq(2 * n_t, d=spec.dt / 2.0)
-    big_x = 2.0 * np.pi * np.fft.fftfreq(2 * n_x, d=spec.dx / 2.0)
+    cap = 2 if voros else 1
+    nonzero = [fh != 0, gh != 0]
+    live_t = [np.flatnonzero(np.any(nz, axis=1)) for nz in nonzero]
+    live_x = [np.flatnonzero(np.any(nz, axis=0)) for nz in nonzero]
+    slots_t, m_t, k_t = _compact_axis(live_t, n_t, spec.dt, cap * n_t)
+    slots_x, m_x, k_x = _compact_axis(live_x, n_x, spec.dx, cap * n_x)
 
-    def grown(h: np.ndarray) -> np.ndarray:
-        # Only surviving modes: the growth overflows on a full 256^2 grid.
-        a, b = np.nonzero(h)
-        out = np.zeros((2 * n_t, 2 * n_x), dtype=np.complex128)
-        out[np.where(a < n_t // 2, a, a + n_t), np.where(b < n_x // 2, b, b + n_x)] = (
-            h[a, b] * np.exp((theta / 4.0) * (k_t[a] ** 2 + k_x[b] ** 2))
-        )
+    def placed(i: int, h: np.ndarray) -> np.ndarray:
+        live = np.ix_(live_t[i], live_x[i])
+        block = h[live]
+        if voros:
+            # Growth only on surviving modes: on a full 256^2 grid it overflows.
+            expo = (theta / 4.0) * np.add.outer(k_t[slots_t[i]] ** 2, k_x[slots_x[i]] ** 2)
+            block = block * np.exp(expo, out=np.zeros(expo.shape), where=nonzero[i][live])
+        out = np.zeros((m_t, m_x), dtype=np.complex128)
+        out[np.ix_(slots_t[i], slots_x[i])] = block
         return out
 
-    acc = _moyal_rows(grown(fh), grown(gh), big_t, big_x, theta)
+    acc = _moyal_rows(placed(0, fh), placed(1, gh), k_t, k_x, theta)
     np.fft.fft(acc, axis=1, out=acc)
-    # The x transforms left 1/(2 n_x); the mode-pair sum needs 1/(n_t n_x).
-    acc *= np.exp(-(theta / 4.0) * big_t**2)[:, None] * (2.0 / n_t)
-    acc *= np.exp(-(theta / 4.0) * big_x**2)
-    return np.fft.ifft2(acc.reshape(2, n_t, 2, n_x).sum(axis=(0, 2)))
+    # The x transforms left 1/M_x; the mode-pair sum needs 1/(n_t n_x).
+    scale = m_x / (n_t * n_x)
+    if voros:
+        acc *= np.exp(-(theta / 4.0) * k_t**2)[:, None] * scale
+        acc *= np.exp(-(theta / 4.0) * k_x**2)
+    else:
+        acc *= scale
+    out = _fold_rows(_fold_rows(acc, n_t).T, n_x).T
+    return np.fft.ifft2(out), [m_t, m_x]
 
 
 def _cutoff_pair(kernel: StarKernel, fh: np.ndarray, gh: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
@@ -220,11 +286,7 @@ def _star_fourier(kernel: StarKernel, f: Field2D, g: Field2D) -> Field2D:
     fh = np.fft.fft2(f.values)
     gh = np.fft.fft2(g.values)
     fh, gh, metadata = _cutoff_pair(kernel, fh, gh)
-    if kernel.flavor == "voros":
-        out = _voros_padded(fh, gh, spec, kernel.theta)
-    else:
-        # ifft over t supplies one 1/n_t; the pair sum over rows needs another.
-        out = np.fft.ifft(_moyal_rows(fh, gh, spec.k_t, spec.k_x, kernel.theta), axis=0) / spec.n_t
+    out, metadata["mode_grid"] = _star_compact(fh, gh, spec, kernel.theta, kernel.flavor == "voros")
     return Field2D(spec, out, metadata)
 
 
@@ -266,7 +328,9 @@ def star(kernel: StarKernel, f: Field2D, g: Field2D) -> Field2D:
     """Star product f * g under the given kernel.  Bilinear in (f, g).
 
     Both fields must share one GridSpec whose theta matches the kernel's.
-    theta = 0 reduces both flavors to the pointwise product exactly.
+    theta = 0 reduces both flavors to the pointwise product exactly.  A
+    fourier-method result records the compact mode grid it ran on as
+    metadata['mode_grid'] = [M_t, M_x].
     """
     if not isinstance(f, Field2D) or not isinstance(g, Field2D):
         raise TypeError("star operates on Field2D inputs")

@@ -33,6 +33,12 @@ def eigenstate_grid(theta: float) -> GridSpec:
     return GridSpec(8, 512, 0.0, 0.2, -12.0, 12.0, theta)
 
 
+def dense_multiplier(symbol):
+    """Fourier multiplier as a dense matrix, F^-1 diag(symbol) F, from transforms of the identity."""
+    modes = np.fft.fft(np.eye(len(symbol)), axis=0)
+    return np.fft.ifft(modes * symbol[:, None], axis=0)
+
+
 class TestPacketParams:
     def test_lam_combines_width_and_drift(self):
         pp = PacketParams(sigma=1.0, m=1.0, theta=0.1)
@@ -255,6 +261,25 @@ class TestMomentumOperator:
         osc = OscillatorParams(m=1.0, omega=1.0, theta=0.1)
         _, ham = dyn.oscillator_momentum_operator(osc, 0.5, n_top=3)
         assert float(np.max(np.abs(ham - ham.conj().T))) < 1e-12
+
+    @pytest.mark.parametrize("energy", [0.0, 1.5])
+    def test_matches_dense_transform_construction(self, energy):
+        # Reference: d_p + i theta E/2 as F^-1 diag(ik) F + i theta E/2, squared
+        # by a matrix product; the operator forms the squared multiplier directly.
+        osc = OscillatorParams(m=1.3, omega=0.8, theta=0.3)
+        p, ham = dyn.oscillator_momentum_operator(osc, energy, n_top=4, n_modes=128)
+        k = 2.0 * np.pi * np.fft.fftfreq(128, d=p[1] - p[0])
+        shift = dense_multiplier(1j * k) + 0.5j * 0.3 * energy * np.eye(128)
+        ref = np.diag(p**2 / 2.6) - (1.3 * 0.8**2 / 2.0) * (shift @ shift)
+        ref = 0.5 * (ref + ref.conj().T)
+        assert float(np.max(np.abs(ham - ref))) < 1e-12 * float(np.max(np.abs(ref)))
+
+    def test_kinetic_matrix_matches_dense_transform_construction(self):
+        spec = eigenstate_grid(0.1)
+        ref = dense_multiplier(spec.k_x**2 / 1.4).real
+        ref = 0.5 * (ref + ref.T)
+        got = dyn._kinetic_matrix(spec, 0.7)
+        assert float(np.max(np.abs(got - ref))) < 1e-12 * float(np.max(np.abs(ref)))
 
     def test_rejects_wrapping_gauge_phase(self):
         osc = OscillatorParams(m=1.0, omega=1.0, theta=0.3)

@@ -435,6 +435,17 @@ class TestRobertsonSchrodinger:
         assert rec["lhs"] >= rec["schrodinger_rhs"] - 1e-8
         assert rec["schrodinger_rhs"] >= rec["robertson_rhs"]
 
+    def test_norm_paired_once_per_call(self, monkeypatch):
+        # Both bounds need six expectations on one state; its norm <psi, psi>
+        # is paired once for all of them, as in uncertainty_product.
+        kernel, psi = ground_state()
+        norms = []
+        checked = moments._checked_norm
+        monkeypatch.setattr(moments, "_checked_norm", lambda n: norms.append(n) or checked(n))
+        moments.robertson_schrodinger_check(operators.x_theta_l(THETA), operators.p_x(), psi, kernel)
+        moments.uncertainty_product(operators.x_theta_l(THETA), operators.p_x(), psi, kernel)
+        assert len(norms) == 2
+
     def test_commuting_pair_has_zero_bound(self):
         kernel, psi = ground_state()
         rec = moments.robertson_schrodinger_check(

@@ -48,6 +48,38 @@ def white_noise(spec, seed):
     return Field2D(spec, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
+def random_modes(spec, t_modes, x_modes, seed):
+    """Random complex amplitudes on the given signed mode indices of each axis, zero elsewhere."""
+    rng = np.random.default_rng(seed)
+    shape = (len(t_modes), len(x_modes))
+    fh = np.zeros((spec.n_t, spec.n_x), dtype=complex)
+    fh[np.ix_(np.asarray(t_modes) % spec.n_t, np.asarray(x_modes) % spec.n_x)] = (
+        rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    )
+    return Field2D(spec, np.fft.ifft2(fh))
+
+
+def spectral_packet(spec, centre, band):
+    """Exactly band-limited packet: mode profile e^{-|j - centre|^2/8}, |j - centre| <= band per axis.
+
+    A nonzero centre is a momentum offset, which puts the occupied band off
+    the zero mode.
+    """
+    j_t = np.arange(-band, band + 1) + centre[0]
+    j_x = np.arange(-band, band + 1) + centre[1]
+    fh = np.zeros((spec.n_t, spec.n_x), dtype=complex)
+    fh[np.ix_(j_t % spec.n_t, j_x % spec.n_x)] = np.exp(
+        -np.add.outer((j_t - centre[0]) ** 2, (j_x - centre[1]) ** 2) / 8.0
+    )
+    return Field2D(spec, np.fft.ifft2(fh))
+
+
+def mode_grid_cap(spec, flavor):
+    """Largest compact mode grid the engine may use: 2N for Voros, N for Moyal."""
+    factor = 2 if flavor == "voros" else 1
+    return [factor * spec.n_t, factor * spec.n_x]
+
+
 def rel_max_err(a, b):
     scale = max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-300)
     return np.max(np.abs(a - b)) / scale
@@ -211,9 +243,13 @@ class TestBruteForceProperty:
         else:
             f = random_band_limited(spec, band=3, seed=seed)
             g = random_band_limited(spec, band=3, seed=seed + 1)
-        got = star(StarKernel(theta, flavor), f, g).values
+        out = star(StarKernel(theta, flavor), f, g)
         want = brute_force_star(f.values, g.values, spec.k_t, spec.k_x, theta, flavor)
-        assert rel_max_err(got, want) < 1e-10
+        assert rel_max_err(out.values, want) < 1e-10
+        cap = mode_grid_cap(spec, flavor)
+        assert all(m <= c for m, c in zip(out.metadata["mode_grid"], cap))
+        if white:
+            assert out.metadata["mode_grid"] == cap
 
     def test_overflowing_weight_raises(self):
         # White noise on the 256^2 box of +-8 sqrt(theta): the corner mode's
@@ -222,6 +258,55 @@ class TestBruteForceProperty:
         f = white_noise(spec, 5)
         with pytest.raises(ValueError, match="non-finite"), pytest.warns(RuntimeWarning):
             star(StarKernel(0.1), f, f)
+
+
+class TestCompactModeGrid:
+    """Products on the smallest wrap-free mode grid, against the literal mode-pair sum.
+
+    Each occupied slot must carry the true frequency of its mode; a slot map
+    that used the frequencies of an M-point grid of the original spacing
+    fails every case here.
+    """
+
+    @pytest.mark.parametrize("flavor", ["voros", "moyal"])
+    @pytest.mark.parametrize("theta", [0.1, 0.5])
+    @pytest.mark.parametrize(
+        "centre, grid",
+        # A +-4 packet about the centre mode against a centred +-3 Gaussian:
+        # the x band of (0, 6) reaches 10 + 3, so 2 * 13 + 1 = 27 slots.
+        [((0, 6), [16, 27]), ((-5, 6), [27, 27]), ((4, -5), [24, 27])],
+    )
+    def test_lopsided_band(self, flavor, theta, centre, grid):
+        spec = star_box(32, theta)
+        f = spectral_packet(spec, centre, 4)
+        g = spectral_packet(spec, (0, 0), 3)
+        out = star(StarKernel(theta, flavor), f, g)
+        want = brute_force_star(f.values, g.values, spec.k_t, spec.k_x, theta, flavor)
+        assert rel_max_err(out.values, want) < 1e-10
+        assert out.metadata["mode_grid"] == grid
+
+    @pytest.mark.parametrize("flavor", ["voros", "moyal"])
+    @pytest.mark.parametrize("white_axis", [0, 1])
+    @pytest.mark.parametrize("reach, voros_slots", [(12, 64), (8, 54)])
+    def test_band_limited_against_white_noise(self, flavor, white_axis, reach, voros_slots):
+        # g fills every mode of one axis and +-2 modes of the other; f reaches
+        # +-reach on the white axis and +-3 on the other.  The other axis
+        # needs 2(3 + 2) + 1 = 11 -> 12 slots.  On the white axis Moyal sits
+        # at its cap N; Voros needs 2(16 + reach) + 1 -> 64 slots (its cap
+        # 2N) or 54, where the fold onto N = 32 modes overlaps.
+        theta = 0.2
+        spec = star_box(32, theta)
+        every, narrow, wide, small = range(-16, 16), range(-2, 3), range(-reach, reach + 1), range(-3, 4)
+        if white_axis == 0:
+            f, g = random_modes(spec, wide, small, 41), random_modes(spec, every, narrow, 42)
+        else:
+            f, g = random_modes(spec, small, wide, 41), random_modes(spec, narrow, every, 42)
+        out = star(StarKernel(theta, flavor), f, g)
+        want = brute_force_star(f.values, g.values, spec.k_t, spec.k_x, theta, flavor)
+        assert rel_max_err(out.values, want) < 1e-10
+        grid = [12, 12]
+        grid[white_axis] = voros_slots if flavor == "voros" else spec.n_t
+        assert out.metadata["mode_grid"] == grid
 
 
 class TestSeriesMethod:
