@@ -6,7 +6,7 @@ symplectic analysis built on top of them.
 """
 
 from starqm.fieldgrid import Field1D, Field2D, GridSpec, integrate, sample_field, spectral_derivative
-from starqm.star import StarKernel, cross_validate, plane_wave_star_factor, star
+from starqm.star import StarKernel, plane_wave_star_factor, star
 
 __version__ = "0.1.0"
 
@@ -15,7 +15,6 @@ __all__ = [
     "Field2D",
     "GridSpec",
     "StarKernel",
-    "cross_validate",
     "integrate",
     "plane_wave_star_factor",
     "sample_field",

@@ -237,9 +237,9 @@ def expectation(
     star engine; with t=None it pairs over the whole plane, integral
     dt dx psi* (star) O psi, evaluated as the closed-form trace sum over
     partner modes (see _plane_pairing).  That sum is the exact mode-pair
-    multiplier, so kernel.method does not enter a plane pairing; only
-    kernel.theta and kernel.mode_cutoff do.  Plane and fixed-line pairings
-    coarsen a finer-than-1e-10 kernel mode cutoff (see _PAIRING_MODE_CUTOFF).
+    multiplier; only kernel.theta and kernel.mode_cutoff enter it.  Plane
+    and fixed-line pairings coarsen a finer-than-1e-10 kernel mode cutoff
+    (see _PAIRING_MODE_CUTOFF).
 
     The state must arrive normalized: a pairing norm off unity beyond 1e-6
     is rejected; the residual deviation below that is divided out.

@@ -11,9 +11,9 @@ The Moyal multiplier is a pure phase, and in the mixed representation
 
     (f *_M g)(t, x) = sum_{k0, k0'} e^{i(k0+k0')t} f~(k0, x + theta k0'/2) g~(k0', x - theta k0/2)
 
-with f~(k0, x) the t-Fourier rows of f.  The 'fourier' method evaluates this
-sum directly — shifts as spectral phases, products of x-rows, one inverse
-FFT at the end — with no series.
+with f~(k0, x) the t-Fourier rows of f.  The engine evaluates this sum
+directly — shifts as spectral phases, products of x-rows, one inverse FFT at
+the end — with no series.
 
 The Voros product runs through the same engine.  Per mode pair
 
@@ -39,14 +39,10 @@ Gaussian of width sqrt(theta) on a +-8 sqrt(theta) box keeps 41 modes per
 axis, so it runs on 81 x 81 slots at N = 128 and N = 256 alike.  The growth
 is evaluated only on modes that survive the mode cutoff; a weight beyond
 floating-point range gives non-finite values, which Field2D rejects.
-
-The 'series' method is the literal bidifferential exponential truncated at
-total order K.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -55,43 +51,22 @@ import numpy as np
 from starqm.fieldgrid import DEFAULT_MODE_CUTOFF, Field2D, GridSpec, _drop_noise_modes
 from starqm.fieldgrid import _require_grid_theta
 
-# Series(K) acceptance gate: the order-K term must have fallen below this
-# fraction of the order-0 term.
-_SERIES_GATE = 1e-3
-
 # The star-square series stops at the first term below this fraction of the
 # running sum.
 _SQUARE_RTOL = 1e-12
 _SQUARE_MAX_TERMS = 512
 
 
-class StarConvergenceError(RuntimeError):
-    """Star expansion failed its convergence gate; carries a JSON diagnostic."""
-
-    def __init__(self, method: str, order: int | None, term_norms: list[float]):
-        self.record = {
-            "method": method,
-            "K": order,
-            "term_norms": [float(v) for v in term_norms],
-        }
-        super().__init__(f"star product did not converge: {json.dumps(self.record)}")
-
-
 @dataclass(frozen=True)
 class StarKernel:
-    """Configuration of a star product: deformation scale, flavor, and method.
+    """Configuration of a star product: deformation scale and flavor.
 
-    method='fourier' is the exact mode-pair multiplier (ground truth);
-    method='series' truncates the bidifferential exponential at total order
-    `order` (default 8).  mode_cutoff drops input Fourier modes below that
-    fraction of each field's peak, so rounding-level modes take no part in
-    the Voros growth.
+    mode_cutoff drops input Fourier modes below that fraction of each field's
+    peak, so rounding-level modes take no part in the Voros growth.
     """
 
     theta: float
     flavor: str = "voros"
-    method: str = "fourier"
-    order: int | None = None
     mode_cutoff: float | None = DEFAULT_MODE_CUTOFF
 
     def __post_init__(self) -> None:
@@ -99,15 +74,6 @@ class StarKernel:
             raise ValueError(f"theta must be >= 0, got {self.theta}")
         if self.flavor not in ("voros", "moyal"):
             raise ValueError(f"flavor must be 'voros' or 'moyal', got {self.flavor!r}")
-        if self.method not in ("fourier", "series"):
-            raise ValueError(f"method must be 'fourier' or 'series', got {self.method!r}")
-        if self.method == "series":
-            if self.order is None:
-                object.__setattr__(self, "order", 8)
-            if self.order < 1:
-                raise ValueError(f"series order must be >= 1, got {self.order}")
-        elif self.order is not None:
-            raise ValueError("the fourier method takes no order parameter")
 
 
 def plane_wave_star_factor(E: float, p: float, E2: float, p2: float, theta: float) -> complex:
@@ -281,55 +247,12 @@ def _cutoff_pair(kernel: StarKernel, fh: np.ndarray, gh: np.ndarray) -> tuple[np
     return fh, gh, metadata
 
 
-def _star_fourier(kernel: StarKernel, f: Field2D, g: Field2D) -> Field2D:
-    spec = f.spec
-    fh = np.fft.fft2(f.values)
-    gh = np.fft.fft2(g.values)
-    fh, gh, metadata = _cutoff_pair(kernel, fh, gh)
-    out, metadata["mode_grid"] = _star_compact(fh, gh, spec, kernel.theta, kernel.flavor == "voros")
-    return Field2D(spec, out, metadata)
-
-
-def _star_series(kernel: StarKernel, f: Field2D, g: Field2D) -> Field2D:
-    spec = f.spec
-    fh = np.fft.fft2(f.values)
-    gh = np.fft.fft2(g.values)
-    # The noise guard matters here too: w**n amplifies rounding-level high
-    # modes by |w_max|^n, which would pollute high-order terms.
-    fh, gh, metadata = _cutoff_pair(kernel, fh, gh)
-    w = spec.k_t[:, None] + 1j * spec.k_x[None, :]
-    wb = np.conj(w)
-    K = kernel.order
-    theta = kernel.theta
-
-    acc = np.zeros((spec.n_t, spec.n_x), dtype=np.complex128)
-    term_norms: list[float] = []
-    for n in range(K + 1):
-        if kernel.flavor == "voros":
-            c = (-theta / 2.0) ** n / math.factorial(n)
-            term = c * np.fft.ifft2(wb**n * fh) * np.fft.ifft2(w**n * gh)
-        else:
-            term = np.zeros_like(acc)
-            for j in range(n + 1):
-                l = n - j
-                c = ((-theta / 4.0) ** j / math.factorial(j)) * (
-                    (theta / 4.0) ** l / math.factorial(l)
-                )
-                term += c * np.fft.ifft2(wb**j * w**l * fh) * np.fft.ifft2(w**j * wb**l * gh)
-        acc += term
-        term_norms.append(float(np.max(np.abs(term))))
-    if term_norms[0] > 0 and term_norms[-1] > _SERIES_GATE * term_norms[0]:
-        raise StarConvergenceError("series", K, term_norms)
-    metadata.update({"method": "series", "K": K, "term_norms": term_norms})
-    return Field2D(spec, acc, metadata)
-
-
 def star(kernel: StarKernel, f: Field2D, g: Field2D) -> Field2D:
     """Star product f * g under the given kernel.  Bilinear in (f, g).
 
     Both fields must share one GridSpec whose theta matches the kernel's.
-    theta = 0 reduces both flavors to the pointwise product exactly.  A
-    fourier-method result records the compact mode grid it ran on as
+    theta = 0 reduces both flavors to the pointwise product exactly.  Any
+    other result records the compact mode grid it ran on as
     metadata['mode_grid'] = [M_t, M_x].
     """
     if not isinstance(f, Field2D) or not isinstance(g, Field2D):
@@ -339,22 +262,7 @@ def star(kernel: StarKernel, f: Field2D, g: Field2D) -> Field2D:
     _require_theta_match(kernel, f.spec)
     if kernel.theta == 0.0:
         return Field2D(f.spec, f.values * g.values)
-    if kernel.method == "fourier":
-        return _star_fourier(kernel, f, g)
-    return _star_series(kernel, f, g)
-
-
-def cross_validate(kernel_a: StarKernel, kernel_b: StarKernel, f: Field2D, g: Field2D) -> float:
-    """Max-norm relative discrepancy between two methods for the same product."""
-    if kernel_a.flavor != kernel_b.flavor:
-        raise ValueError("cross_validate requires kernels of the same flavor")
-    if kernel_a.theta != kernel_b.theta:
-        raise ValueError("cross_validate requires kernels with the same theta")
-    if kernel_a.method == kernel_b.method:
-        raise ValueError("cross_validate requires two different methods")
-    a = star(kernel_a, f, g).values
-    b = star(kernel_b, f, g).values
-    scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))))
-    if scale == 0.0:
-        return 0.0
-    return float(np.max(np.abs(a - b)) / scale)
+    fh, gh, metadata = _cutoff_pair(kernel, np.fft.fft2(f.values), np.fft.fft2(g.values))
+    voros = kernel.flavor == "voros"
+    out, metadata["mode_grid"] = _star_compact(fh, gh, f.spec, kernel.theta, voros)
+    return Field2D(f.spec, out, metadata)

@@ -208,15 +208,12 @@ def induced_inner_product(
 # ---------------------------------------------------------------------------
 
 
-def probability_density(
-    kernel: StarKernel, psi: Field2D, cross_check: bool = False
-) -> Field2D:
+def probability_density(kernel: StarKernel, psi: Field2D) -> Field2D:
     """Probability density sqrt(2 pi theta) psi* (star) psi, term by positive term.
 
     Evaluated through the sum-of-squares series, truncated when a term falls
     below 1e-12 of the running sum, so the result is nonnegative by
-    construction.  cross_check=True also evaluates the star product directly
-    and records the maximum discrepancy in the metadata.
+    construction.
     """
     _require_voros(kernel, "the probability density")
     if not isinstance(psi, Field2D):
@@ -228,11 +225,7 @@ def probability_density(
     mult = 1j * psi.spec.k_t[:, None] - psi.spec.k_x[None, :]
     series, n_terms = _star_square_series(np.fft.fft2(psi.values), mult, kernel.theta)
     scale = math.sqrt(2.0 * math.pi * kernel.theta)
-    metadata = {"series_terms": n_terms}
-    if cross_check:
-        direct = star(kernel, Field2D(psi.spec, np.conj(psi.values)), psi)
-        metadata["star_crosscheck_max_abs"] = float(np.max(np.abs(series - direct.values)))
-    return Field2D(psi.spec, scale * series, metadata)
+    return Field2D(psi.spec, scale * series, {"series_terms": n_terms})
 
 
 def probability_current(kernel: StarKernel, psi: Field2D, m: float) -> Field2D:
@@ -261,7 +254,7 @@ def continuity_defect(kernel: StarKernel, psi: Field2D, m: float) -> Field2D:
     not, so the pair is rescaled onto one normalization before differencing;
     the residual vanishes identically for exact free-evolution fields.
     """
-    rho = probability_density(kernel, psi, cross_check=False)
+    rho = probability_density(kernel, psi)
     cur = probability_current(kernel, psi, m)
     scale = math.sqrt(2.0 * math.pi * kernel.theta)
     d_rho = spectral_derivative(rho, "t", periodic=True)
@@ -384,25 +377,10 @@ def quasi_projection_apply(theta: float, t0: float, psi: Field2D) -> Field2D:
     return Field2D(spec, values, {"t0": t0})
 
 
-def quasi_projection_discrepancy(
+def _composition_rows(
     theta: float, t: float, t_prime: float, states: Sequence[Field2D]
-) -> float:
-    """Max-norm defect of the composition law pi_{t'} pi_t vs delta-weighted pi_{t'}."""
-    if not states:
-        raise ValueError("need at least one test state")
-    weight = float(gauss_delta(t_prime - t, math.sqrt(theta)))
-    worst = 0.0
-    for psi in states:
-        lhs = quasi_projection_apply(theta, t_prime, quasi_projection_apply(theta, t, psi))
-        rhs = weight * quasi_projection_apply(theta, t_prime, psi).values
-        worst = max(worst, float(np.max(np.abs(lhs.values - rhs))))
-    return worst
-
-
-def quasi_projection_report(
-    theta: float, t: float, t_prime: float, states: Sequence[Field2D]
-) -> str:
-    """JSON diagnostics of the quasi-projection composition on the test states."""
+) -> tuple[float, list[dict]]:
+    """Delta weight and, per state, the defect of pi_{t'} pi_t vs weighted pi_{t'}."""
     weight = float(gauss_delta(t_prime - t, math.sqrt(theta)))
     rows = []
     for psi in states:
@@ -418,6 +396,24 @@ def quasi_projection_report(
                 "ratio": discrepancy / ref if ref > 0 else math.inf,
             }
         )
+    return weight, rows
+
+
+def quasi_projection_discrepancy(
+    theta: float, t: float, t_prime: float, states: Sequence[Field2D]
+) -> float:
+    """Max-norm defect of the composition law pi_{t'} pi_t vs delta-weighted pi_{t'}."""
+    if not states:
+        raise ValueError("need at least one test state")
+    _, rows = _composition_rows(theta, t, t_prime, states)
+    return max(row["discrepancy"] for row in rows)
+
+
+def quasi_projection_report(
+    theta: float, t: float, t_prime: float, states: Sequence[Field2D]
+) -> str:
+    """JSON diagnostics of the quasi-projection composition on the test states."""
+    weight, rows = _composition_rows(theta, t, t_prime, states)
     return json.dumps(
         {
             "theta": theta,

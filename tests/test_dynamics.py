@@ -333,17 +333,19 @@ class TestOscillatorEigenstates:
 
 
 class TestOscillatorGround:
-    def test_density_moments_at_reference_point(self):
-        # m = w = 1, theta = 0.1: mean theta E0 = 0.05, variance 0.55
-        spec = GridSpec(256, 256, 0.0, 4.0 * math.pi, -8.0, 8.0, 0.1)
-        osc = OscillatorParams(m=1.0, omega=1.0, theta=0.1)
+    @pytest.mark.parametrize("theta", [0.0625, 0.1, 0.2])
+    def test_density_moments_at_reference_point(self, theta):
+        # m = w = 1, E0 = 1/2, sigma_theta^2 = theta/2 + 1: mean theta E0 =
+        # theta/2, variance sigma_theta^2/2 + theta/4 = (1 + theta)/2
+        spec = GridSpec(256, 256, 0.0, 4.0 * math.pi, -8.0, 8.0, theta)
+        osc = OscillatorParams(m=1.0, omega=1.0, theta=theta)
         _, den = dyn.oscillator_ground(osc, spec)
-        assert den.metadata["mean"] == pytest.approx(0.05, abs=1e-9)
-        assert den.metadata["variance"] == pytest.approx(0.55, abs=1e-9)
+        assert den.metadata["mean"] == pytest.approx(theta / 2.0, abs=1e-9)
+        assert den.metadata["variance"] == pytest.approx((1.0 + theta) / 2.0, abs=1e-9)
         # both shift conventions are recorded: wavefunction theta E0/2,
         # density theta E0
-        assert den.metadata["symbol_shift"] == pytest.approx(0.025)
-        assert den.metadata["density_shift"] == pytest.approx(0.05)
+        assert den.metadata["symbol_shift"] == pytest.approx(theta / 4.0)
+        assert den.metadata["density_shift"] == pytest.approx(theta / 2.0)
         total = float(np.sum(den.values.real) * spec.dx)
         assert total == pytest.approx(1.0, rel=1e-9)
 

@@ -5,13 +5,7 @@ from hypothesis import strategies as st
 
 from oracles import brute_force_star
 from starqm.fieldgrid import Field2D, GridSpec, sample_field
-from starqm.star import (
-    StarConvergenceError,
-    StarKernel,
-    cross_validate,
-    plane_wave_star_factor,
-    star,
-)
+from starqm.star import StarKernel, plane_wave_star_factor, star
 
 
 def star_box(n, theta, half=None):
@@ -110,17 +104,6 @@ class TestKernelValidation:
         with pytest.raises(ValueError, match="flavor"):
             StarKernel(0.1, flavor="weyl")
 
-    def test_fourier_rejects_order(self):
-        with pytest.raises(ValueError, match="order"):
-            StarKernel(0.1, method="fourier", order=4)
-
-    def test_series_default_order(self):
-        assert StarKernel(0.1, method="series").order == 8
-
-    def test_series_rejects_bad_order(self):
-        with pytest.raises(ValueError, match="order"):
-            StarKernel(0.1, method="series", order=0)
-
     def test_grid_theta_mismatch(self):
         spec = star_box(16, 0.5)
         f = random_band_limited(spec)
@@ -139,15 +122,8 @@ class TestThetaZero:
         spec = star_box(16, 0.0)
         f = random_band_limited(spec, seed=1)
         g = random_band_limited(spec, seed=2)
-        for kern in (StarKernel(0.0), StarKernel(0.0, flavor="moyal"),
-                     StarKernel(0.0, method="series")):
+        for kern in (StarKernel(0.0), StarKernel(0.0, flavor="moyal")):
             assert np.array_equal(star(kern, f, g).values, f.values * g.values)
-
-    def test_cross_validate_zero(self):
-        spec = star_box(16, 0.0)
-        f = random_band_limited(spec, seed=3)
-        d = cross_validate(StarKernel(0.0), StarKernel(0.0, method="series"), f, f)
-        assert d == 0.0
 
 
 class TestFourierEngine:
@@ -307,43 +283,6 @@ class TestCompactModeGrid:
         grid = [12, 12]
         grid[white_axis] = voros_slots if flavor == "voros" else spec.n_t
         assert out.metadata["mode_grid"] == grid
-
-
-class TestSeriesMethod:
-    def test_matches_fourier_on_gaussians(self):
-        # Slowly varying fields: truncation at K=8 agrees with the exact kernel.
-        spec = star_box(256, 0.05, half=7.0)
-        f = sample_field(lambda t, x: np.exp(-(t**2) - x**2), spec)
-        g = sample_field(lambda t, x: np.exp(-((t - 0.3) ** 2) - (x + 0.2) ** 2), spec)
-        d = cross_validate(StarKernel(0.05), StarKernel(0.05, method="series"), f, g)
-        assert d < 1e-6
-
-    def test_moyal_series_matches_brute_force(self):
-        spec = star_box(16, 0.3)
-        f = random_band_limited(spec, band=1, seed=5)
-        g = random_band_limited(spec, band=1, seed=6)
-        got = star(StarKernel(0.3, flavor="moyal", method="series", order=24), f, g).values
-        want = brute_force_star(f.values, g.values, spec.k_t, spec.k_x, 0.3, "moyal")
-        assert rel_max_err(got, want) < 1e-10
-
-    def test_convergence_gate_trips_with_diagnostic(self):
-        spec = star_box(16, 0.5)
-        E, p = mode_freqs(spec, 2, 2)
-        f = plane_wave(spec, E, p)
-        g = plane_wave(spec, -E, -p)
-        with pytest.raises(StarConvergenceError) as exc:
-            star(StarKernel(0.5, method="series"), f, g)
-        record = exc.value.record
-        assert record["method"] == "series"
-        assert record["K"] == 8
-        assert len(record["term_norms"]) == 9
-
-    def test_term_norms_in_metadata_when_converged(self):
-        spec = star_box(256, 0.05, half=7.0)
-        f = sample_field(lambda t, x: np.exp(-(t**2) - x**2), spec)
-        out = star(StarKernel(0.05, method="series"), f, f)
-        norms = out.metadata["term_norms"]
-        assert len(norms) == 9 and norms[-1] <= 1e-3 * norms[0]
 
 
 class TestAlgebraicProperties:
@@ -508,16 +447,3 @@ class TestThetaScaling:
         ratio = diffs[0] / diffs[1]
         assert 3.0 < ratio < 5.0
 
-
-class TestCrossValidateGuards:
-    def test_same_method_rejected(self):
-        spec = star_box(16, 0.5)
-        f = random_band_limited(spec)
-        with pytest.raises(ValueError, match="different methods"):
-            cross_validate(StarKernel(0.5), StarKernel(0.5), f, f)
-
-    def test_flavor_mismatch_rejected(self):
-        spec = star_box(16, 0.5)
-        f = random_band_limited(spec)
-        with pytest.raises(ValueError, match="flavor"):
-            cross_validate(StarKernel(0.5), StarKernel(0.5, flavor="moyal", method="series"), f, f)

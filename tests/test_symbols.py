@@ -248,8 +248,11 @@ class TestProbabilityDensity:
         theta = 0.1
         f, _, _ = ground_state_sampler(theta, 1.0, 1.0)
         spec = GridSpec(256, 256, 0.0, 4.0 * math.pi, -8.0, 8.0, theta)
-        rho = symbols.probability_density(StarKernel(theta), sample_field(f, spec), cross_check=True)
-        assert rho.metadata["star_crosscheck_max_abs"] < 1e-8
+        kernel, psi = StarKernel(theta), sample_field(f, spec)
+        rho = symbols.probability_density(kernel, psi)
+        direct = star(kernel, Field2D(spec, np.conj(psi.values)), psi)
+        series = rho.values / math.sqrt(2.0 * math.pi * theta)
+        assert np.max(np.abs(series - direct.values)) < 1e-8
         assert rho.metadata["series_terms"] >= 2
 
     def test_density_integrates_to_prefactor_times_norm(self):
