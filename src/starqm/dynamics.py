@@ -16,7 +16,11 @@ conjugated frame, where the potential step is an ordinary phase and the
 flow is manifestly unitary for the induced norm.  A direct consequence is
 that static-potential spectra do not depend on theta at all: the deformed
 problem is a similarity transform of the commutative one shifted by
-theta E/2, and a shift never moves eigenvalues.
+theta E/2, and a shift never moves eigenvalues.  The stationary solver
+therefore diagonalizes once, in the frame at the middle of its energy
+window, and translates each level's vector into the frame at its own
+energy; only a level that feels the box edge, where the sampled potential
+is not a pure translate, needs re-solving.
 
 Time-dependent pulses V(t) are handled perturbatively by
 transition_amplitude; the split-step evolver only accepts them at theta=0,
@@ -35,7 +39,7 @@ import numpy as np
 import scipy.linalg
 
 from . import phasecalc, symbols
-from .fieldgrid import Field1D, Field2D, GridSpec, sample_field, spectral_derivative
+from .fieldgrid import Field1D, Field2D, GridSpec, spectral_derivative
 from .fieldgrid import _csv, _drop_noise_modes, _require_grid_theta
 from .star import StarKernel, _require_theta_match, _require_voros, _star_square_series
 
@@ -433,13 +437,9 @@ def oscillator_ground(
         math.pi * params.m * params.omega
     )
     scale = 1.0 / math.sqrt(norm_sq)
-    raw = sample_field(
-        lambda t, x: scale
-        * np.exp(-((x - center) ** 2) / (2.0 * s_sq))
-        * np.exp(-1j * energy * t),
-        spec,
-    )
-    symbol = Field2D(spec, raw.values, {"energy": energy})
+    # x-Gaussian times one t-mode: the outer product of one column and one row.
+    profile = scale * np.exp(-((spec.x - center) ** 2) / (2.0 * s_sq))
+    symbol = Field2D(spec, np.exp(-1j * energy * spec.t)[:, None] * profile, {"energy": energy})
     # The periodic t-box makes the symbol a single t-mode, so the energy-tagged
     # slice series (d_t -> -i E0) gives the full density's row exactly.
     first = Field1D(spec, spec.t[0], symbol.values[0], {"energy": energy})
@@ -497,19 +497,25 @@ def stationary_solve(
     e_window: tuple[float, float],
     spec: GridSpec,
 ) -> list[tuple[float, Field1D]]:
-    """Eigenpairs of E psi = -(1/2m) psi'' + V psi inside an energy window.
+    """Eigenpairs of E psi = -(1/2m) psi'' + V psi inside the closed window [lo, hi].
 
     The stationary reduction d_t -> -iE makes the potential E-dependent; in
     the conjugated frame the dependence is a pure translation of its
-    argument.  The window is scanned once for eigenvalues, then each level is
-    re-solved in the frame at its latest energy until it moves by at most
-    1e-10 (1 + |E|).  A level clear of the box edge is settled by its first
-    re-solve, since translation leaves its energy alone; one that feels the
-    edge (a linear tilt, say) needs a few, and a level still moving after
-    _MAX_RESOLVES re-solves raises.  metadata['iterations'] counts the solves
-    that fixed the level, the scan included.  Each returned slice is
-    normalized to unit induced norm, tagged with metadata['energy'], and
-    carries a frame residual plus an independent star-product cross residual.
+    argument by theta E/2.  One windowed eigendecomposition, in the frame at
+    the window's midpoint E_s, finds every level and its vector.  Each vector
+    is then translated spectrally by theta (E - E_s)/2 into the frame at its
+    own scan energy E, and the Rayleigh quotient of that frame is taken: a
+    level clear of the box edge is accepted when the quotient moves E by at
+    most 1e-10 (1 + |E|), since translation leaves its energy alone.  A level
+    that feels the edge (a linear tilt, say) fails that check and is re-solved
+    in the frame at its latest energy until it settles, and one still moving
+    after _MAX_RESOLVES re-solves raises.  metadata['iterations'] counts the
+    eigensolves that fixed the level, the shared scan included, so an
+    accepted level reads 1; metadata['level'] is the level's index in the
+    full spectrum.  Each returned slice is normalized to unit induced norm,
+    tagged with metadata['energy'], and carries a frame residual (at most
+    1e-6, or the solver raises) plus an independent star-product cross
+    residual.
     """
     _require_voros(kernel, "the stationary solver")
     _require_theta_match(kernel, spec)
@@ -528,37 +534,56 @@ def stationary_solve(
     K = _kinetic_matrix(spec, m)
     damp = np.exp(-theta * spec.k_x**2 / 4.0)
 
-    def frame_matrix(energy: float) -> np.ndarray:
-        v = potential.sample_space(spec.x - theta * energy / 2.0, 0.0)
-        return K + np.diag(v)
+    def frame_potential(energy: float) -> np.ndarray:
+        return potential.sample_space(spec.x - theta * energy / 2.0, 0.0)
 
-    w = scipy.linalg.eigvalsh(frame_matrix(0.5 * (e_lo + e_hi)))
-    level_ids = [i for i, val in enumerate(w) if e_lo <= val <= e_hi]
+    def frame_matrix(energy: float) -> np.ndarray:
+        # Fortran order (the same matrix, as it is symmetric) lets LAPACK
+        # overwrite it instead of taking a copy.
+        A = np.array(K, order="F")
+        A.flat[:: spec.n_x + 1] += frame_potential(energy)
+        return A
+
+    def settled(old: float, new: float) -> bool:
+        return abs(new - old) <= 1e-10 * (1.0 + abs(new))
+
+    e_scan = 0.5 * (e_lo + e_hi)
+    # subset_by_value is half-open, (lo, hi]; taking every level up to e_hi keeps
+    # a level's column its index in the full spectrum, and e_lo is applied below.
+    w, scan_vecs = scipy.linalg.eigh(
+        frame_matrix(e_scan), overwrite_a=True, subset_by_value=(-np.inf, e_hi)
+    )
     v_profile = _operator_potential_profile(potential, spec, m)
     results: list[tuple[float, Field1D]] = []
-    for lvl in level_ids:
+    for lvl in np.flatnonzero(w >= e_lo):
         trace = [float(w[lvl])]
-        for _ in range(_MAX_RESOLVES):
-            A = frame_matrix(trace[-1])
-            e_new, vecs = scipy.linalg.eigh(A, subset_by_index=[lvl, lvl])
-            trace.append(float(e_new[0]))
-            if abs(trace[-1] - trace[-2]) <= 1e-10 * (1.0 + abs(trace[-1])):
-                break
-        else:
-            raise RuntimeError(
-                f"energy fixed point for level {lvl} did not settle within "
-                f"{_MAX_RESOLVES} re-solves; trace {trace}"
-            )
-        energy = trace[-1]
-        vec = vecs[:, 0]
-        vec = vec * np.sign(vec[int(np.argmax(np.abs(vec)))])
-        residual = float(
-            np.linalg.norm(A @ vec - energy * vec) / np.linalg.norm(vec)
-        )
+        frame_e = trace[0]
+        shift = np.exp(-0.5j * theta * (frame_e - e_scan) * spec.k_x)
+        vec = np.fft.ifft(np.fft.fft(scan_vecs[:, lvl]) * shift).real
+        h_vec = K @ vec + frame_potential(frame_e) * vec
+        energy = float(vec @ h_vec) / float(vec @ vec)
+        if not settled(frame_e, energy):
+            for _ in range(_MAX_RESOLVES):
+                frame_e = trace[-1]
+                e_new, vecs = scipy.linalg.eigh(
+                    frame_matrix(frame_e), subset_by_index=[lvl, lvl]
+                )
+                trace.append(float(e_new[0]))
+                if settled(trace[-2], trace[-1]):
+                    break
+            else:
+                raise RuntimeError(
+                    f"energy fixed point for level {lvl} did not settle within "
+                    f"{_MAX_RESOLVES} re-solves; trace {trace}"
+                )
+            energy, vec = trace[-1], vecs[:, 0]
+            h_vec = K @ vec + frame_potential(frame_e) * vec
+        residual = float(np.linalg.norm(h_vec - energy * vec) / np.linalg.norm(vec))
         if residual > 1e-6:
             raise RuntimeError(
                 f"eigenpair residual {residual:.3e} exceeds 1e-6 for level {lvl}"
             )
+        vec = vec * np.sign(vec[int(np.argmax(np.abs(vec)))])
         vals = np.fft.ifft(np.fft.fft(vec) * damp) * np.exp(-1j * energy * spec.t[0])
         fld = Field1D(spec, spec.t[0], vals, {"energy": energy})
         # Independent check through the resummed star engine: the potential

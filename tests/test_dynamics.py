@@ -10,7 +10,7 @@ import scipy.special
 from starqm import dynamics as dyn
 from starqm import symbols
 from starqm.dynamics import OscillatorParams, PacketParams, Potential
-from starqm.fieldgrid import Field1D, Field2D, GridSpec, spectral_derivative
+from starqm.fieldgrid import Field1D, Field2D, GridSpec, sample_field, spectral_derivative
 from starqm.star import StarKernel
 
 
@@ -349,6 +349,22 @@ class TestOscillatorGround:
         total = float(np.sum(den.values.real) * spec.dx)
         assert total == pytest.approx(1.0, rel=1e-9)
 
+    def test_symbol_matches_the_sampled_closed_form(self):
+        theta = 0.1
+        spec = GridSpec(256, 256, 0.0, 4.0 * math.pi, -8.0, 8.0, theta)
+        osc = OscillatorParams(m=1.0, omega=1.0, theta=theta)
+        symbol, _ = dyn.oscillator_ground(osc, spec)
+        energy, s_sq = 0.5, osc.sigma_theta_sq
+        scale = 1.0 / math.sqrt(s_sq * math.exp(theta * energy**2 / 2.0) * math.sqrt(math.pi))
+        want = sample_field(
+            lambda t, x: scale
+            * np.exp(-((x - theta * energy / 2.0) ** 2) / (2.0 * s_sq))
+            * np.exp(-1j * energy * t),
+            spec,
+        )
+        assert np.array_equal(symbol.values, want.values)
+        assert symbol.metadata["energy"] == energy
+
     def test_commutative_reduction(self):
         spec = GridSpec(8, 256, 0.0, 1.0, -8.0, 8.0, 0.0)
         osc = OscillatorParams(m=1.0, omega=1.0, theta=0.0)
@@ -390,6 +406,42 @@ class TestStationarySolve:
             assert st.metadata["residual"] < 1e-10
             assert st.metadata["cross_residual"] < 5e-9
             assert st.metadata["iterations"] <= 4
+
+    @pytest.mark.parametrize("theta", [0.0625, 0.1, 0.2])
+    def test_harmonic_levels_are_accepted_from_the_scan(self, theta):
+        """A level clear of the box edge is the scan vector translated into its
+        own frame: no re-solve, so the scan is its only eigensolve."""
+        spec = eigenstate_grid(theta)
+        pairs = dyn.stationary_solve(
+            Potential.harmonic(1.0, 1.0), StarKernel(theta), 1.0, (0.2, 2.8), spec
+        )
+        assert [st.metadata["level"] for _, st in pairs] == [0, 1, 2]
+        for _, st in pairs:
+            assert st.metadata["iterations"] == 1
+            assert st.metadata["residual"] < 1e-10
+            # The star-product check loses digits to the mode weights as theta
+            # grows (about 1e-4 at theta = 0.2 on this grid, with frame
+            # residuals near 1e-12), so it is bounded only where it is well
+            # conditioned.
+            if theta <= 0.1:
+                assert st.metadata["cross_residual"] < 5e-9
+
+    def test_window_levels_keep_their_global_index(self):
+        spec = eigenstate_grid(0.1)
+        pairs = dyn.stationary_solve(
+            Potential.harmonic(1.0, 1.0), StarKernel(0.1), 1.0, (1.2, 2.8), spec
+        )
+        assert [st.metadata["level"] for _, st in pairs] == [1, 2]
+
+    def test_workload_energies_sit_on_the_ladder(self):
+        """The harmonic ladder at theta = 0.15 within the settle tolerance."""
+        spec = eigenstate_grid(0.15)
+        pairs = dyn.stationary_solve(
+            Potential.harmonic(1.0, 1.0), StarKernel(0.15), 1.0, (0.2, 2.8), spec
+        )
+        assert len(pairs) == 3
+        for n, (energy, _) in enumerate(pairs):
+            assert abs(energy - (n + 0.5)) <= 1e-10 * (1.0 + abs(energy))
 
     @pytest.mark.parametrize("theta, m, omega", [(0.1, 1.0, 1.0), (0.1, 2.0, 0.7), (0.3, 0.5, 3.0)])
     @pytest.mark.parametrize("level", [0, 1, 2])
