@@ -40,8 +40,9 @@ import scipy.linalg
 
 from . import phasecalc, symbols
 from .fieldgrid import Field1D, Field2D, GridSpec, spectral_derivative
-from .fieldgrid import _csv, _drop_noise_modes, _require_grid_theta
-from .star import StarKernel, _require_theta_match, _require_voros, _star_square_series
+from .fieldgrid import _csv, _drop_noise_modes, _require_grid_theta, _require_nonnegative
+from .fieldgrid import _require_positive, _sample
+from .star import StarKernel, _require_voros, _star_square_series
 
 # Quadratures are cut off where the integrand magnitude drops below this.
 _QUAD_FLOOR = 1e-14
@@ -79,15 +80,9 @@ class PacketParams:
     theta: float = 0.0
 
     def __post_init__(self) -> None:
-        for name, val in (("sigma", self.sigma), ("m", self.m), ("theta", self.theta)):
-            if not math.isfinite(val):
-                raise ValueError(f"PacketParams.{name} must be finite, got {val}")
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
-        if self.m <= 0:
-            raise ValueError(f"mass must be > 0, got {self.m}")
-        if self.theta < 0:
-            raise ValueError(f"theta must be >= 0, got {self.theta}")
+        _require_nonnegative(self.sigma, "sigma")
+        _require_positive(self.m, "mass")
+        _require_nonnegative(self.theta, "theta")
         if self.sigma**2 / 2.0 + self.theta / 4.0 <= 0.0:
             raise ValueError("need sigma > 0 or theta > 0 so Re lam stays positive")
 
@@ -105,12 +100,9 @@ class OscillatorParams:
     theta: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.m) and self.m > 0):
-            raise ValueError(f"mass must be finite and > 0, got {self.m}")
-        if not (math.isfinite(self.omega) and self.omega > 0):
-            raise ValueError(f"omega must be finite and > 0, got {self.omega}")
-        if not (math.isfinite(self.theta) and self.theta >= 0):
-            raise ValueError(f"theta must be finite and >= 0, got {self.theta}")
+        _require_positive(self.m, "mass")
+        _require_positive(self.omega, "omega")
+        _require_nonnegative(self.theta, "theta")
 
     @property
     def sigma_theta_sq(self) -> float:
@@ -140,8 +132,10 @@ class Potential:
         if self.kind not in ("none", "harmonic", "time_pulse", "custom"):
             raise ValueError(f"unknown potential kind {self.kind!r}")
         if self.kind == "harmonic":
-            if self.m is None or self.omega is None or self.m <= 0 or self.omega <= 0:
-                raise ValueError("harmonic potential needs m > 0 and omega > 0")
+            if self.m is None or self.omega is None:
+                raise ValueError("harmonic potential needs m and omega")
+            _require_positive(self.m, "mass")
+            _require_positive(self.omega, "omega")
         if self.kind in ("time_pulse", "custom") and not callable(self.fn):
             raise ValueError(f"{self.kind} potential needs a callable sampler")
 
@@ -185,22 +179,14 @@ class Potential:
         if self.kind == "time_pulse":
             val = float(_as_real(np.asarray(self.fn(t)), "time_pulse sample"))
             return np.full_like(x, val)
-        try:
-            raw = np.broadcast_to(np.asarray(self.fn(x, t)), x.shape)
-        except (TypeError, ValueError):
-            raw = np.vectorize(self.fn, otypes=[np.complex128])(x, t)
-        return _as_real(raw, "custom potential sample")
+        return _as_real(_sample(self.fn, x.shape, x, t), "custom potential sample")
 
     def sample_time(self, ts: np.ndarray) -> np.ndarray:
         """Real samples V(t) of a time_pulse on the given times."""
         if self.kind != "time_pulse":
             raise ValueError(f"sample_time needs a time_pulse potential, got {self.kind!r}")
         ts = np.asarray(ts, dtype=float)
-        try:
-            raw = np.broadcast_to(np.asarray(self.fn(ts)), ts.shape)
-        except (TypeError, ValueError):
-            raw = np.vectorize(self.fn, otypes=[np.complex128])(ts)
-        return _as_real(raw, "time_pulse sample")
+        return _as_real(_sample(self.fn, ts.shape, ts), "time_pulse sample")
 
     def is_static(self, x_probe: np.ndarray) -> bool:
         """True when V carries no time dependence (probed for custom kinds)."""
@@ -517,10 +503,8 @@ def stationary_solve(
     1e-6, or the solver raises) plus an independent star-product cross
     residual.
     """
-    _require_voros(kernel, "the stationary solver")
-    _require_theta_match(kernel, spec)
-    if m <= 0:
-        raise ValueError(f"mass must be > 0, got {m}")
+    _require_voros(kernel, spec, "the stationary solver")
+    _require_positive(m, "mass")
     if potential.kind not in ("harmonic", "custom"):
         raise ValueError(
             f"the stationary solver needs an x-dependent potential, got {potential.kind!r}"
@@ -649,10 +633,8 @@ def evolve(
     """
     spec = psi0.spec
     theta = spec.theta
-    _require_voros(kernel, "evolve")
-    _require_theta_match(kernel, spec)
-    if m <= 0:
-        raise ValueError(f"mass must be > 0, got {m}")
+    _require_voros(kernel, spec, "evolve")
+    _require_positive(m, "mass")
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and > 0, got {dt}")
     if steps < 1 or int(steps) != steps:
@@ -756,8 +738,7 @@ def slice_density(kernel: StarKernel, fld: Field1D, m: float | None = None) -> F
     stationary reduction, or a mass m supplies the free on-shell one
     (E = k^2/2m mode by mode).
     """
-    _require_voros(kernel, "the slice density")
-    _require_theta_match(kernel, fld.spec)
+    _require_voros(kernel, fld.spec, "the slice density")
     spec = fld.spec
     if kernel.theta == 0.0:
         return Field1D(spec, fld.t_slice, np.abs(fld.values) ** 2, {"series_terms": 1})
@@ -766,8 +747,7 @@ def slice_density(kernel: StarKernel, fld: Field1D, m: float | None = None) -> F
     if energy is not None:
         mult = -1j * float(energy) - k
     elif m is not None:
-        if m <= 0:
-            raise ValueError(f"mass must be > 0, got {m}")
+        _require_positive(m, "mass")
         mult = -1j * k**2 / (2.0 * m) - k
     else:
         raise ValueError(
@@ -815,12 +795,11 @@ def transition_amplitude(
         shape = Potential.time_pulse(pulse).sample_time
     else:
         raise TypeError(f"pulse must be a Potential or callable, got {type(pulse).__name__}")
-    _require_voros(kernel, "the transition amplitude")
+    _require_voros(kernel, i_state.spec, "the transition amplitude")
     if theta != kernel.theta:
         raise ValueError(f"theta {theta} does not match kernel theta {kernel.theta}")
     if i_state.spec != f_state.spec:
         raise ValueError("initial and final states must share a GridSpec")
-    _require_theta_match(kernel, i_state.spec)
     if not (math.isfinite(T) and T > 0):
         raise ValueError(f"pulse duration must be finite and > 0, got {T}")
     energies = []

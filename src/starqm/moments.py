@@ -33,7 +33,8 @@ import numpy as np
 
 from . import phasecalc, symbols
 from .dynamics import Potential
-from .fieldgrid import Field1D, Field2D, GridSpec, _csv, _drop_noise_modes
+from .fieldgrid import _PAIRING_MODE_CUTOFF, Field1D, Field2D, GridSpec, _csv, _drop_noise_modes
+from .fieldgrid import _require_grid_theta, _require_nonnegative, _require_positive
 from .operators import (
     CANONICAL_ORDERING,
     SymbolOperator,
@@ -46,8 +47,8 @@ from .operators import (
     t_theta_l,
     x_theta_l,
 )
-from .star import StarKernel, _require_theta_match, _require_voros
-from .symbols import _PAIRING_MODE_CUTOFF, CoherentPoint, _pairing_kernel, coherent_symbol
+from .star import StarKernel, _require_voros
+from .symbols import CoherentPoint, coherent_symbol
 
 _IMAG_TOL = 1e-8
 _NORM_TOL = 1e-6
@@ -97,8 +98,7 @@ class _PhaseSpaceMatrix:
         ordering = tuple(self.ordering)
         ordering_permutation(ordering)
         object.__setattr__(self, "ordering", ordering)
-        if self.theta < 0:
-            raise ValueError(f"theta must be >= 0, got {self.theta}")
+        _require_nonnegative(self.theta, "theta")
 
     def to_json(self) -> str:
         return json.dumps(
@@ -153,8 +153,7 @@ def symplectic_form(theta: float = 0.0, ordering=CANONICAL_ORDERING) -> Symplect
     [X, P_x] = i and [T, P_t] = i give the two 1/2 entries; [X, T] = -i theta
     adds the deformation corner.  theta = 0 is the standard block form.
     """
-    if theta < 0:
-        raise ValueError(f"theta must be >= 0, got {theta}")
+    _require_nonnegative(theta, "theta")
     base = np.zeros((4, 4))
     base[0, 2] = 0.5
     base[1, 3] = 0.5
@@ -192,17 +191,18 @@ def _plane_pairing(kernel: StarKernel, bra: Field2D, ket: Field2D) -> complex:
     in the zero mode, so with F = conj(bra), G = ket the pairing is
     (dt dx / N_t N_x) sum_k F^(k) G^(k') exp[-(theta/2) conj(w_k) w_k'] with
     the partner index k' = -k mod N on each axis (a Nyquist mode is its own
-    partner).  This is the discrete sum the star engine's product would give
-    after the same input mode cutoff, evaluated only on pairs where both
-    modes survive.
+    partner).  This is the discrete sum the star engine's product gives after
+    dropping input modes below the pairing cutoff
+    fieldgrid._PAIRING_MODE_CUTOFF, evaluated only on pairs where both modes
+    survive.
     """
     spec = bra.spec
     fh = np.fft.fft2(np.conj(bra.values))
     gh = np.fft.fft2(ket.values)
     # At theta = 0 the engine multiplies pointwise and drops no modes.
-    if kernel.theta > 0.0 and kernel.mode_cutoff is not None:
-        fh, _ = _drop_noise_modes(fh, kernel.mode_cutoff)
-        gh, _ = _drop_noise_modes(gh, kernel.mode_cutoff)
+    if kernel.theta > 0.0:
+        fh, _ = _drop_noise_modes(fh, _PAIRING_MODE_CUTOFF)
+        gh, _ = _drop_noise_modes(gh, _PAIRING_MODE_CUTOFF)
     w = spec.k_t[:, None] + 1j * spec.k_x[None, :]
     partner = np.ix_(-np.arange(spec.n_t) % spec.n_t, -np.arange(spec.n_x) % spec.n_x)
     gh_p, w_p = gh[partner], w[partner]
@@ -237,9 +237,8 @@ def expectation(
     star engine; with t=None it pairs over the whole plane, integral
     dt dx psi* (star) O psi, evaluated as the closed-form trace sum over
     partner modes (see _plane_pairing).  That sum is the exact mode-pair
-    multiplier; only kernel.theta and kernel.mode_cutoff enter it.  Plane
-    and fixed-line pairings coarsen a finer-than-1e-10 kernel mode cutoff
-    (see _PAIRING_MODE_CUTOFF).
+    multiplier; only kernel.theta enters it.  Plane and fixed-line pairings
+    drop input modes at the pairing cutoff fieldgrid._PAIRING_MODE_CUTOFF.
 
     The state must arrive normalized: a pairing norm off unity beyond 1e-6
     is rejected; the residual deviation below that is divided out.
@@ -257,11 +256,12 @@ def _expectations(
     for op in ops:
         if not isinstance(op, SymbolOperator):
             raise TypeError(f"expected a SymbolOperator, got {type(op).__name__}")
-    _require_voros(kernel, "the expectation value")
+    if not isinstance(psi, (Field1D, Field2D)):
+        raise TypeError(f"expected a Field1D or Field2D state, got {type(psi).__name__}")
+    _require_voros(kernel, psi.spec, "the expectation value")
 
     if isinstance(psi, Field1D):
         spec = psi.spec
-        _require_theta_match(kernel, spec)
         t_eval = _slice_time(psi) if t is None else float(t)
         if (
             psi.metadata.get("energy") is None
@@ -272,15 +272,12 @@ def _expectations(
         else:
             state = phasecalc._slice_part(psi, t_eval)
         pair = partial(phasecalc.induced_product, state, t=t_eval)
-    elif isinstance(psi, Field2D):
-        _require_theta_match(kernel, psi.spec)
+    else:
         state = psi
         if t is not None:
             pair = partial(symbols.induced_inner_product, kernel, psi, t=float(t))
         else:
-            pair = partial(_plane_pairing, _pairing_kernel(kernel), psi)
-    else:
-        raise TypeError(f"expected a Field1D or Field2D state, got {type(psi).__name__}")
+            pair = partial(_plane_pairing, kernel, psi)
     norm = _checked_norm(complex(pair(state)))
     return [complex(pair(apply(op, state))) / norm for op in ops]
 
@@ -297,7 +294,7 @@ def _mean_variance(mean: complex, second: complex, label: str) -> tuple[float, f
     if var < _VAR_FLOOR:
         raise ValueError(
             f"variance of {label} came out {var:.3e} < {_VAR_FLOOR}: the pairing "
-            f"lost positivity (refine the grid or coarsen the mode cutoff)"
+            "lost positivity (refine the grid)"
         )
     return mean.real, max(var, 0.0)
 
@@ -343,7 +340,7 @@ def coherent_variance_matrix(
     `expectation` over the whole plane, and the two must agree entrywise
     within 1e-6; the achieved deviation lands in
     metadata['cross_check_max_abs'].  Omitting kernel/spec uses a
-    box of reach 8 sqrt(theta) at 128x128 with the pairing mode cutoff.
+    box of reach 8 sqrt(theta) at 128x128.
     """
     if not theta > 0:
         raise ValueError(f"the coherent element needs theta > 0, got {theta}")
@@ -351,10 +348,10 @@ def coherent_variance_matrix(
         reach = 8.0 * math.sqrt(theta)
         spec = GridSpec(128, 128, -reach, reach, -reach, reach, theta)
     if kernel is None:
-        kernel = StarKernel(theta, mode_cutoff=_PAIRING_MODE_CUTOFF)
+        kernel = StarKernel(theta)
     if spec.theta != theta:
         raise ValueError(f"grid theta {spec.theta} does not match theta {theta}")
-    _require_theta_match(kernel, spec)
+    _require_grid_theta(kernel.theta, spec, "kernel theta")
 
     psi = coherent_symbol(CoherentPoint(0.0, 0.0, theta), spec)
     ops = [x_theta_l(theta), t_theta_l(theta), p_x(), p_t()]
@@ -518,9 +515,8 @@ def ehrenfest_residual(
     for fld in trajectory[1:]:
         if fld.spec != spec:
             raise ValueError("trajectory slices must share one GridSpec")
-    _require_theta_match(kernel, spec)
-    if m <= 0:
-        raise ValueError(f"mass must be > 0, got {m}")
+    _require_grid_theta(kernel.theta, spec, "kernel theta")
+    _require_positive(m, "mass")
     theta = spec.theta
 
     ts = np.array([_slice_time(fld) for fld in trajectory])

@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from starqm.fieldgrid import Field1D, Field2D, spectral_derivative
+from starqm.fieldgrid import Field1D, Field2D, _require_nonnegative, _require_positive
+from starqm.fieldgrid import spectral_derivative
 from starqm.phasecalc import PhasePoly, PhaseState, _dt_poly, _slice_part, as_state
 
 Monomial = tuple[int, int, int, int]  # exponents of t, x, d_t, d_x
@@ -73,8 +74,7 @@ class SymbolOperator:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.theta < 0:
-            raise ValueError(f"theta must be >= 0, got {self.theta}")
+        _require_nonnegative(self.theta, "theta")
         cleaned = {k: complex(v) for k, v in self.terms.items() if v != 0.0}
         object.__setattr__(self, "terms", cleaned)
 
@@ -196,8 +196,7 @@ def galilean_boost(m: float, theta: float, form: str = "reduced") -> SymbolOpera
     The two are identical as operators; keeping both makes that an assertable
     regression rather than an assumption.
     """
-    if m <= 0:
-        raise ValueError(f"mass must be positive, got {m}")
+    _require_positive(m, "mass")
     if form == "reduced":
         g = x_theta_l(theta) * m - p_x().compose(t_c(theta))
     elif form == "full":
@@ -214,8 +213,7 @@ def galilean_boost(m: float, theta: float, form: str = "reduced") -> SymbolOpera
 @_register("Hamiltonian")
 def hamiltonian(m: float, potential=None, theta: float = 0.0) -> SymbolOperator:
     """P_x^2 / 2m plus an optional polynomial potential sum_j c_j x^j."""
-    if m <= 0:
-        raise ValueError(f"mass must be positive, got {m}")
+    _require_positive(m, "mass")
     terms: dict[Monomial, complex] = {(0, 0, 0, 2): -1.0 / (2 * m)}
     coeffs = [] if potential is None else list(potential)
     for j, cj in enumerate(coeffs):
@@ -382,8 +380,7 @@ def boost_transform(psi: Field2D, v: float, m: float, theta: float) -> Field2D:
     the first-order expansion 1 - ivG with its truncation size recorded in
     the output metadata.
     """
-    if m <= 0:
-        raise ValueError(f"mass must be positive, got {m}")
+    _require_positive(m, "mass")
     spec = psi.spec
     if v == 0.0:
         return Field2D(spec, psi.values, metadata=dict(psi.metadata))

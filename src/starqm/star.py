@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from starqm.fieldgrid import DEFAULT_MODE_CUTOFF, Field2D, GridSpec, _drop_noise_modes
-from starqm.fieldgrid import _require_grid_theta
+from starqm.fieldgrid import _require_grid_theta, _require_nonnegative
 
 # The star-square series stops at the first term below this fraction of the
 # running sum.
@@ -59,19 +59,13 @@ _SQUARE_MAX_TERMS = 512
 
 @dataclass(frozen=True)
 class StarKernel:
-    """Configuration of a star product: deformation scale and flavor.
-
-    mode_cutoff drops input Fourier modes below that fraction of each field's
-    peak, so rounding-level modes take no part in the Voros growth.
-    """
+    """Configuration of a star product: deformation scale and flavor."""
 
     theta: float
     flavor: str = "voros"
-    mode_cutoff: float | None = DEFAULT_MODE_CUTOFF
 
     def __post_init__(self) -> None:
-        if self.theta < 0:
-            raise ValueError(f"theta must be >= 0, got {self.theta}")
+        _require_nonnegative(self.theta, "theta")
         if self.flavor not in ("voros", "moyal"):
             raise ValueError(f"flavor must be 'voros' or 'moyal', got {self.flavor!r}")
 
@@ -85,15 +79,13 @@ def plane_wave_star_factor(E: float, p: float, E2: float, p2: float, theta: floa
     return complex(np.exp(-(theta / 2.0) * (E + 1j * p) * (E2 - 1j * p2)))
 
 
-def _require_voros(kernel: StarKernel, what: str) -> None:
+def _require_voros(kernel: StarKernel, spec: GridSpec, what: str) -> None:
+    """Reject a kernel of another flavor, then one whose theta is not the grid's."""
     if kernel.flavor != "voros":
         raise ValueError(
             f"{what} is defined through the Voros pairing and needs flavor 'voros'; "
             f"got flavor {kernel.flavor!r}"
         )
-
-
-def _require_theta_match(kernel: StarKernel, spec: GridSpec) -> None:
     _require_grid_theta(kernel.theta, spec, "kernel theta")
 
 
@@ -233,36 +225,36 @@ def _star_compact(fh: np.ndarray, gh: np.ndarray, spec: GridSpec, theta: float,
     return np.fft.ifft2(out), [m_t, m_x]
 
 
-def _cutoff_pair(kernel: StarKernel, fh: np.ndarray, gh: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
-    metadata: dict = {}
-    if kernel.mode_cutoff is not None:
-        fh, dropped_f = _drop_noise_modes(fh, kernel.mode_cutoff)
-        gh, dropped_g = _drop_noise_modes(gh, kernel.mode_cutoff)
-        if dropped_f or dropped_g:
-            metadata["mode_cutoff"] = {
-                "threshold": kernel.mode_cutoff,
-                "dropped_f": dropped_f,
-                "dropped_g": dropped_g,
-            }
-    return fh, gh, metadata
-
-
 def star(kernel: StarKernel, f: Field2D, g: Field2D) -> Field2D:
     """Star product f * g under the given kernel.  Bilinear in (f, g).
 
     Both fields must share one GridSpec whose theta matches the kernel's.
     theta = 0 reduces both flavors to the pointwise product exactly.  Any
     other result records the compact mode grid it ran on as
-    metadata['mode_grid'] = [M_t, M_x].
+    metadata['mode_grid'] = [M_t, M_x], and the input modes it dropped below
+    DEFAULT_MODE_CUTOFF as metadata['mode_cutoff'].
     """
     if not isinstance(f, Field2D) or not isinstance(g, Field2D):
         raise TypeError("star operates on Field2D inputs")
     if f.spec != g.spec:
         raise ValueError("star requires both fields on the same GridSpec")
-    _require_theta_match(kernel, f.spec)
+    _require_grid_theta(kernel.theta, f.spec, "kernel theta")
+    return _star(kernel, f, g, DEFAULT_MODE_CUTOFF)
+
+
+def _star(kernel: StarKernel, f: Field2D, g: Field2D, cutoff: float) -> Field2D:
+    """`star` on checked inputs, dropping input modes below `cutoff` of each peak."""
     if kernel.theta == 0.0:
         return Field2D(f.spec, f.values * g.values)
-    fh, gh, metadata = _cutoff_pair(kernel, np.fft.fft2(f.values), np.fft.fft2(g.values))
+    fh, dropped_f = _drop_noise_modes(np.fft.fft2(f.values), cutoff)
+    gh, dropped_g = _drop_noise_modes(np.fft.fft2(g.values), cutoff)
+    metadata: dict = {}
+    if dropped_f or dropped_g:
+        metadata["mode_cutoff"] = {
+            "threshold": cutoff,
+            "dropped_f": dropped_f,
+            "dropped_g": dropped_g,
+        }
     voros = kernel.flavor == "voros"
     out, metadata["mode_grid"] = _star_compact(fh, gh, f.spec, kernel.theta, voros)
     return Field2D(f.spec, out, metadata)

@@ -17,35 +17,21 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import phasecalc
 from .fieldgrid import Field1D, Field2D, GridSpec, spectral_derivative
-from .fieldgrid import _csv, _drop_noise_modes, _node_columns, _require_grid_theta
-from .star import StarKernel, _require_theta_match, _require_voros, _star_square_series, star
+from .fieldgrid import _PAIRING_MODE_CUTOFF, _csv, _drop_noise_modes, _node_columns
+from .fieldgrid import _require_grid_theta, _require_nonnegative, _require_positive
+from .star import StarKernel, _require_voros, _star, _star_square_series, star
 
 # Relative floor under which a sampled kernel mode is treated as numerically
 # empty: below it the compensating growth factor would only amplify rounding
 # noise, so those modes are dropped instead of inverted.
 _KERNEL_MODE_FLOOR = 1e-13
-
-# Pairings weight each surviving mode pair by the Voros multiplier, which
-# grows like e^{theta |k||k'|/2} on anti-aligned pairs -- on the partner
-# pairs (k, -k) of a whole-plane trace sum, like e^{theta |k|^2/2}.
-# Derivative factors in a composed operator lift the rounding floor of the
-# input spectrum above the default 1e-14 cutoff, and the growth then
-# amplifies exactly those modes: for a coherent symbol centred at
-# (0.3, -0.5) sqrt(theta) on the 128^2 box of reach 8 sqrt(theta) at
-# theta = 0.1, the plane norm reads 1.1e19 at cutoff 1e-14 (star engine and
-# trace sum alike, both being the same discrete sum) and 1.0 at 1e-12 and
-# 1e-10; its fixed-line norm at t = 0 is off the closed form by a factor
-# 1.9e18 at 1e-14 and by 1.2e-9 at 1e-10.  Plane and fixed-line pairings
-# therefore coarsen any finer cutoff to this value, which still keeps every
-# mode a Gaussian symbol populates above the 1e-10 level.
-_PAIRING_MODE_CUTOFF = 1e-10
 
 # real_field_csv rejects an imaginary part above this fraction of the peak.
 _REAL_CSV_RTOL = 1e-9
@@ -96,8 +82,7 @@ def momentum_symbol(label: MomentumLabel, theta: float) -> Callable[..., np.ndar
         (t, x) -> (1/2pi) e^{-(theta/4)(E^2+p^2)} e^{-i(Et - px)},
     vectorized over array arguments.  Its modulus is coordinate independent.
     """
-    if theta < 0:
-        raise ValueError(f"theta must be >= 0, got {theta}")
+    _require_nonnegative(theta, "theta")
     amp = math.exp(-(theta / 4.0) * (label.E**2 + label.p**2)) / (2.0 * math.pi)
     E, p = label.E, label.p
 
@@ -150,12 +135,6 @@ def coherent_symbol(point: CoherentPoint, spec: GridSpec) -> Field2D:
 # ---------------------------------------------------------------------------
 
 
-def _pairing_kernel(kernel: StarKernel) -> StarKernel:
-    if kernel.mode_cutoff is not None and kernel.mode_cutoff < _PAIRING_MODE_CUTOFF:
-        return replace(kernel, mode_cutoff=_PAIRING_MODE_CUTOFF)
-    return kernel
-
-
 def induced_inner_product(
     kernel: StarKernel,
     psi: Field1D | Field2D,
@@ -168,10 +147,9 @@ def induced_inner_product(
     each must carry metadata['energy'] so the star's t-derivatives are well
     posed on a single slice.  Field2D inputs carry their own temporal
     neighborhoods; pass the slice time t (a grid point) explicitly.  Their
-    product coarsens a finer-than-1e-10 kernel mode cutoff (see
-    _PAIRING_MODE_CUTOFF).
+    star product drops input modes at the pairing cutoff
+    fieldgrid._PAIRING_MODE_CUTOFF.
     """
-    _require_voros(kernel, "the induced product")
     if isinstance(psi, Field1D) and isinstance(phi, Field1D):
         if psi.spec != phi.spec:
             raise ValueError("induced product requires both slices on the same GridSpec")
@@ -179,7 +157,7 @@ def induced_inner_product(
             raise ValueError(
                 f"slices live at different times: {psi.t_slice} vs {phi.t_slice}"
             )
-        _require_theta_match(kernel, psi.spec)
+        _require_voros(kernel, psi.spec, "the induced product")
         if kernel.theta == 0.0:
             return complex(np.sum(np.conj(psi.values) * phi.values) * psi.spec.dx)
         bra = phasecalc._slice_part(psi)
@@ -188,7 +166,7 @@ def induced_inner_product(
     if isinstance(psi, Field2D) and isinstance(phi, Field2D):
         if psi.spec != phi.spec:
             raise ValueError("induced product requires both fields on the same GridSpec")
-        _require_theta_match(kernel, psi.spec)
+        _require_voros(kernel, psi.spec, "the induced product")
         if t is None:
             raise ValueError(
                 "Field2D inputs need an explicit slice time: pass t=<grid point> "
@@ -198,7 +176,7 @@ def induced_inner_product(
         idx = int(np.argmin(np.abs(spec.t - t)))
         if abs(spec.t[idx] - t) > 1e-9 * (1.0 + abs(t)):
             raise ValueError(f"t={t} is not a grid point (nearest is {spec.t[idx]})")
-        prod = star(_pairing_kernel(kernel), Field2D(spec, np.conj(psi.values)), phi)
+        prod = _star(kernel, Field2D(spec, np.conj(psi.values)), phi, _PAIRING_MODE_CUTOFF)
         return complex(np.sum(prod.values[idx, :]) * spec.dx)
     raise TypeError("induced_inner_product takes two Field1D slices or two Field2D fields")
 
@@ -215,10 +193,9 @@ def probability_density(kernel: StarKernel, psi: Field2D) -> Field2D:
     below 1e-12 of the running sum, so the result is nonnegative by
     construction.
     """
-    _require_voros(kernel, "the probability density")
     if not isinstance(psi, Field2D):
         raise TypeError(f"probability_density expects a Field2D, got {type(psi).__name__}")
-    _require_theta_match(kernel, psi.spec)
+    _require_voros(kernel, psi.spec, "the probability density")
     if kernel.theta <= 0.0:
         raise ValueError("the coherent-state density needs theta > 0")
     # d_t + i d_x acts on a mode e^{i(kt t + kx x)} as multiplication by i*kt - kx.
@@ -236,12 +213,10 @@ def probability_current(kernel: StarKernel, psi: Field2D, m: float) -> Field2D:
     it is the textbook current; a plane wave of momentum p carries j = p/m
     times its star-squared modulus.
     """
-    _require_voros(kernel, "the probability current")
     if not isinstance(psi, Field2D):
         raise TypeError(f"probability_current expects a Field2D, got {type(psi).__name__}")
-    _require_theta_match(kernel, psi.spec)
-    if not m > 0:
-        raise ValueError(f"mass must be > 0, got {m}")
+    _require_voros(kernel, psi.spec, "the probability current")
+    _require_positive(m, "mass")
     dpsi = spectral_derivative(psi, "x", periodic=True)
     prod = star(kernel, Field2D(psi.spec, np.conj(psi.values)), dpsi)
     return Field2D(psi.spec, np.imag(prod.values) / m, dict(prod.metadata))
@@ -292,8 +267,7 @@ def onshell_project(
         raise ValueError("p_grid must be uniformly spaced")
     if not np.allclose(p, -p[::-1], rtol=0.0, atol=1e-9 * (1.0 + np.max(np.abs(p)))):
         raise ValueError("p_grid must be symmetric about 0")
-    if not m > 0:
-        raise ValueError(f"mass must be > 0, got {m}")
+    _require_positive(m, "mass")
     _require_grid_theta(theta, spec, "theta")
 
     step = float(dp[0])
@@ -443,10 +417,9 @@ def reproducing_map(kernel: StarKernel, psi: Field2D) -> Field2D:
     resolves.  Kernel modes below the numeric floor are dropped (recorded in
     the metadata) rather than amplified.
     """
-    _require_voros(kernel, "the reproducing map")
     if not isinstance(psi, Field2D):
         raise TypeError(f"reproducing_map expects a Field2D, got {type(psi).__name__}")
-    _require_theta_match(kernel, psi.spec)
+    _require_voros(kernel, psi.spec, "the reproducing map")
     if kernel.theta <= 0.0:
         raise ValueError("the reproducing kernel needs theta > 0")
     spec = psi.spec

@@ -541,6 +541,8 @@ class TestPotential:
             Potential("smooth")
         with pytest.raises(ValueError, match="callable"):
             Potential("custom")
+        with pytest.raises(ValueError, match="mass must be > 0"):
+            Potential.harmonic(math.nan, 1.0)
 
     def test_sample_time_needs_a_pulse(self):
         with pytest.raises(ValueError, match="time_pulse"):
@@ -665,8 +667,9 @@ class TestEvolve:
             dyn.evolve(psi0, Potential.none(), kern, 1.0, 1e-3, 0)
         with pytest.raises(ValueError, match="record_every"):
             dyn.evolve(psi0, Potential.none(), kern, 1.0, 1e-3, 10, record_every=0)
-        with pytest.raises(ValueError, match="mass"):
-            dyn.evolve(psi0, Potential.none(), kern, -1.0, 1e-3, 10)
+        for m in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="mass must be > 0"):
+                dyn.evolve(psi0, Potential.none(), kern, m, 1e-3, 10)
 
 
 class TestSliceDensity:
@@ -745,20 +748,26 @@ class TestSliceDensity:
         assert rho_slice.metadata["series_terms"] == rho_plane.metadata["series_terms"]
 
 
-@pytest.mark.parametrize("entry", ["slice_density", "evolve", "transition_amplitude"])
+@pytest.mark.parametrize(
+    "entry", ["slice_density", "evolve", "stationary_solve", "transition_amplitude"]
+)
 def test_moyal_kernel_rejected(entry):
+    # Each entry point rejects a Moyal kernel, and a Voros kernel at another theta.
     spec = GridSpec(8, 128, 0.0, 0.2, -math.pi, math.pi, 0.05)
-    moyal = StarKernel(0.05, flavor="moyal")
+    harmonic = Potential.harmonic(1.0, 1.0)
     psi = Field1D(spec, 0.0, np.exp(-(spec.x**2)), {"energy": 0.5})
     calls = {
-        "slice_density": lambda: dyn.slice_density(moyal, psi),
-        "evolve": lambda: dyn.evolve(psi, Potential.harmonic(1.0, 1.0), moyal, 1.0, 1e-4, 10),
-        "transition_amplitude": lambda: dyn.transition_amplitude(
-            lambda t: 0.05 + 0.0 * t, psi, psi, 12.0, 0.05, moyal
+        "slice_density": lambda kern: dyn.slice_density(kern, psi),
+        "evolve": lambda kern: dyn.evolve(psi, harmonic, kern, 1.0, 1e-4, 10),
+        "stationary_solve": lambda kern: dyn.stationary_solve(harmonic, kern, 1.0, (0.2, 2.8), spec),
+        "transition_amplitude": lambda kern: dyn.transition_amplitude(
+            lambda t: 0.05 + 0.0 * t, psi, psi, 12.0, kern.theta, kern
         ),
     }
     with pytest.raises(ValueError, match="defined through the Voros pairing.*got flavor 'moyal'"):
-        calls[entry]()
+        calls[entry](StarKernel(0.05, flavor="moyal"))
+    with pytest.raises(ValueError, match="kernel theta 0.1 does not match grid theta 0.05"):
+        calls[entry](StarKernel(0.1))
 
 
 class TestTransitionAmplitude:

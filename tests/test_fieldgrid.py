@@ -31,8 +31,10 @@ class TestGridSpec:
             GridSpec(n_t=4, n_x=16, t_min=0, t_max=1, x_min=0, x_max=1)
 
     def test_rejects_negative_theta(self):
-        with pytest.raises(ValueError, match="theta"):
-            square_box(theta=-0.1)
+        # NaN and inf both pass a bare `theta < 0` test.
+        for theta in (-0.1, np.nan, np.inf):
+            with pytest.raises(ValueError, match="theta must be >= 0"):
+                square_box(theta=theta)
 
     def test_rejects_grid_too_coarse_for_theta(self):
         # dx = 2.0 but sqrt(0.1)/4 ~ 0.079

@@ -74,6 +74,14 @@ class TestSymbolAlgebra:
         with pytest.raises(ValueError, match="form"):
             galilean_boost(1.0, 0.1, form="exact")
 
+    def test_non_finite_scalars_rejected(self):
+        with pytest.raises(ValueError, match="theta must be >= 0"):
+            SymbolOperator("composite", np.nan, {(0, 1, 0, 0): 1.0})
+        with pytest.raises(ValueError, match="mass must be > 0"):
+            hamiltonian(np.nan)
+        with pytest.raises(ValueError, match="mass must be > 0"):
+            galilean_boost(np.nan, 0.1)
+
     def test_theta_mixing_rejected(self):
         with pytest.raises(ValueError, match="theta"):
             x_theta_l(0.1).compose(t_theta_l(0.2))
