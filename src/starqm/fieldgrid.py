@@ -81,6 +81,10 @@ class GridSpec:
         for name, n in (("n_t", self.n_t), ("n_x", self.n_x)):
             if n < 8 or not _is_power_of_two(n):
                 raise ValueError(f"{name} must be a power of two >= 8, got {n}")
+        for name in ("t_min", "t_max", "x_min", "x_max"):
+            edge = getattr(self, name)
+            if not math.isfinite(edge):
+                raise ValueError(f"box edge {name} must be finite, got {edge}")
         if not self.t_max > self.t_min:
             raise ValueError(f"need t_max > t_min, got [{self.t_min}, {self.t_max}]")
         if not self.x_max > self.x_min:

@@ -184,7 +184,7 @@ def _checked_norm(norm: complex) -> float:
     return norm.real
 
 
-def _plane_pairing(kernel: StarKernel, bra: Field2D, ket: Field2D) -> complex:
+def _plane_pairing(theta: float, bra: Field2D, ket: Field2D) -> complex:
     """integral dt dx conj(bra) (star) ket as the closed-form trace sum.
 
     Summing a star product over the grid keeps only the mode pairs that land
@@ -200,14 +200,14 @@ def _plane_pairing(kernel: StarKernel, bra: Field2D, ket: Field2D) -> complex:
     fh = np.fft.fft2(np.conj(bra.values))
     gh = np.fft.fft2(ket.values)
     # At theta = 0 the engine multiplies pointwise and drops no modes.
-    if kernel.theta > 0.0:
+    if theta > 0.0:
         fh, _ = _drop_noise_modes(fh, _PAIRING_MODE_CUTOFF)
         gh, _ = _drop_noise_modes(gh, _PAIRING_MODE_CUTOFF)
     w = spec.k_t[:, None] + 1j * spec.k_x[None, :]
     partner = np.ix_(-np.arange(spec.n_t) % spec.n_t, -np.arange(spec.n_x) % spec.n_x)
     gh_p, w_p = gh[partner], w[partner]
     live = (fh != 0) & (gh_p != 0)
-    weight = np.exp(-(kernel.theta / 2.0) * np.conj(w[live]) * w_p[live])
+    weight = np.exp(-(theta / 2.0) * np.conj(w[live]) * w_p[live])
     total = complex(np.sum(fh[live] * gh_p[live] * weight))
     if not np.isfinite(total):
         raise ValueError(
@@ -277,7 +277,7 @@ def _expectations(
         if t is not None:
             pair = partial(symbols.induced_inner_product, kernel, psi, t=float(t))
         else:
-            pair = partial(_plane_pairing, kernel, psi)
+            pair = partial(_plane_pairing, kernel.theta, psi)
     norm = _checked_norm(complex(pair(state)))
     return [complex(pair(apply(op, state))) / norm for op in ops]
 
@@ -322,7 +322,6 @@ def uncertainty_product(
 
 def coherent_variance_matrix(
     theta: float,
-    kernel: StarKernel | None = None,
     spec: GridSpec | None = None,
 ) -> VarianceMatrix:
     """Covariance of (X, T, P_x, P_t) on a coherent basis element.
@@ -339,25 +338,22 @@ def coherent_variance_matrix(
     The same matrix is recomputed numerically from the sampled symbol via
     `expectation` over the whole plane, and the two must agree entrywise
     within 1e-6; the achieved deviation lands in
-    metadata['cross_check_max_abs'].  Omitting kernel/spec uses a
-    box of reach 8 sqrt(theta) at 128x128.
+    metadata['cross_check_max_abs'].  Omitting spec uses a box of
+    reach 8 sqrt(theta) at 128x128.
     """
     if not theta > 0:
         raise ValueError(f"the coherent element needs theta > 0, got {theta}")
     if spec is None:
         reach = 8.0 * math.sqrt(theta)
         spec = GridSpec(128, 128, -reach, reach, -reach, reach, theta)
-    if kernel is None:
-        kernel = StarKernel(theta)
     if spec.theta != theta:
         raise ValueError(f"grid theta {spec.theta} does not match theta {theta}")
-    _require_grid_theta(kernel.theta, spec, "kernel theta")
 
     psi = coherent_symbol(CoherentPoint(0.0, 0.0, theta), spec)
     ops = [x_theta_l(theta), t_theta_l(theta), p_x(), p_t()]
     upper = [(i, j) for i in range(4) for j in range(i, 4)]
     antis = [ops[i].compose(ops[j]) + ops[j].compose(ops[i]) for i, j in upper]
-    values = [v.real for v in _expectations(ops + antis, psi, kernel)]
+    values = [v.real for v in _expectations(ops + antis, psi, StarKernel(theta))]
     means = values[:4]
     numeric = np.zeros((4, 4))
     for (i, j), anti in zip(upper, values[4:]):

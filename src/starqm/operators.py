@@ -27,7 +27,7 @@ import numpy as np
 
 from starqm.fieldgrid import Field1D, Field2D, _require_nonnegative, _require_positive
 from starqm.fieldgrid import spectral_derivative
-from starqm.phasecalc import PhasePoly, PhaseState, _dt_poly, _slice_part, as_state
+from starqm.phasecalc import PhasePoly, _dt_poly, _slice_part
 
 Monomial = tuple[int, int, int, int]  # exponents of t, x, d_t, d_x
 
@@ -281,8 +281,6 @@ def apply(op: SymbolOperator, psi):
         return Field1D(psi.spec, psi.t_slice, vals, metadata=dict(psi.metadata))
     if isinstance(psi, PhasePoly):
         return _apply_phasepoly(op, psi)
-    if isinstance(psi, PhaseState):
-        return PhaseState(tuple(_apply_phasepoly(op, p) for p in as_state(psi).parts))
     raise TypeError(f"cannot apply an operator to {type(psi).__name__}")
 
 

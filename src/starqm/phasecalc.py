@@ -18,10 +18,6 @@ multiplication by t -- which a periodic grid cannot represent -- is an exact
 degree shift.  A slice pairing integrates over x, so it needs only the partner
 pairs k' = -k.  A weight beyond floating-point range gives a non-finite
 result, which PhasePoly rejects.
-
-States with several phase frequencies (superpositions of energy eigenstates)
-are PhaseState: a sum of PhasePoly components; products distribute over the
-components.
 """
 
 from __future__ import annotations
@@ -32,9 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from starqm.fieldgrid import Field1D, GridSpec, _drop_noise_modes
-
-# Phase frequencies within this tolerance are merged into one component.
-_FREQ_TOL = 1e-12
 
 
 def _dt_poly(coef: np.ndarray) -> np.ndarray:
@@ -82,41 +75,6 @@ class PhasePoly:
         return np.exp(1j * self.a * t) * np.tensordot(powers, self.coef, axes=(0, 0))
 
 
-@dataclass(frozen=True)
-class PhaseState:
-    """A finite sum of PhasePoly components (distinct phase frequencies)."""
-
-    parts: tuple[PhasePoly, ...]
-
-    def __post_init__(self) -> None:
-        if not self.parts:
-            raise ValueError("PhaseState needs at least one component")
-        spec = self.parts[0].spec
-        if any(p.spec != spec for p in self.parts):
-            raise ValueError("all components must share one GridSpec")
-
-    @property
-    def spec(self) -> GridSpec:
-        return self.parts[0].spec
-
-    def values_at(self, t: float) -> np.ndarray:
-        out = np.zeros(self.spec.n_x, dtype=np.complex128)
-        for p in self.parts:
-            out += p.values_at(t)
-        return out
-
-    def slice_at(self, t: float) -> Field1D:
-        return Field1D(self.spec, t, self.values_at(t))
-
-
-def as_state(obj: PhasePoly | PhaseState) -> PhaseState:
-    if isinstance(obj, PhaseState):
-        return obj
-    if isinstance(obj, PhasePoly):
-        return PhaseState((obj,))
-    raise TypeError(f"expected PhasePoly or PhaseState, got {type(obj).__name__}")
-
-
 def stationary_part(spec: GridSpec, energy: float, values: np.ndarray) -> PhasePoly:
     """The slice values of a stationary state psi(x) e^{-iEt}."""
     return PhasePoly(spec, -float(energy), np.atleast_2d(values))
@@ -139,40 +97,9 @@ def _slice_part(fld: Field1D, t: float | None = None) -> PhasePoly:
     return stationary_part(fld.spec, energy, fld.values * np.exp(1j * energy * t))
 
 
-def merge(state: PhaseState) -> PhaseState:
-    """Combine components with equal phase frequency (and pad degrees)."""
-    groups: list[tuple[float, np.ndarray]] = []
-    for p in state.parts:
-        for i, (a, coef) in enumerate(groups):
-            if abs(p.a - a) <= _FREQ_TOL:
-                D = max(coef.shape[0], p.coef.shape[0])
-                new = np.zeros((D, coef.shape[1]), dtype=np.complex128)
-                new[: coef.shape[0]] += coef
-                new[: p.coef.shape[0]] += p.coef
-                groups[i] = (a, new)
-                break
-        else:
-            groups.append((p.a, p.coef.copy()))
-    spec = state.spec
-    return PhaseState(tuple(PhasePoly(spec, a, _trimmed(c)) for a, c in groups))
-
-
-def conjugate(state: PhasePoly | PhaseState) -> PhaseState:
+def conjugate(poly: PhasePoly) -> PhasePoly:
     """Complex conjugate: q e^{iat} -> conj(q) e^{-iat}."""
-    st = as_state(state)
-    return PhaseState(tuple(PhasePoly(p.spec, -p.a, np.conj(p.coef)) for p in st.parts))
-
-
-def scale(state: PhasePoly | PhaseState, c: complex) -> PhaseState:
-    st = as_state(state)
-    return PhaseState(tuple(PhasePoly(p.spec, p.a, c * p.coef) for p in st.parts))
-
-
-def add(*states: PhasePoly | PhaseState) -> PhaseState:
-    parts: list[PhasePoly] = []
-    for s in states:
-        parts.extend(as_state(s).parts)
-    return merge(PhaseState(tuple(parts)))
+    return PhasePoly(poly.spec, -poly.a, np.conj(poly.coef))
 
 
 def _poly_mult(fc: np.ndarray, gc: np.ndarray) -> np.ndarray:
@@ -193,6 +120,8 @@ def _pair_sum(F: PhasePoly, G: PhasePoly, partners: bool) -> PhasePoly:
     the zero x-mode, so the result is exact only for its x-integral.
     """
     spec = F.spec
+    if G.spec != spec:
+        raise ValueError("the slice star requires states on the same GridSpec")
     a, b = F.a, G.a
     if spec.theta == 0.0:
         return PhasePoly(spec, a + b, _trimmed(_poly_mult(F.coef, G.coef)))
@@ -229,25 +158,12 @@ def _pair_sum(F: PhasePoly, G: PhasePoly, partners: bool) -> PhasePoly:
     return PhasePoly(spec, a + b, _trimmed(np.fft.ifft(out, axis=-1) / n))
 
 
-def _star(F: PhasePoly | PhaseState, G: PhasePoly | PhaseState, partners: bool) -> PhaseState:
-    Fs, Gs = as_state(F), as_state(G)
-    if Fs.spec != Gs.spec:
-        raise ValueError("phase_star requires states on the same GridSpec")
-    parts = [_pair_sum(p, q, partners) for p in Fs.parts for q in Gs.parts]
-    return merge(PhaseState(tuple(parts)))
+def phase_star(F: PhasePoly, G: PhasePoly) -> PhasePoly:
+    """Voros star product F * G."""
+    return _pair_sum(F, G, partners=False)
 
 
-def phase_star(F: PhasePoly | PhaseState, G: PhasePoly | PhaseState) -> PhaseState:
-    """Voros star product, distributed over phase components."""
-    return _star(F, G, partners=False)
-
-
-def integrate_x(state: PhasePoly | PhaseState, t: float) -> complex:
-    """integral dx of the state evaluated at time t."""
-    st = as_state(state)
-    return complex(np.sum(st.values_at(t)) * st.spec.dx)
-
-
-def induced_product(bra: PhasePoly | PhaseState, ket: PhasePoly | PhaseState, t: float) -> complex:
+def induced_product(bra: PhasePoly, ket: PhasePoly, t: float) -> complex:
     """(bra, ket)_t = integral dx  bra* * ket  at the slice t (Voros star)."""
-    return integrate_x(_star(conjugate(bra), ket, partners=True), t)
+    pair = _pair_sum(conjugate(bra), ket, partners=True)
+    return complex(np.sum(pair.values_at(t)) * bra.spec.dx)

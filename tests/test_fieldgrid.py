@@ -44,6 +44,13 @@ class TestGridSpec:
     def test_rejects_empty_extent(self):
         with pytest.raises(ValueError, match="t_max"):
             GridSpec(n_t=8, n_x=8, t_min=1.0, t_max=1.0, x_min=0, x_max=1)
+        # An infinite edge passes the ordering check and, at theta = 0, the
+        # spacing limit too: it would give dt or dx = inf.
+        box = dict(t_min=0.0, t_max=1.0, x_min=0.0, x_max=1.0)
+        for name, edge in (("t_min", -np.inf), ("t_max", np.inf),
+                           ("x_min", -np.inf), ("x_max", np.inf)):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                GridSpec(n_t=8, n_x=8, **{**box, name: edge})
 
     def test_axes_exclude_right_endpoint(self):
         spec = square_box(n=16, half=4.0)

@@ -311,7 +311,7 @@ class TestPlanePairing:
             operators.apply(zs[i].compose(zs[j]) + zs[j].compose(zs[i]), psi)
             for i in range(4) for j in range(i, 4)
         ]
-        got = np.array([moments._plane_pairing(kernel, psi, ket) for ket in kets])
+        got = np.array([moments._plane_pairing(theta, psi, ket) for ket in kets])
         want = np.array(
             [np.sum(_star(kernel, bra, ket, _PAIRING_MODE_CUTOFF).values) * spec.dt * spec.dx
              for ket in kets]
@@ -339,7 +339,7 @@ class TestPlanePairing:
             return Field2D(spec, np.fft.ifft2(fh))
 
         f, g = random_field(), random_field()
-        got = moments._plane_pairing(StarKernel(theta), f, g)
+        got = moments._plane_pairing(theta, f, g)
         prod = brute_force_star(np.conj(f.values), g.values, spec.k_t, spec.k_x, theta)
         want = np.sum(prod) * spec.dt * spec.dx
         scale = np.sum(np.abs(prod)) * spec.dt * spec.dx
@@ -353,7 +353,7 @@ class TestPlanePairing:
         rng = np.random.default_rng(3)
         f = Field2D(spec, rng.standard_normal((16, 16)) + 0j)
         with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="overflowed"):
-            moments._plane_pairing(StarKernel(theta), f, f)
+            moments._plane_pairing(theta, f, f)
 
     def test_far_off_centre_state_is_still_rejected(self):
         # centred at (2, -2) sqrt(theta) the pairing norm reads ~7.5e113 with

@@ -1,21 +1,16 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 from oracles import brute_force_phase_star
 
-from starqm.fieldgrid import Field1D, GridSpec
+from starqm.fieldgrid import GridSpec
 from starqm.phasecalc import (
     PhasePoly,
-    PhaseState,
-    add,
-    as_state,
     conjugate,
     induced_product,
-    integrate_x,
-    merge,
     phase_star,
-    scale,
     stationary_part,
 )
 from starqm.star import plane_wave_star_factor
@@ -80,8 +75,9 @@ class TestConstruction:
     def test_mixed_spec_rejected(self):
         a = t_monomial(phase_box(16, 0.1), 0)
         b = t_monomial(phase_box(32, 0.1), 0)
-        with pytest.raises(ValueError, match="GridSpec"):
-            phase_star(a, b)
+        for product in (phase_star, partial(induced_product, t=0.0)):
+            with pytest.raises(ValueError, match="GridSpec"):
+                product(a, b)
 
 
 class TestPlaneWaveMultiplier:
@@ -124,9 +120,9 @@ class TestPolynomialStar:
         k = grid_momentum(spec, 2)
         f = PhasePoly(spec, 0.0, np.sin(k * spec.x))
         t = t_monomial(spec, 1)
-        comm = add(phase_star(t, f), scale(phase_star(f, t), -1.0))
+        comm = phase_star(t, f).values_at(0.9) - phase_star(f, t).values_at(0.9)
         want = 1j * theta * k * np.cos(k * spec.x)
-        assert rel_err(comm.values_at(0.9), want) < 1e-12
+        assert rel_err(comm, want) < 1e-12
 
     def test_degree_zero_times_constant(self):
         spec = phase_box(32, 0.4)
@@ -206,51 +202,17 @@ class TestInducedProduct:
 
 
 class TestStateAlgebra:
-    def test_merge_combines_equal_frequencies(self):
-        spec = phase_box(32, 0.1)
-        f = plane_part(spec, 1.0, grid_momentum(spec, 1))
-        doubled = merge(PhaseState((f, f)))
-        assert len(doubled.parts) == 1
-        assert rel_err(doubled.values_at(0.4), 2 * f.values_at(0.4)) < 1e-15
-
-    def test_add_keeps_distinct_frequencies(self):
-        spec = phase_box(32, 0.1)
-        f = plane_part(spec, 1.0, grid_momentum(spec, 1))
-        g = plane_part(spec, 2.0, grid_momentum(spec, 1))
-        both = add(f, g)
-        assert len(both.parts) == 2
-        want = f.values_at(0.2) + g.values_at(0.2)
-        assert rel_err(both.values_at(0.2), want) < 1e-15
-
     def test_conjugate_is_pointwise(self):
         spec = phase_box(32, 0.1)
         f = plane_part(spec, 1.3, grid_momentum(spec, 2))
         conj_vals = conjugate(f).values_at(0.6)
         assert rel_err(conj_vals, np.conj(f.values_at(0.6))) < 1e-15
 
-    def test_scale(self):
-        spec = phase_box(32, 0.1)
-        f = plane_part(spec, 0.5, 0.0)
-        assert rel_err(scale(f, 2j).values_at(0.1), 2j * f.values_at(0.1)) < 1e-15
-
-    def test_as_state_passthrough(self):
-        spec = phase_box(32, 0.1)
-        f = plane_part(spec, 0.5, 0.0)
-        st = as_state(f)
-        assert as_state(st) is st
-        with pytest.raises(TypeError, match="PhasePoly"):
-            as_state(np.ones(32))
-
-    def test_slice_is_field(self):
-        spec = phase_box(32, 0.1)
-        sl = as_state(plane_part(spec, 1.0, 0.0)).slice_at(0.25)
-        assert isinstance(sl, Field1D)
-        assert sl.t_slice == 0.25
-
     def test_integrate_constant(self):
+        # The slice pairing is the plain sum times dx: (1, 1)_t is the box length.
         spec = phase_box(32, 0.1)
-        total = integrate_x(t_monomial(spec, 0), 0.0)
-        assert total == pytest.approx(spec.x_max - spec.x_min)
+        one = t_monomial(spec, 0)
+        assert induced_product(one, one, 0.0) == pytest.approx(spec.x_max - spec.x_min)
 
 
 def oracle_rows(spec, degree, kind, rng):
