@@ -89,6 +89,12 @@ class GridSpec:
             raise ValueError(f"need t_max > t_min, got [{self.t_min}, {self.t_max}]")
         if not self.x_max > self.x_min:
             raise ValueError(f"need x_max > x_min, got [{self.x_min}, {self.x_max}]")
+        # Finite edges can still span more than the largest double.
+        for axis, lo, hi in (("t", self.t_min, self.t_max), ("x", self.x_min, self.x_max)):
+            if not math.isfinite(hi - lo):
+                raise ValueError(
+                    f"box extent {axis}_max - {axis}_min must be finite, got {hi - lo}"
+                )
         _require_nonnegative(self.theta, "theta")
         if self.theta > 0:
             limit = np.sqrt(self.theta) / 4.0

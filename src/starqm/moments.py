@@ -7,8 +7,11 @@ through the induced product, and a full field with no line selected is
 paired over the whole plane, integral dt dx psi* (star) O psi -- the right
 reading for coherent basis elements, which are not on shell.  The whole-plane
 pairing needs only the integral of the star product, so it is evaluated in
-closed form as a trace sum over partner Fourier modes (k, -k), one FFT per
-field; no star product field is built.
+closed form as a trace sum over partner Fourier modes (k, -k); no star
+product field is built.  A batch of operators on one state transforms the
+bra side once and each ket once, and the kets O psi of a full field are
+built from one derivative cache, so each derivative order of psi is taken
+once per batch.
 
 On top of that sit the uncertainty products, the 4x4 covariance matrix of
 the coherent element together with its commutator (symplectic) form, the
@@ -27,7 +30,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -38,6 +41,7 @@ from .fieldgrid import _require_grid_theta, _require_nonnegative, _require_posit
 from .operators import (
     CANONICAL_ORDERING,
     SymbolOperator,
+    _apply_field2d,
     apply,
     commutator,
     hamiltonian,
@@ -184,8 +188,8 @@ def _checked_norm(norm: complex) -> float:
     return norm.real
 
 
-def _plane_pairing(theta: float, bra: Field2D, ket: Field2D) -> complex:
-    """integral dt dx conj(bra) (star) ket as the closed-form trace sum.
+def _plane_bra(theta: float, bra: Field2D) -> Callable[[Field2D], complex]:
+    """ket -> integral dt dx conj(bra) (star) ket as the closed-form trace sum.
 
     Summing a star product over the grid keeps only the mode pairs that land
     in the zero mode, so with F = conj(bra), G = ket the pairing is
@@ -195,26 +199,46 @@ def _plane_pairing(theta: float, bra: Field2D, ket: Field2D) -> complex:
     dropping input modes below the pairing cutoff
     fieldgrid._PAIRING_MODE_CUTOFF, evaluated only on pairs where both modes
     survive.
+
+    What depends on the bra alone is prepared once: its transform and
+    cutoff, its surviving modes, their partner slots and weight exponents.
+    Each ket then costs one FFT and its own cutoff, and the weight is
+    exponentiated only on the pairs where both modes survive.
     """
     spec = bra.spec
     fh = np.fft.fft2(np.conj(bra.values))
-    gh = np.fft.fft2(ket.values)
     # At theta = 0 the engine multiplies pointwise and drops no modes.
     if theta > 0.0:
         fh, _ = _drop_noise_modes(fh, _PAIRING_MODE_CUTOFF)
-        gh, _ = _drop_noise_modes(gh, _PAIRING_MODE_CUTOFF)
     w = spec.k_t[:, None] + 1j * spec.k_x[None, :]
-    partner = np.ix_(-np.arange(spec.n_t) % spec.n_t, -np.arange(spec.n_x) % spec.n_x)
-    gh_p, w_p = gh[partner], w[partner]
-    live = (fh != 0) & (gh_p != 0)
-    weight = np.exp(-(theta / 2.0) * np.conj(w[live]) * w_p[live])
-    total = complex(np.sum(fh[live] * gh_p[live] * weight))
-    if not np.isfinite(total):
-        raise ValueError(
-            f"plane pairing overflowed ({total}): the Voros weight on the "
-            "surviving mode pairs exceeds floating-point range"
-        )
-    return total * spec.dt * spec.dx / (spec.n_t * spec.n_x)
+    partner_t = -np.arange(spec.n_t) % spec.n_t
+    partner_x = -np.arange(spec.n_x) % spec.n_x
+    kept = fh != 0
+    f = fh[kept]
+    slots = (partner_t[:, None] * spec.n_x + partner_x[None, :])[kept]
+    expo = (-(theta / 2.0) * np.conj(w) * w[np.ix_(partner_t, partner_x)])[kept]
+    dt, dx, size = spec.dt, spec.dx, spec.n_t * spec.n_x
+
+    def pair(ket: Field2D) -> complex:
+        gh = np.fft.fft2(ket.values)
+        if theta > 0.0:
+            gh, _ = _drop_noise_modes(gh, _PAIRING_MODE_CUTOFF)
+        g = gh.ravel()[slots]
+        live = g != 0
+        total = complex(np.sum(f[live] * g[live] * np.exp(expo[live])))
+        if not np.isfinite(total):
+            raise ValueError(
+                f"plane pairing overflowed ({total}): the Voros weight on the "
+                "surviving mode pairs exceeds floating-point range"
+            )
+        return total * dt * dx / size
+
+    return pair
+
+
+def _plane_pairing(theta: float, bra: Field2D, ket: Field2D) -> complex:
+    """One whole-plane pairing integral dt dx conj(bra) (star) ket (see _plane_bra)."""
+    return _plane_bra(theta, bra)(ket)
 
 
 def expectation(
@@ -236,9 +260,13 @@ def expectation(
     A Field2D with explicit t pairs on that fixed-t grid line through the
     star engine; with t=None it pairs over the whole plane, integral
     dt dx psi* (star) O psi, evaluated as the closed-form trace sum over
-    partner modes (see _plane_pairing).  That sum is the exact mode-pair
+    partner modes (see _plane_bra).  That sum is the exact mode-pair
     multiplier; only kernel.theta enters it.  Plane and fixed-line pairings
     drop input modes at the pairing cutoff fieldgrid._PAIRING_MODE_CUTOFF.
+    On a full field, the functions that pair several operators on one state
+    (uncertainty products, covariance, bound checks) build every O psi from
+    one derivative cache of psi, and a whole-plane batch transforms the bra
+    side once.
 
     The state must arrive normalized: a pairing norm off unity beyond 1e-6
     is rejected; the residual deviation below that is divided out.
@@ -272,14 +300,17 @@ def _expectations(
         else:
             state = phasecalc._slice_part(psi, t_eval)
         pair = partial(phasecalc.induced_product, state, t=t_eval)
+        act = partial(apply, psi=state)
     else:
         state = psi
+        # One derivative cache serves every operator of the batch.
+        act = partial(_apply_field2d, fld=psi, derivs={})
         if t is not None:
             pair = partial(symbols.induced_inner_product, kernel, psi, t=float(t))
         else:
-            pair = partial(_plane_pairing, kernel.theta, psi)
+            pair = _plane_bra(kernel.theta, psi)
     norm = _checked_norm(complex(pair(state)))
-    return [complex(pair(apply(op, state))) / norm for op in ops]
+    return [complex(pair(act(op))) / norm for op in ops]
 
 
 def _mean_variance(mean: complex, second: complex, label: str) -> tuple[float, float]:

@@ -230,19 +230,32 @@ def commutator(A: SymbolOperator, B: SymbolOperator) -> SymbolOperator:
 # application to states
 
 
-def _apply_field2d(op: SymbolOperator, fld: Field2D) -> Field2D:
+def _derivative(fld: Field2D, order: tuple[int, int], derivs: dict) -> Field2D:
+    """d_t^c d_x^d fld for order (c, d), memoized in derivs (t first, then x).
+
+    derivs belongs to fld: a caller that applies several operators to one
+    field passes the same dict to each, so every derivative order is taken
+    once.
+    """
+    if order not in derivs:
+        c, d = order
+        if d:
+            g = _derivative(fld, (c, 0), derivs)
+            g = spectral_derivative(g, axis="x", order=d, periodic=True)
+        elif c:
+            g = spectral_derivative(fld, axis="t", order=c, periodic=True)
+        else:
+            g = fld
+        derivs[order] = g
+    return derivs[order]
+
+
+def _apply_field2d(op: SymbolOperator, fld: Field2D, derivs: dict) -> Field2D:
+    """op fld, reading derivatives of fld from (and adding them to) derivs."""
     spec = fld.spec
     out = np.zeros((spec.n_t, spec.n_x), dtype=np.complex128)
-    derivs: dict[tuple[int, int], np.ndarray] = {}
     for (a, b, c, d), coef in op.terms.items():
-        if (c, d) not in derivs:
-            g = fld
-            if c:
-                g = spectral_derivative(g, axis="t", order=c, periodic=True)
-            if d:
-                g = spectral_derivative(g, axis="x", order=d, periodic=True)
-            derivs[(c, d)] = g.values
-        vals = derivs[(c, d)]
+        vals = _derivative(fld, (c, d), derivs).values
         if a:
             vals = vals * spec.t[:, None] ** a
         if b:
@@ -275,7 +288,7 @@ def _apply_phasepoly(op: SymbolOperator, poly: PhasePoly) -> PhasePoly:
 def apply(op: SymbolOperator, psi):
     """Apply a symbol operator to a state; the return type mirrors the input."""
     if isinstance(psi, Field2D):
-        return _apply_field2d(op, psi)
+        return _apply_field2d(op, psi, {})
     if isinstance(psi, Field1D):
         vals = _apply_phasepoly(op, _slice_part(psi)).values_at(psi.t_slice)
         return Field1D(psi.spec, psi.t_slice, vals, metadata=dict(psi.metadata))

@@ -296,14 +296,6 @@ def onshell_project(
 # ---------------------------------------------------------------------------
 
 
-def _absolute_mode_amplitudes(fld: Field2D) -> np.ndarray:
-    """Mode amplitudes A with psi(t,x) = sum A e^{i(kt t + kx x)} in absolute coordinates."""
-    spec = fld.spec
-    amps, _ = _drop_noise_modes(np.fft.fft2(fld.values) / (spec.n_t * spec.n_x))
-    origin = np.exp(-1j * (spec.k_t[:, None] * spec.t_min + spec.k_x[None, :] * spec.x_min))
-    return amps * origin
-
-
 def quasi_projection_apply(theta: float, t0: float, psi: Field2D) -> Field2D:
     """Apply the fixed-time quasi-projector pi_{t0} to a symbol field.
 
@@ -318,6 +310,14 @@ def quasi_projection_apply(theta: float, t0: float, psi: Field2D) -> Field2D:
 
     The growth factor e^{theta E^2/8} is paired with the mode cutoff of the
     amplitude extraction, mirroring the hygiene of the star engine itself.
+
+    The amplitudes come from one FFT, which references phases to the box
+    corner (t_min, x_min).  The energy sum runs only over rows holding a
+    surviving mode, with the t_min phase folded into the per-row factor.
+    The x synthesis is an inverse DFT: on the grid x_j = x_min + j dx,
+    p x_j = p x_min + 2 pi m j / n_x, and the e^{ip x_min} factor cancels
+    the x_min phase of the amplitudes, so the sum over p is
+    n_x * ifft along x.
     """
     if not theta > 0:
         raise ValueError(f"quasi-projection needs theta > 0, got {theta}")
@@ -328,17 +328,17 @@ def quasi_projection_apply(theta: float, t0: float, psi: Field2D) -> Field2D:
     if not (spec.t_min <= t0 <= spec.t_max):
         raise ValueError(f"t0={t0} outside box [{spec.t_min}, {spec.t_max}]")
 
-    amps = _absolute_mode_amplitudes(psi)
-    E = -spec.k_t  # modes e^{i kt t} carry energy E = -kt in e^{-iEt} form
+    amps, _ = _drop_noise_modes(np.fft.fft2(psi.values) / (spec.n_t * spec.n_x))
+    rows = np.flatnonzero(np.any(amps != 0, axis=1))
+    E = -spec.k_t[rows]  # modes e^{i kt t} carry energy E = -kt in e^{-iEt} form
     p = spec.k_x
     tau = spec.t - t0
 
-    mode_weight = (
-        np.exp((theta / 8.0) * (E[:, None] ** 2 - p[None, :] ** 2))
-        * np.exp(0.25j * theta * np.outer(E, p))
-        * np.exp(-1j * E * t0)[:, None]
-    ) / math.sqrt(2.0 * math.pi * theta)
-    weighted = amps * mode_weight
+    # e^{-iE t0} and the t_min origin phase e^{-i kt t_min} = e^{iE t_min}
+    row_weight = np.exp((theta / 8.0) * E**2 - 1j * E * (t0 - spec.t_min))
+    col_weight = np.exp(-(theta / 8.0) * p**2) / math.sqrt(2.0 * math.pi * theta)
+    weighted = amps[rows] * row_weight[:, None] * col_weight
+    weighted *= np.exp(0.25j * theta * np.outer(E, p))
 
     # Collapse the energy axis first (each mode keeps its p), then expand the
     # surviving p-modes back onto the grid with their tau-dependent envelopes.
@@ -346,8 +346,7 @@ def quasi_projection_apply(theta: float, t0: float, psi: Field2D) -> Field2D:
     by_p = weighted.T @ e_phase  # [p, t'']
     envelope = np.exp(-0.5 * np.outer(p, tau))  # e^{-p tau / 2}, bounded by the Gaussian
     gauss = np.exp(-(tau**2) / (2.0 * theta))
-    x_waves = np.exp(1j * np.outer(p, spec.x))  # [p, x'']
-    values = ((by_p * envelope).T * gauss[:, None]) @ x_waves
+    values = spec.n_x * np.fft.ifft((by_p * envelope).T * gauss[:, None], axis=1)
     return Field2D(spec, values, {"t0": t0})
 
 

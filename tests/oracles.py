@@ -76,3 +76,30 @@ def brute_force_phase_star(coef_f, a, coef_g, b, k_x, theta, cutoff=1e-14):
             for u in range(df):
                 out[u : u + dg, (i + j) % n] += pair[u]
     return np.fft.ifft(out, axis=-1) / n
+
+
+def dense_quasi_projection(values, t, x, k_t, k_x, theta, t0, cutoff=1e-14):
+    """Fixed-time quasi-projection pi_{t0} by dense mode sums on every axis.
+
+    Each grid mode is referenced to absolute coordinates with a 2-D origin
+    phase and weighted per (E, p) = (-k_t, k_x) by the projector's mode
+    weight (see symbols.quasi_projection_apply); the energy sum and the x
+    synthesis are both dense products with explicit plane waves.  Modes
+    below `cutoff` relative magnitude are dropped as in the library.
+    """
+    n_t, n_x = values.shape
+    amps = np.fft.fft2(values) / (n_t * n_x)
+    peak = np.max(np.abs(amps))
+    if peak > 0:
+        amps[np.abs(amps) < cutoff * peak] = 0.0
+    amps = amps * np.exp(-1j * (k_t[:, None] * t[0] + k_x[None, :] * x[0]))
+    E, p, tau = -k_t, k_x, t - t0
+    mode_weight = (
+        np.exp((theta / 8.0) * (E[:, None] ** 2 - p[None, :] ** 2))
+        * np.exp(0.25j * theta * np.outer(E, p))
+        * np.exp(-1j * E * t0)[:, None]
+    ) / np.sqrt(2.0 * np.pi * theta)
+    by_p = (amps * mode_weight).T @ np.exp(-0.5j * np.outer(E, tau))  # [p, t'']
+    envelope = np.exp(-0.5 * np.outer(p, tau))
+    gauss = np.exp(-(tau**2) / (2.0 * theta))
+    return ((by_p * envelope).T * gauss[:, None]) @ np.exp(1j * np.outer(p, x))

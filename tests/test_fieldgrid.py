@@ -51,6 +51,11 @@ class TestGridSpec:
                            ("x_min", -np.inf), ("x_max", np.inf)):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 GridSpec(n_t=8, n_x=8, **{**box, name: edge})
+        # Finite edges whose difference overflows would give dt or dx = inf too.
+        for axis in ("t", "x"):
+            huge = {**box, f"{axis}_min": -1e308, f"{axis}_max": 1e308}
+            with pytest.raises(ValueError, match=f"{axis}_max - {axis}_min must be finite"):
+                GridSpec(n_t=8, n_x=8, **huge)
 
     def test_axes_exclude_right_endpoint(self):
         spec = square_box(n=16, half=4.0)

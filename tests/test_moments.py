@@ -288,6 +288,12 @@ def coherent_box(theta: float) -> GridSpec:
     return GridSpec(128, 128, -8 * s, 8 * s, -8 * s, 8 * s, theta)
 
 
+def covariance_ops(theta: float) -> list[SymbolOperator]:
+    """(X, T, P_x, P_t) and their ten anticommutators, as coherent_variance_matrix pairs them."""
+    zs = [operators.x_theta_l(theta), operators.t_theta_l(theta), operators.p_x(), operators.p_t()]
+    return zs + [zs[i].compose(zs[j]) + zs[j].compose(zs[i]) for i in range(4) for j in range(i, 4)]
+
+
 @pytest.mark.filterwarnings("error")
 class TestPlanePairing:
     """The whole-plane trace sum against the integral of an explicit star product.
@@ -354,6 +360,9 @@ class TestPlanePairing:
         f = Field2D(spec, rng.standard_normal((16, 16)) + 0j)
         with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="overflowed"):
             moments._plane_pairing(theta, f, f)
+        # and through a batch, whose norm pairing overflows first
+        with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="overflowed"):
+            moments.expectation(operators.p_x(), f, StarKernel(theta))
 
     def test_far_off_centre_state_is_still_rejected(self):
         # centred at (2, -2) sqrt(theta) the pairing norm reads ~7.5e113 with
@@ -364,6 +373,31 @@ class TestPlanePairing:
         )
         with pytest.raises(ValueError, match="imaginary residue"):
             moments.expectation(operators.p_x(), psi, StarKernel(THETA))
+
+    @pytest.mark.parametrize("theta", [0.0625, 0.1, 0.2])
+    @pytest.mark.parametrize("centre", [(0.0, 0.0), (0.3, -0.5)])
+    def test_batch_is_the_unbatched_sum(self, theta, centre):
+        # The batch prepares the bra once and shares derivatives between
+        # operators; each entry must still be its own one-shot pairing.
+        s = math.sqrt(theta)
+        psi = symbols.coherent_symbol(
+            CoherentPoint(centre[0] * s, centre[1] * s, theta), coherent_box(theta)
+        )
+        ops = covariance_ops(theta)
+        got = np.array(moments._expectations(ops, psi, StarKernel(theta)))
+        norm = moments._plane_pairing(theta, psi, psi).real
+        want = np.array(
+            [moments._plane_pairing(theta, psi, operators.apply(op, psi)) / norm for op in ops]
+        )
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    def test_off_centre_batch_is_quiet(self):
+        # Centred at (1, 0) sqrt(theta) the quasi-projection reads garbage
+        # (ROADMAP item 7); the plane pairings must neither warn nor drift.
+        s = math.sqrt(THETA)
+        psi = symbols.coherent_symbol(CoherentPoint(s, 0.0, THETA), coherent_box(THETA))
+        means = moments._expectations(covariance_ops(THETA)[:4], psi, StarKernel(THETA))
+        assert np.allclose(means, [0.0, s, 0.0, 0.0], rtol=0.0, atol=1e-12)
 
 
 class TestSymplecticEigenvalues:

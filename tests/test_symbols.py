@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import dense_quasi_projection
 from starqm import symbols
 from starqm.fieldgrid import Field1D, Field2D, GridSpec, sample_field, spectral_derivative
 from starqm.star import StarKernel, star
@@ -434,6 +435,14 @@ def two_mode_state(spec: GridSpec) -> Field2D:
     )
 
 
+def off_centre_coherent_state() -> tuple[Field2D, float]:
+    """Coherent symbol at (0.3, -0.5) sqrt(theta) on the 128^2 box of reach 8 sqrt(theta)."""
+    theta = 0.1
+    s = math.sqrt(theta)
+    spec = GridSpec(128, 128, -8 * s, 8 * s, -8 * s, 8 * s, theta)
+    return symbols.coherent_symbol(CoherentPoint(0.3 * s, -0.5 * s, theta), spec), theta
+
+
 class TestQuasiProjection:
     def test_matches_direct_star_integral(self):
         # pin the mode-space realization against the defining surface integral
@@ -453,6 +462,29 @@ class TestQuasiProjection:
             )
             brute = np.sum(star(k, kernel_field, psi).values[i_t0, :]) * spec.dx
             assert out.values[it, ix] == pytest.approx(brute, abs=1e-6)
+
+    @pytest.mark.parametrize("case", ["two_mode", "coherent"])
+    @pytest.mark.parametrize("t0_scale", [0.0, 0.1, -1.5])
+    def test_matches_the_dense_oracle(self, case, t0_scale):
+        # the FFT synthesis against explicit plane-wave sums on both axes
+        if case == "two_mode":
+            theta = 0.25
+            psi = two_mode_state(GridSpec(64, 64, -4.0, 4.0, -4.0, 4.0, theta))
+        else:
+            psi, theta = off_centre_coherent_state()
+        spec = psi.spec
+        t0 = t0_scale * math.sqrt(theta)
+        got = symbols.quasi_projection_apply(theta, t0, psi).values
+        want = dense_quasi_projection(psi.values, spec.t, spec.x, spec.k_t, spec.k_x, theta, t0)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_report_ratio_on_a_coherent_state(self):
+        # ROADMAP item 7's table: 0.1652 at t = 0.1 sqrt(theta), t' = 0.4 sqrt(theta)
+        psi, theta = off_centre_coherent_state()
+        s = math.sqrt(theta)
+        report = symbols.quasi_projection_report(theta, 0.1 * s, 0.4 * s, [psi])
+        (row,) = json.loads(report)["states"]
+        assert round(row["ratio"], 4) == 0.1652
 
     def test_same_time_composition_is_approximate_identity(self):
         theta = 0.1
