@@ -467,7 +467,7 @@ def _kinetic_matrix(spec: GridSpec, m: float) -> np.ndarray:
     return 0.5 * (K + K.T)
 
 
-def _operator_potential_profile(potential: Potential, spec: GridSpec, m: float) -> np.ndarray:
+def _operator_potential_profile(potential: Potential, spec: GridSpec) -> np.ndarray:
     """Symbol of the potential operator: V smoothed by a variance-theta/2 Gaussian."""
     if potential.kind == "harmonic":
         return 0.5 * potential.m * potential.omega**2 * (spec.x**2 + spec.theta / 2.0)
@@ -537,7 +537,7 @@ def stationary_solve(
     w, scan_vecs = scipy.linalg.eigh(
         frame_matrix(e_scan), overwrite_a=True, subset_by_value=(-np.inf, e_hi)
     )
-    v_profile = _operator_potential_profile(potential, spec, m)
+    v_profile = _operator_potential_profile(potential, spec)
     results: list[tuple[float, Field1D]] = []
     for lvl in np.flatnonzero(w >= e_lo):
         trace = [float(w[lvl])]

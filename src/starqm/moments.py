@@ -18,10 +18,11 @@ the coherent element together with its commutator (symplectic) form, the
 Williamson spectrum, both uncertainty bounds, and the residual of the
 evolution law d<O>/dt = i<[H, O]> + <d_t O> along stored trajectories.
 
-Covariance analysis at theta > 0 is transferred to commuting coordinates
-first -- V -> M V M^T with the frame map M -- because the Williamson
-machinery presumes a theta = 0 block form; M maps the deformed commutator
-form exactly onto that block form, so nothing is lost in transit.
+The phase-space coordinates are (X, T, P_x, P_t) in that fixed order,
+CANONICAL_ORDERING.  The Williamson spectrum is taken against the deformed
+commutator form Omega_theta directly.  The frame map M to commuting
+coordinates (transform_matrix) sends the pair (V, Omega_theta) to
+(M V M^T, Omega_0), which has the same spectrum and determinant.
 """
 
 from __future__ import annotations
@@ -39,13 +40,11 @@ from .dynamics import Potential
 from .fieldgrid import _PAIRING_MODE_CUTOFF, Field1D, Field2D, GridSpec, _csv, _drop_noise_modes
 from .fieldgrid import _require_grid_theta, _require_nonnegative, _require_positive
 from .operators import (
-    CANONICAL_ORDERING,
     SymbolOperator,
     _apply_field2d,
     apply,
     commutator,
     hamiltonian,
-    ordering_permutation,
     p_t,
     p_x,
     t_theta_l,
@@ -68,10 +67,12 @@ _PAIR_RTOL = 1e-6
 # covariance and commutator-form containers
 # ---------------------------------------------------------------------------
 
+CANONICAL_ORDERING = ("X", "T", "P_x", "P_t")
+
 
 @dataclass(frozen=True)
 class _PhaseSpaceMatrix:
-    """A 4x4 matrix over a declared ordering of (X, T, P_x, P_t), frozen.
+    """A 4x4 matrix over (X, T, P_x, P_t), frozen.
 
     Subclasses name themselves in _what and set _sign to +1 (symmetric) or
     -1 (antisymmetric); the input is checked for that symmetry to 1e-10 of
@@ -79,7 +80,6 @@ class _PhaseSpaceMatrix:
     """
 
     values: np.ndarray
-    ordering: tuple[str, ...] = CANONICAL_ORDERING
     theta: float = 0.0
 
     _what = "matrix"
@@ -99,15 +99,12 @@ class _PhaseSpaceMatrix:
         vals = 0.5 * (vals + self._sign * vals.T)
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
-        ordering = tuple(self.ordering)
-        ordering_permutation(ordering)
-        object.__setattr__(self, "ordering", ordering)
         _require_nonnegative(self.theta, "theta")
 
     def to_json(self) -> str:
         return json.dumps(
             {
-                "ordering": list(self.ordering),
+                "ordering": list(CANONICAL_ORDERING),
                 "theta": self.theta,
                 "values": [[float(v) for v in row] for row in self.values],
             }
@@ -133,9 +130,9 @@ class VarianceMatrix(_PhaseSpaceMatrix):
 
     def spread(self, label: str) -> float:
         """Standard deviation of one coordinate, read off the diagonal."""
-        if label not in self.ordering:
-            raise ValueError(f"unknown label {label!r}; ordering is {self.ordering}")
-        i = self.ordering.index(label)
+        if label not in CANONICAL_ORDERING:
+            raise ValueError(f"unknown label {label!r}; ordering is {CANONICAL_ORDERING}")
+        i = CANONICAL_ORDERING.index(label)
         return math.sqrt(max(float(self.values[i, i]), 0.0))
 
     def uncertainty(self, a: str, b: str) -> float:
@@ -145,13 +142,13 @@ class VarianceMatrix(_PhaseSpaceMatrix):
 
 @dataclass(frozen=True)
 class SymplecticForm(_PhaseSpaceMatrix):
-    """Commutator form Omega_ij = [Z_i, Z_j] / 2i on the declared ordering."""
+    """Commutator form Omega_ij = [Z_i, Z_j] / 2i over (X, T, P_x, P_t)."""
 
     _what = "symplectic form"
     _sign = -1
 
 
-def symplectic_form(theta: float = 0.0, ordering=CANONICAL_ORDERING) -> SymplecticForm:
+def symplectic_form(theta: float = 0.0) -> SymplecticForm:
     """Commutator form of (X, T, P_x, P_t) at deformation scale theta.
 
     [X, P_x] = i and [T, P_t] = i give the two 1/2 entries; [X, T] = -i theta
@@ -162,9 +159,19 @@ def symplectic_form(theta: float = 0.0, ordering=CANONICAL_ORDERING) -> Symplect
     base[0, 2] = 0.5
     base[1, 3] = 0.5
     base[0, 1] = -theta / 2.0
-    base = base - base.T
-    perm = ordering_permutation(ordering)
-    return SymplecticForm(base[np.ix_(perm, perm)], tuple(ordering), theta)
+    return SymplecticForm(base - base.T, theta)
+
+
+def transform_matrix(theta: float) -> np.ndarray:
+    """Frame map M sending the deformed (X, T, P_x, P_t) to commuting ones.
+
+    X_c = X - (theta/2) P_t and T_c = T + (theta/2) P_x, momenta unchanged;
+    det M = 1 and M Omega_theta M^T = Omega_0.
+    """
+    M = np.eye(4)
+    M[0, 3] = -theta / 2
+    M[1, 2] = +theta / 2
+    return M
 
 
 # ---------------------------------------------------------------------------
@@ -402,9 +409,7 @@ def coherent_variance_matrix(
             f"{deviation:.3e} (> {_CROSS_TOL}):\nnumeric =\n{numeric}\n"
             f"closed form =\n{analytic}"
         )
-    return VarianceMatrix(
-        analytic, CANONICAL_ORDERING, theta, {"cross_check_max_abs": deviation}
-    )
+    return VarianceMatrix(analytic, theta, {"cross_check_max_abs": deviation})
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +425,6 @@ def symplectic_eigenvalues(V: VarianceMatrix, Omega: SymplecticForm) -> list[flo
     V = I/2 on the standard theta = 0 form give nu = 1, and a covariance
     matrix is physical exactly when every nu >= 1.
     """
-    if V.ordering != Omega.ordering:
-        raise ValueError(f"ordering mismatch: {V.ordering} vs {Omega.ordering}")
     spectrum = np.linalg.eigvalsh(V.values)
     if float(np.min(spectrum)) <= 0.0:
         raise ValueError(

@@ -98,40 +98,24 @@ class SymbolOperator:
     __rmul__ = __mul__
 
     def to_json(self) -> str:
-        blob: dict = {"kind": self.kind, "theta": self.theta, "params": self.params}
-        if self.kind == "composite":
-            blob["terms"] = {
-                ",".join(map(str, k)): [v.real, v.imag] for k, v in self.terms.items()
-            }
+        terms = {",".join(map(str, k)): [v.real, v.imag] for k, v in self.terms.items()}
+        blob = {"kind": self.kind, "theta": self.theta, "params": self.params, "terms": terms}
         return json.dumps(blob, sort_keys=True)
 
 
-_CONSTRUCTORS: dict[str, object] = {}
-
-
-def _register(kind):
-    def wrap(fn):
-        _CONSTRUCTORS[kind] = fn
-        return fn
-
-    return wrap
-
-
 def from_json(text: str) -> SymbolOperator:
+    """Rebuild an operator from `SymbolOperator.to_json` output."""
     blob = json.loads(text)
-    kind = blob["kind"]
-    if kind == "composite":
-        terms = {
-            tuple(int(s) for s in key.split(",")): complex(re, im)
-            for key, (re, im) in blob["terms"].items()
-        }
-        return SymbolOperator("composite", blob["theta"], terms)
-    if kind not in _CONSTRUCTORS:
-        raise ValueError(f"unknown operator kind {kind!r}")
-    return _CONSTRUCTORS[kind](theta=blob["theta"], **blob["params"])
+    missing = {"kind", "theta", "params", "terms"} - set(blob)
+    if missing:
+        raise ValueError(f"operator JSON lacks {sorted(missing)}")
+    terms = {
+        tuple(int(s) for s in key.split(",")): complex(re, im)
+        for key, (re, im) in blob["terms"].items()
+    }
+    return SymbolOperator(blob["kind"], blob["theta"], terms, blob["params"])
 
 
-@_register("X_theta_L")
 def x_theta_l(theta: float) -> SymbolOperator:
     """x + (theta/2)(d_x - i d_t): left action of the space coordinate."""
     return SymbolOperator(
@@ -140,7 +124,6 @@ def x_theta_l(theta: float) -> SymbolOperator:
     )
 
 
-@_register("X_theta_R")
 def x_theta_r(theta: float) -> SymbolOperator:
     return SymbolOperator(
         "X_theta_R", theta,
@@ -148,7 +131,6 @@ def x_theta_r(theta: float) -> SymbolOperator:
     )
 
 
-@_register("T_theta_L")
 def t_theta_l(theta: float) -> SymbolOperator:
     """t + (theta/2)(d_t + i d_x): left action of the time coordinate."""
     return SymbolOperator(
@@ -157,7 +139,6 @@ def t_theta_l(theta: float) -> SymbolOperator:
     )
 
 
-@_register("T_theta_R")
 def t_theta_r(theta: float) -> SymbolOperator:
     return SymbolOperator(
         "T_theta_R", theta,
@@ -165,29 +146,24 @@ def t_theta_r(theta: float) -> SymbolOperator:
     )
 
 
-@_register("P_x")
 def p_x(theta: float = 0.0) -> SymbolOperator:
     return SymbolOperator("P_x", theta, {(0, 0, 0, 1): -1j})
 
 
-@_register("P_t")
 def p_t(theta: float = 0.0) -> SymbolOperator:
     return SymbolOperator("P_t", theta, {(0, 0, 1, 0): -1j})
 
 
-@_register("X_c")
 def x_c(theta: float) -> SymbolOperator:
     """(X_L + X_R)/2 = x + (theta/2) d_x: the commuting space coordinate."""
     return SymbolOperator("X_c", theta, {(0, 1, 0, 0): 1.0, (0, 0, 0, 1): theta / 2})
 
 
-@_register("T_c")
 def t_c(theta: float) -> SymbolOperator:
     """(T_L + T_R)/2 = t + (theta/2) d_t: the commuting time coordinate."""
     return SymbolOperator("T_c", theta, {(1, 0, 0, 0): 1.0, (0, 0, 1, 0): theta / 2})
 
 
-@_register("GalileanBoost")
 def galilean_boost(m: float, theta: float, form: str = "reduced") -> SymbolOperator:
     """Boost generator G.
 
@@ -210,7 +186,6 @@ def galilean_boost(m: float, theta: float, form: str = "reduced") -> SymbolOpera
     return SymbolOperator("GalileanBoost", theta, g.terms, {"m": m, "form": form})
 
 
-@_register("Hamiltonian")
 def hamiltonian(m: float, potential=None, theta: float = 0.0) -> SymbolOperator:
     """P_x^2 / 2m plus an optional polynomial potential sum_j c_j x^j."""
     _require_positive(m, "mass")
@@ -300,70 +275,6 @@ def apply(op: SymbolOperator, psi):
 def commutator_apply(A: SymbolOperator, B: SymbolOperator, psi):
     """(AB - BA) psi, composed symbolically before touching the grid."""
     return apply(commutator(A, B), psi)
-
-
-# --------------------------------------------------------------------------
-# phase-space map between deformed and commuting coordinates
-
-CANONICAL_ORDERING = ("X", "T", "P_x", "P_t")
-
-
-@dataclass(frozen=True)
-class PhaseSpaceVector:
-    """Expectation quadruple over the coordinate/momentum labels."""
-
-    values: np.ndarray
-    ordering: tuple[str, str, str, str] = CANONICAL_ORDERING
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (4,):
-            raise ValueError(f"expected 4 components, got shape {vals.shape}")
-        if sorted(self.ordering) != sorted(CANONICAL_ORDERING):
-            raise ValueError(f"ordering must permute {CANONICAL_ORDERING}, got {self.ordering}")
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "ordering", tuple(self.ordering))
-
-
-def ordering_permutation(ordering) -> tuple[int, ...]:
-    """Index of each requested label in the canonical ordering."""
-    ordering = tuple(ordering)
-    if sorted(ordering) != sorted(CANONICAL_ORDERING):
-        raise ValueError(f"ordering must permute {CANONICAL_ORDERING}, got {ordering}")
-    return tuple(CANONICAL_ORDERING.index(label) for label in ordering)
-
-
-def transform_matrix(theta: float, ordering=CANONICAL_ORDERING) -> np.ndarray:
-    """Matrix M sending deformed coordinates to commuting ones.
-
-    In the canonical ordering (X, T, P_x, P_t): X_c = X - (theta/2) P_t and
-    T_c = T + (theta/2) P_x, momenta unchanged.  Other row conventions are
-    obtained by permutation similarity; det M = 1 in all of them.
-    """
-    M = np.eye(4)
-    M[0, 3] = -theta / 2
-    M[1, 2] = +theta / 2
-    perm = ordering_permutation(ordering)
-    return M[np.ix_(perm, perm)]
-
-
-def m_transform(v, theta: float, ordering=None):
-    """Apply M to a phase-space vector, or M . V . M^T to a 4x4 matrix.
-
-    Plain arrays must declare their ordering; PhaseSpaceVector carries its own.
-    """
-    if isinstance(v, PhaseSpaceVector):
-        M = transform_matrix(theta, v.ordering)
-        return PhaseSpaceVector(M @ v.values, v.ordering)
-    arr = np.asarray(v, dtype=float)
-    if ordering is None:
-        raise ValueError("plain-array input needs an explicit ordering=(...) declaration")
-    M = transform_matrix(theta, ordering)
-    if arr.shape == (4,):
-        return M @ arr
-    if arr.shape == (4, 4):
-        return M @ arr @ M.T
-    raise ValueError(f"expected a 4-vector or 4x4 matrix, got shape {arr.shape}")
 
 
 # --------------------------------------------------------------------------

@@ -60,7 +60,7 @@ class CoherentPoint:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.t) and math.isfinite(self.x)):
             raise ValueError(f"CoherentPoint needs finite coordinates, got ({self.t}, {self.x})")
-        if not self.theta > 0:
+        if not (math.isfinite(self.theta) and self.theta > 0):
             raise ValueError(f"CoherentPoint needs theta > 0, got {self.theta}")
 
     @property
@@ -70,7 +70,7 @@ class CoherentPoint:
 
 def gauss_delta(u: float | np.ndarray, sigma: float) -> float | np.ndarray:
     """Normalized Gaussian of width sigma (a regularized delta)."""
-    if not sigma > 0:
+    if not (math.isfinite(sigma) and sigma > 0):
         raise ValueError(f"gauss_delta needs sigma > 0, got {sigma}")
     return np.exp(-np.asarray(u) ** 2 / (2.0 * sigma**2)) / (sigma * math.sqrt(2.0 * math.pi))
 

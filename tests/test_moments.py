@@ -48,7 +48,6 @@ def random_spd(rng: np.random.Generator) -> np.ndarray:
 class TestVarianceMatrix:
     def test_symmetrizes_and_freezes(self):
         v = VarianceMatrix(np.diag([1.0, 2.0, 3.0, 4.0]))
-        assert v.ordering == operators.CANONICAL_ORDERING
         with pytest.raises(ValueError):
             v.values[0, 0] = 9.0
 
@@ -71,13 +70,11 @@ class TestVarianceMatrix:
             VarianceMatrix(np.diag([1.0, 1.0, 1.0, -1e-6]))
         with pytest.raises(ValueError, match="finite"):
             VarianceMatrix(np.full((4, 4), np.nan))
-        with pytest.raises(ValueError, match="ordering must permute"):
-            VarianceMatrix(np.eye(4), ordering=("X", "T", "P_x", "P_x"))
 
     def test_json_round_trip(self):
         v = VarianceMatrix(np.eye(4) * 0.5, theta=0.3)
         blob = json.loads(v.to_json())
-        assert blob["ordering"] == list(operators.CANONICAL_ORDERING)
+        assert blob["ordering"] == ["X", "T", "P_x", "P_t"]
         assert blob["theta"] == 0.3
         assert np.allclose(blob["values"], np.eye(4) * 0.5)
 
@@ -96,15 +93,9 @@ class TestSymplecticForm:
         assert om.values[1, 0] == pytest.approx(0.35)
         assert om.values[0, 2] == pytest.approx(0.5)
 
-    def test_custom_ordering_permutes_entries(self):
-        om = moments.symplectic_form(0.0, ordering=("P_x", "X", "P_t", "T"))
-        # [P_x, X]/2i = -[X, P_x]/2i = -1/2 lands at row 0, column 1
-        assert om.values[0, 1] == pytest.approx(-0.5)
-        assert om.values[2, 3] == pytest.approx(-0.5)
-
     def test_frame_map_takes_deformed_form_to_canonical(self):
         theta = 0.1
-        m = operators.transform_matrix(theta)
+        m = moments.transform_matrix(theta)
         mapped = m @ moments.symplectic_form(theta).values @ m.T
         assert np.allclose(mapped, moments.symplectic_form(0.0).values, atol=1e-15)
 
@@ -413,7 +404,7 @@ class TestSymplecticEigenvalues:
 
     def test_frame_map_preserves_spectrum_and_determinant(self):
         v = moments.coherent_variance_matrix(THETA)
-        m = operators.transform_matrix(THETA)
+        m = moments.transform_matrix(THETA)
         v0 = VarianceMatrix(m @ v.values @ m.T, theta=THETA)
         assert v0.det == pytest.approx(v.det, rel=1e-12)
         nus = moments.symplectic_eigenvalues(v0, moments.symplectic_form(0.0))
@@ -422,7 +413,7 @@ class TestSymplecticEigenvalues:
     def test_random_matrices_satisfy_the_determinant_identity(self):
         rng = np.random.default_rng(7)
         om = moments.symplectic_form(0.0)
-        m = operators.transform_matrix(0.35)
+        m = moments.transform_matrix(0.35)
         for _ in range(5):
             v = VarianceMatrix(random_spd(rng))
             nus = moments.symplectic_eigenvalues(v, om)
@@ -444,9 +435,6 @@ class TestSymplecticEigenvalues:
             moments.symplectic_eigenvalues(
                 VarianceMatrix(np.eye(4)), SymplecticForm(np.zeros((4, 4)))
             )
-        perm = moments.symplectic_form(0.0, ordering=("P_x", "X", "P_t", "T"))
-        with pytest.raises(ValueError, match="ordering mismatch"):
-            moments.symplectic_eigenvalues(VarianceMatrix(np.eye(4)), perm)
 
 
 class TestRobertsonSchrodinger:

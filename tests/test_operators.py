@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from starqm.fieldgrid import Field1D, Field2D, GridSpec
+from starqm.moments import transform_matrix
 from starqm.operators import (
-    CANONICAL_ORDERING,
-    PhaseSpaceVector,
     SymbolOperator,
     apply,
     boost_transform,
@@ -13,14 +12,11 @@ from starqm.operators import (
     from_json,
     galilean_boost,
     hamiltonian,
-    m_transform,
-    ordering_permutation,
     p_t,
     p_x,
     t_c,
     t_theta_l,
     t_theta_r,
-    transform_matrix,
     x_c,
     x_theta_l,
     x_theta_r,
@@ -104,17 +100,33 @@ class TestSymbolAlgebra:
         assert commutator(G, p_x()).terms == {(0, 0, 0, 0): pytest.approx(1j * m)}
         assert commutator(G, p_t()).terms == {(0, 0, 0, 1): pytest.approx(-1.0)}  # -iP_x
 
-    def test_json_round_trip(self):
-        op = x_theta_l(0.3)
-        back = from_json(op.to_json())
-        assert back.kind == op.kind and back.terms == op.terms
-        comp = commutator(galilean_boost(1.0, 0.3), p_t())
-        back = from_json(comp.to_json())
-        assert back.terms == comp.terms
+    @pytest.mark.parametrize(
+        "op",
+        [
+            x_theta_l(0.3),
+            x_theta_r(0.3),
+            t_theta_l(0.3),
+            t_theta_r(0.3),
+            p_x(),
+            p_t(),
+            x_c(0.3),
+            t_c(0.3),
+            galilean_boost(1.3, 0.3, "reduced"),
+            galilean_boost(1.3, 0.3, "full"),
+            hamiltonian(2.0, [0, 1, 0.5], 0.1),
+            commutator(galilean_boost(1.0, 0.3), p_t()),
+        ],
+        ids=[
+            "x_theta_l", "x_theta_r", "t_theta_l", "t_theta_r", "p_x", "p_t",
+            "x_c", "t_c", "boost_reduced", "boost_full", "hamiltonian", "composite",
+        ],
+    )
+    def test_json_round_trip(self, op):
+        assert from_json(op.to_json()) == op
 
-    def test_json_unknown_kind(self):
-        with pytest.raises(ValueError, match="kind"):
-            from_json('{"kind": "Q", "theta": 0, "params": {}}')
+    def test_json_without_terms(self):
+        with pytest.raises(ValueError, match="terms"):
+            from_json('{"kind": "P_x", "theta": 0, "params": {}}')
 
 
 class TestApplyField2D:
@@ -262,28 +274,11 @@ class TestPhaseSpaceMap:
     @pytest.mark.parametrize("theta", [0.1, 1.0, 10.0])
     def test_unit_determinant(self, theta):
         assert np.linalg.det(transform_matrix(theta)) == pytest.approx(1.0, abs=1e-14)
-        alt = transform_matrix(theta, ordering=("T", "X", "P_t", "P_x"))
-        assert np.linalg.det(alt) == pytest.approx(1.0, abs=1e-14)
 
     def test_vector_map(self):
-        theta = 0.4
-        vec = PhaseSpaceVector([1.0, 2.0, 3.0, 4.0])
-        out = m_transform(vec, theta)
+        out = transform_matrix(0.4) @ np.array([1.0, 2.0, 3.0, 4.0])
         # X_c = X - (theta/2) P_t, T_c = T + (theta/2) P_x, momenta unchanged
-        assert out.values == pytest.approx([1 - 0.2 * 4, 2 + 0.2 * 3, 3.0, 4.0])
-
-    def test_ordering_permutation_consistency(self):
-        theta = 0.7
-        values = np.array([1.0, 2.0, 3.0, 4.0])
-        perm = ordering_permutation(("T", "X", "P_t", "P_x"))
-        assert perm == (1, 0, 3, 2)
-        direct = m_transform(values, theta, ordering=CANONICAL_ORDERING)
-        permuted = m_transform(values[list(perm)], theta, ordering=("T", "X", "P_t", "P_x"))
-        assert permuted == pytest.approx(direct[list(perm)])
-
-    def test_array_needs_ordering(self):
-        with pytest.raises(ValueError, match="ordering"):
-            m_transform(np.ones(4), 0.3)
+        assert out == pytest.approx([1 - 0.2 * 4, 2 + 0.2 * 3, 3.0, 4.0])
 
     def test_matrix_congruence_preserves_determinant(self):
         theta = 0.4
@@ -293,14 +288,9 @@ class TestPhaseSpaceMap:
             [0.0, -0.5, 1 / theta, 0.0],
             [0.5, 0.0, 0.0, 1 / theta],
         ])
-        out = m_transform(V, theta, ordering=CANONICAL_ORDERING)
+        M = transform_matrix(theta)
+        out = M @ V @ M.T
         assert np.linalg.det(out) == pytest.approx(np.linalg.det(V), rel=1e-12)
-
-    def test_bad_vector(self):
-        with pytest.raises(ValueError, match="4 components"):
-            PhaseSpaceVector([1.0, 2.0])
-        with pytest.raises(ValueError, match="permute"):
-            PhaseSpaceVector(np.ones(4), ordering=("X", "X", "P_x", "P_t"))
 
 
 class TestBoost:

@@ -100,6 +100,10 @@ class TestBasisOverlap:
     def test_coherent_point_validation(self):
         with pytest.raises(ValueError, match="theta > 0"):
             CoherentPoint(t=0.0, x=0.0, theta=0.0)
+        with pytest.raises(ValueError, match="theta > 0"):
+            CoherentPoint(t=0.0, x=0.0, theta=math.inf)
+        with pytest.raises(ValueError, match="sigma > 0"):
+            symbols.gauss_delta(0.0, math.inf)
         z = CoherentPoint(t=1.0, x=2.0, theta=0.5).z
         assert z == pytest.approx((1.0 + 2.0j) / 1.0)
 
