@@ -15,6 +15,9 @@ fields, phase-polynomial states, and single-time slices carrying an energy
 tag.  A slice is applied through its phase polynomial: it is lifted to the
 degree-0 part psi(x) e^{-iEt} (so d_t acts as -iE and t-multiplication as a
 degree shift) and read back at its slice time.
+
+`boost_transform` is the one finite Galilean boost e^{-ivG} of a full field,
+in closed form through the Weyl frame and exact at every velocity.
 """
 
 from __future__ import annotations
@@ -25,8 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from starqm.fieldgrid import Field1D, Field2D, _require_nonnegative, _require_positive
-from starqm.fieldgrid import spectral_derivative
+from starqm.fieldgrid import EDGE_DECAY_TOL, Field1D, Field2D, spectral_derivative
+from starqm.fieldgrid import _drop_noise_modes, _edge_magnitude, _require_grid_theta
+from starqm.fieldgrid import _require_nonnegative, _require_positive
 from starqm.phasecalc import PhasePoly, _dt_poly, _slice_part
 
 Monomial = tuple[int, int, int, int]  # exponents of t, x, d_t, d_x
@@ -75,7 +79,13 @@ class SymbolOperator:
 
     def __post_init__(self) -> None:
         _require_nonnegative(self.theta, "theta")
-        cleaned = {k: complex(v) for k, v in self.terms.items() if v != 0.0}
+        cleaned = {}
+        for key, v in self.terms.items():
+            if not (isinstance(key, tuple) and len(key) == 4
+                    and all(isinstance(e, int) and e >= 0 for e in key)):
+                raise ValueError(f"operator term key {key!r} is not four non-negative ints")
+            if v != 0.0:
+                cleaned[key] = complex(v)
         object.__setattr__(self, "terms", cleaned)
 
     def compose(self, other: "SymbolOperator") -> "SymbolOperator":
@@ -164,26 +174,15 @@ def t_c(theta: float) -> SymbolOperator:
     return SymbolOperator("T_c", theta, {(1, 0, 0, 0): 1.0, (0, 0, 1, 0): theta / 2})
 
 
-def galilean_boost(m: float, theta: float, form: str = "reduced") -> SymbolOperator:
-    """Boost generator G.
+def galilean_boost(m: float, theta: float) -> SymbolOperator:
+    """Boost generator G = m X_theta^L - P_x T_c, written with the commuting time.
 
-    form="reduced": m X - P T_c, the version written with the commuting time.
-    form="full":    m X - P T - (theta/2) P^2 with the deformed T.
-    The two are identical as operators; keeping both makes that an assertable
-    regression rather than an assumption.
+    It equals m X_theta^L - P_x T_theta^L - (theta/2) P_x^2 with the deformed
+    time term by term.
     """
     _require_positive(m, "mass")
-    if form == "reduced":
-        g = x_theta_l(theta) * m - p_x().compose(t_c(theta))
-    elif form == "full":
-        g = (
-            x_theta_l(theta) * m
-            - p_x().compose(t_theta_l(theta))
-            - (theta / 2) * p_x().compose(p_x())
-        )
-    else:
-        raise ValueError(f"form must be 'reduced' or 'full', got {form!r}")
-    return SymbolOperator("GalileanBoost", theta, g.terms, {"m": m, "form": form})
+    g = x_theta_l(theta) * m - p_x().compose(t_c(theta))
+    return SymbolOperator("GalileanBoost", theta, g.terms, {"m": m})
 
 
 def hamiltonian(m: float, potential=None, theta: float = 0.0) -> SymbolOperator:
@@ -280,61 +279,53 @@ def commutator_apply(A: SymbolOperator, B: SymbolOperator, psi):
 # --------------------------------------------------------------------------
 # Galilean boost of states
 
-_BOOST_LIMIT = 0.1
-_PLANE_WAVE_PURITY = 1e-12
-
-
-def _dominant_mode(fld: Field2D):
-    Y = np.fft.fft2(fld.values)
-    power = np.abs(Y) ** 2
-    idx = np.unravel_index(np.argmax(power), power.shape)
-    purity = power[idx] / np.sum(power)
-    # the DFT references phases to the first sample; shift to absolute coordinates
-    spec = fld.spec
-    origin = np.exp(-1j * (spec.k_t[idx[0]] * spec.t_min + spec.k_x[idx[1]] * spec.x_min))
-    return idx, Y[idx] / fld.values.size * origin, purity
-
 
 def boost_transform(psi: Field2D, v: float, m: float, theta: float) -> Field2D:
-    """Boost a state to a frame moving with velocity v.
+    """The state seen from a frame moving with velocity v: e^{-ivG} psi.
 
-    Grid-aligned plane waves are boosted in closed form; anything else gets
-    the first-order expansion 1 - ivG with its truncation size recorded in
-    the output metadata.
+    G = m X_theta^L - P_x T_c is `galilean_boost(m, theta)`.  In the Weyl
+    frame, whose mode k is the Voros mode times e^{(theta/4)|k|^2} (the
+    Moyal amplitude), it reads m x - (i m theta/2) d_t + i t d_x, whose flow
+    is a t-translation by theta m v/2, the shear x -> x + vt - theta m v^2/4
+    and a phase.  Back on Voros symbols each mode k = (k_t, k_x) of psi goes
+    to k' = (k_t + v k_x - m v^2/2, k_x - m v) with the weight
+
+        exp[(theta/4)(|k|^2 - |k'|^2) - i(theta m v/2) k_t
+            - i(theta m v^2/4) k_x + i theta m^2 v^3/12],
+
+    so (B_v psi)(t, x) = e^{-imv(x + vt/2)} sum_k psi_k w_k e^{ik.(t, x + vt)}
+    on the trigonometric polynomial psi's modes span.  At theta = 0 this is
+    the textbook Galilean transformation e^{-imvx - imv^2 t/2} psi(t, x + vt),
+    which keeps plane waves on shell: E' = p'^2/2m when E = p^2/2m.
+
+    The map is exact and linear for every v.  The output records
+    'boost_growth', the largest (theta/4)(|k|^2 - |k'|^2) over the modes
+    kept, and 'edge_decay_warning' (as `spectral_derivative` writes it) when
+    the shear carries the state to an x edge of the box.
     """
     _require_positive(m, "mass")
+    if not math.isfinite(v):
+        raise ValueError(f"velocity v must be finite, got {v}")
     spec = psi.spec
+    _require_grid_theta(theta, spec, "boost theta")
     if v == 0.0:
         return Field2D(spec, psi.values, metadata=dict(psi.metadata))
 
-    idx, amplitude, purity = _dominant_mode(psi)
-    if 1.0 - purity <= _PLANE_WAVE_PURITY:
-        energy = -spec.k_t[idx[0]]
-        p = spec.k_x[idx[1]]
-        tt, xx = np.meshgrid(spec.t, spec.x, indexing="ij")
-        shifted = xx + v * tt
-        values = (
-            amplitude
-            * np.exp(-1j * m * v * shifted)
-            * np.exp(-1j * (energy * tt - p * shifted))
-            * np.exp(1j * v * theta * p**2 / 2)
-        )
-        meta = dict(psi.metadata)
-        meta["boost_mode"] = "exact_plane_wave"
-        return Field2D(spec, values, metadata=meta)
+    modes, _ = _drop_noise_modes(np.fft.fft2(psi.values))
+    live = modes != 0
+    k_t, k_x = spec.k_t[:, None], spec.k_x[None, :]
+    out_t, out_x = k_t + v * k_x - m * v**2 / 2, k_x - m * v
+    growth = (theta / 4.0) * (k_t**2 + k_x**2 - out_t**2 - out_x**2)
+    phase = -(theta * m * v / 2) * k_t - (theta * m * v**2 / 4) * k_x + theta * m**2 * v**3 / 12
+    weight = np.exp(growth + 1j * phase, out=np.zeros(live.shape, dtype=np.complex128), where=live)
+    rows = np.fft.ifft(modes * weight, axis=0)
+    rows *= np.exp(1j * v * np.outer(spec.t, spec.k_x))  # the shear x -> x + vt, row by row
+    values = np.fft.ifft(rows, axis=1)
+    values *= np.exp(-1j * m * v * (spec.x[None, :] + v * spec.t[:, None] / 2))
 
-    G = galilean_boost(m, theta)
-    g_psi = apply(G, psi)
-    norm = np.linalg.norm(psi.values)
-    bound = abs(v) * np.linalg.norm(g_psi.values) / norm
-    if bound > _BOOST_LIMIT:
-        raise ValueError(
-            f"velocity too large for the first-order boost: |v|.|G psi|/|psi| = "
-            f"{bound:.3e} exceeds {_BOOST_LIMIT}"
-        )
-    gg_psi = apply(G, g_psi)
-    estimate = v**2 / 2 * np.linalg.norm(gg_psi.values) / norm
     meta = dict(psi.metadata)
-    meta["boost_mode"] = "first_order"
-    meta["boost_truncation_estimate"] = float(estimate)
-    return Field2D(spec, psi.values - 1j * v * g_psi.values, metadata=meta)
+    meta["boost_growth"] = float(np.max(growth, where=live, initial=-np.inf))
+    edge = _edge_magnitude(values, 1)
+    if edge > EDGE_DECAY_TOL:
+        meta["edge_decay_warning"] = {"axis": "x", "relative_edge_magnitude": edge}
+    return Field2D(spec, values, metadata=meta)

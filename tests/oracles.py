@@ -103,3 +103,36 @@ def dense_quasi_projection(values, t, x, k_t, k_x, theta, t0, cutoff=1e-14):
     envelope = np.exp(-0.5 * np.outer(p, tau))
     gauss = np.exp(-(tau**2) / (2.0 * theta))
     return ((by_p * envelope).T * gauss[:, None]) @ np.exp(1j * np.outer(p, x))
+
+
+def dense_boost(values, t, x, k_t, k_x, theta, v, m, cutoff=1e-14):
+    """Galilean boost e^{-ivG} as the direct mode sum, with no FFT and no shear.
+
+    The corner-referenced amplitudes psi_k come from dense DFT matrices; each
+    surviving mode k = (k_t, k_x) is referenced to absolute coordinates, moved
+    to k' = (k_t + v k_x - m v^2/2, k_x - m v), weighted by
+
+        w_k = exp[(theta/4)(|k|^2 - |k'|^2) - i(theta m v/2) k_t
+                  - i(theta m v^2/4) k_x + i theta m^2 v^3/12]
+
+    and synthesized at every node as the outer product of e^{i k'_t t} and
+    e^{i k'_x x}.  Modes below `cutoff` relative magnitude are dropped as in
+    the library.
+    """
+    n_t, n_x = values.shape
+    amps = np.exp(-1j * np.outer(k_t, t - t[0])) @ values @ np.exp(-1j * np.outer(x - x[0], k_x))
+    amps = amps / (n_t * n_x)
+    peak = np.max(np.abs(amps))
+    out = np.zeros((n_t, n_x), dtype=complex)
+    for a, b in zip(*np.nonzero(np.abs(amps) >= cutoff * peak)):
+        kt, kx = k_t[a], k_x[b]
+        kt2, kx2 = kt + v * kx - m * v**2 / 2, kx - m * v
+        weight = np.exp(
+            (theta / 4.0) * (kt**2 + kx**2 - kt2**2 - kx2**2)
+            - 1j * (theta * m * v / 2) * kt
+            - 1j * (theta * m * v**2 / 4) * kx
+            + 1j * theta * m**2 * v**3 / 12
+        )
+        origin = np.exp(-1j * (kt * t[0] + kx * x[0]))
+        out += amps[a, b] * origin * weight * np.outer(np.exp(1j * kt2 * t), np.exp(1j * kx2 * x))
+    return out

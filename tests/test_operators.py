@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from starqm.fieldgrid import Field1D, Field2D, GridSpec
+from starqm.fieldgrid import EDGE_DECAY_TOL, Field1D, Field2D, GridSpec
 from starqm.moments import transform_matrix
 from starqm.operators import (
     SymbolOperator,
@@ -22,6 +24,7 @@ from starqm.operators import (
     x_theta_r,
 )
 from starqm.phasecalc import induced_product, stationary_part
+from oracles import dense_boost
 
 
 def square_box(n, theta, half):
@@ -62,13 +65,14 @@ class TestSymbolAlgebra:
         assert diff.terms == p_x().terms
 
     def test_boost_forms_agree(self):
-        full = galilean_boost(1.7, 0.25, form="full")
-        reduced = galilean_boost(1.7, 0.25, form="reduced")
-        assert full.terms == reduced.terms
-
-    def test_boost_rejects_bad_form(self):
-        with pytest.raises(ValueError, match="form"):
-            galilean_boost(1.0, 0.1, form="exact")
+        # m X_L - P_x T_c is m X_L - P_x T_L - (theta/2) P_x^2 term by term.
+        m, theta = 1.7, 0.25
+        full = (
+            x_theta_l(theta) * m
+            - p_x().compose(t_theta_l(theta))
+            - (theta / 2) * p_x().compose(p_x())
+        )
+        assert full.terms == galilean_boost(m, theta).terms
 
     def test_non_finite_scalars_rejected(self):
         with pytest.raises(ValueError, match="theta must be >= 0"):
@@ -111,14 +115,13 @@ class TestSymbolAlgebra:
             p_t(),
             x_c(0.3),
             t_c(0.3),
-            galilean_boost(1.3, 0.3, "reduced"),
-            galilean_boost(1.3, 0.3, "full"),
+            galilean_boost(1.3, 0.3),
             hamiltonian(2.0, [0, 1, 0.5], 0.1),
             commutator(galilean_boost(1.0, 0.3), p_t()),
         ],
         ids=[
             "x_theta_l", "x_theta_r", "t_theta_l", "t_theta_r", "p_x", "p_t",
-            "x_c", "t_c", "boost_reduced", "boost_full", "hamiltonian", "composite",
+            "x_c", "t_c", "boost_reduced", "hamiltonian", "composite",
         ],
     )
     def test_json_round_trip(self, op):
@@ -127,6 +130,25 @@ class TestSymbolAlgebra:
     def test_json_without_terms(self):
         with pytest.raises(ValueError, match="terms"):
             from_json('{"kind": "P_x", "theta": 0, "params": {}}')
+
+    @pytest.mark.parametrize(
+        "key, named",
+        [("1,0", "(1, 0)"), ("-1,0,0,0", "(-1, 0, 0, 0)")],
+        ids=["arity", "negative"],
+    )
+    def test_json_bad_term_key(self, key, named):
+        text = f'{{"kind": "composite", "theta": 0.0, "params": {{}}, "terms": {{"{key}": [1.0, 0.0]}}}}'
+        with pytest.raises(ValueError, match=re.escape(f"key {named} is not four non-negative ints")):
+            from_json(text)
+
+    @pytest.mark.parametrize(
+        "key",
+        [(1, 0), (-1, 0, 0, 0), (0, 1.0, 0, 0), "0,1,0,0"],
+        ids=["arity", "negative", "float", "string"],
+    )
+    def test_bad_term_key(self, key):
+        with pytest.raises(ValueError, match="not four non-negative ints"):
+            SymbolOperator("composite", 0.0, {key: 1.0})
 
 
 class TestApplyField2D:
@@ -294,6 +316,16 @@ class TestPhaseSpaceMap:
 
 
 class TestBoost:
+    def mixed_waves(self, spec):
+        waves = [plane_wave(spec, 1.0, 1.0), plane_wave(spec, 2.0, -1.0)]
+        return waves, Field2D(spec, waves[0].values + 0.7 * waves[1].values)
+
+    def generator_powers(self, psi, m, theta):
+        """[G psi, G^2 psi, G^3 psi], each power composed before it is applied."""
+        G = galilean_boost(m, theta)
+        powers = [G, G.compose(G), G.compose(G).compose(G)]
+        return [apply(op, psi).values for op in powers]
+
     def test_zero_velocity_identity(self):
         spec = square_box(32, 0.1, 1.2)
         fld = gaussian(spec, st=0.2, sx=0.2)
@@ -301,63 +333,122 @@ class TestBoost:
         assert np.array_equal(out.values, fld.values)
 
     def test_plane_wave_commutative_limit(self):
+        # theta = 0: the textbook e^{-imvx - imv^2 t/2} psi(t, x + vt), which
+        # takes the on-shell wave (E, p) = (2, 2) to (p'^2/2m, p - mv).
         spec = square_box(64, 0.0, np.pi)
-        E, p, v, m = 1.0, 2.0, 0.3, 1.5
+        E, p, v, m = 2.0, 2.0, 0.5, 1.0
         out = boost_transform(plane_wave(spec, E, p), v, m, 0.0)
-        assert out.metadata["boost_mode"] == "exact_plane_wave"
         tt, xx = np.meshgrid(spec.t, spec.x, indexing="ij")
-        want = np.exp(-1j * m * v * (xx + v * tt)) * np.exp(-1j * (E * tt - p * (xx + v * tt)))
+        want = np.exp(-1j * m * v * (xx + v * tt / 2)) * np.exp(-1j * (E * tt - p * (xx + v * tt)))
         assert rel_err(out.values, want) < 1e-12
+        p_out = p - m * v
+        on_shell = np.exp(-1j * (p_out**2 / (2 * m) * tt - p_out * xx))
+        ratio = out.values / on_shell
+        assert rel_err(ratio, ratio[0, 0]) < 1e-12
+        assert abs(ratio[0, 0]) == pytest.approx(1.0, abs=1e-12)
+        assert out.metadata["boost_growth"] == 0.0
 
     def test_deformation_phase_worked_value(self):
-        # theta=0.2, p=1: the boosted wave gains e^{i v theta p^2 / 2} = e^{0.1 i v}.
-        E, p, v, m = 1.0, 1.0, 0.25, 1.0
+        # theta = 0.2, E = p = 1, v = 0.25, m = 1: the wave moves to
+        # (E', p') = (0.78125, 0.75) and the Voros amplitude gains the factor
+        # exp(0.041357421875 + 0.0221354166...i) over the theta = 0 boost.
+        E, p, v, m, theta = 1.0, 1.0, 0.25, 1.0, 0.2
         flat = square_box(64, 0.0, np.pi)
-        deformed = square_box(64, 0.2, np.pi)
+        deformed = square_box(64, theta, np.pi)
         base = boost_transform(plane_wave(flat, E, p), v, m, 0.0)
-        bent = boost_transform(plane_wave(deformed, E, p), v, m, 0.2)
+        bent = boost_transform(plane_wave(deformed, E, p), v, m, theta)
         ratio = bent.values / base.values
-        assert rel_err(ratio, np.exp(1j * v * 0.1)) < 1e-12
+        assert rel_err(ratio, np.exp(0.041357421875 + 0.022135416666666667j)) < 1e-12
+        # the modulus is the ratio of the damping factors e^{-theta(E^2 + p^2)/4}
+        E_out, p_out = E - v * p + m * v**2 / 2, p - m * v
+        damping = np.exp(theta * (E**2 + p**2 - E_out**2 - p_out**2) / 4)
+        assert np.max(np.abs(np.abs(ratio) - damping)) < 1e-12
+        assert bent.metadata["boost_growth"] == pytest.approx(np.log(damping), rel=1e-12)
 
-    def test_first_order_matches_exact_commutative(self):
+    def test_second_order_matches_generator(self):
+        # theta = 0, v = 1e-3: 1 - ivG - v^2 G^2/2 misses e^{-ivG} by its
+        # cubic term i v^3 G^3/6, to relative O(v).
         m, v = 1.0, 1e-3
         spec = square_box(64, 0.0, np.pi)
-        waves = [plane_wave(spec, 1.0, 1.0), plane_wave(spec, 2.0, -1.0)]
-        mixed = Field2D(spec, waves[0].values + 0.7 * waves[1].values)
-        out = boost_transform(mixed, v, m, 0.0)
-        assert out.metadata["boost_mode"] == "first_order"
-        exact = (
-            boost_transform(waves[0], v, m, 0.0).values
-            + 0.7 * boost_transform(waves[1], v, m, 0.0).values
-        )
-        err = np.max(np.abs(out.values - exact)) / np.max(np.abs(exact))
-        assert err < 10 * max(out.metadata["boost_truncation_estimate"], 1e-15)
+        _, mixed = self.mixed_waves(spec)
+        g1, g2, g3 = self.generator_powers(mixed, m, 0.0)
+        out = boost_transform(mixed, v, m, 0.0).values
+        second = mixed.values - 1j * v * g1 - v**2 / 2 * g2
+        err = np.max(np.abs(out - second))
+        assert err == pytest.approx(v**3 / 6 * np.max(np.abs(g3)), rel=0.01)
 
-    def test_first_order_deformed_gap_scales_with_v(self):
-        # At theta > 0 the two sanctioned boost routes (closed-form product for
-        # plane waves, 1 - ivG otherwise) differ at O(v.theta): the finite form
-        # multiplies phases as commuting numbers.  Pin the gap's linear scaling
-        # so any change to either route surfaces here.
-        theta, m = 0.2, 1.0
-        spec = square_box(64, theta, np.pi)
-        waves = [plane_wave(spec, 1.0, 1.0), plane_wave(spec, 2.0, -1.0)]
-        mixed = Field2D(spec, waves[0].values + 0.7 * waves[1].values)
+    @pytest.mark.parametrize("theta", [0.0, 0.1, 0.2])
+    def test_third_order_matches_generator(self, theta):
+        # The gap to 1 - ivG - v^2 G^2/2 + iv^3 G^3/6 is O(v^4): halving v
+        # divides it by 16.
+        m = 1.0
+        spec = square_box(128, theta, np.pi)
+        _, mixed = self.mixed_waves(spec)
+        g1, g2, g3 = self.generator_powers(mixed, m, theta)
 
         def gap(v):
-            out = boost_transform(mixed, v, m, theta)
-            exact = (
-                boost_transform(waves[0], v, m, theta).values
-                + 0.7 * boost_transform(waves[1], v, m, theta).values
-            )
-            return np.max(np.abs(out.values - exact)) / np.max(np.abs(exact))
+            third = mixed.values - 1j * v * g1 - v**2 / 2 * g2 + 1j * v**3 / 6 * g3
+            return rel_err(boost_transform(mixed, v, m, theta).values, third)
 
-        g1, g2 = gap(1e-3), gap(5e-4)
-        assert 0.5e-4 < g1 < 5e-4  # O(v theta), far above the O(v^2) truncation
-        assert g1 / g2 == pytest.approx(2.0, rel=0.05)
+        g_big, g_small = gap(0.02), gap(0.01)
+        assert g_small < 1e-6
+        assert g_big / g_small == pytest.approx(16.0, rel=0.02)
 
-    def test_velocity_bound_enforced(self):
+    @pytest.mark.parametrize("v", [1e-3, 0.5, 5.0])
+    def test_linear_superposition(self, v):
+        # One map for every state: a superposition of plane waves boosts as
+        # the superposition of the boosted waves, at any velocity.
+        m, theta = 1.0, 0.2
+        spec = square_box(64, theta, np.pi)
+        waves, mixed = self.mixed_waves(spec)
+        parts = [boost_transform(w, v, m, theta).values for w in waves]
+        out = boost_transform(mixed, v, m, theta)
+        assert rel_err(out.values, parts[0] + 0.7 * parts[1]) < 1e-12
+
+    def test_group_law_and_inverse(self):
+        m, theta = 1.3, 0.2
+        spec = square_box(256, theta, 8.0)
+        fld = gaussian(spec)
+        twice = boost_transform(boost_transform(fld, 0.3, m, theta), 0.2, m, theta)
+        assert rel_err(twice.values, boost_transform(fld, 0.5, m, theta).values) < 1e-12
+        back = boost_transform(boost_transform(fld, 0.3, m, theta), -0.3, m, theta)
+        assert rel_err(back.values, fld.values) < 1e-12
+
+    @pytest.mark.parametrize("n, half", [(16, 0.8), (32, 1.6)])
+    @pytest.mark.parametrize("v, m", [(0.37, 1.3), (-1.1, 0.7), (2.5, 1.0)])
+    def test_matches_dense_oracle(self, n, half, v, m):
+        # Random modes |index| <= 3; k' = (k_t + v k_x - mv^2/2, k_x - mv)
+        # is off the grid for each velocity.
+        theta = 0.2
+        spec = square_box(n, theta, half)
+        rng = np.random.default_rng(n)
+        fh = np.zeros((n, n), dtype=complex)
+        for a in range(-3, 4):
+            for b in range(-3, 4):
+                fh[a % n, b % n] = rng.standard_normal() + 1j * rng.standard_normal()
+        psi = Field2D(spec, np.fft.ifft2(fh))
+        got = boost_transform(psi, v, m, theta)
+        want = dense_boost(psi.values, spec.t, spec.x, spec.k_t, spec.k_x, theta, v, m)
+        assert rel_err(got.values, want) < 1e-13
+
+    def test_shear_to_the_edge_is_flagged(self):
+        # The shear x -> x + vt carries the Gaussian's tails at t = +-8 to
+        # x = +-8v: decayed at v = 0.5, on the edge at v = 1.
+        m, theta = 1.3, 0.2
+        spec = square_box(256, theta, 8.0)
+        fld = gaussian(spec)
+        assert "edge_decay_warning" not in boost_transform(fld, 0.5, m, theta).metadata
+        warning = boost_transform(fld, 1.0, m, theta).metadata["edge_decay_warning"]
+        assert warning["axis"] == "x"
+        assert warning["relative_edge_magnitude"] > EDGE_DECAY_TOL
+
+    def test_rejects_theta_off_the_grid(self):
         spec = square_box(64, 0.2, np.pi)
-        waves = plane_wave(spec, 1.0, 1.0).values + plane_wave(spec, 2.0, -1.0).values
-        mixed = Field2D(spec, waves)
-        with pytest.raises(ValueError, match="velocity too large"):
-            boost_transform(mixed, 5.0, 1.0, 0.2)
+        with pytest.raises(ValueError, match="does not match grid theta 0.2"):
+            boost_transform(plane_wave(spec, 1.0, 1.0), 0.25, 1.0, 0.0)
+
+    @pytest.mark.parametrize("v", [np.nan, np.inf])
+    def test_rejects_non_finite_velocity(self, v):
+        spec = square_box(64, 0.2, np.pi)
+        with pytest.raises(ValueError, match="velocity v must be finite"):
+            boost_transform(plane_wave(spec, 1.0, 1.0), v, 1.0, 0.2)
