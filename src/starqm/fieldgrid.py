@@ -30,16 +30,17 @@ EDGE_DECAY_TOL = 1e-10
 DEFAULT_MODE_CUTOFF = 1e-14
 
 # Plane and fixed-line pairings of full fields drop modes at this coarser
-# level.  They weight the partner pairs (k, -k) of a trace sum by
-# e^{theta |k|^2/2}.  Derivative factors in a composed operator lift the
-# rounding floor of the input spectrum above 1e-14, and the growth then
-# amplifies exactly those modes: for a coherent symbol centred at
-# (0.3, -0.5) sqrt(theta) on the 128^2 box of reach 8 sqrt(theta) at
-# theta = 0.1, the plane norm reads 1.1e19 at cutoff 1e-14 (star engine and
-# trace sum alike, both being the same discrete sum) and 1.0 at 1e-12 and
-# 1e-10; its fixed-line norm at t = 0 is off the closed form by a factor
-# 1.9e18 at 1e-14 and by 1.2e-9 at 1e-10.  This level still keeps every
-# mode a Gaussian symbol populates above 1e-10.
+# level; its one reader is symbols._pairing, which computes both.  Their
+# partner mode pairs carry Voros growth up to e^{theta |k||k'|/2}.
+# Derivative factors in a composed operator lift the rounding floor of the
+# input spectrum above 1e-14, and the growth then amplifies exactly those
+# modes: for a coherent symbol centred at (0.3, -0.5) sqrt(theta) on the
+# 128^2 box of reach 8 sqrt(theta) at theta = 0.1, the plane norm reads
+# 1.1e19 at cutoff 1e-14 (star engine and partner sum alike, both being the
+# same discrete sum) and 1.0 at 1e-12 and 1e-10; its fixed-line norm at
+# t = 0 is off the closed form by a factor 1.9e18 at 1e-14 and by 1.2e-9 at
+# 1e-10.  This level still keeps every mode a Gaussian symbol populates
+# above 1e-10.
 _PAIRING_MODE_CUTOFF = 1e-10
 
 

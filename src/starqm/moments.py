@@ -2,16 +2,16 @@
 
 One `expectation` front end covers the three state representations: a
 stationary-tagged slice is lifted to a phase polynomial so coordinate-t and
-d_t monomials act exactly, a full field paired on a fixed-t line goes
-through the induced product, and a full field with no line selected is
-paired over the whole plane, integral dt dx psi* (star) O psi -- the right
-reading for coherent basis elements, which are not on shell.  The whole-plane
-pairing needs only the integral of the star product, so it is evaluated in
-closed form as a trace sum over partner Fourier modes (k, -k); no star
-product field is built.  A batch of operators on one state transforms the
-bra side once and each ket once, and the kets O psi of a full field are
-built from one derivative cache, so each derivative order of psi is taken
-once per batch.
+d_t monomials act exactly, a full field paired on a fixed-t line reads the
+induced product integral dx psi* (star) O psi there, and a full field with
+no line selected is paired over the whole plane, integral dt dx psi* (star)
+O psi -- the right reading for coherent basis elements, which are not on
+shell.  Both full-field pairings need only sums of the star product, so
+`symbols._pairing` evaluates them in closed form over partner Fourier modes;
+no star product field is built.  A batch of operators on one state
+transforms the bra side once and each ket once, and the kets O psi of a full
+field are built from one derivative cache, so each derivative order of psi
+is taken once per batch.
 
 On top of that sit the uncertainty products, the 4x4 covariance matrix of
 the coherent element together with its commutator (symplectic) form, the
@@ -31,13 +31,13 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import phasecalc, symbols
 from .dynamics import Potential
-from .fieldgrid import _PAIRING_MODE_CUTOFF, Field1D, Field2D, GridSpec, _csv, _drop_noise_modes
+from .fieldgrid import Field1D, Field2D, GridSpec, _csv
 from .fieldgrid import _require_grid_theta, _require_nonnegative, _require_positive
 from .operators import (
     SymbolOperator,
@@ -195,59 +195,6 @@ def _checked_norm(norm: complex) -> float:
     return norm.real
 
 
-def _plane_bra(theta: float, bra: Field2D) -> Callable[[Field2D], complex]:
-    """ket -> integral dt dx conj(bra) (star) ket as the closed-form trace sum.
-
-    Summing a star product over the grid keeps only the mode pairs that land
-    in the zero mode, so with F = conj(bra), G = ket the pairing is
-    (dt dx / N_t N_x) sum_k F^(k) G^(k') exp[-(theta/2) conj(w_k) w_k'] with
-    the partner index k' = -k mod N on each axis (a Nyquist mode is its own
-    partner).  This is the discrete sum the star engine's product gives after
-    dropping input modes below the pairing cutoff
-    fieldgrid._PAIRING_MODE_CUTOFF, evaluated only on pairs where both modes
-    survive.
-
-    What depends on the bra alone is prepared once: its transform and
-    cutoff, its surviving modes, their partner slots and weight exponents.
-    Each ket then costs one FFT and its own cutoff, and the weight is
-    exponentiated only on the pairs where both modes survive.
-    """
-    spec = bra.spec
-    fh = np.fft.fft2(np.conj(bra.values))
-    # At theta = 0 the engine multiplies pointwise and drops no modes.
-    if theta > 0.0:
-        fh, _ = _drop_noise_modes(fh, _PAIRING_MODE_CUTOFF)
-    w = spec.k_t[:, None] + 1j * spec.k_x[None, :]
-    partner_t = -np.arange(spec.n_t) % spec.n_t
-    partner_x = -np.arange(spec.n_x) % spec.n_x
-    kept = fh != 0
-    f = fh[kept]
-    slots = (partner_t[:, None] * spec.n_x + partner_x[None, :])[kept]
-    expo = (-(theta / 2.0) * np.conj(w) * w[np.ix_(partner_t, partner_x)])[kept]
-    dt, dx, size = spec.dt, spec.dx, spec.n_t * spec.n_x
-
-    def pair(ket: Field2D) -> complex:
-        gh = np.fft.fft2(ket.values)
-        if theta > 0.0:
-            gh, _ = _drop_noise_modes(gh, _PAIRING_MODE_CUTOFF)
-        g = gh.ravel()[slots]
-        live = g != 0
-        total = complex(np.sum(f[live] * g[live] * np.exp(expo[live])))
-        if not np.isfinite(total):
-            raise ValueError(
-                f"plane pairing overflowed ({total}): the Voros weight on the "
-                "surviving mode pairs exceeds floating-point range"
-            )
-        return total * dt * dx / size
-
-    return pair
-
-
-def _plane_pairing(theta: float, bra: Field2D, ket: Field2D) -> complex:
-    """One whole-plane pairing integral dt dx conj(bra) (star) ket (see _plane_bra)."""
-    return _plane_bra(theta, bra)(ket)
-
-
 def expectation(
     op: SymbolOperator,
     psi: Field1D | Field2D,
@@ -264,16 +211,15 @@ def expectation(
     untagged slice is accepted only at theta = 0 for operators free of d_t
     factors, where the reduction is vacuous.
 
-    A Field2D with explicit t pairs on that fixed-t grid line through the
-    star engine; with t=None it pairs over the whole plane, integral
-    dt dx psi* (star) O psi, evaluated as the closed-form trace sum over
-    partner modes (see _plane_bra).  That sum is the exact mode-pair
-    multiplier; only kernel.theta enters it.  Plane and fixed-line pairings
-    drop input modes at the pairing cutoff fieldgrid._PAIRING_MODE_CUTOFF.
-    On a full field, the functions that pair several operators on one state
-    (uncertainty products, covariance, bound checks) build every O psi from
-    one derivative cache of psi, and a whole-plane batch transforms the bra
-    side once.
+    A Field2D with explicit t pairs on that fixed-t grid line, integral
+    dx psi* (star) O psi; with t=None it pairs over the whole plane,
+    integral dt dx psi* (star) O psi.  Both are the closed-form sum over
+    partner modes of `symbols._pairing`, whose mode-pair multiplier is
+    exact; only kernel.theta enters it, and input modes below the pairing
+    cutoff fieldgrid._PAIRING_MODE_CUTOFF are dropped.  On a full field, the
+    functions that pair several operators on one state (uncertainty
+    products, covariance, bound checks) build every O psi from one
+    derivative cache of psi, and transform the bra side once per batch.
 
     The state must arrive normalized: a pairing norm off unity beyond 1e-6
     is rejected; the residual deviation below that is divided out.
@@ -312,10 +258,7 @@ def _expectations(
         state = psi
         # One derivative cache serves every operator of the batch.
         act = partial(_apply_field2d, fld=psi, derivs={})
-        if t is not None:
-            pair = partial(symbols.induced_inner_product, kernel, psi, t=float(t))
-        else:
-            pair = _plane_bra(kernel.theta, psi)
+        pair = symbols._pairing(kernel.theta, psi, t)
     norm = _checked_norm(complex(pair(state)))
     return [complex(pair(act(op))) / norm for op in ops]
 

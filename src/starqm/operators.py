@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from starqm.fieldgrid import EDGE_DECAY_TOL, Field1D, Field2D, spectral_derivative
-from starqm.fieldgrid import _drop_noise_modes, _edge_magnitude, _require_grid_theta
+from starqm.fieldgrid import _drop_noise_modes, _edge_magnitude
 from starqm.fieldgrid import _require_nonnegative, _require_positive
 from starqm.phasecalc import PhasePoly, _dt_poly, _slice_part
 
@@ -182,18 +182,19 @@ def galilean_boost(m: float, theta: float) -> SymbolOperator:
     """
     _require_positive(m, "mass")
     g = x_theta_l(theta) * m - p_x().compose(t_c(theta))
-    return SymbolOperator("GalileanBoost", theta, g.terms, {"m": m})
+    return SymbolOperator("GalileanBoost", theta, g.terms, {"m": float(m)})
 
 
 def hamiltonian(m: float, potential=None, theta: float = 0.0) -> SymbolOperator:
-    """P_x^2 / 2m plus an optional polynomial potential sum_j c_j x^j."""
+    """P_x^2 / 2m plus an optional polynomial potential sum_j c_j x^j, each c_j real and finite."""
     _require_positive(m, "mass")
     terms: dict[Monomial, complex] = {(0, 0, 0, 2): -1.0 / (2 * m)}
-    coeffs = [] if potential is None else list(potential)
-    for j, cj in enumerate(coeffs):
-        if cj != 0:
-            terms[(0, j, 0, 0)] = terms.get((0, j, 0, 0), 0.0) + cj
-    return SymbolOperator("Hamiltonian", theta, terms, {"m": m, "potential": coeffs})
+    coeffs = [complex(c) for c in ([] if potential is None else potential)]
+    if any(c.imag != 0.0 or not math.isfinite(c.real) for c in coeffs):
+        raise ValueError(f"potential coefficients must be real and finite, got {potential}")
+    coeffs = [c.real for c in coeffs]
+    terms.update({(0, j, 0, 0): c for j, c in enumerate(coeffs) if c != 0.0})
+    return SymbolOperator("Hamiltonian", theta, terms, {"m": float(m), "potential": coeffs})
 
 
 def commutator(A: SymbolOperator, B: SymbolOperator) -> SymbolOperator:
@@ -280,10 +281,10 @@ def commutator_apply(A: SymbolOperator, B: SymbolOperator, psi):
 # Galilean boost of states
 
 
-def boost_transform(psi: Field2D, v: float, m: float, theta: float) -> Field2D:
+def boost_transform(psi: Field2D, v: float, m: float) -> Field2D:
     """The state seen from a frame moving with velocity v: e^{-ivG} psi.
 
-    G = m X_theta^L - P_x T_c is `galilean_boost(m, theta)`.  In the Weyl
+    G = m X_theta^L - P_x T_c, `galilean_boost(m, psi.spec.theta)`.  In the Weyl
     frame, whose mode k is the Voros mode times e^{(theta/4)|k|^2} (the
     Moyal amplitude), it reads m x - (i m theta/2) d_t + i t d_x, whose flow
     is a t-translation by theta m v/2, the shear x -> x + vt - theta m v^2/4
@@ -307,7 +308,7 @@ def boost_transform(psi: Field2D, v: float, m: float, theta: float) -> Field2D:
     if not math.isfinite(v):
         raise ValueError(f"velocity v must be finite, got {v}")
     spec = psi.spec
-    _require_grid_theta(theta, spec, "boost theta")
+    theta = spec.theta
     if v == 0.0:
         return Field2D(spec, psi.values, metadata=dict(psi.metadata))
 

@@ -239,19 +239,14 @@ def star(kernel: StarKernel, f: Field2D, g: Field2D) -> Field2D:
     if f.spec != g.spec:
         raise ValueError("star requires both fields on the same GridSpec")
     _require_grid_theta(kernel.theta, f.spec, "kernel theta")
-    return _star(kernel, f, g, DEFAULT_MODE_CUTOFF)
-
-
-def _star(kernel: StarKernel, f: Field2D, g: Field2D, cutoff: float) -> Field2D:
-    """`star` on checked inputs, dropping input modes below `cutoff` of each peak."""
     if kernel.theta == 0.0:
         return Field2D(f.spec, f.values * g.values)
-    fh, dropped_f = _drop_noise_modes(np.fft.fft2(f.values), cutoff)
-    gh, dropped_g = _drop_noise_modes(np.fft.fft2(g.values), cutoff)
+    fh, dropped_f = _drop_noise_modes(np.fft.fft2(f.values))
+    gh, dropped_g = _drop_noise_modes(np.fft.fft2(g.values))
     metadata: dict = {}
     if dropped_f or dropped_g:
         metadata["mode_cutoff"] = {
-            "threshold": cutoff,
+            "threshold": DEFAULT_MODE_CUTOFF,
             "dropped_f": dropped_f,
             "dropped_g": dropped_g,
         }

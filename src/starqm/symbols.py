@@ -26,7 +26,7 @@ from . import phasecalc
 from .fieldgrid import Field1D, Field2D, GridSpec, spectral_derivative
 from .fieldgrid import _PAIRING_MODE_CUTOFF, _csv, _drop_noise_modes, _node_columns
 from .fieldgrid import _require_grid_theta, _require_nonnegative, _require_positive
-from .star import StarKernel, _require_voros, _star, _star_square_series, star
+from .star import StarKernel, _require_voros, _star_square_series, star
 
 # Relative floor under which a sampled kernel mode is treated as numerically
 # empty: below it the compensating growth factor would only amplify rounding
@@ -135,6 +135,66 @@ def coherent_symbol(point: CoherentPoint, spec: GridSpec) -> Field2D:
 # ---------------------------------------------------------------------------
 
 
+def _pairing(theta: float, bra: Field2D, t: float | None = None) -> Callable[[Field2D], complex]:
+    """ket -> integral dx conj(bra) (star) ket on the grid line t, or dt dx over the plane.
+
+    The x-sum keeps only pairs of partner x-modes, index -c mod N_x (a Nyquist
+    mode is its own).  A pair of t-frequencies a (bra) and b (ket) carries
+    exp[-(theta/2) conj(w_k) w_k'], w = k_t + i k_x: the coupling
+    e^{-theta a b/2}, the bra-side e^{-i theta a k_x'/2 - theta k_x k_x'/2}
+    and the ket-side e^{i theta k_x b/2}.  The line sums every (a, b) with
+    e^{i(a + b)(t - t_min)} at scale dx/(N_t^2 N_x); the plane keeps b at
+    index -a mod N_t, at scale dt dx/(N_t N_x).  This is the star engine's
+    sum after dropping input modes below fieldgrid._PAIRING_MODE_CUTOFF (none
+    at theta = 0), without the product.  The bra's weights (exponentiated on
+    surviving modes only), the coupling and the ket-side phases fold into one
+    weight per ket mode, once per bra; a ket costs one FFT, its cutoff, a
+    gather of the partner columns and one weighted sum.
+    """
+    spec = bra.spec
+    n_t, n_x = spec.n_t, spec.n_x
+    if t is not None:
+        idx = int(np.argmin(np.abs(spec.t - t)))
+        if abs(spec.t[idx] - t) > 1e-9 * (1.0 + abs(t)):
+            raise ValueError(f"t={t} is not a grid point (nearest is {spec.t[idx]})")
+
+    def modes(values: np.ndarray) -> np.ndarray:
+        fh = np.fft.fft2(values)
+        return _drop_noise_modes(fh, _PAIRING_MODE_CUTOFF)[0] if theta > 0.0 else fh
+
+    fh = modes(np.conj(bra.values))
+    live = fh != 0
+    rows = np.flatnonzero(np.any(live, axis=1))
+    cols = np.flatnonzero(np.any(live, axis=0))
+    partner_cols = -cols % n_x
+    a, k_x, k_x_partner = spec.k_t[rows], spec.k_x[cols], spec.k_x[partner_cols]
+    block = np.ix_(rows, cols)
+    expo = -(theta / 2.0) * (1j * np.outer(a, k_x_partner) + k_x * k_x_partner)
+    bra_side = fh[block] * np.exp(expo, out=np.zeros(expo.shape, complex), where=live[block])
+    ket_side = np.exp((0.5j * theta) * np.outer(spec.k_t, k_x))
+    coupling = -(theta / 2.0) * np.outer(a, spec.k_t)
+    if t is None:
+        partner_rows = np.arange(n_t) == (-rows % n_t)[:, None]
+        coupling = np.exp(coupling, out=np.zeros(coupling.shape), where=partner_rows)
+        scale = spec.dt * spec.dx / (n_t * n_x)
+    else:
+        coupling = np.exp(coupling + 1j * (idx * spec.dt) * np.add.outer(a, spec.k_t))
+        scale = spec.dx / (n_t * n_t * n_x)
+
+    weight = ket_side * (coupling.T @ bra_side)  # [b, c]: sum over the bra rows a
+
+    def pair(ket: Field2D) -> complex:
+        total = complex(np.sum(weight * modes(ket.values)[:, partner_cols]))
+        if not np.isfinite(total):
+            raise ValueError(
+                f"pairing overflowed ({total}): the Voros weight on the "
+                "surviving mode pairs exceeds floating-point range"
+            )
+        return total * scale
+
+    return pair
+
+
 def induced_inner_product(
     kernel: StarKernel,
     psi: Field1D | Field2D,
@@ -147,8 +207,9 @@ def induced_inner_product(
     each must carry metadata['energy'] so the star's t-derivatives are well
     posed on a single slice.  Field2D inputs carry their own temporal
     neighborhoods; pass the slice time t (a grid point) explicitly.  Their
-    star product drops input modes at the pairing cutoff
-    fieldgrid._PAIRING_MODE_CUTOFF.
+    pairing is the closed-form sum over x-partner modes of `_pairing`, which
+    drops input modes at the pairing cutoff fieldgrid._PAIRING_MODE_CUTOFF;
+    no star product is built.
     """
     if isinstance(psi, Field1D) and isinstance(phi, Field1D):
         if psi.spec != phi.spec:
@@ -172,12 +233,7 @@ def induced_inner_product(
                 "Field2D inputs need an explicit slice time: pass t=<grid point> "
                 "(the 2-D box has no distinguished surface)"
             )
-        spec = psi.spec
-        idx = int(np.argmin(np.abs(spec.t - t)))
-        if abs(spec.t[idx] - t) > 1e-9 * (1.0 + abs(t)):
-            raise ValueError(f"t={t} is not a grid point (nearest is {spec.t[idx]})")
-        prod = _star(kernel, Field2D(spec, np.conj(psi.values)), phi, _PAIRING_MODE_CUTOFF)
-        return complex(np.sum(prod.values[idx, :]) * spec.dx)
+        return _pairing(kernel.theta, psi, t)(phi)
     raise TypeError("induced_inner_product takes two Field1D slices or two Field2D fields")
 
 
@@ -246,7 +302,6 @@ def onshell_project(
     p_grid: np.ndarray,
     amplitudes: np.ndarray,
     m: float,
-    theta: float,
     spec: GridSpec,
 ) -> Field2D:
     """Assemble the symbol of the on-shell state from momentum amplitudes.
@@ -254,9 +309,10 @@ def onshell_project(
     Psi(x, t) = (1/sqrt(2 pi)) sum_p dp  psi(p) e^{-(theta/4)(E_p^2+p^2)}
                 e^{-i(E_p t - p x)},   E_p = p^2 / 2m,
 
-    by quadrature over a uniform momentum grid symmetric about zero.  The
-    grid must resolve the integrand's oscillation across the whole (t, x)
-    window; otherwise the call is rejected with the required spacing.
+    at the grid's theta, by quadrature over a uniform momentum grid
+    symmetric about zero.  The grid must resolve the integrand's oscillation
+    across the whole (t, x) window; otherwise the call is rejected with the
+    required spacing.
     """
     p = np.asarray(p_grid, dtype=float)
     a = np.asarray(amplitudes, dtype=np.complex128)
@@ -268,7 +324,7 @@ def onshell_project(
     if not np.allclose(p, -p[::-1], rtol=0.0, atol=1e-9 * (1.0 + np.max(np.abs(p)))):
         raise ValueError("p_grid must be symmetric about 0")
     _require_positive(m, "mass")
-    _require_grid_theta(theta, spec, "theta")
+    theta = spec.theta
 
     step = float(dp[0])
     # Stationary-phase scale: d(phase)/dp = x - p t / m, extremal at the
@@ -296,8 +352,8 @@ def onshell_project(
 # ---------------------------------------------------------------------------
 
 
-def quasi_projection_apply(theta: float, t0: float, psi: Field2D) -> Field2D:
-    """Apply the fixed-time quasi-projector pi_{t0} to a symbol field.
+def quasi_projection_apply(t0: float, psi: Field2D) -> Field2D:
+    """Apply the fixed-time quasi-projector pi_{t0} to a symbol field at its grid's theta.
 
     pi_t sandwiches the state between coherent basis elements along one
     constant-t line: (pi_t psi)(t'', x'') = integral dx of the basis Gaussian
@@ -319,12 +375,12 @@ def quasi_projection_apply(theta: float, t0: float, psi: Field2D) -> Field2D:
     the x_min phase of the amplitudes, so the sum over p is
     n_x * ifft along x.
     """
-    if not theta > 0:
-        raise ValueError(f"quasi-projection needs theta > 0, got {theta}")
     if not isinstance(psi, Field2D):
         raise TypeError(f"quasi_projection_apply expects a Field2D, got {type(psi).__name__}")
     spec = psi.spec
-    _require_grid_theta(theta, spec, "theta")
+    theta = spec.theta
+    if not theta > 0:
+        raise ValueError(f"quasi-projection needs grid theta > 0, got {theta}")
     if not (spec.t_min <= t0 <= spec.t_max):
         raise ValueError(f"t0={t0} outside box [{spec.t_min}, {spec.t_max}]")
 
@@ -357,16 +413,17 @@ def _composition_rows(
     weight = float(gauss_delta(t_prime - t, math.sqrt(theta)))
     rows = []
     for psi in states:
-        once = quasi_projection_apply(theta, t, psi)
-        lhs = quasi_projection_apply(theta, t_prime, once)
-        rhs = weight * quasi_projection_apply(theta, t_prime, psi).values
+        once = quasi_projection_apply(t, psi)
+        _require_grid_theta(theta, psi.spec, "theta")
+        lhs = quasi_projection_apply(t_prime, once)
+        rhs = weight * quasi_projection_apply(t_prime, psi).values
         discrepancy = float(np.max(np.abs(lhs.values - rhs)))
         ref = float(np.max(np.abs(once.values)) * gauss_delta(0.0, math.sqrt(theta)))
         rows.append(
             {
                 "discrepancy": discrepancy,
                 "reference": ref,
-                "ratio": discrepancy / ref if ref > 0 else math.inf,
+                "ratio": discrepancy / ref if ref > 0 else None,
             }
         )
     return weight, rows
@@ -385,7 +442,7 @@ def quasi_projection_discrepancy(
 def quasi_projection_report(
     theta: float, t: float, t_prime: float, states: Sequence[Field2D]
 ) -> str:
-    """JSON diagnostics of the quasi-projection composition on the test states."""
+    """Strict JSON diagnostics of the composition law on the test states (no ratio: null)."""
     weight, rows = _composition_rows(theta, t, t_prime, states)
     return json.dumps(
         {
@@ -396,6 +453,7 @@ def quasi_projection_report(
             "states": rows,
         },
         indent=2,
+        allow_nan=False,
     )
 
 

@@ -1,5 +1,6 @@
 """Moment checks: expectations, covariance, Williamson spectrum, evolution law."""
 
+import importlib
 import json
 import math
 
@@ -7,12 +8,12 @@ import numpy as np
 import pytest
 
 from oracles import brute_force_star
-from starqm import dynamics, moments, operators, symbols
+from starqm import dynamics, moments, operators, star, symbols
 from starqm.dynamics import OscillatorParams, Potential
-from starqm.fieldgrid import _PAIRING_MODE_CUTOFF, Field1D, Field2D, GridSpec
+from starqm.fieldgrid import _PAIRING_MODE_CUTOFF, Field1D, Field2D, GridSpec, _drop_noise_modes
 from starqm.moments import SymplecticForm, VarianceMatrix
 from starqm.operators import SymbolOperator
-from starqm.star import StarKernel, _star
+from starqm.star import StarKernel, _star_compact
 from starqm.symbols import CoherentPoint
 
 THETA = 0.1
@@ -285,9 +286,44 @@ def covariance_ops(theta: float) -> list[SymbolOperator]:
     return zs + [zs[i].compose(zs[j]) + zs[j].compose(zs[i]) for i in range(4) for j in range(i, 4)]
 
 
+def covariance_kets(theta: float, centre: tuple[float, float]) -> tuple[Field2D, list[Field2D]]:
+    """A coherent symbol centred at centre * sqrt(theta) on coherent_box, and its 15 kets.
+
+    The kets are the state itself and each covariance operator applied to it:
+    every pairing coherent_variance_matrix makes.
+    """
+    s = math.sqrt(theta)
+    psi = symbols.coherent_symbol(
+        CoherentPoint(centre[0] * s, centre[1] * s, theta), coherent_box(theta)
+    )
+    return psi, [psi] + [operators.apply(op, psi) for op in covariance_ops(theta)]
+
+
+def line_normalized(psi: Field2D, t: float) -> Field2D:
+    """psi scaled to unit induced norm on the grid line t."""
+    norm = symbols.induced_inner_product(StarKernel(psi.spec.theta), psi, psi, t=t).real
+    return Field2D(psi.spec, psi.values / math.sqrt(norm))
+
+
+def engine_product(theta: float, bra: Field2D, ket: Field2D) -> np.ndarray:
+    """conj(bra) * ket from the compact star engine, both inputs cut at the pairing cutoff."""
+    fh, _ = _drop_noise_modes(np.fft.fft2(np.conj(bra.values)), _PAIRING_MODE_CUTOFF)
+    gh, _ = _drop_noise_modes(np.fft.fft2(ket.values), _PAIRING_MODE_CUTOFF)
+    return _star_compact(fh, gh, bra.spec, theta, True)[0]
+
+
+def random_modes(spec: GridSpec, rng: np.random.Generator, band: int | None) -> Field2D:
+    """Complex white noise, or noise on the signed mode indices |k| <= band of each axis."""
+    fh = rng.standard_normal((spec.n_t, spec.n_x)) + 1j * rng.standard_normal((spec.n_t, spec.n_x))
+    if band is not None:
+        fh[np.abs(np.fft.fftfreq(spec.n_t, 1.0 / spec.n_t)) > band, :] = 0.0
+        fh[:, np.abs(np.fft.fftfreq(spec.n_x, 1.0 / spec.n_x)) > band] = 0.0
+    return Field2D(spec, np.fft.ifft2(fh))
+
+
 @pytest.mark.filterwarnings("error")
 class TestPlanePairing:
-    """The whole-plane trace sum against the integral of an explicit star product.
+    """The whole-plane partner sum against the integral of an explicit star product.
 
     Warnings are errors here, so an overflow in the Voros weight fails.
     """
@@ -295,23 +331,12 @@ class TestPlanePairing:
     @pytest.mark.parametrize("theta", [0.0625, 0.1, 0.2])
     @pytest.mark.parametrize("centre", [(0.0, 0.0), (0.3, -0.5)])
     def test_matches_the_engine_on_covariance_operators(self, theta, centre):
-        s = math.sqrt(theta)
-        spec = coherent_box(theta)
-        psi = symbols.coherent_symbol(
-            CoherentPoint(centre[0] * s, centre[1] * s, theta), spec
-        )
-        kernel = StarKernel(theta)
-        bra = Field2D(spec, np.conj(psi.values))
-        zs = [operators.x_theta_l(theta), operators.t_theta_l(theta),
-              operators.p_x(), operators.p_t()]
-        kets = [psi] + [
-            operators.apply(zs[i].compose(zs[j]) + zs[j].compose(zs[i]), psi)
-            for i in range(4) for j in range(i, 4)
-        ]
-        got = np.array([moments._plane_pairing(theta, psi, ket) for ket in kets])
+        psi, kets = covariance_kets(theta, centre)
+        spec = psi.spec
+        pair = symbols._pairing(theta, psi)
+        got = np.array([pair(ket) for ket in kets])
         want = np.array(
-            [np.sum(_star(kernel, bra, ket, _PAIRING_MODE_CUTOFF).values) * spec.dt * spec.dx
-             for ket in kets]
+            [np.sum(engine_product(theta, psi, ket)) * spec.dt * spec.dx for ket in kets]
         )
         # entries that vanish in closed form sit at rounding level, so the
         # gap is measured against the state's largest pairing
@@ -326,17 +351,8 @@ class TestPlanePairing:
         half = 4 * math.sqrt(theta)
         spec = GridSpec(n, n, -half, half, -half, half, theta)
         rng = np.random.default_rng(7)
-
-        def random_field():
-            fh = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            if band is not None:
-                outside = np.abs(np.fft.fftfreq(n, 1.0 / n)) > band
-                fh[outside, :] = 0.0
-                fh[:, outside] = 0.0
-            return Field2D(spec, np.fft.ifft2(fh))
-
-        f, g = random_field(), random_field()
-        got = moments._plane_pairing(theta, f, g)
+        f, g = random_modes(spec, rng, band), random_modes(spec, rng, band)
+        got = symbols._pairing(theta, f)(g)
         prod = brute_force_star(np.conj(f.values), g.values, spec.k_t, spec.k_x, theta)
         want = np.sum(prod) * spec.dt * spec.dx
         scale = np.sum(np.abs(prod)) * spec.dt * spec.dx
@@ -349,15 +365,17 @@ class TestPlanePairing:
         spec = GridSpec(16, 16, -half, half, -half, half, theta)
         rng = np.random.default_rng(3)
         f = Field2D(spec, rng.standard_normal((16, 16)) + 0j)
-        with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="overflowed"):
-            moments._plane_pairing(theta, f, f)
-        # and through a batch, whose norm pairing overflows first
-        with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="overflowed"):
-            moments.expectation(operators.p_x(), f, StarKernel(theta))
+        # over the plane and on a grid line alike
+        for t in (None, float(spec.t[5])):
+            with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="overflowed"):
+                symbols._pairing(theta, f, t)(f)
+            # and through a batch, whose norm pairing overflows first
+            with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="overflowed"):
+                moments.expectation(operators.p_x(), f, StarKernel(theta), t=t)
 
     def test_far_off_centre_state_is_still_rejected(self):
         # centred at (2, -2) sqrt(theta) the pairing norm reads ~7.5e113 with
-        # an imaginary residue; the trace sum must report it, not return it
+        # an imaginary residue; the partner sum must report it, not return it
         s = math.sqrt(THETA)
         psi = symbols.coherent_symbol(
             CoherentPoint(2 * s, -2 * s, THETA), coherent_box(THETA)
@@ -369,18 +387,19 @@ class TestPlanePairing:
     @pytest.mark.parametrize("centre", [(0.0, 0.0), (0.3, -0.5)])
     def test_batch_is_the_unbatched_sum(self, theta, centre):
         # The batch prepares the bra once and shares derivatives between
-        # operators; each entry must still be its own one-shot pairing.
-        s = math.sqrt(theta)
-        psi = symbols.coherent_symbol(
-            CoherentPoint(centre[0] * s, centre[1] * s, theta), coherent_box(theta)
-        )
+        # operators; each entry must still be its own one-shot pairing, over
+        # the plane and on a grid line alike.
+        plane_psi, _ = covariance_kets(theta, centre)
         ops = covariance_ops(theta)
-        got = np.array(moments._expectations(ops, psi, StarKernel(theta)))
-        norm = moments._plane_pairing(theta, psi, psi).real
-        want = np.array(
-            [moments._plane_pairing(theta, psi, operators.apply(op, psi)) / norm for op in ops]
-        )
-        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        for t in (None, 0.0):
+            # the symbol has unit norm over the plane, not on a line
+            psi = line_normalized(plane_psi, t) if t is not None else plane_psi
+            got = np.array(moments._expectations(ops, psi, StarKernel(theta), t))
+            norm = symbols._pairing(theta, psi, t)(psi).real
+            want = np.array(
+                [symbols._pairing(theta, psi, t)(operators.apply(op, psi)) / norm for op in ops]
+            )
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
     def test_off_centre_batch_is_quiet(self):
         # Centred at (1, 0) sqrt(theta) the quasi-projection reads garbage
@@ -389,6 +408,60 @@ class TestPlanePairing:
         psi = symbols.coherent_symbol(CoherentPoint(s, 0.0, THETA), coherent_box(THETA))
         means = moments._expectations(covariance_ops(THETA)[:4], psi, StarKernel(THETA))
         assert np.allclose(means, [0.0, s, 0.0, 0.0], rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+class TestLinePairing:
+    """The fixed-t partner sum against the row sums of an explicit star product."""
+
+    @pytest.mark.parametrize("theta", [0.0625, 0.1, 0.2])
+    @pytest.mark.parametrize("band", [4, None])
+    def test_matches_the_brute_force_oracle(self, theta, band):
+        # band=None reaches the Nyquist lines, where the x-partner of a mode
+        # is the mode itself and the t-rows couple to every other row
+        n = 32
+        half = 4 * math.sqrt(theta)
+        spec = GridSpec(n, n, -half, half, -half, half, theta)
+        rng = np.random.default_rng(11)
+        f, g = random_modes(spec, rng, band), random_modes(spec, rng, band)
+        prod = brute_force_star(
+            np.conj(f.values), g.values, spec.k_t, spec.k_x, theta, cutoff=_PAIRING_MODE_CUTOFF
+        )
+        for i in (0, 5, 16, 31):
+            got = symbols._pairing(theta, f, float(spec.t[i]))(g)
+            want = np.sum(prod[i]) * spec.dx
+            assert abs(got - want) <= 1e-13 * np.sum(np.abs(prod[i])) * spec.dx
+
+    @pytest.mark.parametrize("theta", [0.0625, 0.1, 0.2])
+    @pytest.mark.parametrize("centre", [(0.0, 0.0), (0.3, -0.5), (1.0, 0.0)])
+    def test_matches_the_engine_on_covariance_operators(self, theta, centre):
+        psi, kets = covariance_kets(theta, centre)
+        spec = psi.spec
+        rows = (40, 64, 90)
+        got = np.array(
+            [[symbols._pairing(theta, psi, float(spec.t[i]))(ket) for i in rows] for ket in kets]
+        )
+        want = np.array(
+            [engine_product(theta, psi, ket)[rows, :].sum(axis=1) * spec.dx for ket in kets]
+        )
+        # At (1, 0) sqrt(theta) the engine's own rounding under the Voros
+        # growth reaches 4e-13 of the largest pairing (measured against
+        # brute_force_star at theta = 0.2), so the reference is not sharper.
+        bound = 1e-12 if centre == (1.0, 0.0) else 1e-13
+        assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
+
+    def test_no_pairing_builds_a_star_product(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a pairing built a star product")
+
+        monkeypatch.setattr(importlib.import_module("starqm.star"), "_star_compact", refuse)
+        psi = line_normalized(covariance_kets(THETA, (0.3, -0.5))[0], 0.0)
+        kernel = StarKernel(THETA)
+        with pytest.raises(AssertionError, match="built a star product"):
+            star(kernel, psi, psi)
+        moments.coherent_variance_matrix(THETA)
+        symbols.induced_inner_product(kernel, psi, psi, t=0.0)
+        moments.expectation(operators.p_x(), psi, kernel, t=0.0)
 
 
 class TestSymplecticEigenvalues:

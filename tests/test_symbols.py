@@ -358,7 +358,7 @@ class TestOnshellProject:
         spec = GridSpec(8, 256, 0.0, 0.1, -6.0, 6.0, 0.0)
         p = np.linspace(-8.0, 8.0, 65)
         amps = math.sqrt(sigma) / math.pi**0.25 * np.exp(-(sigma**2) * p**2 / 2)
-        fld = symbols.onshell_project(p, amps, m, 0.0, spec)
+        fld = symbols.onshell_project(p, amps, m, spec)
         prob = np.abs(fld.values[0]) ** 2
         x = spec.x
         total = prob.sum() * spec.dx
@@ -375,7 +375,7 @@ class TestOnshellProject:
         amps = np.zeros(p.size)
         amps[48] = 1.0  # p0 = 2.0
         p0 = p[48]
-        fld = symbols.onshell_project(p, amps, m, theta, spec)
+        fld = symbols.onshell_project(p, amps, m, spec)
         e0 = p0**2 / (2 * m)
         dp = p[1] - p[0]
         tt, xx = np.meshgrid(spec.t, spec.x, indexing="ij")
@@ -395,7 +395,7 @@ class TestOnshellProject:
         spec = GridSpec(64, 64, -0.5, 0.5, -4.0, 4.0, theta)
         p = np.linspace(-6.0, 6.0, 97)
         amps = math.sqrt(sigma) / math.pi**0.25 * np.exp(-(sigma**2) * p**2 / 2)
-        fld = symbols.onshell_project(p, amps, m, theta, spec)
+        fld = symbols.onshell_project(p, amps, m, spec)
         dp = p[1] - p[0]
         tt, xx = np.meshgrid(spec.t, spec.x, indexing="ij")
         lam = sigma**2 / 2 + theta / 4 + 1j * tt / (2 * m)
@@ -411,7 +411,7 @@ class TestOnshellProject:
         spec = GridSpec(64, 64, -10.0, 10.0, -20.0, 20.0, 0.0)
         p = np.linspace(-4.0, 4.0, 17)
         with pytest.raises(ValueError, match="requires dp <=") as err:
-            symbols.onshell_project(p, np.exp(-(p**2)), 0.3, 0.0, spec)
+            symbols.onshell_project(p, np.exp(-(p**2)), 0.3, spec)
         required = float(str(err.value).rsplit("dp <=", 1)[1])
         swing = 20.0 + 4.0 * 10.0 / 0.3
         assert required == pytest.approx(math.pi / swing, rel=1e-4)
@@ -420,13 +420,11 @@ class TestOnshellProject:
         spec = GridSpec(16, 16, 0.0, 0.5, 0.0, 0.5, 0.0)
         good = np.linspace(-1.0, 1.0, 9)
         with pytest.raises(ValueError, match="symmetric"):
-            symbols.onshell_project(good + 0.1, np.ones(9), 1.0, 0.0, spec)
+            symbols.onshell_project(good + 0.1, np.ones(9), 1.0, spec)
         with pytest.raises(ValueError, match="uniformly"):
-            symbols.onshell_project(np.array([-1.0, 0.0, 0.5, 1.0]), np.ones(4), 1.0, 0.0, spec)
+            symbols.onshell_project(np.array([-1.0, 0.0, 0.5, 1.0]), np.ones(4), 1.0, spec)
         with pytest.raises(ValueError, match="mass"):
-            symbols.onshell_project(good, np.ones(9), -1.0, 0.0, spec)
-        with pytest.raises(ValueError, match="theta"):
-            symbols.onshell_project(good, np.ones(9), 1.0, 0.3, spec)
+            symbols.onshell_project(good, np.ones(9), -1.0, spec)
 
 
 def two_mode_state(spec: GridSpec) -> Field2D:
@@ -454,7 +452,7 @@ class TestQuasiProjection:
         spec = GridSpec(64, 64, -4.0, 4.0, -4.0, 4.0, theta)
         psi = two_mode_state(spec)
         t0 = 0.0
-        out = symbols.quasi_projection_apply(theta, t0, psi)
+        out = symbols.quasi_projection_apply(t0, psi)
         k = StarKernel(theta)
         i_t0 = int(np.argmin(np.abs(spec.t - t0)))
         s = math.sqrt(theta)
@@ -478,7 +476,7 @@ class TestQuasiProjection:
             psi, theta = off_centre_coherent_state()
         spec = psi.spec
         t0 = t0_scale * math.sqrt(theta)
-        got = symbols.quasi_projection_apply(theta, t0, psi).values
+        got = symbols.quasi_projection_apply(t0, psi).values
         want = dense_quasi_projection(psi.values, spec.t, spec.x, spec.k_t, spec.k_x, theta, t0)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -495,7 +493,7 @@ class TestQuasiProjection:
         spec = GridSpec(256, 256, -4.0, 4.0, -4.0, 4.0, theta)
         psi = two_mode_state(spec)
         d = symbols.quasi_projection_discrepancy(theta, 0.0, 0.0, [psi])
-        ref = np.max(np.abs(symbols.quasi_projection_apply(theta, 0.0, psi).values))
+        ref = np.max(np.abs(symbols.quasi_projection_apply(0.0, psi).values))
         ratio = d / (ref * symbols.gauss_delta(0.0, math.sqrt(theta)))
         assert 0.0 < ratio < 0.25
 
@@ -508,7 +506,7 @@ class TestQuasiProjection:
             spec = GridSpec(256, 256, -4.0, 4.0, -4.0, 4.0, theta)
             psi = two_mode_state(spec)
             d = symbols.quasi_projection_discrepancy(theta, 0.0, 0.0, [psi])
-            ref = np.max(np.abs(symbols.quasi_projection_apply(theta, 0.0, psi).values))
+            ref = np.max(np.abs(symbols.quasi_projection_apply(0.0, psi).values))
             ratios.append(d / (ref * symbols.gauss_delta(0.0, math.sqrt(theta))))
         assert all(0.05 < r < 0.25 for r in ratios)
         assert max(ratios) / min(ratios) < 1.3
@@ -519,9 +517,7 @@ class TestQuasiProjection:
         psi = two_mode_state(spec)
         d = symbols.quasi_projection_discrepancy(theta, -1.0, 1.0, [psi])
         assert d < 1e-8
-        twice = symbols.quasi_projection_apply(
-            theta, 1.0, symbols.quasi_projection_apply(theta, -1.0, psi)
-        )
+        twice = symbols.quasi_projection_apply(1.0, symbols.quasi_projection_apply(-1.0, psi))
         assert np.max(np.abs(twice.values)) < 1e-8
 
     def test_report_is_valid_json(self):
@@ -541,9 +537,29 @@ class TestQuasiProjection:
         spec = GridSpec(64, 64, -4.0, 4.0, -4.0, 4.0, theta)
         psi = two_mode_state(spec)
         with pytest.raises(ValueError, match="outside box"):
-            symbols.quasi_projection_apply(theta, 9.0, psi)
-        with pytest.raises(ValueError, match="theta"):
-            symbols.quasi_projection_apply(0.2, 0.0, psi)
+            symbols.quasi_projection_apply(9.0, psi)
+        with pytest.raises(ValueError, match="theta 0.2 does not match grid theta 0.25"):
+            symbols.quasi_projection_discrepancy(0.2, 0.0, 0.0, [psi])
+        with pytest.raises(ValueError, match="theta 0.2 does not match grid theta 0.25"):
+            symbols.quasi_projection_report(0.2, 0.0, 0.0, [psi])
+        flat = two_mode_state(GridSpec(64, 64, -4.0, 4.0, -4.0, 4.0))
+        with pytest.raises(ValueError, match="grid theta > 0"):
+            symbols.quasi_projection_apply(0.0, flat)
+
+    def test_report_is_strict_json_on_a_zero_state(self):
+        # The zero state has reference 0 and so no ratio: null, not Infinity,
+        # which RFC 8259 JSON does not have.
+        theta = 0.25
+        spec = GridSpec(64, 64, -4.0, 4.0, -4.0, 4.0, theta)
+        zero = Field2D(spec, np.zeros((64, 64), dtype=complex))
+
+        def reject(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        text = symbols.quasi_projection_report(theta, 0.0, 0.125, [two_mode_state(spec), zero])
+        rows = json.loads(text, parse_constant=reject)["states"]
+        assert rows[0]["ratio"] > 0.0
+        assert rows[1] == {"discrepancy": 0.0, "reference": 0.0, "ratio": None}
         with pytest.raises(ValueError, match="test state"):
             symbols.quasi_projection_discrepancy(theta, 0.0, 0.0, [])
 
