@@ -859,7 +859,7 @@ def trajectory_csv(
     for fld in trajectory:
         n_x = fld.spec.n_x
         step = int(fld.metadata.get("step", 0))
-        t = trajectory[0].t_slice + float(fld.metadata.get("elapsed", 0.0))
+        t = phasecalc._slice_time(fld)
         rho = slice_density(kernel, fld, m=m).values.real
         blocks.append(
             (np.full(n_x, step), np.full(n_x, t), fld.spec.x, fld.values.real, fld.values.imag, rho)

@@ -24,9 +24,10 @@ EDGE_DECAY_TOL = 1e-10
 # Fourier-mode magnitudes below this fraction of the peak count as rounding
 # noise and are dropped: the Voros multiplier grows like e^{theta |k||k'|/2}
 # for anti-aligned mode pairs, so such noise must not participate.  Star
-# products, slice pairings, densities, the evolver and the quasi-projection
-# drop modes at this level: about 45 double-precision epsilons, just above
-# the rounding floor a transform leaves relative to its peak mode.
+# products, phasecalc.phase_star and _pairing (at theta > 0), densities, the
+# evolver and the quasi-projection drop modes at this level: about 45
+# double-precision epsilons, just above the rounding floor a transform
+# leaves relative to its peak mode.
 DEFAULT_MODE_CUTOFF = 1e-14
 
 # Plane and fixed-line pairings of full fields drop modes at this coarser

@@ -6,12 +6,12 @@ d_t monomials act exactly, a full field paired on a fixed-t line reads the
 induced product integral dx psi* (star) O psi there, and a full field with
 no line selected is paired over the whole plane, integral dt dx psi* (star)
 O psi -- the right reading for coherent basis elements, which are not on
-shell.  Both full-field pairings need only sums of the star product, so
-`symbols._pairing` evaluates them in closed form over partner Fourier modes;
-no star product field is built.  A batch of operators on one state
-transforms the bra side once and each ket once, and the kets O psi of a full
-field are built from one derivative cache, so each derivative order of psi
-is taken once per batch.
+shell.  Every pairing needs only sums of the star product, so
+`phasecalc._pairing` (slices) and `symbols._pairing` (full fields) evaluate
+it in closed form over partner Fourier modes.  A batch of operators on one
+state transforms the bra side once and each ket once, and the kets O psi of
+a full field share one derivative cache, so each derivative order of psi is
+taken once per batch.
 
 On top of that sit the uncertainty products, the 4x4 covariance matrix of
 the coherent element together with its commutator (symplectic) form, the
@@ -179,11 +179,6 @@ def transform_matrix(theta: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _slice_time(fld: Field1D) -> float:
-    """Physical time of a slice: its label plus any evolver offset."""
-    return fld.t_slice + float(fld.metadata.get("elapsed", 0.0))
-
-
 def _checked_norm(norm: complex) -> float:
     if abs(norm.imag) > _IMAG_TOL * max(abs(norm.real), 1.0):
         raise ValueError(f"pairing norm carries an imaginary residue: {norm:.6g}")
@@ -209,7 +204,8 @@ def expectation(
     unwind time cancels in the ratio).  The slice is evaluated at time t,
     defaulting to its physical time t_slice + metadata['elapsed'].  An
     untagged slice is accepted only at theta = 0 for operators free of d_t
-    factors, where the reduction is vacuous.
+    factors (`phasecalc._slice_part`).  A batch pairs through one
+    `phasecalc._pairing`, which prepares the bra once.
 
     A Field2D with explicit t pairs on that fixed-t grid line, integral
     dx psi* (star) O psi; with t=None it pairs over the whole plane,
@@ -242,17 +238,9 @@ def _expectations(
     _require_voros(kernel, psi.spec, "the expectation value")
 
     if isinstance(psi, Field1D):
-        spec = psi.spec
-        t_eval = _slice_time(psi) if t is None else float(t)
-        if (
-            psi.metadata.get("energy") is None
-            and spec.theta == 0.0
-            and not any(key[2] > 0 for op in ops for key in op.terms)
-        ):
-            state = phasecalc.stationary_part(spec, 0.0, psi.values)
-        else:
-            state = phasecalc._slice_part(psi, t_eval)
-        pair = partial(phasecalc.induced_product, state, t=t_eval)
+        t_eval = phasecalc._slice_time(psi) if t is None else float(t)
+        state = phasecalc._slice_part(psi, t_eval, ops)
+        pair = phasecalc._pairing(state, t_eval)
         act = partial(apply, psi=state)
     else:
         state = psi
@@ -492,7 +480,7 @@ def ehrenfest_residual(
     _require_positive(m, "mass")
     theta = spec.theta
 
-    ts = np.array([_slice_time(fld) for fld in trajectory])
+    ts = np.array([phasecalc._slice_time(fld) for fld in trajectory])
     h = float(ts[1] - ts[0])
     if h <= 0 or float(np.max(np.abs(np.diff(ts) - h))) > 1e-9 * max(abs(h), 1e-12):
         raise ValueError("trajectory slices must be uniformly spaced in time")

@@ -14,7 +14,8 @@ Application is supported for three state representations: full space-time
 fields, phase-polynomial states, and single-time slices carrying an energy
 tag.  A slice is applied through its phase polynomial: it is lifted to the
 degree-0 part psi(x) e^{-iEt} (so d_t acts as -iE and t-multiplication as a
-degree shift) and read back at its slice time.
+degree shift) by `phasecalc._slice_part`, and read back at the same physical
+time, `phasecalc._slice_time`.
 
 `boost_transform` is the one finite Galilean boost e^{-ivG} of a full field,
 in closed form through the Weyl frame and exact at every velocity.
@@ -31,7 +32,7 @@ import numpy as np
 from starqm.fieldgrid import EDGE_DECAY_TOL, Field1D, Field2D, spectral_derivative
 from starqm.fieldgrid import _drop_noise_modes, _edge_magnitude
 from starqm.fieldgrid import _require_nonnegative, _require_positive
-from starqm.phasecalc import PhasePoly, _dt_poly, _slice_part
+from starqm.phasecalc import PhasePoly, _dt_poly, _slice_part, _slice_time
 
 Monomial = tuple[int, int, int, int]  # exponents of t, x, d_t, d_x
 
@@ -265,7 +266,8 @@ def apply(op: SymbolOperator, psi):
     if isinstance(psi, Field2D):
         return _apply_field2d(op, psi, {})
     if isinstance(psi, Field1D):
-        vals = _apply_phasepoly(op, _slice_part(psi)).values_at(psi.t_slice)
+        t = _slice_time(psi)
+        vals = _apply_phasepoly(op, _slice_part(psi, t, [op])).values_at(t)
         return Field1D(psi.spec, psi.t_slice, vals, metadata=dict(psi.metadata))
     if isinstance(psi, PhasePoly):
         return _apply_phasepoly(op, psi)

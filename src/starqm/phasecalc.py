@@ -15,19 +15,21 @@ the finite sum, over p <= deg F, q <= deg G and j <= min(p, q),
 The product sums this over the x-mode pairs that survive the noise cutoff
 into the output mode (k + k') mod N_x: no series and no periodic t-grid, and
 multiplication by t -- which a periodic grid cannot represent -- is an exact
-degree shift.  A slice pairing integrates over x, so it needs only the partner
-pairs k' = -k.  A weight beyond floating-point range gives a non-finite
-result, which PhasePoly rejects.
+degree shift.  A slice pairing integral dx bra* * ket is the zero x-mode of
+that product, so `_pairing` sums only the partner pairs k' = -k, with the bra
+prepared once.  A weight beyond floating-point range gives a non-finite
+result, which both reject.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
 import numpy as np
 
-from starqm.fieldgrid import Field1D, GridSpec, _drop_noise_modes
+from starqm.fieldgrid import DEFAULT_MODE_CUTOFF, Field1D, GridSpec, _drop_noise_modes
 
 
 def _dt_poly(coef: np.ndarray) -> np.ndarray:
@@ -80,18 +82,26 @@ def stationary_part(spec: GridSpec, energy: float, values: np.ndarray) -> PhaseP
     return PhasePoly(spec, -float(energy), np.atleast_2d(values))
 
 
-def _slice_part(fld: Field1D, t: float | None = None) -> PhasePoly:
-    """Lift an energy-tagged slice psi(x) e^{-iEt} to its degree-0 phase polynomial.
+def _slice_time(fld: Field1D) -> float:
+    """Physical time of a slice: its label plus any evolver offset."""
+    return fld.t_slice + float(fld.metadata.get("elapsed", 0.0))
 
-    The slice values are unwound by e^{iEt} at time t (default: the slice
-    label), so the part evaluates back to them there.
+
+def _slice_part(fld: Field1D, t: float | None = None, ops: Iterable = ()) -> PhasePoly:
+    """Lift a slice psi(x) e^{-iEt}, E = metadata['energy'], to its degree-0 phase polynomial.
+
+    The values are unwound by e^{iEt} at time t (default: the slice label),
+    so the part evaluates back to them there.  An untagged slice lifts at
+    E = 0 only at theta = 0, and only if no operator of ops has a d_t factor.
     """
     energy = fld.metadata.get("energy")
     if energy is None:
-        raise ValueError(
-            "slice is missing temporal information: the stationary reduction "
-            "d_t -> -i*energy needs metadata['energy'] on the Field1D"
-        )
+        if fld.spec.theta != 0.0 or any(key[2] for op in ops for key in op.terms):
+            raise ValueError(
+                "slice is missing temporal information: the stationary reduction "
+                "d_t -> -i*energy needs metadata['energy'] on the Field1D"
+            )
+        energy = 0.0
     energy = float(energy)
     t = fld.t_slice if t is None else t
     return stationary_part(fld.spec, energy, fld.values * np.exp(1j * energy * t))
@@ -112,37 +122,16 @@ def _poly_mult(fc: np.ndarray, gc: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pair_sum(F: PhasePoly, G: PhasePoly, partners: bool) -> PhasePoly:
-    """Voros product F * G as the finite sum over x-mode pairs (module docstring).
+def _dt_stack(coef: np.ndarray) -> list[np.ndarray]:
+    """[q, D q, ..., D^deg q] for a coefficient stack q."""
+    stack = [coef]
+    for _ in range(coef.shape[0] - 1):
+        stack.append(_dt_poly(stack[-1]))
+    return stack
 
-    With partners=False every pair of surviving modes is summed; with
-    partners=True only the pairs k' = -k mod N_x, which are all that reach
-    the zero x-mode, so the result is exact only for its x-integral.
-    """
-    spec = F.spec
-    if G.spec != spec:
-        raise ValueError("the slice star requires states on the same GridSpec")
-    a, b = F.a, G.a
-    if spec.theta == 0.0:
-        return PhasePoly(spec, a + b, _trimmed(_poly_mult(F.coef, G.coef)))
 
-    n = spec.n_x
-    Fh, _ = _drop_noise_modes(np.fft.fft(F.coef, axis=-1))
-    Gh, _ = _drop_noise_modes(np.fft.fft(G.coef, axis=-1))
-    kf = np.flatnonzero(np.any(Fh, axis=0))
-    if partners:
-        kf = kf[np.any(Gh[:, -kf % n], axis=0)]
-        kg = -kf % n
-    else:
-        kf, kg = kf[:, None], np.flatnonzero(np.any(Gh, axis=0))[None, :]
-    c = spec.theta / 2.0
-    alpha = 1j * a + spec.k_x[kf]
-    beta = 1j * b - spec.k_x[kg]
-    fd, gd = [Fh[:, kf]], [Gh[:, kg]]
-    for _ in range(F.degree):
-        fd.append(_dt_poly(fd[-1]))
-    for _ in range(G.degree):
-        gd.append(_dt_poly(gd[-1]))
+def _term_sum(c: float, alpha, beta, fd: list, gd: list) -> np.ndarray:
+    """The module docstring's (p, q, j) sum on mode pairs, from the d/dt stacks fd and gd."""
     acc = 0.0
     for p, fp in enumerate(fd):
         for q, gq in enumerate(gd):
@@ -152,18 +141,56 @@ def _pair_sum(F: PhasePoly, G: PhasePoly, partners: bool) -> PhasePoly:
                 for j in range(min(p, q) + 1)
             )
             acc = acc + w * _poly_mult(fp, gq)
-    acc = np.exp(c * alpha * beta) * acc
-    out = np.zeros((acc.shape[0], n), dtype=np.complex128)
-    np.add.at(out, (slice(None), np.broadcast_to((kf + kg) % n, acc.shape[1:])), acc)
-    return PhasePoly(spec, a + b, _trimmed(np.fft.ifft(out, axis=-1) / n))
+    return np.exp(c * alpha * beta) * acc
 
 
 def phase_star(F: PhasePoly, G: PhasePoly) -> PhasePoly:
-    """Voros star product F * G."""
-    return _pair_sum(F, G, partners=False)
+    """Voros star product F * G: the term sum over every pair of surviving x-modes."""
+    spec = F.spec
+    if G.spec != spec:
+        raise ValueError("the slice star requires states on the same GridSpec")
+    if spec.theta == 0.0:
+        return PhasePoly(spec, F.a + G.a, _trimmed(_poly_mult(F.coef, G.coef)))
+
+    n = spec.n_x
+    Fh, _ = _drop_noise_modes(np.fft.fft(F.coef, axis=-1))
+    Gh, _ = _drop_noise_modes(np.fft.fft(G.coef, axis=-1))
+    kf = np.flatnonzero(np.any(Fh, axis=0))[:, None]
+    kg = np.flatnonzero(np.any(Gh, axis=0))[None, :]
+    alpha, beta = 1j * F.a + spec.k_x[kf], 1j * G.a - spec.k_x[kg]
+    acc = _term_sum(spec.theta / 2.0, alpha, beta, _dt_stack(Fh[:, kf]), _dt_stack(Gh[:, kg]))
+    out = np.zeros((acc.shape[0], n), dtype=np.complex128)
+    np.add.at(out, (slice(None), np.broadcast_to((kf + kg) % n, acc.shape[1:])), acc)
+    return PhasePoly(spec, F.a + G.a, _trimmed(np.fft.ifft(out, axis=-1) / n))
+
+
+def _pairing(bra: PhasePoly, t: float) -> Callable[[PhasePoly], complex]:
+    """ket -> (bra, ket)_t = integral dx bra* * ket: the zero x-mode at t, times dx/N_x.
+
+    The bra is conjugated, transformed, cut (not at theta = 0) and differentiated once.
+    """
+    spec, c = bra.spec, bra.spec.theta / 2.0
+    cutoff = DEFAULT_MODE_CUTOFF if c > 0.0 else 0.0  # cutoff 0 keeps every mode
+    bh, _ = _drop_noise_modes(np.fft.fft(np.conj(bra.coef), axis=-1), cutoff)
+    kb = np.flatnonzero(np.any(bh, axis=0))
+    partner, fd, alpha = -kb % spec.n_x, _dt_stack(bh[:, kb]), -1j * bra.a + spec.k_x[kb]
+
+    def pair(ket: PhasePoly) -> complex:
+        if ket.spec != spec:
+            raise ValueError("the slice star requires states on the same GridSpec")
+        gh = _drop_noise_modes(np.fft.fft(ket.coef, axis=-1), cutoff)[0][:, partner]
+        live = np.any(gh, axis=0)
+        beta = 1j * ket.a - spec.k_x[partner[live]]
+        acc = _term_sum(c, alpha[live], beta, [f[:, live] for f in fd], _dt_stack(gh[:, live]))
+        poly = np.sum(acc, axis=-1)
+        total = np.exp(1j * (ket.a - bra.a) * t) * np.dot(t ** np.arange(poly.shape[0]), poly)
+        if not np.isfinite(total):
+            raise ValueError(f"slice pairing is not finite ({total}): a Voros weight overflowed")
+        return complex(total * spec.dx / spec.n_x)
+
+    return pair
 
 
 def induced_product(bra: PhasePoly, ket: PhasePoly, t: float) -> complex:
     """(bra, ket)_t = integral dx  bra* * ket  at the slice t (Voros star)."""
-    pair = _pair_sum(conjugate(bra), ket, partners=True)
-    return complex(np.sum(pair.values_at(t)) * bra.spec.dx)
+    return _pairing(bra, t)(ket)

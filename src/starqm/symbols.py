@@ -203,13 +203,13 @@ def induced_inner_product(
 ) -> complex:
     """Fixed-t pairing (psi, phi)_t = integral dx  psi* (star) phi.
 
-    Field1D inputs must share a GridSpec and slice time, and (for theta > 0)
-    each must carry metadata['energy'] so the star's t-derivatives are well
-    posed on a single slice.  Field2D inputs carry their own temporal
-    neighborhoods; pass the slice time t (a grid point) explicitly.  Their
-    pairing is the closed-form sum over x-partner modes of `_pairing`, which
-    drops input modes at the pairing cutoff fieldgrid._PAIRING_MODE_CUTOFF;
-    no star product is built.
+    Field1D inputs must share a GridSpec and slice time; each is lifted by
+    `phasecalc._slice_part` (metadata['energy'] is needed for theta > 0)
+    and paired at t_slice by `phasecalc._pairing`.  Field2D inputs carry
+    their own temporal neighborhoods; pass the slice time t (a grid point)
+    explicitly.  Their pairing is the closed-form sum over x-partner modes
+    of `_pairing`, which drops input modes at the pairing cutoff
+    fieldgrid._PAIRING_MODE_CUTOFF; no star product is built.
     """
     if isinstance(psi, Field1D) and isinstance(phi, Field1D):
         if psi.spec != phi.spec:
@@ -219,11 +219,8 @@ def induced_inner_product(
                 f"slices live at different times: {psi.t_slice} vs {phi.t_slice}"
             )
         _require_voros(kernel, psi.spec, "the induced product")
-        if kernel.theta == 0.0:
-            return complex(np.sum(np.conj(psi.values) * phi.values) * psi.spec.dx)
         bra = phasecalc._slice_part(psi)
-        ket = phasecalc._slice_part(phi)
-        return phasecalc.induced_product(bra, ket, psi.t_slice)
+        return phasecalc._pairing(bra, psi.t_slice)(phasecalc._slice_part(phi))
     if isinstance(psi, Field2D) and isinstance(phi, Field2D):
         if psi.spec != phi.spec:
             raise ValueError("induced product requires both fields on the same GridSpec")

@@ -39,7 +39,7 @@ def brute_force_star(values_f, values_g, k_t, k_x, theta, flavor="voros", cutoff
     return np.fft.ifft2(out) / (n_t * n_x)
 
 
-def brute_force_phase_star(coef_f, a, coef_g, b, k_x, theta, cutoff=1e-14):
+def brute_force_phase_star(coef_f, a, coef_g, b, k_x, theta, cutoff=1e-14, zero_mode_only=False):
     """Literal x-mode-pair Voros product of two phase polynomials.
 
     coef_f[d] is the x-profile multiplying t^d e^{iat} in F, likewise coef_g
@@ -49,6 +49,8 @@ def brute_force_phase_star(coef_f, a, coef_g, b, k_x, theta, cutoff=1e-14):
     with alpha = ia + k, beta = ib - k' and N the t-derivative matrix, and
     lands in the wrapped output mode k + k' after setting t1 = t2 = t.
     Modes below `cutoff` relative magnitude are dropped as in the engine.
+    With zero_mode_only only the pairs landing in output mode 0 are summed:
+    the result is then exact for the product's x-integral alone.
     """
     from scipy.linalg import expm
 
@@ -66,7 +68,7 @@ def brute_force_phase_star(coef_f, a, coef_g, b, k_x, theta, cutoff=1e-14):
     for i in range(n):
         if not np.any(fh[:, i]):
             continue
-        for j in range(n):
+        for j in [-i % n] if zero_mode_only else range(n):
             if not np.any(gh[:, j]):
                 continue
             alpha = 1j * a + k_x[i]

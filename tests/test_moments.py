@@ -193,6 +193,63 @@ class TestExpectation:
         with pytest.raises(ValueError, match="missing temporal information"):
             moments.expectation(operators.x_theta_l(THETA), bare, kernel)
 
+    def test_apply_and_expectation_share_the_untagged_slice_rule(self):
+        # theta = 0 and no d_t factor: apply lifts the untagged slice as
+        # expectation does; p_t, or any untagged slice at theta > 0, still
+        # lacks the temporal information.
+        kernel, psi = displaced_packet(p0=0.5)
+        moved = operators.apply(operators.p_x(), psi)
+        got = symbols.induced_inner_product(kernel, psi, moved)
+        assert got == pytest.approx(moments.expectation(operators.p_x(), psi, kernel), abs=1e-12)
+        assert got.real == pytest.approx(0.5)
+        with pytest.raises(ValueError, match="missing temporal information"):
+            operators.apply(operators.p_t(), psi)
+        _, ground = ground_state()
+        bare = Field1D(ground.spec, ground.t_slice, ground.values, {})
+        with pytest.raises(ValueError, match="missing temporal information"):
+            operators.apply(operators.p_x(), bare)
+
+    def test_apply_multiplies_by_the_physical_slice_time(self):
+        # An evolved snapshot keeps its launch label t_slice = 0; apply and
+        # expectation both read t at t_slice + metadata['elapsed'] = 0.01.
+        kernel, psi = ground_state()
+        snap = dynamics.evolve(psi, Potential.harmonic(1.0, 1.0), kernel, 1.0, 2e-4, 50,
+                               record_every=50)[-1]
+        t_op = operators.t_c(THETA)
+        want = moments.expectation(t_op, snap, kernel)
+        assert want.real == pytest.approx(0.01, rel=1e-10)
+        got = symbols.induced_inner_product(kernel, snap, operators.apply(t_op, snap))
+        # The returned slice is read back as stationary, so the pairing drops
+        # the d_t of its t-factor and keeps the -i theta E/2 of (theta/2) d_t
+        # that the exact expectation cancels.
+        assert got.real == pytest.approx(want.real, rel=1e-10)
+        assert got.imag == pytest.approx(-THETA * 0.5 / 2.0, rel=1e-10)
+
+    def test_slice_batch_prepares_the_bra_once(self, monkeypatch):
+        # No operator has a d_x factor, so every transform in the batch is
+        # the pairing's: one for the bra, one per ket (the norm and K ops).
+        kernel, psi = ground_state()
+        ops = [
+            monomial({(0, 1, 0, 0): 1.0}),
+            monomial({(1, 0, 0, 0): 1.0}),
+            operators.p_t(),
+            monomial({(1, 2, 1, 0): 0.5, (0, 0, 0, 0): 2.0}),
+        ]
+        want = [moments.expectation(op, psi, kernel) for op in ops]
+        calls = {"conj": 0, "fft": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np, "conj", counted("conj", np.conj))
+        monkeypatch.setattr(np.fft, "fft", counted("fft", np.fft.fft))
+        got = moments._expectations(ops, psi, kernel)
+        assert calls == {"conj": 1, "fft": len(ops) + 2}
+        assert got == want
+
     def test_rejects_unnormalized_state(self):
         kernel, psi = ground_state()
         scaled = Field1D(psi.spec, psi.t_slice, 1.1 * psi.values, dict(psi.metadata))

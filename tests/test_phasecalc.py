@@ -8,6 +8,7 @@ from oracles import brute_force_phase_star
 from starqm.fieldgrid import GridSpec
 from starqm.phasecalc import (
     PhasePoly,
+    _pairing,
     conjugate,
     induced_product,
     phase_star,
@@ -235,7 +236,8 @@ class TestBruteForceOracle:
     """The pair sum against the literal expm-per-mode-pair product F * G.
 
     induced_product pairs bra = conj(F) with ket = G, so the one oracle
-    product serves both checks.
+    product serves both checks; one prepared bra then serves kets of every
+    degree and several frequencies against the oracle's zero output mode.
     """
 
     def test_phase_star_and_induced_product(self, theta, deg_f, deg_g, kind):
@@ -253,6 +255,14 @@ class TestBruteForceOracle:
         bra = PhasePoly(spec, -F.a, np.conj(F.coef))
         got = induced_product(bra, G, t)
         assert abs(got - np.sum(want) * spec.dx) <= 1e-12 * np.sum(np.abs(want)) * spec.dx
+
+        pair = _pairing(bra, t)
+        for deg, b in ((0, 1.1), (1, -0.9), (2, 0.0)):
+            ket = PhasePoly(spec, b, oracle_rows(spec, deg, kind, rng))
+            coef = brute_force_phase_star(F.coef, F.a, ket.coef, b, spec.k_x, theta,
+                                          zero_mode_only=True)
+            want = np.sum(PhasePoly(spec, F.a + b, coef).values_at(t)) * spec.dx
+            assert abs(pair(ket) - want) <= 1e-12 * abs(want)
 
 
 def test_overflowing_weight_raises():
