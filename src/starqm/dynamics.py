@@ -23,8 +23,8 @@ energy; only a level that feels the box edge, where the sampled potential
 is not a pure translate, needs re-solving.
 
 Time-dependent pulses V(t) are handled perturbatively by
-transition_amplitude; the split-step evolver only accepts them at theta=0,
-where they reduce to a global phase per step.
+transition_amplitude; the split-step evolver accepts a time-dependent
+V(x, t) only at theta = 0, where it samples V at each step's midpoint.
 """
 
 from __future__ import annotations
@@ -331,7 +331,8 @@ def oscillator_spectrum(params: OscillatorParams, n_max: int) -> list[float]:
         raise ValueError(f"n_max must be a nonnegative integer, got {n_max}")
     closed = [params.level_energy(n) for n in range(n_max + 1)]
     _, H = oscillator_momentum_operator(params, 0.0, n_max)
-    levels = scipy.linalg.eigvalsh(H)[: n_max + 1]
+    # At energy 0 the operator is real symmetric; its imaginary part is rounding.
+    levels = scipy.linalg.eigvalsh(H.real, subset_by_index=[0, n_max])
     worst = float(np.max(np.abs(levels - np.asarray(closed))))
     if worst > 1e-6 * (1.0 + closed[-1]):
         raise RuntimeError(
@@ -622,14 +623,15 @@ def evolve(
 ) -> list[Field1D]:
     """Split-step walk of i d_t psi = -(1/2m) d_x^2 psi + V psi.
 
-    Steps are kinetic half, potential, kinetic half.  For theta > 0 under an
-    x-dependent potential the state must carry metadata['energy']; the
-    potential then acts as multiplication by V(x - theta E/2) in the frame
-    conjugated by e^{+theta k^2/4}, which conserves the induced norm exactly
-    (the deformation costs nothing extra: both frames are related by a
-    diagonal mode weight).  Snapshots keep the launch slice label; physical
-    time offsets live in metadata['elapsed'].  Time-dependent potentials are
-    admitted only at theta = 0, where they are plain phases.
+    Steps are kinetic half, potential, kinetic half.  At theta = 0 a
+    time_pulse or custom V(x, t) is sampled at each step's midpoint; every
+    other potential is static and its phase is built once.  Time-dependent
+    potentials are rejected at theta > 0.  There an x-dependent potential
+    needs metadata['energy'] on psi0 and acts as multiplication by
+    V(x - theta E/2) in the frame conjugated by e^{+theta k^2/4}, which
+    conserves the induced norm exactly (the two frames differ by a diagonal
+    mode weight).  Snapshots keep the launch slice label; physical time
+    offsets live in metadata['elapsed'].
     """
     spec = psi0.spec
     theta = spec.theta
@@ -641,38 +643,24 @@ def evolve(
         raise ValueError(f"steps must be a positive integer, got {steps}")
     if record_every < 1 or int(record_every) != record_every:
         raise ValueError(f"record_every must be a positive integer, got {record_every}")
-
-    x_dependent = potential.kind in ("harmonic", "custom")
-    static = potential.kind != "time_pulse" and (
-        potential.kind != "custom" or potential.is_static(spec.x[:: max(spec.n_x // 16, 1)])
-    )
-    if theta > 0 and not static:
+    if theta > 0 and not potential.is_static(spec.x[:: max(spec.n_x // 16, 1)]):
         raise ValueError(
             "time-dependent potentials at theta > 0 are outside the single-"
             "frequency reduction; treat pulses with transition_amplitude"
         )
     energy = psi0.metadata.get("energy")
-    shift = 0.0
-    if theta > 0 and x_dependent:
-        if energy is None:
-            raise ValueError(
-                "theta > 0 evolution under an x-dependent potential needs "
-                "metadata['energy'] on psi0 (the stationary reduction scale)"
-            )
-        shift = theta * float(energy) / 2.0
-
-    if potential.kind == "none":
-        v_max = 0.0
-    elif potential.kind == "time_pulse":
-        probe_t = psi0.t_slice + np.linspace(0.0, steps * dt, 1025)
-        v_max = float(np.max(np.abs(potential.sample_time(probe_t))))
-    elif static:
-        v_max = float(np.max(np.abs(potential.sample_space(spec.x - shift, 0.0))))
-    else:
-        probes = [psi0.t_slice + f * steps * dt for f in (0.0, 0.25, 0.5, 0.75, 1.0)]
-        v_max = max(
-            float(np.max(np.abs(potential.sample_space(spec.x, tp)))) for tp in probes
+    use_frame = theta > 0 and potential.kind in ("harmonic", "custom")
+    if use_frame and energy is None:
+        raise ValueError(
+            "theta > 0 evolution under an x-dependent potential needs "
+            "metadata['energy'] on psi0 (the stationary reduction scale)"
         )
+    x_frame = spec.x - theta * float(energy) / 2.0 if use_frame else spec.x
+    per_step = theta == 0 and potential.kind in ("time_pulse", "custom")
+    t0 = psi0.t_slice
+
+    probe_t = t0 + np.linspace(0.0, steps * dt, 1025) if per_step else [0.0]
+    v_max = max(float(np.max(np.abs(potential.sample_space(x_frame, t)))) for t in probe_t)
     k_max = float(np.max(np.abs(spec.k_x)))
     budget = dt * (v_max + k_max**2 / (2.0 * m))
     if budget >= _STABILITY_LIMIT:
@@ -680,53 +668,39 @@ def evolve(
             f"unstable step: dt (max|V| + k_max^2/2m) = {budget:.4g} >= {_STABILITY_LIMIT}"
         )
 
-    psi_hat, _ = _drop_noise_modes(np.fft.fft(psi0.values))
-    use_frame = theta > 0 and x_dependent
-    grow = np.exp(theta * spec.k_x**2 / 4.0)
-    damp = np.exp(-theta * spec.k_x**2 / 4.0)
-    phi_hat = psi_hat * grow if use_frame else psi_hat.copy()
-    kin_half = np.exp(-1j * spec.k_x**2 * dt / (4.0 * m))
-    phase_x = None
-    if x_dependent and static:
-        phase_x = np.exp(-1j * dt * potential.sample_space(spec.x - shift, 0.0))
+    def phase(t: float) -> np.ndarray:
+        return np.exp(-1j * dt * potential.sample_space(x_frame, t))
 
-    base_meta = {"step": 0, "elapsed": 0.0}
-    if energy is not None:
-        base_meta["energy"] = float(energy)
-    trajectory = [Field1D(spec, psi0.t_slice, psi0.values, {**psi0.metadata, **base_meta})]
+    tag = {} if energy is None else {"energy": float(energy)}
+    damp = np.exp(-theta * spec.k_x**2 / 4.0) if use_frame else 1.0
+
+    def snapshot(step: int, hat: np.ndarray) -> Field1D:
+        meta = {"step": step, "elapsed": step * dt, **tag}
+        return Field1D(spec, t0, np.fft.ifft(hat * damp), meta)
+
+    meta0 = {**psi0.metadata, "step": 0, "elapsed": 0.0, **tag}
+    trajectory = [Field1D(spec, t0, psi0.values, meta0)]
+    record = [*range(record_every, steps, record_every), steps]
+    phi_hat, _ = _drop_noise_modes(np.fft.fft(psi0.values))
     if potential.kind == "none":
         # All factors commute, so each snapshot's phase is composed in one
         # exponential from its exact elapsed time; repeated multiplication
         # would pile up rounding that the induced mode weights then amplify.
-        for j in range(steps):
-            if (j + 1) % record_every == 0 or j + 1 == steps:
-                elapsed = (j + 1) * dt
-                out_hat = phi_hat * np.exp(-1j * spec.k_x**2 * elapsed / (2.0 * m))
-                meta = {"step": j + 1, "elapsed": elapsed}
-                if energy is not None:
-                    meta["energy"] = float(energy)
-                trajectory.append(Field1D(spec, psi0.t_slice, np.fft.ifft(out_hat), meta))
-        return trajectory
-    for j in range(steps):
-        phi_hat = phi_hat * kin_half
-        phi = np.fft.ifft(phi_hat)
-        if phase_x is not None:
-            phi = phi * phase_x
-        else:
-            t_mid = psi0.t_slice + (j + 0.5) * dt
-            if potential.kind == "time_pulse":
-                val = float(potential.sample_time(np.asarray(t_mid)))
-                phi = phi * complex(math.cos(dt * val), -math.sin(dt * val))
-            else:
-                phi = phi * np.exp(-1j * dt * potential.sample_space(spec.x, t_mid))
-        phi_hat = np.fft.fft(phi)
-        phi_hat = phi_hat * kin_half
-        if (j + 1) % record_every == 0 or j + 1 == steps:
-            out_hat = phi_hat * damp if use_frame else phi_hat
-            meta = {"step": j + 1, "elapsed": (j + 1) * dt}
-            if energy is not None:
-                meta["energy"] = float(energy)
-            trajectory.append(Field1D(spec, psi0.t_slice, np.fft.ifft(out_hat), meta))
+        return trajectory + [
+            snapshot(n, phi_hat * np.exp(-1j * spec.k_x**2 * (n * dt) / (2.0 * m)))
+            for n in record
+        ]
+    if use_frame:
+        phi_hat = phi_hat * np.exp(theta * spec.k_x**2 / 4.0)
+    kin_half = np.exp(-1j * spec.k_x**2 * dt / (4.0 * m))
+    fixed = None if per_step else phase(0.0)
+    done = 0
+    for n in record:
+        for j in range(done, n):
+            step_phase = phase(t0 + (j + 0.5) * dt) if per_step else fixed
+            phi_hat = np.fft.fft(np.fft.ifft(phi_hat * kin_half) * step_phase) * kin_half
+        done = n
+        trajectory.append(snapshot(n, phi_hat))
     return trajectory
 
 

@@ -217,6 +217,7 @@ def expectation(
     products, covariance, bound checks) build every O psi from one
     derivative cache of psi, and transform the bra side once per batch.
 
+    An operator built at a theta other than 0 or the grid's is rejected.
     The state must arrive normalized: a pairing norm off unity beyond 1e-6
     is rejected; the residual deviation below that is divided out.
     """
@@ -230,11 +231,13 @@ def _expectations(
     t: float | None = None,
 ) -> list[complex]:
     """`expectation` of each operator on one state, pairing the norm once."""
+    if not isinstance(psi, (Field1D, Field2D)):
+        raise TypeError(f"expected a Field1D or Field2D state, got {type(psi).__name__}")
     for op in ops:
         if not isinstance(op, SymbolOperator):
             raise TypeError(f"expected a SymbolOperator, got {type(op).__name__}")
-    if not isinstance(psi, (Field1D, Field2D)):
-        raise TypeError(f"expected a Field1D or Field2D state, got {type(psi).__name__}")
+        if op.theta != 0.0:
+            _require_grid_theta(op.theta, psi.spec, "operator theta")
     _require_voros(kernel, psi.spec, "the expectation value")
 
     if isinstance(psi, Field1D):

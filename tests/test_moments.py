@@ -256,6 +256,19 @@ class TestExpectation:
         with pytest.raises(ValueError, match="not normalized"):
             moments.expectation(operators.x_theta_l(THETA), scaled, kernel)
 
+    def test_rejects_operators_built_at_another_theta(self):
+        """An operator carries its own theta; only 0 and the grid's are admitted."""
+        kernel, psi = ground_state(0.2)
+        assert abs(moments.expectation(operators.x_theta_l(0.2), psi, kernel)) < 1e-12
+        for theta in (0.05, 7.0):
+            op = operators.x_theta_l(theta)
+            with pytest.raises(ValueError, match="operator theta"):
+                moments.expectation(op, psi, kernel)
+            with pytest.raises(ValueError, match="operator theta"):
+                moments.uncertainty_product(op, operators.p_x(), psi, kernel)
+            with pytest.raises(ValueError, match="operator theta"):
+                moments.robertson_schrodinger_check(op, operators.p_t(), psi, kernel)
+
     def test_rejects_wrong_kernel_or_types(self):
         kernel, psi = ground_state()
         with pytest.raises(ValueError, match="Voros"):
