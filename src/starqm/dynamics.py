@@ -32,7 +32,7 @@ from __future__ import annotations
 import inspect
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -42,7 +42,7 @@ from . import phasecalc, symbols
 from .fieldgrid import Field1D, Field2D, GridSpec, spectral_derivative
 from .fieldgrid import _csv, _drop_noise_modes, _require_grid_theta, _require_nonnegative
 from .fieldgrid import _require_positive, _sample
-from .star import StarKernel, _require_voros, _star_square_series
+from .star import StarKernel, _require_voros
 
 # Quadratures are cut off where the integrand magnitude drops below this.
 _QUAD_FLOOR = 1e-14
@@ -118,7 +118,10 @@ class Potential:
     """A potential of one of four kinds: none, harmonic, time_pulse, custom.
 
     harmonic carries (m, omega) and samples (m omega^2/2) x^2; time_pulse
-    samples a user shape V(t); custom samples V(x, t).  Every sampling path
+    samples a user shape V(t); custom samples V(x, t), or V(x) when its
+    sampler takes one positional argument.  `static` records, once, whether
+    V is free of t: none, harmonic and a one-argument custom are, a
+    time_pulse and a two-argument custom are not.  Every sampling path
     enforces real values -- a complex potential would break hermiticity of
     the effective generator.
     """
@@ -127,6 +130,7 @@ class Potential:
     fn: Callable | None = None
     m: float | None = None
     omega: float | None = None
+    static: bool = field(init=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("none", "harmonic", "time_pulse", "custom"):
@@ -138,6 +142,15 @@ class Potential:
             _require_positive(self.omega, "omega")
         if self.kind in ("time_pulse", "custom") and not callable(self.fn):
             raise ValueError(f"{self.kind} potential needs a callable sampler")
+        static = self.kind in ("none", "harmonic")
+        if self.kind == "custom":
+            try:
+                params = inspect.signature(self.fn).parameters.values()
+            except (TypeError, ValueError):
+                params = []
+            kinds = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+            static = sum(p.kind in kinds and p.default is p.empty for p in params) == 1
+        object.__setattr__(self, "static", static)
 
     @classmethod
     def none(cls) -> "Potential":
@@ -153,20 +166,7 @@ class Potential:
 
     @classmethod
     def custom(cls, fn: Callable) -> "Potential":
-        """Wrap a sampler V(x, t); a plain V(x) callable is adapted as static."""
-        try:
-            params = [
-                p
-                for p in inspect.signature(fn).parameters.values()
-                if p.kind
-                in (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
-                and p.default is inspect.Parameter.empty
-            ]
-            arity = len(params)
-        except (TypeError, ValueError):
-            arity = 2
-        if arity == 1:
-            return cls("custom", fn=lambda x, t, _f=fn: _f(x))
+        """Wrap a sampler V(x, t), or a static V(x)."""
         return cls("custom", fn=fn)
 
     def sample_space(self, x: np.ndarray, t: float = 0.0) -> np.ndarray:
@@ -179,7 +179,8 @@ class Potential:
         if self.kind == "time_pulse":
             val = float(_as_real(np.asarray(self.fn(t)), "time_pulse sample"))
             return np.full_like(x, val)
-        return _as_real(_sample(self.fn, x.shape, x, t), "custom potential sample")
+        args = (x,) if self.static else (x, t)
+        return _as_real(_sample(self.fn, x.shape, *args), "custom potential sample")
 
     def sample_time(self, ts: np.ndarray) -> np.ndarray:
         """Real samples V(t) of a time_pulse on the given times."""
@@ -187,17 +188,6 @@ class Potential:
             raise ValueError(f"sample_time needs a time_pulse potential, got {self.kind!r}")
         ts = np.asarray(ts, dtype=float)
         return _as_real(_sample(self.fn, ts.shape, ts), "time_pulse sample")
-
-    def is_static(self, x_probe: np.ndarray) -> bool:
-        """True when V carries no time dependence (probed for custom kinds)."""
-        if self.kind in ("none", "harmonic"):
-            return True
-        if self.kind == "time_pulse":
-            return False
-        a = self.sample_space(x_probe, 0.31830988618)
-        b = self.sample_space(x_probe, 1.77245385090)
-        scale = 1.0 + float(np.max(np.abs(a)))
-        return bool(np.max(np.abs(a - b)) <= 1e-12 * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +382,8 @@ def oscillator_ground(
     """Normalized ground-state symbol and its star-density on the first slice.
 
     The symbol is the shifted Gaussian e^{-(x - theta E0/2)^2 / 2 sigma_theta^2}
-    e^{-i E0 t} at unit induced norm.  The density is the positive star
-    square, normalized to integrate to one; its mean sits at theta E0 (the
+    e^{-i E0 t} at unit induced norm.  The density is the star square,
+    normalized to integrate to one; its mean sits at theta E0 (the
     star square doubles the symbol shift) and its variance at
     sigma_theta^2/2 + theta/4, and both are checked before returning.
     """
@@ -428,7 +418,7 @@ def oscillator_ground(
     profile = scale * np.exp(-((spec.x - center) ** 2) / (2.0 * s_sq))
     symbol = Field2D(spec, np.exp(-1j * energy * spec.t)[:, None] * profile, {"energy": energy})
     # The periodic t-box makes the symbol a single t-mode, so the energy-tagged
-    # slice series (d_t -> -i E0) gives the full density's row exactly.
+    # slice density (d_t -> -i E0) gives the full density's row exactly.
     first = Field1D(spec, spec.t[0], symbol.values[0], {"energy": energy})
     row = slice_density(StarKernel(params.theta), first).values.real
     total = float(np.sum(row)) * spec.dx
@@ -510,8 +500,10 @@ def stationary_solve(
         raise ValueError(
             f"the stationary solver needs an x-dependent potential, got {potential.kind!r}"
         )
-    if not potential.is_static(spec.x[:: max(spec.n_x // 16, 1)]):
-        raise ValueError("the stationary solver needs a time-independent potential")
+    if not potential.static:
+        raise ValueError(
+            "the stationary solver needs a time-independent potential: pass a one-argument V(x)"
+        )
     e_lo, e_hi = float(e_window[0]), float(e_window[1])
     if not e_lo < e_hi:
         raise ValueError(f"energy window must satisfy lo < hi, got ({e_lo}, {e_hi})")
@@ -623,15 +615,14 @@ def evolve(
 ) -> list[Field1D]:
     """Split-step walk of i d_t psi = -(1/2m) d_x^2 psi + V psi.
 
-    Steps are kinetic half, potential, kinetic half.  At theta = 0 a
-    time_pulse or custom V(x, t) is sampled at each step's midpoint; every
-    other potential is static and its phase is built once.  Time-dependent
-    potentials are rejected at theta > 0.  There an x-dependent potential
-    needs metadata['energy'] on psi0 and acts as multiplication by
-    V(x - theta E/2) in the frame conjugated by e^{+theta k^2/4}, which
-    conserves the induced norm exactly (the two frames differ by a diagonal
-    mode weight).  Snapshots keep the launch slice label; physical time
-    offsets live in metadata['elapsed'].
+    Steps are kinetic half, potential, kinetic half.  A static potential
+    (`Potential.static`) has its phase built once; any other is sampled at
+    each step's midpoint, and is rejected at theta > 0.  There an
+    x-dependent potential needs metadata['energy'] on psi0 and acts as
+    multiplication by V(x - theta E/2) in the frame conjugated by
+    e^{+theta k^2/4}, which conserves the induced norm exactly (the two
+    frames differ by a diagonal mode weight).  Snapshots keep the launch
+    slice label; physical time offsets live in metadata['elapsed'].
     """
     spec = psi0.spec
     theta = spec.theta
@@ -643,10 +634,11 @@ def evolve(
         raise ValueError(f"steps must be a positive integer, got {steps}")
     if record_every < 1 or int(record_every) != record_every:
         raise ValueError(f"record_every must be a positive integer, got {record_every}")
-    if theta > 0 and not potential.is_static(spec.x[:: max(spec.n_x // 16, 1)]):
+    if theta > 0 and not potential.static:
         raise ValueError(
             "time-dependent potentials at theta > 0 are outside the single-"
-            "frequency reduction; treat pulses with transition_amplitude"
+            "frequency reduction; pass a one-argument V(x) for a static custom "
+            "potential, or treat pulses with transition_amplitude"
         )
     energy = psi0.metadata.get("energy")
     use_frame = theta > 0 and potential.kind in ("harmonic", "custom")
@@ -656,7 +648,7 @@ def evolve(
             "metadata['energy'] on psi0 (the stationary reduction scale)"
         )
     x_frame = spec.x - theta * float(energy) / 2.0 if use_frame else spec.x
-    per_step = theta == 0 and potential.kind in ("time_pulse", "custom")
+    per_step = not potential.static
     t0 = psi0.t_slice
 
     probe_t = t0 + np.linspace(0.0, steps * dt, 1025) if per_step else [0.0]
@@ -705,32 +697,45 @@ def evolve(
 
 
 def slice_density(kernel: StarKernel, fld: Field1D, m: float | None = None) -> Field1D:
-    """Star-density of one slice through the positive sum-of-squares series.
+    """Star-density sqrt(2 pi theta) psi* (star) psi of one slice, as one mode-pair sum.
 
-    theta = 0 returns |psi|^2.  For theta > 0 the temporal derivatives in
-    the series need a frequency scale: metadata['energy'] supplies the
-    stationary reduction, or a mass m supplies the free on-shell one
-    (E = k^2/2m mode by mode).
+    theta = 0 returns |psi|^2.  For theta > 0 the temporal derivative needs a
+    frequency scale: metadata['energy'] supplies the stationary reduction
+    (E_k = E on every mode), or a mass m supplies the free on-shell one
+    (E_k = k^2/2m).  With m_k = -i E_k - k, the multiplier of d_t + i d_x on
+    x-mode k,
+
+        rho(x) = sqrt(2 pi theta)/N^2 sum_{k,k'} conj(psi_k) psi_k'
+                 e^{(theta/2) conj(m_k) m_k'} e^{i(k' - k)(x - x_min)}
+
+    over the modes that survive the noise cutoff: each pair lands in mode
+    (k' - k) mod N, and one inverse FFT follows.  The weight matrix is
+    positive semidefinite (a Schur product), so a negative value is rounding
+    and the sum is returned unclipped.
     """
     _require_voros(kernel, fld.spec, "the slice density")
     spec = fld.spec
     if kernel.theta == 0.0:
-        return Field1D(spec, fld.t_slice, np.abs(fld.values) ** 2, {"series_terms": 1})
+        return Field1D(spec, fld.t_slice, np.abs(fld.values) ** 2)
     energy = fld.metadata.get("energy")
-    k = spec.k_x
-    if energy is not None:
-        mult = -1j * float(energy) - k
-    elif m is not None:
+    if energy is None:
+        if m is None:
+            raise ValueError(
+                "slice density at theta > 0 needs metadata['energy'] or a mass m "
+                "for the on-shell reduction"
+            )
         _require_positive(m, "mass")
-        mult = -1j * k**2 / (2.0 * m) - k
-    else:
-        raise ValueError(
-            "slice density at theta > 0 needs metadata['energy'] or a mass m "
-            "for the on-shell reduction"
-        )
-    acc, terms = _star_square_series(np.fft.fft(fld.values), mult, kernel.theta)
-    rho = math.sqrt(2.0 * math.pi * kernel.theta) * acc
-    return Field1D(spec, fld.t_slice, rho, {"series_terms": terms})
+    vhat, _ = _drop_noise_modes(np.fft.fft(fld.values))
+    live = np.flatnonzero(vhat)
+    k, amps = spec.k_x[live], vhat[live]
+    mult = -1j * (k**2 / (2.0 * m) if energy is None else float(energy)) - k
+    weight = np.outer(np.conj(amps), amps) * np.exp(
+        (kernel.theta / 2.0) * np.outer(np.conj(mult), mult)
+    )
+    spectrum = np.zeros(spec.n_x, dtype=np.complex128)
+    np.add.at(spectrum, (live - live[:, None]) % spec.n_x, weight)
+    rho = (math.sqrt(2.0 * math.pi * kernel.theta) / spec.n_x) * np.fft.ifft(spectrum).real
+    return Field1D(spec, fld.t_slice, rho)
 
 
 # ---------------------------------------------------------------------------

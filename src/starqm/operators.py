@@ -262,13 +262,24 @@ def _apply_phasepoly(op: SymbolOperator, poly: PhasePoly) -> PhasePoly:
 
 
 def apply(op: SymbolOperator, psi):
-    """Apply a symbol operator to a state; the return type mirrors the input."""
+    """Apply a symbol operator to a state; the return type mirrors the input.
+
+    A Field1D result is read back as a stationary slice, so an operator that
+    leaves a t-polynomial of degree > 0 on it is rejected: its d_t would be
+    lost in any later pairing.
+    """
     if isinstance(psi, Field2D):
         return _apply_field2d(op, psi, {})
     if isinstance(psi, Field1D):
         t = _slice_time(psi)
-        vals = _apply_phasepoly(op, _slice_part(psi, t, [op])).values_at(t)
-        return Field1D(psi.spec, psi.t_slice, vals, metadata=dict(psi.metadata))
+        poly = _apply_phasepoly(op, _slice_part(psi, t, [op]))
+        if poly.degree > 0:
+            raise ValueError(
+                f"the operator leaves a t-polynomial of degree {poly.degree}, which a "
+                "Field1D cannot carry; use moments.expectation, or apply it to the "
+                "PhasePoly of phasecalc._slice_part"
+            )
+        return Field1D(psi.spec, psi.t_slice, poly.values_at(t), metadata=dict(psi.metadata))
     if isinstance(psi, PhasePoly):
         return _apply_phasepoly(op, psi)
     raise TypeError(f"cannot apply an operator to {type(psi).__name__}")

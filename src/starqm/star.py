@@ -43,18 +43,12 @@ floating-point range gives non-finite values, which Field2D rejects.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from starqm.fieldgrid import DEFAULT_MODE_CUTOFF, Field2D, GridSpec, _drop_noise_modes
 from starqm.fieldgrid import _require_grid_theta, _require_nonnegative
-
-# The star-square series stops at the first term below this fraction of the
-# running sum.
-_SQUARE_RTOL = 1e-12
-_SQUARE_MAX_TERMS = 512
 
 
 @dataclass(frozen=True)
@@ -87,31 +81,6 @@ def _require_voros(kernel: StarKernel, spec: GridSpec, what: str) -> None:
             f"got flavor {kernel.flavor!r}"
         )
     _require_grid_theta(kernel.theta, spec, "kernel theta")
-
-
-def _star_square_series(vhat: np.ndarray, mult: np.ndarray, theta: float) -> tuple[np.ndarray, int]:
-    """Voros star-square psi* * psi as the positive sum of squares.
-
-    vhat holds the Fourier modes of psi (1-D slice or 2-D field) and mult the
-    mode multiplier of d_t + i d_x.  Returns the sum
-    sum_n (theta/2)^n / n! |(d_t + i d_x)^n psi|^2 and its number of terms.
-    """
-    vhat, _ = _drop_noise_modes(vhat)
-    acc = np.abs(np.fft.ifftn(vhat)) ** 2
-    term_hat = vhat
-    for n in range(1, _SQUARE_MAX_TERMS + 1):
-        # Keep the coefficient inside the mode array: term_hat carries
-        # sqrt((theta/2)^n / n!) mult^n psi-hat, so each term is a plain
-        # square and intermediate magnitudes stay in floating-point range.
-        term_hat = term_hat * (mult * math.sqrt(theta / (2.0 * n)))
-        term = np.abs(np.fft.ifftn(term_hat)) ** 2
-        acc += term
-        if np.max(term) <= _SQUARE_RTOL * np.max(acc):
-            return acc, n + 1
-    raise RuntimeError(
-        f"density series did not converge within {_SQUARE_MAX_TERMS} terms; "
-        "the field occupies modes too close to the resolution floor"
-    )
 
 
 def _moyal_rows(fh: np.ndarray, gh: np.ndarray, k_t: np.ndarray, k_x: np.ndarray,

@@ -5,7 +5,8 @@ overlap is a Gaussian of width sqrt(theta) in each coordinate, momentum
 symbols carry the Gaussian damping e^{-(theta/4)(E^2+p^2)}, and the physical
 pairing of two states on a fixed-t surface is the induced product
 (psi, phi)_t = integral dx  psi* (star) phi.  The probability density is the
-manifestly positive star-square of the symbol.
+Voros star-square psi* (star) psi of the symbol, which the star engine
+evaluates exactly.
 
 Normalization note: the density carries the sqrt(2 pi theta) prefactor of its
 defining display while the induced product does not, so for a state of unit
@@ -26,7 +27,7 @@ from . import phasecalc
 from .fieldgrid import Field1D, Field2D, GridSpec, spectral_derivative
 from .fieldgrid import _PAIRING_MODE_CUTOFF, _csv, _drop_noise_modes, _node_columns
 from .fieldgrid import _require_grid_theta, _require_nonnegative, _require_positive
-from .star import StarKernel, _require_voros, _star_square_series, star
+from .star import StarKernel, _require_voros, star
 
 # Relative floor under which a sampled kernel mode is treated as numerically
 # empty: below it the compensating growth factor would only amplify rounding
@@ -240,22 +241,22 @@ def induced_inner_product(
 
 
 def probability_density(kernel: StarKernel, psi: Field2D) -> Field2D:
-    """Probability density sqrt(2 pi theta) psi* (star) psi, term by positive term.
+    """Probability density sqrt(2 pi theta) Re(psi* (star) psi) through `star`.
 
-    Evaluated through the sum-of-squares series, truncated when a term falls
-    below 1e-12 of the running sum, so the result is nonnegative by
-    construction.
+    The Voros star-square is the exact mode-pair sum of the star engine, and
+    the metadata is the star product's ('mode_grid', 'mode_cutoff').  Its
+    mode weight exp[(theta/2) conj(w_k) w_k'], w = i k_t - k_x, is a positive
+    semidefinite matrix, so the density is nonnegative up to rounding; it is
+    returned unclipped.
     """
     if not isinstance(psi, Field2D):
         raise TypeError(f"probability_density expects a Field2D, got {type(psi).__name__}")
     _require_voros(kernel, psi.spec, "the probability density")
     if kernel.theta <= 0.0:
         raise ValueError("the coherent-state density needs theta > 0")
-    # d_t + i d_x acts on a mode e^{i(kt t + kx x)} as multiplication by i*kt - kx.
-    mult = 1j * psi.spec.k_t[:, None] - psi.spec.k_x[None, :]
-    series, n_terms = _star_square_series(np.fft.fft2(psi.values), mult, kernel.theta)
+    prod = star(kernel, Field2D(psi.spec, np.conj(psi.values)), psi)
     scale = math.sqrt(2.0 * math.pi * kernel.theta)
-    return Field2D(psi.spec, scale * series, {"series_terms": n_terms})
+    return Field2D(psi.spec, scale * prod.values.real, dict(prod.metadata))
 
 
 def probability_current(kernel: StarKernel, psi: Field2D, m: float) -> Field2D:

@@ -7,8 +7,9 @@ import pytest
 import scipy.integrate
 import scipy.special
 
+from oracles import brute_force_phase_star
 from starqm import dynamics as dyn
-from starqm import symbols
+from starqm import phasecalc, symbols
 from starqm.dynamics import OscillatorParams, PacketParams, Potential
 from starqm.fieldgrid import Field1D, Field2D, GridSpec, sample_field, spectral_derivative
 from starqm.star import StarKernel
@@ -526,10 +527,14 @@ class TestPotential:
     def test_custom_adapts_static_samplers(self):
         x = np.linspace(-1.0, 1.0, 5)
         one_arg = Potential.custom(lambda x: x**4)
-        two_arg = Potential.custom(lambda x, t: x**4)
         assert np.allclose(one_arg.sample_space(x, 3.7), x**4)
-        assert one_arg.is_static(x) and two_arg.is_static(x)
-        assert not Potential.custom(lambda x, t: x**2 * math.cos(t)).is_static(x)
+        assert one_arg.static
+        assert Potential.none().static and Potential.harmonic(1.0, 1.0).static
+        # The flag comes from the sampler's arity, never from probing V: a
+        # two-argument sampler is time-dependent whatever its body does.
+        assert not Potential.custom(lambda x, t: x**4).static
+        assert not Potential.custom(lambda x, t: x**2 * math.cos(t)).static
+        assert not Potential.time_pulse(lambda t: 0.25 * t).static
 
     def test_rejects_complex_potentials(self):
         bad = Potential.custom(lambda x, t: 1j * x)
@@ -689,6 +694,32 @@ class TestEvolve:
         with pytest.raises(ValueError, match="single-"):
             dyn.evolve(g0, pulse, kern, 1.0, 1e-4, 10)
 
+    def test_rejects_a_two_argument_pulse_under_deformation(self):
+        # The pulse is negligible away from t = 0.13, where no fixed sample
+        # time sees it; the sampler's two arguments make it time-dependent.
+        spec = eigenstate_grid(0.1)
+        kern = StarKernel(0.1)
+        g0 = dyn.oscillator_eigenstate(OscillatorParams(m=1.0, omega=1.0, theta=0.1), 0, spec)
+        pulse = Potential.custom(lambda x, t: 0.3 * np.exp(-(((t - 0.13) / 0.03) ** 2)) + 0.0 * x)
+        with pytest.raises(ValueError, match="single-.*one-argument V\\(x\\)"):
+            dyn.evolve(g0, pulse, kern, 1.0, 2e-4, 1000)
+
+    def test_one_argument_custom_is_sampled_once(self):
+        # A static V(x): one sample for the step budget and one for the phase.
+        spec = GridSpec(8, 256, 0.0, 1.0, -10.0, 10.0, 0.0)
+        kern = StarKernel(0.0)
+        psi0 = dyn.free_packet(PacketParams(1.0, 1.0, 0.0), 0.0, spec)
+        calls = []
+
+        def quadratic(x):
+            calls.append(1)
+            return 0.05 * x**2
+
+        walk = dyn.evolve(psi0, Potential.custom(quadratic), kern, 1.0, 5e-4, 1600)
+        assert len(calls) <= 2
+        same = dyn.evolve(psi0, Potential.harmonic(1.0, math.sqrt(0.1)), kern, 1.0, 5e-4, 1600)
+        assert float(np.max(np.abs(walk[-1].values - same[-1].values))) < 1e-12
+
     def test_requires_energy_tag_for_deformed_potentials(self):
         spec = GridSpec(32, 512, 0.0, 2.0, -20.0, 20.0, 0.1)
         kern = StarKernel(0.1)
@@ -718,7 +749,6 @@ class TestSliceDensity:
         psi = dyn.free_packet(PacketParams(1.0, 1.0, 0.0), 0.0, spec)
         rho = dyn.slice_density(kern, psi)
         assert rel_err(rho.values, np.abs(psi.values) ** 2) < 1e-14
-        assert rho.metadata["series_terms"] == 1
 
     def test_tagged_eigenstate_reproduces_ground_density_moments(self):
         spec = eigenstate_grid(0.1)
@@ -727,7 +757,7 @@ class TestSliceDensity:
         g0 = dyn.oscillator_eigenstate(osc, 0, spec)
         rho = dyn.slice_density(kern, g0)
         total = float(np.sum(rho.values.real) * spec.dx)
-        # integral carries the sqrt(2 pi theta) display factor of the series
+        # integral carries the sqrt(2 pi theta) prefactor of the density display
         assert total == pytest.approx(math.sqrt(2.0 * math.pi * 0.1), rel=1e-9)
         mean, var = density_moments(spec.x, rho.values, spec.dx)
         assert mean == pytest.approx(0.05, abs=1e-8)
@@ -745,6 +775,23 @@ class TestSliceDensity:
             rho_e = dyn.slice_density(kern, tagged)
             rho_m = dyn.slice_density(kern, plain, m=1.0)
             assert rel_err(rho_e.values, rho_m.values) < 1e-12
+        # Two waves of one energy, p and -p, in closed form: the cross term
+        # carries the weight e^{(theta/2) conj(m_p) m_q}, m_k = -iE - k.
+        p, a, b = 3.0, 0.8 - 0.3j, -0.5 + 1.1j
+        energy = p * p / 2.0
+        vals = a * np.exp(1j * p * spec.x) + b * np.exp(-1j * p * spec.x)
+        m_p, m_q = -1j * energy - p, -1j * energy + p
+        half = kern.theta / 2.0
+        cross = np.conj(a) * b * np.exp(half * np.conj(m_p) * m_q - 2j * p * spec.x)
+        want = math.sqrt(2.0 * math.pi * kern.theta) * (
+            abs(a) ** 2 * math.exp(half * abs(m_p) ** 2)
+            + abs(b) ** 2 * math.exp(half * abs(m_q) ** 2)
+            + 2.0 * cross.real
+        )
+        rho_e = dyn.slice_density(kern, Field1D(spec, 0.0, vals, {"energy": energy}))
+        rho_m = dyn.slice_density(kern, Field1D(spec, 0.0, vals, {}), m=1.0)
+        assert rel_err(rho_e.values, want) < 1e-12
+        assert rel_err(rho_m.values, want) < 1e-12
 
     def test_positive_on_random_band_limited_states(self):
         spec = GridSpec(8, 128, 0.0, 0.2, -math.pi, math.pi, 0.05)
@@ -770,7 +817,7 @@ class TestSliceDensity:
 
     @pytest.mark.parametrize("theta", [0.0625, 0.1, 0.2])
     def test_energy_tagged_row_matches_plane_density(self, theta):
-        """The slice series with d_t -> -iE and the full-field series must
+        """The slice density with d_t -> -iE and the plane star-square must
         give the same density for a stationary field q(x) e^{-iEt}."""
         energy = 0.5
         spec = GridSpec(256, 256, 0.0, 4.0 * math.pi, -8.0, 8.0, theta)
@@ -784,7 +831,23 @@ class TestSliceDensity:
         rho_slice = dyn.slice_density(kern, row)
         rho_plane = symbols.probability_density(kern, field)
         assert rel_err(rho_slice.values, rho_plane.values[0]) < 1e-14
-        assert rho_slice.metadata["series_terms"] == rho_plane.metadata["series_terms"]
+
+    @pytest.mark.parametrize("theta", [0.05, 0.2])
+    def test_tagged_slice_matches_the_literal_phase_star(self, theta):
+        # sqrt(2 pi theta) conj(psi) * psi of the lifted slice, from the
+        # literal x-mode-pair oracle rather than the library's sum.
+        half = 4.0 * math.sqrt(theta)
+        spec = GridSpec(8, 32, 0.0, 0.2, -half, half, theta)
+        rng = np.random.default_rng(17)
+        amps = np.zeros(spec.n_x, dtype=complex)
+        for j in range(-4, 5):
+            amps[j] = complex(*rng.standard_normal(2)) * math.exp(-0.25 * j * j)
+        fld = Field1D(spec, 0.0, np.fft.ifft(amps) * spec.n_x, {"energy": 0.7})
+        part = phasecalc._slice_part(fld)
+        bra = phasecalc.conjugate(part)
+        coef = brute_force_phase_star(bra.coef, bra.a, part.coef, part.a, spec.k_x, theta)
+        want = math.sqrt(2.0 * math.pi * theta) * coef[0]
+        assert rel_err(dyn.slice_density(StarKernel(theta), fld).values, want) < 1e-12
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import brute_force_star
-from starqm import dynamics, moments, operators, star, symbols
+from starqm import dynamics, moments, operators, phasecalc, star, symbols
 from starqm.dynamics import OscillatorParams, Potential
 from starqm.fieldgrid import _PAIRING_MODE_CUTOFF, Field1D, Field2D, GridSpec, _drop_noise_modes
 from starqm.moments import SymplecticForm, VarianceMatrix
@@ -218,12 +218,15 @@ class TestExpectation:
         t_op = operators.t_c(THETA)
         want = moments.expectation(t_op, snap, kernel)
         assert want.real == pytest.approx(0.01, rel=1e-10)
-        got = symbols.induced_inner_product(kernel, snap, operators.apply(t_op, snap))
-        # The returned slice is read back as stationary, so the pairing drops
-        # the d_t of its t-factor and keeps the -i theta E/2 of (theta/2) d_t
-        # that the exact expectation cancels.
+        # A slice read back as stationary would drop the d_t of the t-factor,
+        # so apply refuses the Field1D and points to the exact routes.
+        with pytest.raises(ValueError, match="degree 1.*moments.expectation.*PhasePoly"):
+            operators.apply(t_op, snap)
+        t = phasecalc._slice_time(snap)
+        part = phasecalc._slice_part(snap, t)
+        got = phasecalc.induced_product(part, operators.apply(t_op, part), t)
         assert got.real == pytest.approx(want.real, rel=1e-10)
-        assert got.imag == pytest.approx(-THETA * 0.5 / 2.0, rel=1e-10)
+        assert abs(got.imag) < 1e-12
 
     def test_slice_batch_prepares_the_bra_once(self, monkeypatch):
         # No operator has a d_x factor, so every transform in the batch is

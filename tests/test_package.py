@@ -1,8 +1,12 @@
+import ast
 import os
+import pathlib
 import subprocess
 import sys
+from collections import Counter
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 
 
 def _loaded_modules(imports: str, names: str) -> str:
@@ -35,3 +39,55 @@ def test_package_root_loads_no_scipy():
     # The package root loads fieldgrid and star, which run on numpy alone;
     # the star engine must stay off scipy.fft.
     assert _loaded_modules("starqm", "m == 'scipy' or m.startswith('scipy.')") == "[]"
+
+
+def _module_names(tree: ast.Module) -> tuple[set[str], set[str], set[str]]:
+    """Top-level names of a module: imported, defined (def, class, assignment), exported."""
+    imports, defined, exported = set(), set(), set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imports.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imports.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {t.id for t in targets if isinstance(t, ast.Name)}
+            if "__all__" in names:
+                exported.update(ast.literal_eval(node.value))
+            defined.update(names)
+    return imports, defined, exported
+
+
+def test_no_unused_import_or_orphaned_private_name():
+    # A half-done deletion leaves one of these behind: a module-level import
+    # the module no longer uses, or a module-level _private name that nothing
+    # under src/, tests/ or perfbench/ refers to beyond its definition.
+    trees = {
+        path: ast.parse(path.read_text(), str(path))
+        for folder in ("src", "tests", "perfbench")
+        for path in sorted(pathlib.Path(ROOT, folder).rglob("*.py"))
+    }
+    references = Counter()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                references[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                references[node.attr] += 1
+            elif isinstance(node, ast.ImportFrom):
+                references.update(a.name for a in node.names)
+    problems = []
+    for path, tree in trees.items():
+        if path.parent.name != "starqm":
+            continue
+        imports, defined, exported = _module_names(tree)
+        loads = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        problems += [f"{path.name}: unused import {name}" for name in imports - loads - exported]
+        problems += [
+            f"{path.name}: {name} is never referenced"
+            for name in defined
+            if name.startswith("_") and not name.startswith("__") and not references[name]
+        ]
+    assert problems == []
