@@ -5,6 +5,47 @@ literal O(N^4) mode-pair sum, written once and kept dumb.
 """
 
 import numpy as np
+import scipy.linalg
+
+
+def dense_multiplier(symbol):
+    """Fourier multiplier as a dense matrix, F^-1 diag(symbol) F, from transforms of the identity."""
+    modes = np.fft.fft(np.eye(len(symbol)), axis=0)
+    return np.fft.ifft(modes * symbol[:, None], axis=0)
+
+
+def dense_frame_levels(v_fn, x, k_x, m, theta, levels, e_scan, max_resolves=60):
+    """Stationary levels by a real dense eigensolve in each level's own frame.
+
+    The frame operator at energy E is the x-space matrix
+    Re F^-1 diag(k^2/2m) F + diag(V(x - theta E/2)).  Level j takes its
+    energy from the frame at e_scan and is re-solved at its latest energy
+    until the energy moves by at most 1e-10 (1 + |E|), the library's settle
+    rule, so both stop on the same step of the fixed-point walk.  Returns
+    the energies and the slices F^-1 diag(e^{-theta k^2/4}) F q of the real
+    frame vectors q, at arbitrary normalization and sign.
+    """
+    kinetic = dense_multiplier(k_x**2 / (2.0 * m)).real
+    damp = dense_multiplier(np.exp(-theta * k_x**2 / 4.0)).real
+
+    def solve(energy, j):
+        frame = kinetic + np.diag(v_fn(x - theta * energy / 2.0))
+        w, q = scipy.linalg.eigh(frame, subset_by_index=[j, j])
+        return float(w[0]), q[:, 0]
+
+    energies, slices = [], []
+    for j in levels:
+        energy, _ = solve(e_scan, j)
+        for _ in range(max_resolves):
+            previous = energy
+            energy, q = solve(previous, j)
+            if abs(energy - previous) <= 1e-10 * (1.0 + abs(energy)):
+                break
+        else:
+            raise RuntimeError(f"oracle level {j} did not settle")
+        energies.append(energy)
+        slices.append(damp @ q)
+    return energies, slices
 
 
 def brute_force_star(values_f, values_g, k_t, k_x, theta, flavor="voros", cutoff=1e-14):
