@@ -484,10 +484,12 @@ def stationary_solve(
     while a solved level's full-grid residual exceeds _BAND_TOL.  A scan in
     the frame at the window's midpoint finds the levels up to hi and their
     indices in the full spectrum; its band must also pass on the first level
-    above hi, since a narrow band lifts energies.  Each level whose scan
-    energy is at least lo is re-solved in the frame at its latest energy
-    until the energy moves by at most 1e-10 (1 + |E|), and one still moving
-    after _MAX_RESOLVES re-solves raises.  Slices carry the global phase
+    above hi, since a narrow band lifts energies.  A level is re-solved in
+    the frame at its latest energy until the energy moves by at most
+    1e-10 (1 + |E|), and one still moving after _MAX_RESOLVES re-solves
+    raises.  Levels settle outward from the first whose scan energy is at
+    least lo until one has settled past each edge of the window, and a level
+    belongs to the window by its settled energy.  Slices carry the global phase
     that makes the frame vector's x-space peak real and positive, and unit
     induced norm.  metadata holds 'energy', 'level' (the full-spectrum
     index), 'iterations' (eigensolves with the scan included: 2 for a level
@@ -539,22 +541,40 @@ def stationary_solve(
             modes = min(2 * modes, n)
 
     w, _, _, scan_modes = band_solve(0.5 * (e_lo + e_hi), min(_BAND_START, n))
-    v_profile = _operator_potential_profile(potential, spec)
-    damp = np.exp(-theta * spec.k_x**2 / 4.0)
-    results: list[tuple[float, Field1D]] = []
-    for lvl in np.flatnonzero((w >= e_lo) & (w <= e_hi)):
-        trace, modes = [float(w[lvl])], scan_modes
+
+    def settle(lvl: int):
+        """Re-solve level lvl in the frame at its latest energy until it settles,
+        starting from its scan energy (the scan's top one past the scan)."""
+        trace = [float(w[min(lvl, len(w) - 1)])]
+        modes = scan_modes if lvl < scan_modes else n
         for _ in range(_MAX_RESOLVES):
             e_new, c, res, modes = band_solve(trace[-1], modes, lvl)
             trace.append(float(e_new[0]))
             if abs(trace[-1] - trace[-2]) <= 1e-10 * (1.0 + abs(trace[-1])):
+                return trace, c, float(res[0]), modes
+        raise RuntimeError(
+            f"energy fixed point for level {lvl} did not settle within "
+            f"{_MAX_RESOLVES} re-solves; trace {trace}"
+        )
+
+    # The frame can carry a level across a window edge, so membership is
+    # decided on settled energies: levels are settled outward from the first
+    # scan level at or above lo until one settles past each edge.
+    first = int(np.searchsorted(w, e_lo))
+    inside = []
+    for start, stop, step, edge in ((first, n, 1, e_hi), (first - 1, -1, -1, e_lo)):
+        for lvl in range(start, stop, step):
+            trace, c, residual, modes = settle(lvl)
+            if step * (trace[-1] - edge) > 0:
                 break
-        else:
-            raise RuntimeError(
-                f"energy fixed point for level {lvl} did not settle within "
-                f"{_MAX_RESOLVES} re-solves; trace {trace}"
-            )
-        energy, residual = trace[-1], float(res[0])
+            if e_lo <= trace[-1] <= e_hi:
+                inside.append((lvl, trace, c, residual, modes))
+
+    v_profile = _operator_potential_profile(potential, spec)
+    damp = np.exp(-theta * spec.k_x**2 / 4.0)
+    results: list[tuple[float, Field1D]] = []
+    for lvl, trace, c, residual, modes in inside:
+        energy = trace[-1]
         if residual > 1e-6:
             raise RuntimeError(
                 f"eigenpair residual {residual:.3e} exceeds 1e-6 for level {lvl}"

@@ -207,13 +207,16 @@ def sample_field(f: Callable[[np.ndarray, np.ndarray], np.ndarray], spec: GridSp
     return Field2D(spec, vals)
 
 
-def _drop_noise_modes(fhat: np.ndarray, cutoff: float = DEFAULT_MODE_CUTOFF) -> tuple[np.ndarray, int]:
-    """Zero the modes with |fhat| < cutoff * max|fhat| over the whole array; count them."""
+def _drop_noise_modes(
+    fhat: np.ndarray, cutoff: float = DEFAULT_MODE_CUTOFF, axis: tuple[int, ...] | None = None
+) -> tuple[np.ndarray, int]:
+    """Zero the modes with |fhat| < cutoff * max|fhat|; count them.
+
+    The peak is taken over the whole array, or over `axis` only: one peak per
+    index of the other axes, so each state of a stack is cut by its own.
+    """
     mag = np.abs(fhat)
-    peak = np.max(mag)
-    if peak == 0.0:
-        return fhat, 0
-    keep = mag >= cutoff * peak
+    keep = mag >= cutoff * np.max(mag, axis=axis, keepdims=True)
     dropped = int(fhat.size - np.count_nonzero(keep))
     if dropped:
         fhat = np.where(keep, fhat, 0.0)

@@ -8,10 +8,13 @@ no line selected is paired over the whole plane, integral dt dx psi* (star)
 O psi -- the right reading for coherent basis elements, which are not on
 shell.  Every pairing needs only sums of the star product, so
 `phasecalc._pairing` (slices) and `symbols._pairing` (full fields) evaluate
-it in closed form over partner Fourier modes.  A batch of operators on one
-state transforms the bra side once and each ket once, and the kets O psi of
-a full field share one derivative cache, so each derivative order of psi is
-taken once per batch.
+it in closed form over partner Fourier modes.  A batch of operators is
+paired on one full field, or on a stack of slices at once: the slices of a
+trajectory are lifted into one phase polynomial with a slice axis, so the
+bra side is transformed once per batch and each ket O psi once per
+operator, whatever the number of slices.  The kets of a full field share
+one derivative cache, so each derivative order of psi is taken once per
+batch.
 
 On top of that sit the uncertainty products, the 4x4 covariance matrix of
 the coherent element together with its commutator (symplectic) form, the
@@ -42,7 +45,7 @@ from .fieldgrid import _require_grid_theta, _require_nonnegative, _require_posit
 from .operators import (
     SymbolOperator,
     _apply_field2d,
-    apply,
+    _apply_phasepoly,
     commutator,
     hamiltonian,
     p_t,
@@ -204,8 +207,10 @@ def expectation(
     unwind time cancels in the ratio).  The slice is evaluated at time t,
     defaulting to its physical time t_slice + metadata['elapsed'].  An
     untagged slice is accepted only at theta = 0 for operators free of d_t
-    factors (`phasecalc._slice_part`).  A batch pairs through one
-    `phasecalc._pairing`, which prepares the bra once.
+    factors (`phasecalc._slice_part`).  The slice is paired as a stack of
+    one through `phasecalc._pairing`, the pass that pairs a whole trajectory
+    at once in `ehrenfest_residual`; a norm check that fails there names the
+    slice and its time.
 
     A Field2D with explicit t pairs on that fixed-t grid line, integral
     dx psi* (star) O psi; with t=None it pairs over the whole plane,
@@ -226,32 +231,49 @@ def expectation(
 
 def _expectations(
     ops: Sequence[SymbolOperator],
-    psi: Field1D | Field2D,
+    psi: Field1D | Field2D | Sequence[Field1D],
     kernel: StarKernel,
     t: float | None = None,
-) -> list[complex]:
-    """`expectation` of each operator on one state, pairing the norm once."""
-    if not isinstance(psi, (Field1D, Field2D)):
-        raise TypeError(f"expected a Field1D or Field2D state, got {type(psi).__name__}")
+) -> list[complex] | np.ndarray:
+    """`expectation` of each operator on one state, pairing the norm once.
+
+    psi may also be a list or tuple of S slices on one GridSpec, each read
+    at its physical time (or all at t).  They are paired as one stack, so the
+    number of numpy calls does not grow with S, and the result is an
+    (S, len(ops)) array.  A single slice is the stack of one.
+    """
+    stack = isinstance(psi, (list, tuple))
+    states = list(psi) if stack else [psi]
+    kinds = (Field1D,) if stack else (Field1D, Field2D)
+    for state in states:
+        if not isinstance(state, kinds):
+            raise TypeError(f"expected a Field1D or Field2D state, got {type(state).__name__}")
+    spec = states[0].spec
     for op in ops:
         if not isinstance(op, SymbolOperator):
             raise TypeError(f"expected a SymbolOperator, got {type(op).__name__}")
         if op.theta != 0.0:
-            _require_grid_theta(op.theta, psi.spec, "operator theta")
-    _require_voros(kernel, psi.spec, "the expectation value")
+            _require_grid_theta(op.theta, spec, "operator theta")
+    _require_voros(kernel, spec, "the expectation value")
 
-    if isinstance(psi, Field1D):
-        t_eval = phasecalc._slice_time(psi) if t is None else float(t)
-        state = phasecalc._slice_part(psi, t_eval, ops)
-        pair = phasecalc._pairing(state, t_eval)
-        act = partial(apply, psi=state)
-    else:
-        state = psi
+    if isinstance(psi, Field2D):
         # One derivative cache serves every operator of the batch.
         act = partial(_apply_field2d, fld=psi, derivs={})
         pair = symbols._pairing(kernel.theta, psi, t)
-    norm = _checked_norm(complex(pair(state)))
-    return [complex(pair(act(op))) / norm for op in ops]
+        norm = _checked_norm(complex(pair(psi)))
+        return [complex(pair(act(op))) / norm for op in ops]
+
+    ts = np.array([phasecalc._slice_time(fld) if t is None else float(t) for fld in states])
+    state = phasecalc._slice_stack(states, ts, ops)
+    pair = phasecalc._pairing(state, ts)
+    norms = np.empty(len(states))
+    for s, norm in enumerate(pair(state)):
+        try:
+            norms[s] = _checked_norm(complex(norm))
+        except ValueError as err:
+            raise ValueError(f"slice {s} at t = {ts[s]:.6g}: {err}") from None
+    values = np.array([pair(_apply_phasepoly(op, state)) for op in ops]).T / norms[:, None]
+    return values if stack else [complex(v) for v in values[0]]
 
 
 def _mean_variance(mean: complex, second: complex, label: str) -> tuple[float, float]:
@@ -461,8 +483,9 @@ def ehrenfest_residual(
 
     <O> is evaluated on every slice at its physical time and differentiated
     with 4th-order central differences, so at least five uniformly spaced
-    slices are needed.  H is rebuilt from (m, potential) as the deformed
-    generator (see _deformed_hamiltonian).  For O = P_x the first-order
+    slices are needed.  Every operator is paired on the whole trajectory in
+    one stacked pass (see _expectations).  H is rebuilt from (m, potential)
+    as the deformed generator (see _deformed_hamiltonian).  For O = P_x the first-order
     force form -<V'> - (theta/2) <V'' (d_x - i d_t)> is evaluated as well
     and returned under 'force_residual'; it matches the commutator side up
     to O(theta^2).
@@ -491,8 +514,7 @@ def ehrenfest_residual(
     H = _deformed_hamiltonian(m, potential, theta)
     rhs_op = commutator(H, op) * 1j + _explicit_time_derivative(op)
 
-    # One norm per slice: the interior slices also carry the commutator side
-    # and, for P_x, the force operators V' and V'' (d_x - i d_t).
+    # For P_x the force operators V' and V'' (d_x - i d_t) join the batch.
     with_force = op.terms == _P_X_TERMS and potential.kind in ("none", "harmonic")
     force_ops = []
     if with_force and potential.kind == "harmonic":
@@ -502,28 +524,19 @@ def ehrenfest_residual(
             force_ops.append(
                 SymbolOperator("composite", theta, {(0, 0, 0, 1): mw2, (0, 0, 1, 0): -1j * mw2})
             )
-    interior = range(2, n - 2)
-    values = [
-        _expectations([op, rhs_op, *force_ops] if k in interior else [op], fld, kernel)
-        for k, fld in enumerate(trajectory)
-    ]
-    series = np.array([v[0] for v in values])
-    fd = np.array(
-        [
-            (-series[k + 2] + 8.0 * series[k + 1] - 8.0 * series[k - 1] + series[k - 2])
-            / (12.0 * h)
-            for k in interior
-        ]
-    )
-    rhs = np.array([values[k][1] for k in interior])
-    out = {"t": ts[2 : n - 2], "residual": np.abs(fd - rhs)}
+    # One stacked pass pairs every operator on every slice; the commutator
+    # and force columns are read on the interior slices only.
+    values = _expectations([op, rhs_op, *force_ops], list(trajectory), kernel)
+    series, inner = values[:, 0], values[2 : n - 2]
+    fd = (-series[4:] + 8.0 * series[3:-1] - 8.0 * series[1:-3] + series[:-4]) / (12.0 * h)
+    out = {"t": ts[2 : n - 2], "residual": np.abs(fd - inner[:, 1])}
 
     if with_force:
         force = np.zeros(len(fd), dtype=complex)
         if force_ops:
-            force = -np.array([values[k][2] for k in interior])
+            force = -inner[:, 2]
         if len(force_ops) == 2:
-            force = force - (theta / 2.0) * np.array([values[k][3] for k in interior])
+            force = force - (theta / 2.0) * inner[:, 3]
         out["force_residual"] = np.abs(fd - force)
     return out
 

@@ -11,11 +11,12 @@ differentiating an intermediate that coordinate multiplication has already
 made non-periodic.
 
 Application is supported for three state representations: full space-time
-fields, phase-polynomial states, and single-time slices carrying an energy
-tag.  A slice is applied through its phase polynomial: it is lifted to the
-degree-0 part psi(x) e^{-iEt} (so d_t acts as -iE and t-multiplication as a
-degree shift) by `phasecalc._slice_part`, and read back at the same physical
-time, `phasecalc._slice_time`.
+fields, phase-polynomial states (a single one or a stack of slices), and
+single-time slices carrying an energy tag.  A slice is applied through its
+phase polynomial: it is lifted to the degree-0 part psi(x) e^{-iEt} (so d_t
+acts as -iE and t-multiplication as a degree shift) by
+`phasecalc._slice_part`, and read back at the same physical time,
+`phasecalc._slice_time`.
 
 `boost_transform` is the one finite Galilean boost e^{-ivG} of a full field,
 in closed form through the Weyl frame and exact at every velocity.
@@ -245,14 +246,16 @@ def _dx_stack(coef: np.ndarray, k_x: np.ndarray, order: int) -> np.ndarray:
 
 
 def _apply_phasepoly(op: SymbolOperator, poly: PhasePoly) -> PhasePoly:
+    """op poly, on a single state or on every slice of a stack at once."""
     spec = poly.spec
     deg = poly.degree
     max_t = max((a for (a, _, _, _) in op.terms), default=0)
-    out = np.zeros((deg + max_t + 1, spec.n_x), dtype=np.complex128)
+    out = np.zeros((deg + max_t + 1,) + poly.coef.shape[1:], dtype=np.complex128)
+    freq = np.asarray(poly.a)[..., None]  # one a per slice, broadcast along x
     for (a, b, c, d), coef in op.terms.items():
         work = poly.coef
         for _ in range(c):  # d_t on q e^{iat}: (ia + degree-lowering) on q
-            work = 1j * poly.a * work + _dt_poly(work)
+            work = 1j * freq * work + _dt_poly(work)
         if d:
             work = _dx_stack(work, spec.k_x, d)
         if b:

@@ -19,13 +19,21 @@ degree shift.  A slice pairing integral dx bra* * ket is the zero x-mode of
 that product, so `_pairing` sums only the partner pairs k' = -k, with the bra
 prepared once.  A weight beyond floating-point range gives a non-finite
 result, which both reject.
+
+A PhasePoly may also be a stack of S slices on one grid: coefficients of
+shape (degree+1, S, n_x) and one frequency a per slice.  `_slice_stack`
+lifts a trajectory into one, operators apply to the whole stack, and
+`_pairing` pairs slice s of the bra with slice s of each ket at its own
+time: one FFT per stack, one noise cut per slice (relative to that slice's
+own peak) and one weighted sum, so the work in numpy calls does not grow
+with S.  A single state is the stack of one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -51,17 +59,24 @@ def _trimmed(coef: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PhasePoly:
-    """q(t, x) e^{iat} with q = sum_d coef[d](x) t^d on the grid's x axis."""
+    """q(t, x) e^{iat} with q = sum_d coef[d](x) t^d on the grid's x axis.
+
+    A stack of S slices has coef of shape (degree+1, S, n_x) and a of shape (S,).
+    """
 
     spec: GridSpec
-    a: float
-    coef: np.ndarray  # shape (degree+1, n_x), complex
+    a: float | np.ndarray
+    coef: np.ndarray  # shape (degree+1, n_x) or (degree+1, S, n_x), complex
 
     def __post_init__(self) -> None:
         arr = np.atleast_2d(np.asarray(self.coef, dtype=np.complex128))
         if arr.shape[-1] != self.spec.n_x:
             raise ValueError(
                 f"coefficient rows must have length n_x={self.spec.n_x}, got {arr.shape}"
+            )
+        if np.shape(self.a) != arr.shape[1:-1]:
+            raise ValueError(
+                f"need one frequency a per slice: coefficients {arr.shape}, a {np.shape(self.a)}"
             )
         if not np.all(np.isfinite(arr)):
             raise ValueError("non-finite polynomial coefficients")
@@ -72,9 +87,10 @@ class PhasePoly:
         return self.coef.shape[0] - 1
 
     def values_at(self, t: float) -> np.ndarray:
-        """Evaluate the state on its x axis at time t."""
+        """Evaluate the state (every slice of a stack) on its x axis at time t."""
         powers = t ** np.arange(self.coef.shape[0])
-        return np.exp(1j * self.a * t) * np.tensordot(powers, self.coef, axes=(0, 0))
+        phase = np.exp(1j * np.asarray(self.a) * t)[..., None]
+        return phase * np.tensordot(powers, self.coef, axes=(0, 0))
 
 
 def stationary_part(spec: GridSpec, energy: float, values: np.ndarray) -> PhasePoly:
@@ -105,6 +121,16 @@ def _slice_part(fld: Field1D, t: float | None = None, ops: Iterable = ()) -> Pha
     energy = float(energy)
     t = fld.t_slice if t is None else t
     return stationary_part(fld.spec, energy, fld.values * np.exp(1j * energy * t))
+
+
+def _slice_stack(flds: Sequence[Field1D], ts: Sequence[float], ops: Iterable = ()) -> PhasePoly:
+    """Lift slices on one GridSpec into one stack, slice s by `_slice_part` at time ts[s]."""
+    spec = flds[0].spec
+    if any(fld.spec != spec for fld in flds):
+        raise ValueError("a slice stack requires states on the same GridSpec")
+    parts = [_slice_part(fld, t, ops) for fld, t in zip(flds, ts)]
+    a = np.array([p.a for p in parts])
+    return PhasePoly(spec, a, np.stack([p.coef for p in parts], axis=1))
 
 
 def conjugate(poly: PhasePoly) -> PhasePoly:
@@ -149,6 +175,8 @@ def phase_star(F: PhasePoly, G: PhasePoly) -> PhasePoly:
     spec = F.spec
     if G.spec != spec:
         raise ValueError("the slice star requires states on the same GridSpec")
+    if F.coef.ndim != 2 or G.coef.ndim != 2:
+        raise ValueError("the slice star takes single states, not stacks")
     if spec.theta == 0.0:
         return PhasePoly(spec, F.a + G.a, _trimmed(_poly_mult(F.coef, G.coef)))
 
@@ -164,29 +192,60 @@ def phase_star(F: PhasePoly, G: PhasePoly) -> PhasePoly:
     return PhasePoly(spec, F.a + G.a, _trimmed(np.fft.ifft(out, axis=-1) / n))
 
 
-def _pairing(bra: PhasePoly, t: float) -> Callable[[PhasePoly], complex]:
+def _pairing(bra: PhasePoly, t) -> Callable[[PhasePoly], complex | np.ndarray]:
     """ket -> (bra, ket)_t = integral dx bra* * ket: the zero x-mode at t, times dx/N_x.
 
-    The bra is conjugated, transformed, cut (not at theta = 0) and differentiated once.
+    On a stack, slice s of the bra pairs with slice s of the ket at time t[s]
+    (t may be one time for every slice), and the result holds one pairing
+    per slice.  The bra is conjugated, transformed, cut (not at theta = 0)
+    and differentiated once; each slice of either side is cut relative to
+    its own peak, and the Voros weight is exponentiated only on the partner
+    pairs live in both.
     """
-    spec, c = bra.spec, bra.spec.theta / 2.0
+    spec, c, n = bra.spec, bra.spec.theta / 2.0, bra.spec.n_x
     cutoff = DEFAULT_MODE_CUTOFF if c > 0.0 else 0.0  # cutoff 0 keeps every mode
-    bh, _ = _drop_noise_modes(np.fft.fft(np.conj(bra.coef), axis=-1), cutoff)
-    kb = np.flatnonzero(np.any(bh, axis=0))
-    partner, fd, alpha = -kb % spec.n_x, _dt_stack(bh[:, kb]), -1j * bra.a + spec.k_x[kb]
+    shape = np.shape(bra.a)  # () for a single state, (S,) for a stack
 
-    def pair(ket: PhasePoly) -> complex:
+    def modes(coef: np.ndarray) -> np.ndarray:
+        """Transform to (degree+1, S, n_x) and cut each slice at its own peak."""
+        fh = np.fft.fft(coef, axis=-1).reshape(coef.shape[0], -1, n)
+        return _drop_noise_modes(fh, cutoff, axis=(0, 2))[0]
+
+    ts = np.broadcast_to(np.asarray(t, dtype=float), shape).reshape(-1)
+    a_bra = np.reshape(bra.a, -1)
+    bh = modes(np.conj(bra.coef))
+    bra_live = np.any(bh, axis=0)
+    kb = np.flatnonzero(np.any(bra_live, axis=0))
+    bra_live, partner, fd = bra_live[:, kb], -kb % n, _dt_stack(bh[..., kb])
+    alpha = -1j * a_bra[:, None] + spec.k_x[kb]
+
+    def pair(ket: PhasePoly) -> complex | np.ndarray:
         if ket.spec != spec:
             raise ValueError("the slice star requires states on the same GridSpec")
-        gh = _drop_noise_modes(np.fft.fft(ket.coef, axis=-1), cutoff)[0][:, partner]
-        live = np.any(gh, axis=0)
-        beta = 1j * ket.a - spec.k_x[partner[live]]
-        acc = _term_sum(c, alpha[live], beta, [f[:, live] for f in fd], _dt_stack(gh[:, live]))
+        if np.shape(ket.a) != shape:
+            raise ValueError(f"ket stack {np.shape(ket.a)} does not match bra stack {shape}")
+        a_ket = np.reshape(ket.a, -1)
+        gh = modes(ket.coef)[..., partner]
+        live = bra_live & np.any(gh, axis=0)
+        cols = np.flatnonzero(np.any(live, axis=0))
+        live = live[:, cols]
+        # A pair dead in one slice but live in another keeps a zero exponent:
+        # its amplitudes are zero there, and its Voros weight is never formed.
+        beta = np.where(live, 1j * a_ket[:, None] - spec.k_x[partner[cols]], 0.0)
+        fd_cols, gd_cols = [f[..., cols] for f in fd], _dt_stack(gh[..., cols])
+        acc = _term_sum(c, alpha[:, cols], beta, fd_cols, gd_cols)
         poly = np.sum(acc, axis=-1)
-        total = np.exp(1j * (ket.a - bra.a) * t) * np.dot(t ** np.arange(poly.shape[0]), poly)
-        if not np.isfinite(total):
-            raise ValueError(f"slice pairing is not finite ({total}): a Voros weight overflowed")
-        return complex(total * spec.dx / spec.n_x)
+        powers = ts ** np.arange(poly.shape[0])[:, None]
+        total = np.exp(1j * (a_ket - a_bra) * ts) * np.sum(powers * poly, axis=0)
+        bad = np.flatnonzero(~np.isfinite(total))
+        if bad.size:
+            s = int(bad[0])
+            raise ValueError(
+                f"slice pairing is not finite on slice {s} at t = {ts[s]:.6g} ({total[s]}): "
+                "a Voros weight overflowed"
+            )
+        total = total * spec.dx / spec.n_x
+        return total if shape else complex(total[0])
 
     return pair
 

@@ -523,6 +523,17 @@ class TestStationarySolve:
         assert abs(energy - e_ref) <= 1e-12 * (1.0 + abs(e_ref))
         assert st.metadata["band_modes"] == 512
 
+    def test_window_membership_is_decided_by_the_settled_energy(self):
+        """At theta = 0.2 the V = x box-edge level has energy about -9.85 in
+        the frame at the window's midpoint and settles at -9.37739, inside
+        (-9.4, -8.5); the next level settles at -8.116, above it."""
+        spec = GridSpec(8, 512, 0.0, 0.2, -12.0, 12.0, 0.2)
+        pot = Potential.custom(lambda x: x)
+        ((energy, st),) = dyn.stationary_solve(pot, StarKernel(0.2), 1.0, (-9.4, -8.5), spec)
+        assert st.metadata["level"] == 0
+        assert abs(energy + 9.37739) < 1e-5
+        assert st.metadata["residual"] < 1e-10
+
     @pytest.mark.parametrize("window", [(0.2, math.inf), (-math.inf, 0.7), (math.nan, 0.7)])
     def test_rejects_a_non_finite_window(self, window):
         with pytest.raises(ValueError, match="energy window must be finite"):

@@ -696,6 +696,51 @@ class TestEhrenfestResidual:
         with pytest.raises(ValueError, match="mass must be > 0"):
             moments.ehrenfest_residual(traj, operators.p_x(), kernel, 0.0, pot)
 
+    def test_pairs_the_trajectory_as_one_stack(self):
+        kernel, psi = ground_state()
+        pot = Potential.harmonic(1.0, 1.0)
+        traj = dynamics.evolve(psi, pot, kernel, 1.0, 2e-4, 50, record_every=5)
+        ops = [operators.x_theta_l(THETA), operators.p_x(), operators.t_theta_l(THETA)]
+        got = moments._expectations(ops, traj, kernel)
+        assert got.shape == (len(traj), len(ops))
+        for row, fld in zip(got, traj):
+            want = moments._expectations(ops, fld, kernel)
+            assert np.all(np.abs(row - want) <= 1e-14 * np.maximum(np.abs(want), 1.0))
+
+    def test_transform_count_does_not_grow_with_slices(self, monkeypatch):
+        kernel, psi = ground_state()
+        pot = Potential.harmonic(1.0, 1.0)
+        traj = dynamics.evolve(psi, pot, kernel, 1.0, 2e-4, 50, record_every=5)
+        assert len(traj) == 11
+        calls = {"fft": 0, "ifft": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.fft, "fft", counted("fft", np.fft.fft))
+        monkeypatch.setattr(np.fft, "ifft", counted("ifft", np.fft.ifft))
+        counts = []
+        for slices in (traj[:5], traj):
+            calls.update(fft=0, ifft=0)
+            moments.ehrenfest_residual(slices, operators.p_x(), kernel, 1.0, pot)
+            counts.append(dict(calls))
+        assert counts[0] == counts[1]
+        assert counts[0]["fft"] > 0
+
+    def test_unnormalized_slice_is_named(self):
+        kernel, psi = ground_state()
+        pot = Potential.harmonic(1.0, 1.0)
+        traj = dynamics.evolve(psi, pot, kernel, 1.0, 2e-4, 50, record_every=5)
+        bad = traj[3]
+        traj[3] = Field1D(bad.spec, bad.t_slice, 1.1 * bad.values, dict(bad.metadata))
+        t = phasecalc._slice_time(bad)
+        assert t > 0.0
+        with pytest.raises(ValueError, match=f"slice 3 at t = {t:.6g}: state is not normalized"):
+            moments.ehrenfest_residual(traj, operators.p_x(), kernel, 1.0, pot)
+
     def test_rejects_non_polynomial_potentials(self):
         kernel, psi = displaced_packet()
         traj = dynamics.evolve(psi, Potential.none(), kernel, 1.0, 4e-3, 20, record_every=5)

@@ -5,10 +5,14 @@ import numpy as np
 import pytest
 from oracles import brute_force_phase_star
 
-from starqm.fieldgrid import GridSpec
+from starqm import operators
+from starqm.fieldgrid import Field1D, GridSpec
+from starqm.operators import SymbolOperator
 from starqm.phasecalc import (
     PhasePoly,
     _pairing,
+    _slice_part,
+    _slice_stack,
     conjugate,
     induced_product,
     phase_star,
@@ -275,3 +279,92 @@ def test_overflowing_weight_raises():
         phase_star(f, f)
     with pytest.raises(ValueError, match="finite"), pytest.warns(RuntimeWarning):
         induced_product(f, f, 0.0)
+
+
+PACKETS = ((-0.5, 0.3, 1.0, 0.5, 0.0), (0.8, -0.6, 0.8, 1.7, 0.05), (0.2, 1.1, 1.3, -0.4, 0.13))
+
+
+def packet_slices(theta, shapes=PACKETS, scales=(1.0, 1.0, 1.0)):
+    """Gaussian slices on the 512-point x in [-12, 12] grid, each with its own
+    centre, momentum, width, energy tag and slice time."""
+    spec = GridSpec(8, 512, 0.0, 0.2, -12.0, 12.0, theta)
+    return [
+        Field1D(spec, t, scale * np.exp(-((spec.x - x0) / width) ** 2 / 2 + 1j * p * spec.x),
+                {"energy": energy})
+        for (x0, p, width, energy, t), scale in zip(shapes, scales)
+    ]
+
+
+class TestStackedPairing:
+    """One stacked pass against one `_pairing` per slice, to 1e-14 relative."""
+
+    def stacked_and_single(self, slices, op):
+        ts = [f.t_slice for f in slices]
+        stack = _slice_stack(slices, ts, [op])
+        got = _pairing(stack, ts)(operators.apply(op, stack))
+        want = []
+        for fld, t in zip(slices, ts):
+            part = _slice_part(fld, t, [op])
+            want.append(_pairing(part, t)(operators.apply(op, part)))
+        return got, np.array(want)
+
+    @pytest.mark.parametrize("theta", [0.0, 0.1, 0.2])
+    @pytest.mark.parametrize(
+        "op",
+        [
+            operators.p_x(),
+            operators.x_theta_l,
+            operators.t_theta_l,
+            SymbolOperator("composite", 0.0, {(1, 1, 0, 0): 1.0}),
+        ],
+        ids=["p_x", "x_theta_l", "t_theta_l", "t_x"],
+    )
+    def test_matches_one_pairing_per_slice(self, theta, op):
+        """Slices with their own energy tags and times; operators of t-degree
+        0 and 1; theta = 0 keeps every mode."""
+        op = op(theta) if callable(op) else op
+        got, want = self.stacked_and_single(packet_slices(theta), op)
+        assert got.shape == (3,)
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+    def test_each_slice_is_cut_by_its_own_peak(self):
+        """The small slice is narrow: at theta = 0.2 its Voros weights lift its
+        modes between 1e-14 and 1e-8 of its peak to about 1e-3 of its
+        pairing, so a cut relative to the 1e6 times larger slice shows."""
+        theta = 0.2
+        narrow = ((0.3, 0.4, 0.35, 0.9, 0.02),) + PACKETS[:1]
+        slices = packet_slices(theta, narrow, scales=(1.0, 1e6))
+        for op in (operators.x_theta_l(theta), operators.p_x()):
+            got, want = self.stacked_and_single(slices, op)
+            assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+    def test_a_single_state_pairs_to_a_complex_number(self):
+        fld = packet_slices(0.1)[0]
+        part = _slice_part(fld)
+        stack = _slice_stack([fld], [fld.t_slice])
+        single = _pairing(part, fld.t_slice)(part)
+        assert isinstance(single, complex)
+        assert _pairing(stack, [fld.t_slice])(stack) == np.array([single])
+
+    def test_stack_shapes_are_checked(self):
+        slices = packet_slices(0.1)
+        stack = _slice_stack(slices, [0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="one frequency a per slice"):
+            PhasePoly(stack.spec, 0.0, stack.coef)
+        with pytest.raises(ValueError, match="does not match bra stack"):
+            _pairing(stack, 0.0)(_slice_part(slices[0]))
+        with pytest.raises(ValueError, match="single states, not stacks"):
+            phase_star(stack, stack)
+        other = Field1D(phase_box(64, 0.1), 0.0, np.ones(64), {"energy": 0.0})
+        with pytest.raises(ValueError, match="same GridSpec"):
+            _slice_stack([slices[0], other], [0.0, 0.0])
+
+    def test_overflow_names_the_slice(self):
+        theta = 0.1
+        spec = phase_box(32, theta, half=math.sqrt(theta) / 2.0)
+        rng = np.random.default_rng(5)
+        smooth, white = oracle_rows(spec, 0, "band", rng), oracle_rows(spec, 0, "white", rng)
+        stack = PhasePoly(spec, np.zeros(2), np.stack([smooth, white], axis=1))
+        with pytest.raises(ValueError, match="not finite on slice 1 at t = 0.5"), \
+                pytest.warns(RuntimeWarning):
+            _pairing(stack, [0.0, 0.5])(stack)
