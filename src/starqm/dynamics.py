@@ -42,7 +42,7 @@ import scipy.linalg
 from . import phasecalc, symbols
 from .fieldgrid import Field1D, Field2D, GridSpec, spectral_derivative
 from .fieldgrid import _csv, _drop_noise_modes, _require_grid_theta, _require_nonnegative
-from .fieldgrid import _require_positive, _sample
+from .fieldgrid import _require_positive, _sample, _scatter_sum
 from .star import StarKernel, _require_voros
 
 # Quadratures are cut off where the integrand magnitude drops below this.
@@ -754,8 +754,7 @@ def slice_density(kernel: StarKernel, fld: Field1D, m: float | None = None) -> F
     weight = np.outer(np.conj(amps), amps) * np.exp(
         (kernel.theta / 2.0) * np.outer(np.conj(mult), mult)
     )
-    spectrum = np.zeros(spec.n_x, dtype=np.complex128)
-    np.add.at(spectrum, (live - live[:, None]) % spec.n_x, weight)
+    spectrum = _scatter_sum((live - live[:, None]) % spec.n_x, weight, spec.n_x)
     rho = (math.sqrt(2.0 * math.pi * kernel.theta) / spec.n_x) * np.fft.ifft(spectrum).real
     return Field1D(spec, fld.t_slice, rho)
 

@@ -223,6 +223,19 @@ def _drop_noise_modes(
     return fhat, dropped
 
 
+def _scatter_sum(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
+    """Complex sum of the weights that land in each bin 0 <= index < size.
+
+    One `np.bincount` per real and imaginary part; each bin adds its weights
+    in input order, as `np.add.at` does.
+    """
+    index = index.ravel()
+    out = np.empty(size, dtype=np.complex128)
+    out.real = np.bincount(index, weights.real.ravel(), size)
+    out.imag = np.bincount(index, weights.imag.ravel(), size)
+    return out
+
+
 def _require_grid_theta(theta: float, spec: GridSpec, what: str) -> None:
     if theta != spec.theta:
         raise ValueError(f"{what} {theta} does not match grid theta {spec.theta}")

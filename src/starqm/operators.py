@@ -62,6 +62,19 @@ def _compose_terms(A: dict[Monomial, complex], B: dict[Monomial, complex]) -> di
     return {key: v for key, v in out.items() if v != 0.0}
 
 
+def _is_monomial(key) -> bool:
+    """Whether key is four non-negative ints, tested without a generator.
+
+    Every operator built checks every key, compositions included, so the
+    exponents are unpacked rather than iterated.
+    """
+    if not (isinstance(key, tuple) and len(key) == 4):
+        return False
+    a, b, c, d = key
+    return (isinstance(a, int) and isinstance(b, int) and isinstance(c, int)
+            and isinstance(d, int) and min(key) >= 0)
+
+
 def _merge_theta(ta: float, tb: float) -> float:
     if ta == tb or tb == 0.0:
         return ta
@@ -81,13 +94,10 @@ class SymbolOperator:
 
     def __post_init__(self) -> None:
         _require_nonnegative(self.theta, "theta")
-        cleaned = {}
-        for key, v in self.terms.items():
-            if not (isinstance(key, tuple) and len(key) == 4
-                    and all(isinstance(e, int) and e >= 0 for e in key)):
+        for key in self.terms:
+            if not _is_monomial(key):
                 raise ValueError(f"operator term key {key!r} is not four non-negative ints")
-            if v != 0.0:
-                cleaned[key] = complex(v)
+        cleaned = {key: complex(v) for key, v in self.terms.items() if v != 0.0}
         object.__setattr__(self, "terms", cleaned)
 
     def compose(self, other: "SymbolOperator") -> "SymbolOperator":

@@ -38,6 +38,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from starqm.fieldgrid import DEFAULT_MODE_CUTOFF, Field1D, GridSpec, _drop_noise_modes
+from starqm.fieldgrid import _scatter_sum
 
 
 def _dt_poly(coef: np.ndarray) -> np.ndarray:
@@ -187,8 +188,8 @@ def phase_star(F: PhasePoly, G: PhasePoly) -> PhasePoly:
     kg = np.flatnonzero(np.any(Gh, axis=0))[None, :]
     alpha, beta = 1j * F.a + spec.k_x[kf], 1j * G.a - spec.k_x[kg]
     acc = _term_sum(spec.theta / 2.0, alpha, beta, _dt_stack(Fh[:, kf]), _dt_stack(Gh[:, kg]))
-    out = np.zeros((acc.shape[0], n), dtype=np.complex128)
-    np.add.at(out, (slice(None), np.broadcast_to((kf + kg) % n, acc.shape[1:])), acc)
+    rows = np.arange(acc.shape[0])[:, None, None]
+    out = _scatter_sum(rows * n + (kf + kg) % n, acc, acc.shape[0] * n).reshape(-1, n)
     return PhasePoly(spec, F.a + G.a, _trimmed(np.fft.ifft(out, axis=-1) / n))
 
 

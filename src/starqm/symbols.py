@@ -350,6 +350,65 @@ def onshell_project(
 # ---------------------------------------------------------------------------
 
 
+def _projection_amplitudes(psi: Field2D) -> np.ndarray:
+    """Corner-referenced mode amplitudes fft2(psi), cut at DEFAULT_MODE_CUTOFF."""
+    if not isinstance(psi, Field2D):
+        raise TypeError(f"quasi_projection_apply expects a Field2D, got {type(psi).__name__}")
+    return _drop_noise_modes(np.fft.fft2(psi.values))[0]
+
+
+def _quasi_projectors(spec: GridSpec, *times: float) -> list[Callable[[np.ndarray], np.ndarray]]:
+    """One linear map amplitudes -> values of pi_{t0} per time t0, sharing the grid's tables.
+
+    See `quasi_projection_apply` for the mode sum.  The mode weight is built
+    once for the grid; each time multiplies in its per-row phase and builds
+    its real envelope.  A map takes amplitudes that were already cut and does
+    not cut again, so it is linear in its argument.
+    """
+    theta = spec.theta
+    if not theta > 0:
+        raise ValueError(f"quasi-projection needs grid theta > 0, got {theta}")
+    for t0 in times:
+        if not (spec.t_min <= t0 <= spec.t_max):
+            raise ValueError(f"t0={t0} outside box [{spec.t_min}, {spec.t_max}]")
+    n_t, n_x = spec.n_t, spec.n_x
+    half = n_t // 2
+    E = -spec.k_t  # modes e^{i kt t} carry energy E = -kt in e^{-iEt} form
+    p = spec.k_x
+    # An oversampled grid can overflow the weight on rows no input populates;
+    # a map reads the weight on surviving modes only.
+    with np.errstate(over="ignore"):
+        mode_weight = np.exp(
+            (theta / 8.0) * np.subtract.outer(E**2, p**2) + 0.25j * theta * np.outer(E, p)
+        )
+    # The envelope carries the weight's (2 pi theta)^{-1/2} and the factor
+    # 2 N_t N_x / (N_t N_x) = 2 that the unscaled fft2 and the two inverse
+    # FFTs leave.
+    scale = 2.0 / math.sqrt(2.0 * math.pi * theta)
+
+    def projector(t0: float) -> Callable[[np.ndarray], np.ndarray]:
+        tau = spec.t - t0
+        # e^{-iE t0}, the t_min origin phase e^{iE t_min} of the amplitudes and
+        # the j = 0 phase e^{-iE (t_min - t0)/2} of the energy collapse.
+        with np.errstate(invalid="ignore"):
+            weight = mode_weight * np.exp(-0.5j * E * (t0 - spec.t_min))[:, None]
+        envelope = scale * np.exp(-0.5 * np.outer(tau, p) - (tau**2 / (2.0 * theta))[:, None])
+
+        def project(amps: np.ndarray) -> np.ndarray:
+            # Row s of the energy axis goes to slot s mod 2 N_t: the rows
+            # s < N_t/2 stay, the rest (the Nyquist row first) end the array.
+            padded = np.zeros((2 * n_t, n_x), dtype=np.complex128)
+            live = amps != 0
+            np.multiply(amps[:half], weight[:half], out=padded[:half], where=live[:half])
+            np.multiply(amps[half:], weight[half:], out=padded[n_t + half:], where=live[half:])
+            by_p = np.fft.ifft(padded, axis=0)[:n_t]  # [t'', p]
+            return np.fft.ifft(by_p * envelope, axis=1)
+
+        return project
+
+    return [projector(t0) for t0 in times]
+
+
 def quasi_projection_apply(t0: float, psi: Field2D) -> Field2D:
     """Apply the fixed-time quasi-projector pi_{t0} to a symbol field at its grid's theta.
 
@@ -366,56 +425,46 @@ def quasi_projection_apply(t0: float, psi: Field2D) -> Field2D:
     amplitude extraction, mirroring the hygiene of the star engine itself.
 
     The amplitudes come from one FFT, which references phases to the box
-    corner (t_min, x_min).  The energy sum runs only over rows holding a
-    surviving mode, with the t_min phase folded into the per-row factor.
-    The x synthesis is an inverse DFT: on the grid x_j = x_min + j dx,
-    p x_j = p x_min + 2 pi m j / n_x, and the e^{ip x_min} factor cancels
-    the x_min phase of the amplitudes, so the sum over p is
-    n_x * ifft along x.
+    corner (t_min, x_min), and one cut.  The rest is a linear map of the cut
+    amplitudes, built once per (grid, t0) by `_quasi_projectors`:
+
+    - The energy collapse is a zero-padded inverse FFT of length 2 N_t.  On
+      the grid E = -2 pi s / L_t and tau_j = (t_min - t0) + j dt, so
+      e^{-iE tau_j/2} = e^{-iE(t_min - t0)/2} e^{2 pi i s j / (2 N_t)}: row s
+      goes to slot s mod 2 N_t (the Nyquist row, s = -N_t/2, to 3 N_t/2),
+      the per-row phase takes the first factor, and outputs j < N_t are kept.
+    - The x synthesis is an inverse DFT: on the grid x_j = x_min + j dx,
+      p x_j = p x_min + 2 pi m j / n_x, and the e^{ip x_min} factor cancels
+      the x_min phase of the amplitudes, so the sum over p is
+      n_x * ifft along x.
     """
-    if not isinstance(psi, Field2D):
-        raise TypeError(f"quasi_projection_apply expects a Field2D, got {type(psi).__name__}")
-    spec = psi.spec
-    theta = spec.theta
-    if not theta > 0:
-        raise ValueError(f"quasi-projection needs grid theta > 0, got {theta}")
-    if not (spec.t_min <= t0 <= spec.t_max):
-        raise ValueError(f"t0={t0} outside box [{spec.t_min}, {spec.t_max}]")
-
-    amps, _ = _drop_noise_modes(np.fft.fft2(psi.values) / (spec.n_t * spec.n_x))
-    rows = np.flatnonzero(np.any(amps != 0, axis=1))
-    E = -spec.k_t[rows]  # modes e^{i kt t} carry energy E = -kt in e^{-iEt} form
-    p = spec.k_x
-    tau = spec.t - t0
-
-    # e^{-iE t0} and the t_min origin phase e^{-i kt t_min} = e^{iE t_min}
-    row_weight = np.exp((theta / 8.0) * E**2 - 1j * E * (t0 - spec.t_min))
-    col_weight = np.exp(-(theta / 8.0) * p**2) / math.sqrt(2.0 * math.pi * theta)
-    weighted = amps[rows] * row_weight[:, None] * col_weight
-    weighted *= np.exp(0.25j * theta * np.outer(E, p))
-
-    # Collapse the energy axis first (each mode keeps its p), then expand the
-    # surviving p-modes back onto the grid with their tau-dependent envelopes.
-    e_phase = np.exp(-0.5j * np.outer(E, tau))  # [E, t'']
-    by_p = weighted.T @ e_phase  # [p, t'']
-    envelope = np.exp(-0.5 * np.outer(p, tau))  # e^{-p tau / 2}, bounded by the Gaussian
-    gauss = np.exp(-(tau**2) / (2.0 * theta))
-    values = spec.n_x * np.fft.ifft((by_p * envelope).T * gauss[:, None], axis=1)
-    return Field2D(spec, values, {"t0": t0})
+    amps = _projection_amplitudes(psi)
+    (project,) = _quasi_projectors(psi.spec, t0)
+    return Field2D(psi.spec, project(amps), {"t0": t0})
 
 
 def _composition_rows(
     theta: float, t: float, t_prime: float, states: Sequence[Field2D]
 ) -> tuple[float, list[dict]]:
-    """Delta weight and, per state, the defect of pi_{t'} pi_t vs weighted pi_{t'}."""
+    """Delta weight and, per state, the defect of pi_{t'} pi_t vs weighted pi_{t'}.
+
+    The defect pi_{t'}(pi_t psi) - w pi_{t'} psi is one projection of the
+    amplitude difference, since each projector is linear in its cut
+    amplitudes; the projectors are built once per distinct grid.
+    """
     weight = float(gauss_delta(t_prime - t, math.sqrt(theta)))
+    projectors: dict[GridSpec, list] = {}
     rows = []
     for psi in states:
-        once = quasi_projection_apply(t, psi)
-        _require_grid_theta(theta, psi.spec, "theta")
-        lhs = quasi_projection_apply(t_prime, once)
-        rhs = weight * quasi_projection_apply(t_prime, psi).values
-        discrepancy = float(np.max(np.abs(lhs.values - rhs)))
+        amps = _projection_amplitudes(psi)
+        spec = psi.spec
+        if spec not in projectors:
+            projectors[spec] = _quasi_projectors(spec, t, t_prime)
+            _require_grid_theta(theta, spec, "theta")
+        at_t, at_t_prime = projectors[spec]
+        once = Field2D(spec, at_t(amps))
+        defect = at_t_prime(_projection_amplitudes(once) - weight * amps)
+        discrepancy = float(np.max(np.abs(defect)))
         ref = float(np.max(np.abs(once.values)) * gauss_delta(0.0, math.sqrt(theta)))
         rows.append(
             {

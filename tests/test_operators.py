@@ -168,6 +168,13 @@ class TestSymbolAlgebra:
         with pytest.raises(ValueError, match="not four non-negative ints"):
             SymbolOperator("composite", 0.0, {key: 1.0})
 
+    def test_float_key_raises_after_its_int_twin(self):
+        # (1.0, 0, 0, 0) hashes and compares equal to (1, 0, 0, 0), so a check
+        # remembered per key value would pass the float once the int was built.
+        SymbolOperator("composite", 0.0, {(1, 0, 0, 0): 1.0})
+        with pytest.raises(ValueError, match=re.escape("key (1.0, 0, 0, 0) is not four")):
+            SymbolOperator("composite", 0.0, {(1.0, 0, 0, 0): 1.0})
+
 
 class TestApplyField2D:
     def test_momenta_on_plane_wave(self):

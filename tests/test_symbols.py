@@ -482,6 +482,82 @@ class TestQuasiProjection:
         want = dense_quasi_projection(psi.values, spec.t, spec.x, spec.k_t, spec.k_x, theta, t0)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("where", ["t_min", "t_max", "off_grid"])
+    def test_full_spectrum_field_matches_the_dense_oracle(self, where):
+        # Every mode live, the Nyquist row and column included: the Nyquist
+        # row is the one row whose slot in the 2 N_t-point collapse (3 N_t/2)
+        # is not its own index.
+        theta = 0.25
+        spec = GridSpec(16, 32, -1.0, 1.0, -2.0, 2.0, theta)
+        rng = np.random.default_rng(24)
+        psi = Field2D(spec, rng.standard_normal((16, 32)) + 1j * rng.standard_normal((16, 32)))
+        amps = np.abs(np.fft.fft2(psi.values))
+        assert min(amps[8].max(), amps[:, 16].max()) > 1e-3 * amps.max()
+        t0 = {"t_min": spec.t_min, "t_max": spec.t_max, "off_grid": spec.t[5] + 0.37 * spec.dt}[where]
+        got = symbols.quasi_projection_apply(t0, psi).values
+        want = dense_quasi_projection(psi.values, spec.t, spec.x, spec.k_t, spec.k_x, theta, t0)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_oversampled_time_axis(self):
+        # At 512 t-nodes on a box of 2 at theta = 1 the weight e^{theta E^2/8}
+        # overflows on high rows; a state that leaves them empty projects as
+        # on the coarse grid, with no overflow warning.
+        theta = 1.0
+        fine = GridSpec(512, 16, -1.0, 1.0, -2.0, 2.0, theta)
+        coarse = GridSpec(16, 16, -1.0, 1.0, -2.0, 2.0, theta)
+        got = symbols.quasi_projection_apply(0.1, two_mode_state(fine)).values[::32]
+        want = symbols.quasi_projection_apply(0.1, two_mode_state(coarse)).values
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("case", ["two_mode", "coherent"])
+    def test_defect_is_its_literal_definition(self, case):
+        # The report projects the amplitude difference once; on sound states
+        # that is max|pi_t'(pi_t psi) - w pi_t' psi| up to rounding.
+        if case == "two_mode":
+            theta = 0.25
+            psi = two_mode_state(GridSpec(64, 64, -4.0, 4.0, -4.0, 4.0, theta))
+            t, t_prime = 0.0, 0.125
+        else:
+            theta = 0.1
+            s = math.sqrt(theta)
+            spec = GridSpec(128, 128, -12 * s, 12 * s, -12 * s, 12 * s, theta)
+            psi = symbols.coherent_symbol(CoherentPoint(0.3 * s, -0.5 * s, theta), spec)
+            t, t_prime = 0.1 * s, 0.4 * s
+        (row,) = json.loads(symbols.quasi_projection_report(theta, t, t_prime, [psi]))["states"]
+        w = symbols.gauss_delta(t_prime - t, math.sqrt(theta))
+        twice = symbols.quasi_projection_apply(t_prime, symbols.quasi_projection_apply(t, psi))
+        literal = np.max(np.abs(twice.values - w * symbols.quasi_projection_apply(t_prime, psi).values))
+        assert row["ratio"] < 1.0
+        assert abs(row["discrepancy"] - literal) <= 1e-12 * row["reference"]
+
+    def test_states_on_two_grids_report_as_they_do_alone(self):
+        theta = 0.25
+        square = two_mode_state(GridSpec(64, 64, -4.0, 4.0, -4.0, 4.0, theta))
+        tall = two_mode_state(GridSpec(128, 64, -8.0, 8.0, -4.0, 4.0, theta))
+        both = json.loads(symbols.quasi_projection_report(theta, 0.0, 0.125, [square, tall]))
+        alone = [
+            json.loads(symbols.quasi_projection_report(theta, 0.0, 0.125, [psi]))["states"][0]
+            for psi in (square, tall)
+        ]
+        assert both["states"] == alone
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_report_transforms_each_state_twice(self, monkeypatch, k):
+        # psi and pi_t psi are each transformed once; the defect reuses both.
+        theta = 0.25
+        spec = GridSpec(64, 64, -4.0, 4.0, -4.0, 4.0, theta)
+        states = [Field2D(spec, (1.0 + 0.5j * j) * two_mode_state(spec).values) for j in range(k)]
+        calls = []
+        fft2 = np.fft.fft2
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return fft2(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft2", counted)
+        symbols.quasi_projection_report(theta, 0.0, 0.125, states)
+        assert len(calls) == 2 * k
+
     def test_report_ratio_on_a_coherent_state(self):
         # ROADMAP item 7's table: 0.1652 at t = 0.1 sqrt(theta), t' = 0.4 sqrt(theta)
         psi, theta = off_centre_coherent_state()
