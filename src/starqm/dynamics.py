@@ -4,6 +4,10 @@ Free Gaussian packets are built by direct momentum quadrature of their
 on-shell mode sum.  Harmonic-oscillator energies come with an independent
 momentum-space diagonalization check, and eigenstate slices are the closed
 Gaussian-Hermite transforms of the damped, gauge-phased momentum profiles.
+The deformed generator P_x^2/2m + V(X_theta^L) of a harmonic potential is
+composed once, symbolically, by `_deformed_hamiltonian`; the stationary
+solver gates every harmonic level on its residual, and the Ehrenfest law in
+`moments` reads its commutators from it.
 The stationary eigensolver and the split-step evolver both treat an
 x-dependent potential as the deformed coordinate operator acting from the
 left: on a component q(x) e^{-iEt} that action is
@@ -39,10 +43,10 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.linalg
 
-from . import phasecalc, symbols
+from . import operators, phasecalc, symbols
 from .fieldgrid import Field1D, Field2D, GridSpec, spectral_derivative
 from .fieldgrid import _csv, _drop_noise_modes, _require_grid_theta, _require_nonnegative
-from .fieldgrid import _require_positive, _sample, _scatter_sum
+from .fieldgrid import _edge_magnitude, _require_positive, _sample, _scatter_sum
 from .star import StarKernel, _require_voros
 
 # Quadratures are cut off where the integrand magnitude drops below this.
@@ -56,6 +60,9 @@ _MAX_RESOLVES = 12
 # which a band doubles.
 _BAND_START = 64
 _BAND_TOL = 1e-10
+# ||(H_theta - E) psi|| / ||psi|| above which a harmonic stationary level raises:
+# resolved levels read 2e-13 to 7e-13 at theta up to 0.4.
+_ALGEBRA_TOL = 1e-9
 # Simpson nodes (an odd count) for a transition amplitude's pulse integral.
 _PULSE_SAMPLES = 4097
 
@@ -197,6 +204,27 @@ class Potential:
         return _as_real(_sample(self.fn, ts.shape, ts), "time_pulse sample")
 
 
+def _deformed_hamiltonian(
+    m: float, potential: Potential, theta: float
+) -> operators.SymbolOperator:
+    """Generator P_x^2/2m + V(X_theta) for polynomial potential kinds.
+
+    The harmonic term is multiplication by V composed through the one-sided
+    coordinate action -- the operator the evolver realizes in its
+    conjugated frame -- not plain multiplication by V(x).
+    """
+    kinetic = operators.hamiltonian(m, None, theta)
+    if potential.kind == "none":
+        return kinetic
+    if potential.kind == "harmonic":
+        x_op = operators.x_theta_l(theta)
+        return kinetic + x_op.compose(x_op) * (0.5 * potential.m * potential.omega**2)
+    raise ValueError(
+        f"the commutator side needs a polynomial potential; got kind "
+        f"{potential.kind!r} (use 'none' or 'harmonic')"
+    )
+
+
 # ---------------------------------------------------------------------------
 # free Gaussian packet
 # ---------------------------------------------------------------------------
@@ -312,9 +340,13 @@ def oscillator_momentum_operator(
     k = 2.0 * np.pi * np.fft.fftfreq(n_modes, d=dp)
     # (d_p + i theta E/2)^2 is the Fourier multiplier (ik + i theta E/2)^2,
     # whose dense matrix is the circulant c[(i - j) mod n] of c = ifft(symbol).
-    shift_sq = scipy.linalg.circulant(np.fft.ifft((1j * k + 0.5j * params.theta * energy) ** 2))
-    H = np.diag(p**2 / (2.0 * params.m)) - (params.m * params.omega**2 / 2.0) * shift_sq
-    return p, 0.5 * (H + H.conj().T)
+    # It is scaled, given its diagonal and Hermitized in place.
+    H = scipy.linalg.circulant(np.fft.ifft((1j * k + 0.5j * params.theta * energy) ** 2))
+    H *= -(params.m * params.omega**2 / 2.0)
+    H[np.diag_indices(n_modes)] += p**2 / (2.0 * params.m)
+    H += H.conj().T
+    H *= 0.5
+    return p, H
 
 
 def oscillator_spectrum(params: OscillatorParams, n_max: int) -> list[float]:
@@ -458,15 +490,6 @@ def oscillator_ground(
 # ---------------------------------------------------------------------------
 
 
-def _operator_potential_profile(potential: Potential, spec: GridSpec) -> np.ndarray:
-    """Symbol of the potential operator: V smoothed by a variance-theta/2 Gaussian."""
-    if potential.kind == "harmonic":
-        return 0.5 * potential.m * potential.omega**2 * (spec.x**2 + spec.theta / 2.0)
-    v = potential.sample_space(spec.x, 0.0)
-    vhat = np.fft.fft(v) * np.exp(-spec.theta * spec.k_x**2 / 4.0)
-    return np.fft.ifft(vhat).real
-
-
 def stationary_solve(
     potential: Potential,
     kernel: StarKernel,
@@ -494,11 +517,19 @@ def stationary_solve(
     induced norm.  metadata holds 'energy', 'level' (the full-spectrum
     index), 'iterations' (eigensolves with the scan included: 2 for a level
     clear of the box edge), 'band_modes', 'residual' (the frame residual;
-    above 1e-6 the solver raises) and 'cross_residual', an independent
-    check through the star product that is recorded but never gated: the
-    Voros mode weights cost it digits as theta grows (with frame residuals
-    near 1e-12 on the 512-point x in [-12, 12] grid, harmonic levels read up
-    to 5e-8 at theta = 0.15, 1e-4 at 0.2 and 6e4 at 0.3).
+    above 1e-6 the solver raises) and 'cross_residual', a check of the
+    level outside the frame, taken on the slice before it is normalized:
+
+    - harmonic: ||(H_theta - E) psi|| / ||psi||, with H_theta = P_x^2/2m +
+      V(X_theta^L) composed by `_deformed_hamiltonian` and applied through
+      `operators.apply`.  Only polynomial factors in k enter, so it reads
+      2e-13 to 7e-13 on resolved levels at every theta; above _ALGEBRA_TOL
+      the solver raises.  A level that reaches the box edge fails it (at
+      theta = 0.1 on the 512-point x in [-12, 12] grid, from level 22 on).
+    - custom: V has no operator form, so it acts through the slice star
+      `phasecalc.phase_star` by its Gaussian-smoothed symbol, windowed to
+      the box interior.  This check is recorded but never gated: the Voros
+      mode weights cost it digits as theta grows.
     """
     _require_voros(kernel, spec, "the stationary solver")
     _require_positive(m, "mass")
@@ -570,7 +601,29 @@ def stationary_solve(
             if e_lo <= trace[-1] <= e_hi:
                 inside.append((lvl, trace, c, residual, modes))
 
-    v_profile = _operator_potential_profile(potential, spec)
+    if potential.kind == "harmonic":
+        h_theta = _deformed_hamiltonian(m, potential, theta)
+
+        def h_apply(fld: Field1D) -> np.ndarray:
+            return operators.apply(h_theta, fld).values
+
+    else:
+        # The potential acts through the slice star by its operator symbol,
+        # V smoothed by a variance-theta/2 Gaussian.  The symbol is windowed
+        # to the box interior by a flat-top bump (equal to 1 wherever a
+        # resolvable state lives) because a non-periodic potential has a kink
+        # at the box edge whose Fourier tail the star weights would amplify
+        # into pure noise.
+        v_hat = np.fft.fft(potential.sample_space(spec.x, 0.0)) * np.exp(-theta * spec.k_x**2 / 4.0)
+        xc = 0.5 * (spec.x_min + spec.x_max)
+        half = 0.75 * (spec.x_max - spec.x_min) / 2.0
+        window = np.exp(-(((spec.x - xc) / half) ** 32))
+        v_part = phasecalc.stationary_part(spec, 0.0, np.fft.ifft(v_hat).real * window)
+
+        def h_apply(fld: Field1D) -> np.ndarray:
+            vpsi = phasecalc.phase_star(v_part, phasecalc._slice_part(fld)).values_at(fld.t_slice)
+            return np.fft.ifft(kinetic * np.fft.fft(fld.values)) + vpsi
+
     damp = np.exp(-theta * spec.k_x**2 / 4.0)
     results: list[tuple[float, Field1D]] = []
     for lvl, trace, c, residual, modes in inside:
@@ -584,24 +637,13 @@ def stationary_solve(
         phase = np.conj(peak) / abs(peak) * np.exp(-1j * energy * spec.t[0])
         vals = np.fft.ifft(c[:, 0] * damp) * phase
         fld = Field1D(spec, spec.t[0], vals, {"energy": energy})
-        # Independent check through the resummed star engine: the potential
-        # acts by its operator symbol (the Gaussian-smoothed profile).  The
-        # profile is windowed to the box interior by a flat-top bump (equal
-        # to 1 wherever a resolvable state lives) because a non-periodic
-        # potential has a kink at the box edge whose Fourier tail the star
-        # weights would amplify into pure noise.  The residual is relative,
-        # so it is taken before normalizing.
-        xc = 0.5 * (spec.x_min + spec.x_max)
-        half = 0.75 * (spec.x_max - spec.x_min) / 2.0
-        window = np.exp(-(((spec.x - xc) / half) ** 32))
-        vpsi = phasecalc.phase_star(
-            phasecalc.stationary_part(spec, 0.0, v_profile * window),
-            phasecalc._slice_part(fld),
-        ).values_at(fld.t_slice)
-        kin = np.fft.ifft(kinetic * np.fft.fft(vals))
-        cross = float(
-            np.linalg.norm(kin + vpsi - energy * vals) / np.linalg.norm(vals)
-        )
+        cross = float(np.linalg.norm(h_apply(fld) - energy * vals) / np.linalg.norm(vals))
+        if potential.kind == "harmonic" and cross > _ALGEBRA_TOL:
+            raise RuntimeError(
+                f"operator-algebra residual {cross:.3e} exceeds {_ALGEBRA_TOL:g} for level "
+                f"{lvl} (E = {energy:.6g}, edge magnitude {_edge_magnitude(vals, 0):.2e}); "
+                "a level that reaches the box edge is not resolved: widen the box"
+            )
         norm_sq = symbols.induced_inner_product(kernel, fld, fld).real
         fld = Field1D(
             spec,

@@ -39,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from . import phasecalc, symbols
-from .dynamics import Potential
+from .dynamics import Potential, _deformed_hamiltonian
 from .fieldgrid import Field1D, Field2D, GridSpec, _csv
 from .fieldgrid import _require_grid_theta, _require_nonnegative, _require_positive
 from .operators import (
@@ -47,7 +47,6 @@ from .operators import (
     _apply_field2d,
     _apply_phasepoly,
     commutator,
-    hamiltonian,
     p_t,
     p_x,
     t_theta_l,
@@ -440,25 +439,6 @@ def robertson_schrodinger_check(
 # ---------------------------------------------------------------------------
 
 
-def _deformed_hamiltonian(m: float, potential: Potential, theta: float) -> SymbolOperator:
-    """Generator P_x^2/2m + V(X_theta) for polynomial potential kinds.
-
-    The harmonic term is multiplication by V composed through the one-sided
-    coordinate action -- the operator the evolver realizes in its
-    conjugated frame -- not plain multiplication by V(x).
-    """
-    kinetic = hamiltonian(m, None, theta)
-    if potential.kind == "none":
-        return kinetic
-    if potential.kind == "harmonic":
-        x_op = x_theta_l(theta)
-        return kinetic + x_op.compose(x_op) * (0.5 * potential.m * potential.omega**2)
-    raise ValueError(
-        f"the commutator side needs a polynomial potential; got kind "
-        f"{potential.kind!r} (use 'none' or 'harmonic')"
-    )
-
-
 def _explicit_time_derivative(op: SymbolOperator) -> SymbolOperator:
     """d_t of the operator's explicit coordinate-t dependence."""
     terms = {
@@ -485,7 +465,7 @@ def ehrenfest_residual(
     with 4th-order central differences, so at least five uniformly spaced
     slices are needed.  Every operator is paired on the whole trajectory in
     one stacked pass (see _expectations).  H is rebuilt from (m, potential)
-    as the deformed generator (see _deformed_hamiltonian).  For O = P_x the first-order
+    as the deformed generator (see dynamics._deformed_hamiltonian).  For O = P_x the first-order
     force form -<V'> - (theta/2) <V'' (d_x - i d_t)> is evaluated as well
     and returned under 'force_residual'; it matches the commutator side up
     to O(theta^2).

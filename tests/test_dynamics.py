@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.linalg
 import scipy.special
 
 from oracles import brute_force_phase_star, dense_frame_levels, dense_multiplier
 from starqm import dynamics as dyn
-from starqm import phasecalc, symbols
+from starqm import moments, operators, phasecalc, symbols
 from starqm.dynamics import OscillatorParams, PacketParams, Potential
 from starqm.fieldgrid import Field1D, Field2D, GridSpec, sample_field, spectral_derivative
 from starqm.star import StarKernel
@@ -268,6 +269,15 @@ class TestMomentumOperator:
         ref = np.diag(p**2 / 2.6) - (1.3 * 0.8**2 / 2.0) * (shift @ shift)
         ref = 0.5 * (ref + ref.conj().T)
         assert float(np.max(np.abs(ham - ref))) < 1e-12 * float(np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("theta, energy", [(0.1, 0.0), (0.3, 1.5), (0.2, 2.5)])
+    def test_in_place_build_equals_the_out_of_place_formula(self, theta, energy):
+        osc = OscillatorParams(m=1.3, omega=0.8, theta=theta)
+        p, ham = dyn.oscillator_momentum_operator(osc, energy, n_top=10)
+        k = 2.0 * np.pi * np.fft.fftfreq(256, d=p[1] - p[0])
+        shift_sq = scipy.linalg.circulant(np.fft.ifft((1j * k + 0.5j * theta * energy) ** 2))
+        ref = np.diag(p**2 / (2.0 * 1.3)) - (1.3 * 0.8**2 / 2.0) * shift_sq
+        assert np.array_equal(ham, 0.5 * (ref + ref.conj().T))
 
     def test_rejects_wrapping_gauge_phase(self):
         osc = OscillatorParams(m=1.0, omega=1.0, theta=0.3)
@@ -561,6 +571,123 @@ class TestStationarySolve:
             dyn.stationary_solve(
                 Potential.harmonic(1.0, 1.0), StarKernel(0.1, flavor="moyal"), 1.0, (0.2, 2.8), spec
             )
+
+    @pytest.mark.parametrize(
+        "theta, m, omega, window",
+        [
+            (0.0625, 1.0, 1.0, (0.2, 2.8)),
+            (0.1, 1.0, 1.0, (0.2, 2.8)),
+            (0.2, 1.0, 1.0, (0.2, 2.8)),
+            (0.3, 1.0, 1.0, (0.2, 2.8)),
+            (0.4, 1.0, 1.0, (0.2, 2.8)),
+            (0.1, 2.0, 0.7, (0.1, 2.0)),
+            (0.3, 2.0, 0.7, (0.1, 2.0)),
+            (0.1, 0.5, 3.0, (1.0, 8.0)),
+            (0.3, 0.5, 3.0, (1.0, 8.0)),
+        ],
+    )
+    def test_harmonic_levels_pass_the_operator_algebra_gate(self, theta, m, omega, window):
+        """||(H_theta - E) psi|| / ||psi|| carries only polynomial factors in k,
+        so it stays near rounding where the star check read up to 6e4 (theta = 0.3)."""
+        spec = eigenstate_grid(theta)
+        pairs = dyn.stationary_solve(Potential.harmonic(m, omega), StarKernel(theta), m, window, spec)
+        assert [st.metadata["level"] for _, st in pairs] == [0, 1, 2]
+        for energy, st in pairs:
+            assert abs(energy - (st.metadata["level"] + 0.5) * omega) <= 1e-10 * (1.0 + energy)
+            assert st.metadata["cross_residual"] < dyn._ALGEBRA_TOL
+
+    @pytest.mark.parametrize("theta", [0.1, 0.3])
+    def test_closed_form_eigenstates_pass_the_same_check(self, theta):
+        """The gated operator is the paper's H_theta: the closed-form level
+        slices, built without the solver, satisfy it to the same bound."""
+        spec = eigenstate_grid(theta)
+        pot = Potential.harmonic(1.0, 1.0)
+        h_theta = dyn._deformed_hamiltonian(1.0, pot, theta)
+        for n in range(3):
+            st = dyn.oscillator_eigenstate(OscillatorParams(1.0, 1.0, theta), n, spec)
+            res = operators.apply(h_theta, st).values - st.metadata["energy"] * st.values
+            assert np.linalg.norm(res) / np.linalg.norm(st.values) < dyn._ALGEBRA_TOL
+
+    @pytest.mark.parametrize("theta", [0.1, 0.2])
+    def test_custom_potential_keeps_the_windowed_star_check(self, theta, monkeypatch):
+        """A callable has no operator form: its cross_residual is the windowed
+        slice-star formula on the unnormalized slice, bit for bit, and ungated
+        (at theta = 0.2 it reads about 1e-4 on these levels)."""
+        spec = eigenstate_grid(theta)
+        seen = []
+        lift = phasecalc._slice_part
+
+        def recording_lift(fld, *args, **kwargs):
+            # The norm pairing lifts the same slice again.
+            if not any(fld is other for other in seen):
+                seen.append(fld)
+            return lift(fld, *args, **kwargs)
+
+        monkeypatch.setattr(phasecalc, "_slice_part", recording_lift)
+        pot = Potential.custom(lambda x: 0.5 * x**2)
+        pairs = dyn.stationary_solve(pot, StarKernel(theta), 1.0, (0.2, 2.8), spec)
+        assert len(seen) == len(pairs) == 3
+        v = pot.sample_space(spec.x, 0.0)
+        profile = np.fft.ifft(np.fft.fft(v) * np.exp(-theta * spec.k_x**2 / 4.0)).real
+        xc = 0.5 * (spec.x_min + spec.x_max)
+        half = 0.75 * (spec.x_max - spec.x_min) / 2.0
+        window = np.exp(-(((spec.x - xc) / half) ** 32))
+        for fld, (energy, st) in zip(seen, pairs):
+            vals = fld.values
+            vpsi = phasecalc.phase_star(
+                phasecalc.stationary_part(spec, 0.0, profile * window), lift(fld)
+            ).values_at(fld.t_slice)
+            kin = np.fft.ifft(spec.k_x**2 / 2.0 * np.fft.fft(vals))
+            want = float(np.linalg.norm(kin + vpsi - energy * vals) / np.linalg.norm(vals))
+            assert st.metadata["cross_residual"] == want
+        if theta == 0.2:
+            assert max(st.metadata["cross_residual"] for _, st in pairs) > dyn._ALGEBRA_TOL
+
+    @pytest.mark.parametrize(
+        "theta, window, level",
+        [(0.2, (30.0, 31.0), 30), (0.1, (21.8, 22.8), 22)],
+    )
+    def test_a_harmonic_level_that_reaches_the_box_edge_raises(self, theta, window, level):
+        """Level 30 at theta = 0.2 settles 1.3e-4 off (n + 1/2), and level 22
+        at theta = 0.1, the first above the gate there, carries 3.8e-10 of its
+        peak at the box edge; both used to be returned without a word."""
+        spec = eigenstate_grid(theta)
+        with pytest.raises(RuntimeError, match=f"operator-algebra residual .* level {level} "):
+            dyn.stationary_solve(Potential.harmonic(1.0, 1.0), StarKernel(theta), 1.0, window, spec)
+
+    def test_the_level_below_the_edge_gate_is_returned(self):
+        spec = eigenstate_grid(0.1)
+        pairs = dyn.stationary_solve(
+            Potential.harmonic(1.0, 1.0), StarKernel(0.1), 1.0, (20.0, 21.8), spec
+        )
+        assert [st.metadata["level"] for _, st in pairs] == [20, 21]
+        assert all(st.metadata["cross_residual"] < dyn._ALGEBRA_TOL for _, st in pairs)
+
+    @pytest.mark.parametrize(
+        "potential, window, calls",
+        [
+            (Potential.harmonic(1.0, 1.0), (0.2, 2.8), 0),
+            (Potential.custom(lambda x: 0.5 * x**2), (0.2, 2.8), 3),
+            (Potential.custom(lambda x: 0.05 * x**4), (0.1, 3.0), 4),
+        ],
+        ids=["harmonic", "custom-quadratic", "custom-quartic"],
+    )
+    def test_slice_star_calls(self, potential, window, calls, monkeypatch):
+        """Work count: a harmonic solve never reaches the slice star, and a
+        callable potential takes one star product per returned level."""
+        count = []
+        star = phasecalc.phase_star
+
+        def counting_star(*args, **kwargs):
+            count.append(1)
+            return star(*args, **kwargs)
+
+        monkeypatch.setattr(phasecalc, "phase_star", counting_star)
+        pairs = dyn.stationary_solve(potential, StarKernel(0.15), 1.0, window, eigenstate_grid(0.15))
+        assert len(count) == calls == (0 if potential.kind == "harmonic" else len(pairs))
+
+    def test_one_deformed_hamiltonian_builder(self):
+        assert moments._deformed_hamiltonian is dyn._deformed_hamiltonian
 
 
 class TestPotential:
