@@ -4,10 +4,10 @@ Free Gaussian packets are built by direct momentum quadrature of their
 on-shell mode sum.  Harmonic-oscillator energies come with an independent
 momentum-space diagonalization check, and eigenstate slices are the closed
 Gaussian-Hermite transforms of the damped, gauge-phased momentum profiles.
-The deformed generator P_x^2/2m + V(X_theta^L) of a harmonic potential is
-composed once, symbolically, by `_deformed_hamiltonian`; the stationary
-solver gates every harmonic level on its residual, and the Ehrenfest law in
-`moments` reads its commutators from it.
+A polynomial potential, the oscillator among them, has the deformed generator
+P_x^2/2m + V(X_theta^L) composed symbolically by `_deformed_hamiltonian`; the
+stationary solver gates every polynomial level on its residual, and the
+Ehrenfest law in `moments` reads its commutators from it.
 The stationary eigensolver and the split-step evolver both treat an
 x-dependent potential as the deformed coordinate operator acting from the
 left: on a component q(x) e^{-iEt} that action is
@@ -24,8 +24,9 @@ theta E/2, and a shift never moves eigenvalues.  The stationary solver
 writes each frame operator in the Fourier basis of the slice, on the
 narrowest band of low modes whose levels pass a full-grid residual check,
 and solves every level in the frame at its own energy until that energy
-settles; a level clear of the box edge, where the sampled potential is a
-pure translate, settles at the first re-solve.
+settles, checking each level before the next is solved; a level clear of
+the box edge, where the sampled potential is a pure translate, settles at
+the first re-solve.
 
 Time-dependent pulses V(t) are handled perturbatively by
 transition_amplitude; the split-step evolver accepts a time-dependent
@@ -60,8 +61,8 @@ _MAX_RESOLVES = 12
 # which a band doubles.
 _BAND_START = 64
 _BAND_TOL = 1e-10
-# ||(H_theta - E) psi|| / ||psi|| above which a harmonic stationary level raises:
-# resolved levels read 2e-13 to 7e-13 at theta up to 0.4.
+# ||(H_theta - E) psi|| / ||psi|| above which a polynomial stationary level raises:
+# resolved oscillator levels read 2e-13 to 7e-13 at theta up to 0.4.
 _ALGEBRA_TOL = 1e-9
 # Simpson nodes (an odd count) for a transition amplitude's pulse integral.
 _PULSE_SAMPLES = 4097
@@ -129,34 +130,35 @@ class OscillatorParams:
 
 @dataclass(frozen=True)
 class Potential:
-    """A potential of one of four kinds: none, harmonic, time_pulse, custom.
+    """A potential of one of four kinds: none, polynomial, time_pulse, custom.
 
-    harmonic carries (m, omega) and samples (m omega^2/2) x^2; time_pulse
-    samples a user shape V(t); custom samples V(x, t), or V(x) when its
-    sampler takes one positional argument.  `static` records, once, whether
-    V is free of t: none, harmonic and a one-argument custom are, a
-    time_pulse and a two-argument custom are not.  Every sampling path
-    enforces real values -- a complex potential would break hermiticity of
-    the effective generator.
+    polynomial carries real coefficients c_j and samples sum_j c_j x^j; the
+    oscillator `Potential.harmonic(m, omega)` is its quadratic case
+    (0, 0, m omega^2/2).  none carries no coefficients, so wherever they are
+    read it is the empty polynomial.  time_pulse samples a user shape V(t);
+    custom samples V(x, t), or V(x) when its sampler takes one positional
+    argument.  `static` records, once, whether V is free of t: none,
+    polynomial and a one-argument custom are, a time_pulse and a
+    two-argument custom are not.  Every sampling path enforces real values
+    -- a complex potential would break hermiticity of the effective
+    generator.
     """
 
     kind: str
     fn: Callable | None = None
-    m: float | None = None
-    omega: float | None = None
+    coeffs: tuple[float, ...] = ()
     static: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.kind not in ("none", "harmonic", "time_pulse", "custom"):
+        if self.kind not in ("none", "polynomial", "time_pulse", "custom"):
             raise ValueError(f"unknown potential kind {self.kind!r}")
-        if self.kind == "harmonic":
-            if self.m is None or self.omega is None:
-                raise ValueError("harmonic potential needs m and omega")
-            _require_positive(self.m, "mass")
-            _require_positive(self.omega, "omega")
         if self.kind in ("time_pulse", "custom") and not callable(self.fn):
             raise ValueError(f"{self.kind} potential needs a callable sampler")
-        static = self.kind in ("none", "harmonic")
+        coeffs = operators._real_coefficients(self.coeffs)
+        if coeffs and self.kind != "polynomial":
+            raise ValueError(f"a {self.kind} potential carries no coefficients")
+        object.__setattr__(self, "coeffs", coeffs)
+        static = self.kind in ("none", "polynomial")
         if self.kind == "custom":
             try:
                 params = inspect.signature(self.fn).parameters.values()
@@ -171,8 +173,16 @@ class Potential:
         return cls("none")
 
     @classmethod
+    def polynomial(cls, coeffs: Sequence[float]) -> "Potential":
+        """V(x) = sum_j coeffs[j] x^j."""
+        return cls("polynomial", coeffs=coeffs)
+
+    @classmethod
     def harmonic(cls, m: float, omega: float) -> "Potential":
-        return cls("harmonic", m=float(m), omega=float(omega))
+        """The oscillator (m omega^2/2) x^2, as a polynomial."""
+        _require_positive(m, "mass")
+        _require_positive(omega, "omega")
+        return cls.polynomial((0.0, 0.0, 0.5 * float(m) * float(omega) ** 2))
 
     @classmethod
     def time_pulse(cls, fn: Callable) -> "Potential":
@@ -186,10 +196,8 @@ class Potential:
     def sample_space(self, x: np.ndarray, t: float = 0.0) -> np.ndarray:
         """Real samples V(x, t) on the given positions at one time."""
         x = np.asarray(x, dtype=float)
-        if self.kind == "none":
-            return np.zeros_like(x)
-        if self.kind == "harmonic":
-            return 0.5 * self.m * self.omega**2 * x**2
+        if self.kind in ("none", "polynomial"):
+            return sum((c * x**j for j, c in enumerate(self.coeffs) if c), np.zeros_like(x))
         if self.kind == "time_pulse":
             val = float(_as_real(np.asarray(self.fn(t)), "time_pulse sample"))
             return np.full_like(x, val)
@@ -207,22 +215,24 @@ class Potential:
 def _deformed_hamiltonian(
     m: float, potential: Potential, theta: float
 ) -> operators.SymbolOperator:
-    """Generator P_x^2/2m + V(X_theta) for polynomial potential kinds.
+    """Generator P_x^2/2m + sum_j c_j (X_theta^L)^j of a polynomial potential.
 
-    The harmonic term is multiplication by V composed through the one-sided
-    coordinate action -- the operator the evolver realizes in its
-    conjugated frame -- not plain multiplication by V(x).
+    Each power of x is composed through the one-sided coordinate action --
+    the operator the evolver realizes in its conjugated frame -- not plain
+    multiplication by V(x).  none is the empty polynomial: the kinetic term
+    alone.
     """
-    kinetic = operators.hamiltonian(m, None, theta)
-    if potential.kind == "none":
-        return kinetic
-    if potential.kind == "harmonic":
-        x_op = operators.x_theta_l(theta)
-        return kinetic + x_op.compose(x_op) * (0.5 * potential.m * potential.omega**2)
-    raise ValueError(
-        f"the commutator side needs a polynomial potential; got kind "
-        f"{potential.kind!r} (use 'none' or 'harmonic')"
-    )
+    if potential.kind not in ("none", "polynomial"):
+        raise ValueError(f"the commutator side needs a polynomial potential, got {potential.kind!r}")
+    h = operators.hamiltonian(m, None, theta)
+    x_op = operators.x_theta_l(theta)
+    power = operators.SymbolOperator("identity", theta, {(0, 0, 0, 0): 1.0})
+    for j, c in enumerate(potential.coeffs):
+        if j:
+            power = power.compose(x_op)
+        if c:
+            h = h + power * c
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -512,20 +522,24 @@ def stationary_solve(
     1e-10 (1 + |E|), and one still moving after _MAX_RESOLVES re-solves
     raises.  Levels settle outward from the first whose scan energy is at
     least lo until one has settled past each edge of the window, and a level
-    belongs to the window by its settled energy.  Slices carry the global phase
-    that makes the frame vector's x-space peak real and positive, and unit
-    induced norm.  metadata holds 'energy', 'level' (the full-spectrum
-    index), 'iterations' (eigensolves with the scan included: 2 for a level
-    clear of the box edge), 'band_modes', 'residual' (the frame residual;
-    above 1e-6 the solver raises) and 'cross_residual', a check of the
-    level outside the frame, taken on the slice before it is normalized:
+    belongs to the window by its settled energy.  Each level is checked as
+    soon as it settles, so a failing level stops the solve.  Slices carry
+    the global phase that makes the frame vector's x-space peak real and
+    positive, and unit induced norm.  metadata holds 'energy', 'level' (the
+    full-spectrum index), 'iterations' (eigensolves with the scan included:
+    2 for a level clear of the box edge), 'band_modes', 'residual' (the
+    frame residual; above 1e-6 the solver raises) and 'cross_residual', a
+    check of the level outside the frame, taken on the slice before it is
+    normalized:
 
-    - harmonic: ||(H_theta - E) psi|| / ||psi||, with H_theta = P_x^2/2m +
+    - polynomial: ||(H_theta - E) psi|| / ||psi||, with H_theta = P_x^2/2m +
       V(X_theta^L) composed by `_deformed_hamiltonian` and applied through
       `operators.apply`.  Only polynomial factors in k enter, so it reads
-      2e-13 to 7e-13 on resolved levels at every theta; above _ALGEBRA_TOL
-      the solver raises.  A level that reaches the box edge fails it (at
-      theta = 0.1 on the 512-point x in [-12, 12] grid, from level 22 on).
+      2e-13 to 7e-13 on resolved levels of the oscillator (theta up to 0.4)
+      and of x^2/2 + x^4/10 (up to 0.3); above _ALGEBRA_TOL the solver
+      raises.  A level that reaches the box edge fails it: on the 512-point
+      x in [-12, 12] grid, the oscillator from level 22 on at theta = 0.1,
+      and the ground level of the tilt V = x.
     - custom: V has no operator form, so it acts through the slice star
       `phasecalc.phase_star` by its Gaussian-smoothed symbol, windowed to
       the box interior.  This check is recorded but never gated: the Voros
@@ -533,7 +547,7 @@ def stationary_solve(
     """
     _require_voros(kernel, spec, "the stationary solver")
     _require_positive(m, "mass")
-    if potential.kind not in ("harmonic", "custom"):
+    if potential.kind not in ("polynomial", "custom"):
         raise ValueError(
             f"the stationary solver needs an x-dependent potential, got {potential.kind!r}"
         )
@@ -588,20 +602,7 @@ def stationary_solve(
             f"{_MAX_RESOLVES} re-solves; trace {trace}"
         )
 
-    # The frame can carry a level across a window edge, so membership is
-    # decided on settled energies: levels are settled outward from the first
-    # scan level at or above lo until one settles past each edge.
-    first = int(np.searchsorted(w, e_lo))
-    inside = []
-    for start, stop, step, edge in ((first, n, 1, e_hi), (first - 1, -1, -1, e_lo)):
-        for lvl in range(start, stop, step):
-            trace, c, residual, modes = settle(lvl)
-            if step * (trace[-1] - edge) > 0:
-                break
-            if e_lo <= trace[-1] <= e_hi:
-                inside.append((lvl, trace, c, residual, modes))
-
-    if potential.kind == "harmonic":
+    if potential.kind == "polynomial":
         h_theta = _deformed_hamiltonian(m, potential, theta)
 
         def h_apply(fld: Field1D) -> np.ndarray:
@@ -625,40 +626,47 @@ def stationary_solve(
             return np.fft.ifft(kinetic * np.fft.fft(fld.values)) + vpsi
 
     damp = np.exp(-theta * spec.k_x**2 / 4.0)
-    results: list[tuple[float, Field1D]] = []
-    for lvl, trace, c, residual, modes in inside:
+
+    def level_slice(lvl: int, trace: list, c: np.ndarray, residual: float, modes: int) -> Field1D:
+        """Check a settled level in the window and return its normalized slice."""
         energy = trace[-1]
         if residual > 1e-6:
-            raise RuntimeError(
-                f"eigenpair residual {residual:.3e} exceeds 1e-6 for level {lvl}"
-            )
+            raise RuntimeError(f"eigenpair residual {residual:.3e} exceeds 1e-6 for level {lvl}")
         frame_vec = np.fft.ifft(c[:, 0])
         peak = frame_vec[int(np.argmax(np.abs(frame_vec)))]
         phase = np.conj(peak) / abs(peak) * np.exp(-1j * energy * spec.t[0])
         vals = np.fft.ifft(c[:, 0] * damp) * phase
         fld = Field1D(spec, spec.t[0], vals, {"energy": energy})
         cross = float(np.linalg.norm(h_apply(fld) - energy * vals) / np.linalg.norm(vals))
-        if potential.kind == "harmonic" and cross > _ALGEBRA_TOL:
+        if potential.kind == "polynomial" and cross > _ALGEBRA_TOL:
             raise RuntimeError(
                 f"operator-algebra residual {cross:.3e} exceeds {_ALGEBRA_TOL:g} for level "
                 f"{lvl} (E = {energy:.6g}, edge magnitude {_edge_magnitude(vals, 0):.2e}); "
                 "a level that reaches the box edge is not resolved: widen the box"
             )
         norm_sq = symbols.induced_inner_product(kernel, fld, fld).real
-        fld = Field1D(
-            spec,
-            spec.t[0],
-            vals / math.sqrt(norm_sq),
-            {
-                "energy": energy,
-                "level": int(lvl),
-                "residual": residual,
-                "cross_residual": cross,
-                "iterations": len(trace),
-                "band_modes": modes,
-            },
-        )
-        results.append((energy, fld))
+        meta = {
+            "energy": energy,
+            "level": int(lvl),
+            "residual": residual,
+            "cross_residual": cross,
+            "iterations": len(trace),
+            "band_modes": modes,
+        }
+        return Field1D(spec, spec.t[0], vals / math.sqrt(norm_sq), meta)
+
+    # The frame can carry a level across a window edge, so membership is decided
+    # on settled energies: levels settle outward from the first scan level at or
+    # above lo until one settles past each edge; each is checked as it settles.
+    first = int(np.searchsorted(w, e_lo))
+    results: list[tuple[float, Field1D]] = []
+    for start, stop, step, edge in ((first, n, 1, e_hi), (first - 1, -1, -1, e_lo)):
+        for lvl in range(start, stop, step):
+            trace, c, residual, modes = settle(lvl)
+            if step * (trace[-1] - edge) > 0:
+                break
+            if e_lo <= trace[-1] <= e_hi:
+                results.append((trace[-1], level_slice(lvl, trace, c, residual, modes)))
     results.sort(key=lambda pair: pair[0])
     return results
 
@@ -705,7 +713,7 @@ def evolve(
             "potential, or treat pulses with transition_amplitude"
         )
     energy = psi0.metadata.get("energy")
-    use_frame = theta > 0 and potential.kind in ("harmonic", "custom")
+    use_frame = theta > 0 and potential.kind in ("polynomial", "custom")
     if use_frame and energy is None:
         raise ValueError(
             "theta > 0 evolution under an x-dependent potential needs "

@@ -19,7 +19,10 @@ batch.
 On top of that sit the uncertainty products, the 4x4 covariance matrix of
 the coherent element together with its commutator (symplectic) form, the
 Williamson spectrum, both uncertainty bounds, and the residual of the
-evolution law d<O>/dt = i<[H, O]> + <d_t O> along stored trajectories.
+evolution law d<O>/dt = i<[H, O]> + <d_t O> along stored trajectories.  H
+is the deformed generator of a polynomial potential, and for O = P_x the
+first-order force form -V' - (theta/2) V'' (d_x - i d_t) is one more
+operator of the same batch.
 
 The phase-space coordinates are (X, T, P_x, P_t) in that fixed order,
 CANONICAL_ORDERING.  The Williamson spectrum is taken against the deformed
@@ -465,10 +468,11 @@ def ehrenfest_residual(
     with 4th-order central differences, so at least five uniformly spaced
     slices are needed.  Every operator is paired on the whole trajectory in
     one stacked pass (see _expectations).  H is rebuilt from (m, potential)
-    as the deformed generator (see dynamics._deformed_hamiltonian).  For O = P_x the first-order
-    force form -<V'> - (theta/2) <V'' (d_x - i d_t)> is evaluated as well
+    as the deformed generator of a polynomial potential (see
+    dynamics._deformed_hamiltonian).  For O = P_x the first-order force
+    form <-V' - (theta/2) V'' (d_x - i d_t)> is paired as one more operator
     and returned under 'force_residual'; it matches the commutator side up
-    to O(theta^2).
+    to O(theta^2), exactly for V of degree at most 2.
 
     Returns {"t": interior times, "residual": |lhs - rhs|, ...} as arrays.
     """
@@ -493,31 +497,27 @@ def ehrenfest_residual(
 
     H = _deformed_hamiltonian(m, potential, theta)
     rhs_op = commutator(H, op) * 1j + _explicit_time_derivative(op)
-
-    # For P_x the force operators V' and V'' (d_x - i d_t) join the batch.
-    with_force = op.terms == _P_X_TERMS and potential.kind in ("none", "harmonic")
-    force_ops = []
-    if with_force and potential.kind == "harmonic":
-        mw2 = potential.m * potential.omega**2
-        force_ops.append(SymbolOperator("composite", theta, {(0, 1, 0, 0): mw2}))
-        if theta != 0.0:
-            force_ops.append(
-                SymbolOperator("composite", theta, {(0, 0, 0, 1): mw2, (0, 0, 1, 0): -1j * mw2})
-            )
+    ops = [op, rhs_op]
+    with_force = op.terms == _P_X_TERMS
+    if with_force:
+        # -V' - (theta/2) V'' (d_x - i d_t) for V = sum_j c_j x^j joins the batch.
+        force = {}
+        for j, c in enumerate(potential.coeffs):
+            if j >= 1:
+                force[(0, j - 1, 0, 0)] = -j * c
+            if j >= 2:
+                curvature = (theta / 2.0) * j * (j - 1) * c
+                force[(0, j - 2, 0, 1)] = -curvature
+                force[(0, j - 2, 1, 0)] = 1j * curvature
+        ops.append(SymbolOperator("composite", theta, force))
     # One stacked pass pairs every operator on every slice; the commutator
     # and force columns are read on the interior slices only.
-    values = _expectations([op, rhs_op, *force_ops], list(trajectory), kernel)
+    values = _expectations(ops, list(trajectory), kernel)
     series, inner = values[:, 0], values[2 : n - 2]
     fd = (-series[4:] + 8.0 * series[3:-1] - 8.0 * series[1:-3] + series[:-4]) / (12.0 * h)
     out = {"t": ts[2 : n - 2], "residual": np.abs(fd - inner[:, 1])}
-
     if with_force:
-        force = np.zeros(len(fd), dtype=complex)
-        if force_ops:
-            force = -inner[:, 2]
-        if len(force_ops) == 2:
-            force = force - (theta / 2.0) * inner[:, 3]
-        out["force_residual"] = np.abs(fd - force)
+        out["force_residual"] = np.abs(fd - inner[:, 2])
     return out
 
 

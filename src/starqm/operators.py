@@ -197,14 +197,19 @@ def galilean_boost(m: float, theta: float) -> SymbolOperator:
     return SymbolOperator("GalileanBoost", theta, g.terms, {"m": float(m)})
 
 
+def _real_coefficients(coeffs) -> tuple[float, ...]:
+    """Polynomial coefficients c_j as floats, each checked real and finite."""
+    vals = [complex(c) for c in coeffs]
+    if any(c.imag != 0.0 or not math.isfinite(c.real) for c in vals):
+        raise ValueError(f"potential coefficients must be real and finite, got {coeffs}")
+    return tuple(c.real for c in vals)
+
+
 def hamiltonian(m: float, potential=None, theta: float = 0.0) -> SymbolOperator:
     """P_x^2 / 2m plus an optional polynomial potential sum_j c_j x^j, each c_j real and finite."""
     _require_positive(m, "mass")
     terms: dict[Monomial, complex] = {(0, 0, 0, 2): -1.0 / (2 * m)}
-    coeffs = [complex(c) for c in ([] if potential is None else potential)]
-    if any(c.imag != 0.0 or not math.isfinite(c.real) for c in coeffs):
-        raise ValueError(f"potential coefficients must be real and finite, got {potential}")
-    coeffs = [c.real for c in coeffs]
+    coeffs = list(_real_coefficients([] if potential is None else potential))
     terms.update({(0, j, 0, 0): c for j, c in enumerate(coeffs) if c != 0.0})
     return SymbolOperator("Hamiltonian", theta, terms, {"m": float(m), "potential": coeffs})
 
@@ -296,11 +301,6 @@ def apply(op: SymbolOperator, psi):
     if isinstance(psi, PhasePoly):
         return _apply_phasepoly(op, psi)
     raise TypeError(f"cannot apply an operator to {type(psi).__name__}")
-
-
-def commutator_apply(A: SymbolOperator, B: SymbolOperator, psi):
-    """(AB - BA) psi, composed symbolically before touching the grid."""
-    return apply(commutator(A, B), psi)
 
 
 # --------------------------------------------------------------------------

@@ -249,8 +249,3 @@ def _pairing(bra: PhasePoly, t) -> Callable[[PhasePoly], complex | np.ndarray]:
         return total if shape else complex(total[0])
 
     return pair
-
-
-def induced_product(bra: PhasePoly, ket: PhasePoly, t: float) -> complex:
-    """(bra, ket)_t = integral dx  bra* * ket  at the slice t (Voros star)."""
-    return _pairing(bra, t)(ket)

@@ -476,20 +476,14 @@ def _composition_rows(
     return weight, rows
 
 
-def quasi_projection_discrepancy(
-    theta: float, t: float, t_prime: float, states: Sequence[Field2D]
-) -> float:
-    """Max-norm defect of the composition law pi_{t'} pi_t vs delta-weighted pi_{t'}."""
-    if not states:
-        raise ValueError("need at least one test state")
-    _, rows = _composition_rows(theta, t, t_prime, states)
-    return max(row["discrepancy"] for row in rows)
-
-
 def quasi_projection_report(
     theta: float, t: float, t_prime: float, states: Sequence[Field2D]
 ) -> str:
-    """Strict JSON diagnostics of the composition law on the test states (no ratio: null)."""
+    """Strict JSON diagnostics of the composition law pi_{t'} pi_t vs delta-weighted
+    pi_{t'} on the test states: per state, the max-norm defect, its reference
+    scale and their ratio (no ratio: null)."""
+    if not states:
+        raise ValueError("need at least one test state")
     weight, rows = _composition_rows(theta, t, t_prime, states)
     return json.dumps(
         {

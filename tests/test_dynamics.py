@@ -466,12 +466,18 @@ class TestStationarySolve:
         """The operator potential acts through the same similarity frame at
         every theta, so static spectra stay put; frozen solver values."""
         frozen = [0.2460882419, 0.8818259953, 1.7303142148, 2.7025060368]
-        pot = Potential.custom(lambda x: 0.05 * x**4)
+        custom = Potential.custom(lambda x: 0.05 * x**4)
+        poly = Potential.polynomial([0, 0, 0, 0, 0.05])
         for theta in (0.0, 0.05, 0.1):
             spec = eigenstate_grid(theta)
             kern = StarKernel(theta)
-            pairs = dyn.stationary_solve(pot, kern, 1.0, (0.1, 3.0), spec)
+            pairs = dyn.stationary_solve(custom, kern, 1.0, (0.1, 3.0), spec)
             assert np.allclose([e for e, _ in pairs], frozen, atol=1e-8)
+            # Both sample the same V bit for bit, so the frame solves agree
+            # exactly; the polynomial alone is gated through H_theta.
+            gated = dyn.stationary_solve(poly, kern, 1.0, (0.1, 3.0), spec)
+            assert [e for e, _ in gated] == [e for e, _ in pairs]
+            assert all(st.metadata["cross_residual"] < dyn._ALGEBRA_TOL for _, st in gated)
 
     def test_tilted_potential_settles_by_iteration(self):
         """V = F x sampled in the frame at energy E is F x - F theta E / 2, so a
@@ -498,8 +504,13 @@ class TestStationarySolve:
             (Potential.harmonic(1.0, 1.0), 0.2, (0.2, 2.8), [0, 1, 2], 64),
             (Potential.custom(lambda x: 0.05 * x**4), 0.1, (0.1, 3.0), [0, 1, 2, 3], 128),
             (Potential.custom(lambda x: x), 0.1, (-13.0, -9.0), [0], 512),
+            (Potential.polynomial([0, 0, 0, 0, 0.05]), 0.1, (0.1, 3.0), [0, 1, 2, 3], 128),
+            (Potential.polynomial([0, 0, 0.5, 0, 0.1]), 0.3, (0.2, 5.0), [0, 1, 2, 3], 128),
         ],
-        ids=["harmonic-0", "harmonic-0.0625", "harmonic-0.2", "quartic-0.1", "tilt-0.1"],
+        ids=[
+            "harmonic-0", "harmonic-0.0625", "harmonic-0.2", "quartic-0.1", "tilt-0.1",
+            "polynomial-quartic-0.1", "polynomial-x2-x4-0.3",
+        ],
     )
     def test_levels_match_the_dense_frame_oracle(self, potential, theta, window, levels, modes):
         """Band levels against a real dense eigensolve of the x-space frame
@@ -512,6 +523,8 @@ class TestStationarySolve:
         )
         for (energy, st), want_energy, want in zip(pairs, energies, slices):
             assert st.metadata["band_modes"] == modes
+            if potential.kind == "polynomial":
+                assert st.metadata["cross_residual"] < dyn._ALGEBRA_TOL
             assert abs(energy - want_energy) <= 1e-12 * (1.0 + abs(want_energy))
             # Unit norm, then the global phase (at theta = 0 an odd level's two
             # equal peaks leave the sign free).
@@ -644,16 +657,43 @@ class TestStationarySolve:
             assert max(st.metadata["cross_residual"] for _, st in pairs) > dyn._ALGEBRA_TOL
 
     @pytest.mark.parametrize(
-        "theta, window, level",
-        [(0.2, (30.0, 31.0), 30), (0.1, (21.8, 22.8), 22)],
+        "theta, window, level, potential",
+        [
+            (0.2, (30.0, 31.0), 30, Potential.harmonic(1.0, 1.0)),
+            (0.1, (21.8, 22.8), 22, Potential.harmonic(1.0, 1.0)),
+            (0.1, (-13.0, -9.0), 0, Potential.polynomial([0, 1])),
+            (0.2, (-13.0, -9.0), 0, Potential.polynomial([0, 1])),
+        ],
     )
-    def test_a_harmonic_level_that_reaches_the_box_edge_raises(self, theta, window, level):
+    def test_a_harmonic_level_that_reaches_the_box_edge_raises(self, theta, window, level, potential):
         """Level 30 at theta = 0.2 settles 1.3e-4 off (n + 1/2), and level 22
         at theta = 0.1, the first above the gate there, carries 3.8e-10 of its
-        peak at the box edge; both used to be returned without a word."""
+        peak at the box edge; both used to be returned without a word.  The
+        ground level of the tilt V = x leans on the box edge (its residual
+        reads 1.6 at theta = 0.1 and 2.2 at theta = 0.2), and as a polynomial
+        it raises where the callable tilt is returned ungated."""
         spec = eigenstate_grid(theta)
         with pytest.raises(RuntimeError, match=f"operator-algebra residual .* level {level} "):
-            dyn.stationary_solve(Potential.harmonic(1.0, 1.0), StarKernel(theta), 1.0, window, spec)
+            dyn.stationary_solve(potential, StarKernel(theta), 1.0, window, spec)
+
+    def test_a_failing_level_stops_the_solve(self, monkeypatch):
+        """Each level is gated as it settles: the window (8, 40) at theta = 0.2
+        raises on level 16 after 13 eigensolves, four for the scan (its band
+        widens from 64 to 512 modes) and one re-solve for each of levels 8 to
+        16.  Settling every level of the window before checking any took 101."""
+        calls = []
+        eigh = scipy.linalg.eigh
+
+        def counting_eigh(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
+        with pytest.raises(RuntimeError, match="operator-algebra residual .* level 16 "):
+            dyn.stationary_solve(
+                Potential.harmonic(1.0, 1.0), StarKernel(0.2), 1.0, (8.0, 40.0), eigenstate_grid(0.2)
+            )
+        assert len(calls) == 13
 
     def test_the_level_below_the_edge_gate_is_returned(self):
         spec = eigenstate_grid(0.1)
@@ -669,11 +709,12 @@ class TestStationarySolve:
             (Potential.harmonic(1.0, 1.0), (0.2, 2.8), 0),
             (Potential.custom(lambda x: 0.5 * x**2), (0.2, 2.8), 3),
             (Potential.custom(lambda x: 0.05 * x**4), (0.1, 3.0), 4),
+            (Potential.polynomial([0, 0, 0.5, 0, 0.1]), (0.2, 5.0), 0),
         ],
-        ids=["harmonic", "custom-quadratic", "custom-quartic"],
+        ids=["harmonic", "custom-quadratic", "custom-quartic", "polynomial-quartic"],
     )
     def test_slice_star_calls(self, potential, window, calls, monkeypatch):
-        """Work count: a harmonic solve never reaches the slice star, and a
+        """Work count: a polynomial solve never reaches the slice star, and a
         callable potential takes one star product per returned level."""
         count = []
         star = phasecalc.phase_star
@@ -684,7 +725,7 @@ class TestStationarySolve:
 
         monkeypatch.setattr(phasecalc, "phase_star", counting_star)
         pairs = dyn.stationary_solve(potential, StarKernel(0.15), 1.0, window, eigenstate_grid(0.15))
-        assert len(count) == calls == (0 if potential.kind == "harmonic" else len(pairs))
+        assert len(count) == calls == (0 if potential.kind == "polynomial" else len(pairs))
 
     def test_one_deformed_hamiltonian_builder(self):
         assert moments._deformed_hamiltonian is dyn._deformed_hamiltonian
@@ -695,6 +736,11 @@ class TestPotential:
         x = np.linspace(-1.0, 1.0, 5)
         assert np.allclose(Potential.none().sample_space(x), 0.0)
         assert np.allclose(Potential.harmonic(2.0, 3.0).sample_space(x), 9.0 * x**2)
+        assert Potential.harmonic(2.0, 3.0) == Potential.polynomial((0, 0, 9.0))
+        quartic = Potential.polynomial([1, -2, 0, 0, 0.5])
+        assert quartic.kind == "polynomial" and quartic.coeffs == (1.0, -2.0, 0.0, 0.0, 0.5)
+        assert np.allclose(quartic.sample_space(x, 5.0), 1 - 2 * x + 0.5 * x**4)
+        assert Potential.none().coeffs == ()
         pulse = Potential.time_pulse(lambda t: 0.25 * t)
         assert np.allclose(pulse.sample_time(np.array([2.0])), 0.5)
         assert np.allclose(pulse.sample_space(x, 2.0), 0.5)
@@ -723,6 +769,13 @@ class TestPotential:
             Potential("custom")
         with pytest.raises(ValueError, match="mass must be > 0"):
             Potential.harmonic(math.nan, 1.0)
+        with pytest.raises(ValueError, match="omega must be > 0"):
+            Potential.harmonic(1.0, 0.0)
+        for bad in ([0, 1j], [0, math.inf], [math.nan]):
+            with pytest.raises(ValueError, match="real and finite"):
+                Potential.polynomial(bad)
+        with pytest.raises(ValueError, match="carries no coefficients"):
+            Potential("custom", lambda x: x, (0, 1))
 
     def test_sample_time_needs_a_pulse(self):
         with pytest.raises(ValueError, match="time_pulse"):

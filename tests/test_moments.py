@@ -146,6 +146,9 @@ class TestExpectation:
         x_op = operators.x_theta_l(theta)
         h = operators.hamiltonian(1.0, None, theta) + x_op.compose(x_op) * 0.5
         assert moments.expectation(h, psi, kernel).real == pytest.approx(0.5, rel=1e-10)
+        # The oscillator's polynomial loop composes the same terms.
+        harmonic = dynamics._deformed_hamiltonian(1.0, Potential.harmonic(1.0, 1.0), theta)
+        assert harmonic.terms == h.terms
 
     def test_plain_multiplication_sees_the_displaced_density(self):
         # left-multiplication by x alone picks up the center theta E / 2
@@ -224,7 +227,7 @@ class TestExpectation:
             operators.apply(t_op, snap)
         t = phasecalc._slice_time(snap)
         part = phasecalc._slice_part(snap, t)
-        got = phasecalc.induced_product(part, operators.apply(t_op, part), t)
+        got = phasecalc._pairing(part, t)(operators.apply(t_op, part))
         assert got.real == pytest.approx(want.real, rel=1e-10)
         assert abs(got.imag) < 1e-12
 
@@ -645,6 +648,55 @@ class TestEhrenfestResidual:
         traj = dynamics.evolve(psi, pot, kernel, 1.0, 2e-4, 50, record_every=5)
         out = moments.ehrenfest_residual(traj, operators.p_x(), kernel, 1.0, pot)
         assert float(np.max(out["force_residual"])) < 1e-10
+
+    def test_harmonic_force_form_is_the_two_term_sum(self):
+        """The one force operator -V' - (theta/2) V'' (d_x - i d_t) reads what
+        the separate pairings -<m w^2 x> - (theta/2) <m w^2 (d_x - i d_t)> read,
+        up to rounding."""
+        kernel, psi = ground_state()
+        pot = Potential.harmonic(1.0, 1.0)
+        traj = dynamics.evolve(psi, pot, kernel, 1.0, 2e-4, 50, record_every=5)
+        out = moments.ehrenfest_residual(traj, operators.p_x(), kernel, 1.0, pot)
+        ops = [
+            operators.p_x(),
+            monomial({(0, 1, 0, 0): 1.0}),
+            monomial({(0, 0, 0, 1): 1.0, (0, 0, 1, 0): -1j}),
+        ]
+        values = moments._expectations(ops, traj, kernel)
+        series, inner = values[:, 0], values[2:-2]
+        h = 2e-4 * 5
+        fd = (-series[4:] + 8.0 * series[3:-1] - 8.0 * series[1:-3] + series[:-4]) / (12.0 * h)
+        two_term = np.abs(fd + inner[:, 1] + (THETA / 2.0) * inner[:, 2])
+        assert float(np.max(np.abs(out["force_residual"] - two_term))) < 1e-14
+
+    @pytest.mark.parametrize("theta", [0.1, 0.2])
+    def test_quartic_eigenstate_obeys_the_law(self, theta):
+        """V = x^2/2 + x^4/10 on its solved ground level: the commutator side
+        holds to rounding, as for the oscillator."""
+        spec = eigenstate_grid(theta)
+        kernel = StarKernel(theta)
+        pot = Potential.polynomial([0, 0, 0.5, 0, 0.1])
+        ((_, psi),) = dynamics.stationary_solve(pot, kernel, 1.0, (0.2, 1.0), spec)
+        traj = dynamics.evolve(psi, pot, kernel, 1.0, 1e-4, 100, record_every=10)
+        for op in (operators.x_theta_l(theta), operators.p_x(), operators.t_theta_l(theta)):
+            out = moments.ehrenfest_residual(traj, op, kernel, 1.0, pot)
+            assert float(np.max(out["residual"])) <= 1e-10
+
+    def test_quartic_force_form_misses_order_theta_squared(self):
+        """-V' - (theta/2) V'' (d_x - i d_t) is V'(X_theta^L) to first order
+        only: for the x^4/10 term the rest starts at (theta^2/8) V''' (d_x - i d_t)^2,
+        so the force residual on the quartic ground level grows about
+        fourfold when theta doubles (1.6e-3 at theta = 0.1, 6.0e-3 at 0.2)."""
+        pot = Potential.polynomial([0, 0, 0.5, 0, 0.1])
+        peaks = []
+        for theta in (0.1, 0.2):
+            kernel = StarKernel(theta)
+            ((_, psi),) = dynamics.stationary_solve(pot, kernel, 1.0, (0.2, 1.0), eigenstate_grid(theta))
+            traj = dynamics.evolve(psi, pot, kernel, 1.0, 1e-4, 100, record_every=10)
+            out = moments.ehrenfest_residual(traj, operators.p_x(), kernel, 1.0, pot)
+            peaks.append(float(np.max(out["force_residual"])))
+        assert 1e-4 < peaks[0] < 1e-2
+        assert 3.0 < peaks[1] / peaks[0] < 5.0
 
     def test_oscillating_packet_obeys_the_law_to_step_error(self):
         kernel, psi = displaced_packet()

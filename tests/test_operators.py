@@ -10,7 +10,6 @@ from starqm.operators import (
     apply,
     boost_transform,
     commutator,
-    commutator_apply,
     from_json,
     galilean_boost,
     hamiltonian,
@@ -23,7 +22,7 @@ from starqm.operators import (
     x_theta_l,
     x_theta_r,
 )
-from starqm.phasecalc import _slice_part, induced_product, stationary_part
+from starqm.phasecalc import _pairing, _slice_part, stationary_part
 from oracles import dense_boost
 
 
@@ -201,14 +200,14 @@ class TestApplyField2D:
     def test_commutator_comm_coordinates_on_gaussian(self):
         spec = square_box(64, 0.2, np.pi)
         fld = gaussian(spec, st=0.3, sx=0.3)
-        resid = commutator_apply(t_c(0.2), x_c(0.2), fld)
+        resid = apply(commutator(t_c(0.2), x_c(0.2)), fld)
         assert np.max(np.abs(resid.values)) < 1e-9
 
     def test_commutator_deformed_on_gaussian(self):
         theta = 0.2
         spec = square_box(64, theta, np.pi)
         fld = gaussian(spec, st=0.3, sx=0.3)
-        got = commutator_apply(x_theta_l(theta), t_theta_l(theta), fld)
+        got = apply(commutator(x_theta_l(theta), t_theta_l(theta)), fld)
         assert rel_err(got.values, -1j * theta * fld.values) < 1e-12
 
     def test_galilean_algebra_on_band_limited_state(self):
@@ -223,9 +222,9 @@ class TestApplyField2D:
         scale = np.max(np.abs(psi.values))
         G, H = galilean_boost(m, theta), hamiltonian(m, theta=theta)
         pairs = [
-            (commutator_apply(G, H, psi), apply(1j * p_x(), psi)),
-            (commutator_apply(G, p_x(), psi), 1j * m * psi.values),
-            (commutator_apply(G, p_t(), psi), apply(-1j * p_x(), psi)),
+            (apply(commutator(G, H), psi), apply(1j * p_x(), psi)),
+            (apply(commutator(G, p_x()), psi), 1j * m * psi.values),
+            (apply(commutator(G, p_t()), psi), apply(-1j * p_x(), psi)),
         ]
         for got, want in pairs:
             want_vals = want.values if isinstance(want, Field2D) else want
@@ -315,8 +314,8 @@ class TestApplyPhasePoly:
         for Eb, Ek in [(0.8, 0.8), (0.4, 1.3)]:
             bra = packet(Eb, 0.6, 1.4, 0.2)
             ket = packet(Ek, -0.3, 1.1, -0.4)
-            lhs = induced_product(bra, apply(X, ket), 0.25)
-            rhs = induced_product(apply(X, bra), ket, 0.25)
+            lhs = _pairing(bra, 0.25)(apply(X, ket))
+            rhs = _pairing(apply(X, bra), 0.25)(ket)
             assert abs(lhs - rhs) / max(abs(lhs), abs(rhs)) < 1e-8
 
 

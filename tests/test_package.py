@@ -60,10 +60,25 @@ def _module_names(tree: ast.Module) -> tuple[set[str], set[str], set[str]]:
     return imports, defined, exported
 
 
+def _public_defs(tree: ast.Module) -> set[str]:
+    """Public def and class names of a module, and the public methods of its classes."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        if isinstance(node, ast.ClassDef):
+            names.update(
+                n.name for n in node.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+            )
+    return {name for name in names if not name.startswith("_")}
+
+
 def test_no_unused_import_or_orphaned_private_name():
     # A half-done deletion leaves one of these behind: a module-level import
-    # the module no longer uses, or a module-level _private name that nothing
-    # under src/, tests/ or perfbench/ refers to beyond its definition.
+    # the module no longer uses, a module-level _private name, or a public
+    # def, class or method that nothing under src/, tests/ or perfbench/
+    # refers to beyond its definition.  A name counts as referenced wherever
+    # it is loaded, read as an attribute or imported by name.
     trees = {
         path: ast.parse(path.read_text(), str(path))
         for folder in ("src", "tests", "perfbench")
@@ -89,5 +104,10 @@ def test_no_unused_import_or_orphaned_private_name():
             f"{path.name}: {name} is never referenced"
             for name in defined
             if name.startswith("_") and not name.startswith("__") and not references[name]
+        ]
+        problems += [
+            f"{path.name}: public {name} is never referenced"
+            for name in _public_defs(tree)
+            if not references[name]
         ]
     assert problems == []

@@ -1,5 +1,4 @@
 import math
-from functools import partial
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from starqm.phasecalc import (
     _slice_part,
     _slice_stack,
     conjugate,
-    induced_product,
     phase_star,
     stationary_part,
 )
@@ -80,7 +78,7 @@ class TestConstruction:
     def test_mixed_spec_rejected(self):
         a = t_monomial(phase_box(16, 0.1), 0)
         b = t_monomial(phase_box(32, 0.1), 0)
-        for product in (phase_star, partial(induced_product, t=0.0)):
+        for product in (phase_star, lambda bra, ket: _pairing(bra, 0.0)(ket)):
             with pytest.raises(ValueError, match="GridSpec"):
                 product(a, b)
 
@@ -176,7 +174,7 @@ class TestInducedProduct:
         dp = 2 * np.pi / (spec.x_max - spec.x_min)
         want = np.sum(np.conj(a1) * a2) * dp
         for t in (0.0, 0.8):
-            got = induced_product(bra, ket, t)
+            got = _pairing(bra, t)(ket)
             assert rel_err(got, want) < 1e-10
 
     def test_cross_energy_closed_form(self):
@@ -195,13 +193,13 @@ class TestInducedProduct:
         overlap = np.sum(np.conj(a1) * a2 * np.exp(1j * theta / 2 * p * dE)) * dp
         for t in (0.0, 1.1):
             want = np.exp(-1j * dE * t) * np.exp(-theta / 4 * dE**2) * overlap
-            got = induced_product(bra, ket, t)
+            got = _pairing(bra, t)(ket)
             assert rel_err(got, want) < 1e-10
 
     def test_norm_is_positive(self):
         spec = phase_box(128, 0.15)
         ket = onshell_packet(spec, 0.7, gaussian_amps(spec, 0.5, 1.0))
-        norm = induced_product(ket, ket, 0.3)
+        norm = _pairing(ket, 0.3)(ket)
         assert abs(norm.imag) < 1e-14 * abs(norm)
         assert norm.real > 0
 
@@ -217,7 +215,7 @@ class TestStateAlgebra:
         # The slice pairing is the plain sum times dx: (1, 1)_t is the box length.
         spec = phase_box(32, 0.1)
         one = t_monomial(spec, 0)
-        assert induced_product(one, one, 0.0) == pytest.approx(spec.x_max - spec.x_min)
+        assert _pairing(one, 0.0)(one) == pytest.approx(spec.x_max - spec.x_min)
 
 
 def oracle_rows(spec, degree, kind, rng):
@@ -239,7 +237,7 @@ def oracle_rows(spec, degree, kind, rng):
 class TestBruteForceOracle:
     """The pair sum against the literal expm-per-mode-pair product F * G.
 
-    induced_product pairs bra = conj(F) with ket = G, so the one oracle
+    `_pairing` pairs bra = conj(F) with ket = G, so the one oracle
     product serves both checks; one prepared bra then serves kets of every
     degree and several frequencies against the oracle's zero output mode.
     """
@@ -257,7 +255,7 @@ class TestBruteForceOracle:
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
         bra = PhasePoly(spec, -F.a, np.conj(F.coef))
-        got = induced_product(bra, G, t)
+        got = _pairing(bra, t)(G)
         assert abs(got - np.sum(want) * spec.dx) <= 1e-12 * np.sum(np.abs(want)) * spec.dx
 
         pair = _pairing(bra, t)
@@ -278,7 +276,7 @@ def test_overflowing_weight_raises():
     with pytest.raises(ValueError, match="finite"), pytest.warns(RuntimeWarning):
         phase_star(f, f)
     with pytest.raises(ValueError, match="finite"), pytest.warns(RuntimeWarning):
-        induced_product(f, f, 0.0)
+        _pairing(f, 0.0)(f)
 
 
 PACKETS = ((-0.5, 0.3, 1.0, 0.5, 0.0), (0.8, -0.6, 0.8, 1.7, 0.05), (0.2, 1.1, 1.3, -0.4, 0.13))

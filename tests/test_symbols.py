@@ -439,6 +439,12 @@ def two_mode_state(spec: GridSpec) -> Field2D:
     )
 
 
+def report_discrepancy(theta: float, t: float, t_prime: float, psi: Field2D) -> float:
+    """The composition-law defect of one state, read from the JSON report."""
+    (row,) = json.loads(symbols.quasi_projection_report(theta, t, t_prime, [psi]))["states"]
+    return row["discrepancy"]
+
+
 def off_centre_coherent_state() -> tuple[Field2D, float]:
     """Coherent symbol at (0.3, -0.5) sqrt(theta) on the 128^2 box of reach 8 sqrt(theta)."""
     theta = 0.1
@@ -570,7 +576,7 @@ class TestQuasiProjection:
         theta = 0.1
         spec = GridSpec(256, 256, -4.0, 4.0, -4.0, 4.0, theta)
         psi = two_mode_state(spec)
-        d = symbols.quasi_projection_discrepancy(theta, 0.0, 0.0, [psi])
+        d = report_discrepancy(theta, 0.0, 0.0, psi)
         ref = np.max(np.abs(symbols.quasi_projection_apply(0.0, psi).values))
         ratio = d / (ref * symbols.gauss_delta(0.0, math.sqrt(theta)))
         assert 0.0 < ratio < 0.25
@@ -583,7 +589,7 @@ class TestQuasiProjection:
         for theta in (0.2, 0.1, 0.05):
             spec = GridSpec(256, 256, -4.0, 4.0, -4.0, 4.0, theta)
             psi = two_mode_state(spec)
-            d = symbols.quasi_projection_discrepancy(theta, 0.0, 0.0, [psi])
+            d = report_discrepancy(theta, 0.0, 0.0, psi)
             ref = np.max(np.abs(symbols.quasi_projection_apply(0.0, psi).values))
             ratios.append(d / (ref * symbols.gauss_delta(0.0, math.sqrt(theta))))
         assert all(0.05 < r < 0.25 for r in ratios)
@@ -593,7 +599,7 @@ class TestQuasiProjection:
         theta = 0.1
         spec = GridSpec(256, 256, -4.0, 4.0, -4.0, 4.0, theta)
         psi = two_mode_state(spec)
-        d = symbols.quasi_projection_discrepancy(theta, -1.0, 1.0, [psi])
+        d = report_discrepancy(theta, -1.0, 1.0, psi)
         assert d < 1e-8
         twice = symbols.quasi_projection_apply(1.0, symbols.quasi_projection_apply(-1.0, psi))
         assert np.max(np.abs(twice.values)) < 1e-8
@@ -617,8 +623,6 @@ class TestQuasiProjection:
         with pytest.raises(ValueError, match="outside box"):
             symbols.quasi_projection_apply(9.0, psi)
         with pytest.raises(ValueError, match="theta 0.2 does not match grid theta 0.25"):
-            symbols.quasi_projection_discrepancy(0.2, 0.0, 0.0, [psi])
-        with pytest.raises(ValueError, match="theta 0.2 does not match grid theta 0.25"):
             symbols.quasi_projection_report(0.2, 0.0, 0.0, [psi])
         flat = two_mode_state(GridSpec(64, 64, -4.0, 4.0, -4.0, 4.0))
         with pytest.raises(ValueError, match="grid theta > 0"):
@@ -639,7 +643,7 @@ class TestQuasiProjection:
         assert rows[0]["ratio"] > 0.0
         assert rows[1] == {"discrepancy": 0.0, "reference": 0.0, "ratio": None}
         with pytest.raises(ValueError, match="test state"):
-            symbols.quasi_projection_discrepancy(theta, 0.0, 0.0, [])
+            symbols.quasi_projection_report(theta, 0.0, 0.0, [])
 
 
 class TestReproducingMap:
