@@ -5,9 +5,10 @@ on-shell mode sum.  Harmonic-oscillator energies come with an independent
 momentum-space diagonalization check, and eigenstate slices are the closed
 Gaussian-Hermite transforms of the damped, gauge-phased momentum profiles.
 A polynomial potential, the oscillator among them, has the deformed generator
-P_x^2/2m + V(X_theta^L) composed symbolically by `_deformed_hamiltonian`; the
-stationary solver gates every polynomial level on its residual, and the
-Ehrenfest law in `moments` reads its commutators from it.
+H_theta = P_x^2/2m + V(X_theta^L) composed symbolically by
+`operators.hamiltonian`; the stationary solver gates every polynomial level
+on its residual, and the Ehrenfest law in `moments` reads its commutators
+from it.
 The stationary eigensolver and the split-step evolver both treat an
 x-dependent potential as the deformed coordinate operator acting from the
 left: on a component q(x) e^{-iEt} that action is
@@ -210,29 +211,6 @@ class Potential:
             raise ValueError(f"sample_time needs a time_pulse potential, got {self.kind!r}")
         ts = np.asarray(ts, dtype=float)
         return _as_real(_sample(self.fn, ts.shape, ts), "time_pulse sample")
-
-
-def _deformed_hamiltonian(
-    m: float, potential: Potential, theta: float
-) -> operators.SymbolOperator:
-    """Generator P_x^2/2m + sum_j c_j (X_theta^L)^j of a polynomial potential.
-
-    Each power of x is composed through the one-sided coordinate action --
-    the operator the evolver realizes in its conjugated frame -- not plain
-    multiplication by V(x).  none is the empty polynomial: the kinetic term
-    alone.
-    """
-    if potential.kind not in ("none", "polynomial"):
-        raise ValueError(f"the commutator side needs a polynomial potential, got {potential.kind!r}")
-    h = operators.hamiltonian(m, None, theta)
-    x_op = operators.x_theta_l(theta)
-    power = operators.SymbolOperator("identity", theta, {(0, 0, 0, 0): 1.0})
-    for j, c in enumerate(potential.coeffs):
-        if j:
-            power = power.compose(x_op)
-        if c:
-            h = h + power * c
-    return h
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +511,7 @@ def stationary_solve(
     normalized:
 
     - polynomial: ||(H_theta - E) psi|| / ||psi||, with H_theta = P_x^2/2m +
-      V(X_theta^L) composed by `_deformed_hamiltonian` and applied through
+      V(X_theta^L) composed by `operators.hamiltonian` and applied through
       `operators.apply`.  Only polynomial factors in k enter, so it reads
       2e-13 to 7e-13 on resolved levels of the oscillator (theta up to 0.4)
       and of x^2/2 + x^4/10 (up to 0.3); above _ALGEBRA_TOL the solver
@@ -603,7 +581,7 @@ def stationary_solve(
         )
 
     if potential.kind == "polynomial":
-        h_theta = _deformed_hamiltonian(m, potential, theta)
+        h_theta = operators.hamiltonian(m, potential.coeffs, theta)
 
         def h_apply(fld: Field1D) -> np.ndarray:
             return operators.apply(h_theta, fld).values

@@ -20,9 +20,10 @@ On top of that sit the uncertainty products, the 4x4 covariance matrix of
 the coherent element together with its commutator (symplectic) form, the
 Williamson spectrum, both uncertainty bounds, and the residual of the
 evolution law d<O>/dt = i<[H, O]> + <d_t O> along stored trajectories.  H
-is the deformed generator of a polynomial potential, and for O = P_x the
-first-order force form -V' - (theta/2) V'' (d_x - i d_t) is one more
-operator of the same batch.
+is `operators.hamiltonian`, the deformed generator H_theta = P_x^2/2m +
+V(X_theta^L) of a polynomial potential, and for O = P_x the first-order
+force form -V' - (theta/2) V'' (d_x - i d_t) is one more operator of the
+same batch.
 
 The phase-space coordinates are (X, T, P_x, P_t) in that fixed order,
 CANONICAL_ORDERING.  The Williamson spectrum is taken against the deformed
@@ -42,7 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from . import phasecalc, symbols
-from .dynamics import Potential, _deformed_hamiltonian
+from .dynamics import Potential
 from .fieldgrid import Field1D, Field2D, GridSpec, _csv
 from .fieldgrid import _require_grid_theta, _require_nonnegative, _require_positive
 from .operators import (
@@ -50,6 +51,7 @@ from .operators import (
     _apply_field2d,
     _apply_phasepoly,
     commutator,
+    hamiltonian,
     p_t,
     p_x,
     t_theta_l,
@@ -449,10 +451,7 @@ def _explicit_time_derivative(op: SymbolOperator) -> SymbolOperator:
         for (a, b, c, d), coef in op.terms.items()
         if a > 0
     }
-    return SymbolOperator("composite", op.theta, terms)
-
-
-_P_X_TERMS = {(0, 0, 0, 1): complex(-1j)}
+    return SymbolOperator(op.theta, terms)
 
 
 def ehrenfest_residual(
@@ -467,12 +466,12 @@ def ehrenfest_residual(
     <O> is evaluated on every slice at its physical time and differentiated
     with 4th-order central differences, so at least five uniformly spaced
     slices are needed.  Every operator is paired on the whole trajectory in
-    one stacked pass (see _expectations).  H is rebuilt from (m, potential)
-    as the deformed generator of a polynomial potential (see
-    dynamics._deformed_hamiltonian).  For O = P_x the first-order force
-    form <-V' - (theta/2) V'' (d_x - i d_t)> is paired as one more operator
-    and returned under 'force_residual'; it matches the commutator side up
-    to O(theta^2), exactly for V of degree at most 2.
+    one stacked pass (see _expectations).  H is H_theta =
+    `operators.hamiltonian(m, potential.coeffs, theta)`, so the potential
+    must be polynomial (none is the empty one).  For O = P_x the first-order
+    force form <-V' - (theta/2) V'' (d_x - i d_t)> is paired as one more
+    operator and returned under 'force_residual'; it matches the commutator
+    side up to O(theta^2), exactly for V of degree at most 2.
 
     Returns {"t": interior times, "residual": |lhs - rhs|, ...} as arrays.
     """
@@ -495,10 +494,12 @@ def ehrenfest_residual(
     if h <= 0 or float(np.max(np.abs(np.diff(ts) - h))) > 1e-9 * max(abs(h), 1e-12):
         raise ValueError("trajectory slices must be uniformly spaced in time")
 
-    H = _deformed_hamiltonian(m, potential, theta)
+    if potential.kind not in ("none", "polynomial"):
+        raise ValueError(f"the commutator side needs a polynomial potential, got {potential.kind!r}")
+    H = hamiltonian(m, potential.coeffs, theta)
     rhs_op = commutator(H, op) * 1j + _explicit_time_derivative(op)
     ops = [op, rhs_op]
-    with_force = op.terms == _P_X_TERMS
+    with_force = op.terms == p_x().terms
     if with_force:
         # -V' - (theta/2) V'' (d_x - i d_t) for V = sum_j c_j x^j joins the batch.
         force = {}
@@ -509,7 +510,7 @@ def ehrenfest_residual(
                 curvature = (theta / 2.0) * j * (j - 1) * c
                 force[(0, j - 2, 0, 1)] = -curvature
                 force[(0, j - 2, 1, 0)] = 1j * curvature
-        ops.append(SymbolOperator("composite", theta, force))
+        ops.append(SymbolOperator(theta, force))
     # One stacked pass pairs every operator on every slice; the commutator
     # and force columns are read on the interior slices only.
     values = _expectations(ops, list(trajectory), kernel)

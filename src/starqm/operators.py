@@ -18,6 +18,11 @@ acts as -iE and t-multiplication as a degree shift) by
 `phasecalc._slice_part`, and read back at the same physical time,
 `phasecalc._slice_time`.
 
+`hamiltonian` builds the one generator, H_theta = P_x^2/2m + V(X_theta^L)
+for a polynomial V, each power of x composed through the one-sided
+coordinate action.  The stationary solver's gate and the Ehrenfest law both
+read it.
+
 `boost_transform` is the one finite Galilean boost e^{-ivG} of a full field,
 in closed form through the Weyl frame and exact at every velocity.
 """
@@ -26,7 +31,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,12 +90,13 @@ def _merge_theta(ta: float, tb: float) -> float:
 
 @dataclass(frozen=True)
 class SymbolOperator:
-    """A finite Weyl-monomial combination acting on symbol fields."""
+    """A finite Weyl-monomial combination acting on symbol fields.
 
-    kind: str
+    An operator is its theta and its terms, and equality is value equality.
+    """
+
     theta: float
     terms: dict[Monomial, complex]
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         _require_nonnegative(self.theta, "theta")
@@ -102,88 +108,83 @@ class SymbolOperator:
 
     def compose(self, other: "SymbolOperator") -> "SymbolOperator":
         theta = _merge_theta(self.theta, other.theta)
-        return SymbolOperator("composite", theta, _compose_terms(self.terms, other.terms))
+        return SymbolOperator(theta, _compose_terms(self.terms, other.terms))
 
     def __add__(self, other: "SymbolOperator") -> "SymbolOperator":
         theta = _merge_theta(self.theta, other.theta)
         terms = dict(self.terms)
         for k, v in other.terms.items():
             terms[k] = terms.get(k, 0.0) + v
-        return SymbolOperator("composite", theta, terms)
+        return SymbolOperator(theta, terms)
 
     def __sub__(self, other: "SymbolOperator") -> "SymbolOperator":
         return self + (-1.0) * other
 
     def __mul__(self, c: complex) -> "SymbolOperator":
-        return SymbolOperator("composite", self.theta, {k: c * v for k, v in self.terms.items()})
+        return SymbolOperator(self.theta, {k: c * v for k, v in self.terms.items()})
 
     __rmul__ = __mul__
 
     def to_json(self) -> str:
         terms = {",".join(map(str, k)): [v.real, v.imag] for k, v in self.terms.items()}
-        blob = {"kind": self.kind, "theta": self.theta, "params": self.params, "terms": terms}
-        return json.dumps(blob, sort_keys=True)
+        return json.dumps({"theta": self.theta, "terms": terms}, sort_keys=True)
 
 
 def from_json(text: str) -> SymbolOperator:
     """Rebuild an operator from `SymbolOperator.to_json` output."""
     blob = json.loads(text)
-    missing = {"kind", "theta", "params", "terms"} - set(blob)
+    missing = {"theta", "terms"} - set(blob)
     if missing:
         raise ValueError(f"operator JSON lacks {sorted(missing)}")
     terms = {
         tuple(int(s) for s in key.split(",")): complex(re, im)
         for key, (re, im) in blob["terms"].items()
     }
-    return SymbolOperator(blob["kind"], blob["theta"], terms, blob["params"])
+    return SymbolOperator(blob["theta"], terms)
 
 
 def x_theta_l(theta: float) -> SymbolOperator:
     """x + (theta/2)(d_x - i d_t): left action of the space coordinate."""
     return SymbolOperator(
-        "X_theta_L", theta,
-        {(0, 1, 0, 0): 1.0, (0, 0, 0, 1): theta / 2, (0, 0, 1, 0): -1j * theta / 2},
+        theta, {(0, 1, 0, 0): 1.0, (0, 0, 0, 1): theta / 2, (0, 0, 1, 0): -1j * theta / 2}
     )
 
 
 def x_theta_r(theta: float) -> SymbolOperator:
     return SymbolOperator(
-        "X_theta_R", theta,
-        {(0, 1, 0, 0): 1.0, (0, 0, 0, 1): theta / 2, (0, 0, 1, 0): +1j * theta / 2},
+        theta, {(0, 1, 0, 0): 1.0, (0, 0, 0, 1): theta / 2, (0, 0, 1, 0): +1j * theta / 2}
     )
 
 
 def t_theta_l(theta: float) -> SymbolOperator:
     """t + (theta/2)(d_t + i d_x): left action of the time coordinate."""
     return SymbolOperator(
-        "T_theta_L", theta,
-        {(1, 0, 0, 0): 1.0, (0, 0, 1, 0): theta / 2, (0, 0, 0, 1): +1j * theta / 2},
+        theta, {(1, 0, 0, 0): 1.0, (0, 0, 1, 0): theta / 2, (0, 0, 0, 1): +1j * theta / 2}
     )
 
 
 def t_theta_r(theta: float) -> SymbolOperator:
     return SymbolOperator(
-        "T_theta_R", theta,
-        {(1, 0, 0, 0): 1.0, (0, 0, 1, 0): theta / 2, (0, 0, 0, 1): -1j * theta / 2},
+        theta, {(1, 0, 0, 0): 1.0, (0, 0, 1, 0): theta / 2, (0, 0, 0, 1): -1j * theta / 2}
     )
 
 
 def p_x(theta: float = 0.0) -> SymbolOperator:
-    return SymbolOperator("P_x", theta, {(0, 0, 0, 1): -1j})
+    return SymbolOperator(theta, {(0, 0, 0, 1): -1j})
 
 
 def p_t(theta: float = 0.0) -> SymbolOperator:
-    return SymbolOperator("P_t", theta, {(0, 0, 1, 0): -1j})
+    return SymbolOperator(theta, {(0, 0, 1, 0): -1j})
 
 
 def x_c(theta: float) -> SymbolOperator:
     """(X_L + X_R)/2 = x + (theta/2) d_x: the commuting space coordinate."""
-    return SymbolOperator("X_c", theta, {(0, 1, 0, 0): 1.0, (0, 0, 0, 1): theta / 2})
+    return SymbolOperator(theta, {(0, 1, 0, 0): 1.0, (0, 0, 0, 1): theta / 2})
 
 
 def t_c(theta: float) -> SymbolOperator:
     """(T_L + T_R)/2 = t + (theta/2) d_t: the commuting time coordinate."""
-    return SymbolOperator("T_c", theta, {(1, 0, 0, 0): 1.0, (0, 0, 1, 0): theta / 2})
+    return SymbolOperator(theta, {(1, 0, 0, 0): 1.0, (0, 0, 1, 0): theta / 2})
 
 
 def galilean_boost(m: float, theta: float) -> SymbolOperator:
@@ -193,8 +194,7 @@ def galilean_boost(m: float, theta: float) -> SymbolOperator:
     time term by term.
     """
     _require_positive(m, "mass")
-    g = x_theta_l(theta) * m - p_x().compose(t_c(theta))
-    return SymbolOperator("GalileanBoost", theta, g.terms, {"m": float(m)})
+    return x_theta_l(theta) * m - p_x().compose(t_c(theta))
 
 
 def _real_coefficients(coeffs) -> tuple[float, ...]:
@@ -206,12 +206,24 @@ def _real_coefficients(coeffs) -> tuple[float, ...]:
 
 
 def hamiltonian(m: float, potential=None, theta: float = 0.0) -> SymbolOperator:
-    """P_x^2 / 2m plus an optional polynomial potential sum_j c_j x^j, each c_j real and finite."""
+    """The generator H_theta = P_x^2/2m + sum_j c_j (X_theta^L)^j, each c_j real and finite.
+
+    Each power of x is composed through the one-sided coordinate action
+    `x_theta_l` -- the operator the evolver realizes in its conjugated frame
+    -- not plain multiplication by V(x); at theta = 0 the terms are the plain
+    c_j x^j.  potential=None is no potential: the kinetic term alone.
+    """
     _require_positive(m, "mass")
-    terms: dict[Monomial, complex] = {(0, 0, 0, 2): -1.0 / (2 * m)}
-    coeffs = list(_real_coefficients([] if potential is None else potential))
-    terms.update({(0, j, 0, 0): c for j, c in enumerate(coeffs) if c != 0.0})
-    return SymbolOperator("Hamiltonian", theta, terms, {"m": float(m), "potential": coeffs})
+    coeffs = _real_coefficients([] if potential is None else potential)
+    h = SymbolOperator(theta, {(0, 0, 0, 2): -1.0 / (2 * m)})
+    x_op = x_theta_l(theta)
+    power = SymbolOperator(theta, {(0, 0, 0, 0): 1.0})
+    for j, c in enumerate(coeffs):
+        if j:
+            power = power.compose(x_op)
+        if c:
+            h = h + power * c
+    return h
 
 
 def commutator(A: SymbolOperator, B: SymbolOperator) -> SymbolOperator:

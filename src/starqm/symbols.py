@@ -443,15 +443,19 @@ def quasi_projection_apply(t0: float, psi: Field2D) -> Field2D:
     return Field2D(psi.spec, project(amps), {"t0": t0})
 
 
-def _composition_rows(
+def quasi_projection_report(
     theta: float, t: float, t_prime: float, states: Sequence[Field2D]
-) -> tuple[float, list[dict]]:
-    """Delta weight and, per state, the defect of pi_{t'} pi_t vs weighted pi_{t'}.
+) -> str:
+    """Strict JSON diagnostics of the composition law pi_{t'} pi_t vs delta-weighted
+    pi_{t'} on the test states: per state, the max-norm defect, its reference
+    scale and their ratio (no ratio: null).
 
     The defect pi_{t'}(pi_t psi) - w pi_{t'} psi is one projection of the
     amplitude difference, since each projector is linear in its cut
     amplitudes; the projectors are built once per distinct grid.
     """
+    if not states:
+        raise ValueError("need at least one test state")
     weight = float(gauss_delta(t_prime - t, math.sqrt(theta)))
     projectors: dict[GridSpec, list] = {}
     rows = []
@@ -473,18 +477,6 @@ def _composition_rows(
                 "ratio": discrepancy / ref if ref > 0 else None,
             }
         )
-    return weight, rows
-
-
-def quasi_projection_report(
-    theta: float, t: float, t_prime: float, states: Sequence[Field2D]
-) -> str:
-    """Strict JSON diagnostics of the composition law pi_{t'} pi_t vs delta-weighted
-    pi_{t'} on the test states: per state, the max-norm defect, its reference
-    scale and their ratio (no ratio: null)."""
-    if not states:
-        raise ValueError("need at least one test state")
-    weight, rows = _composition_rows(theta, t, t_prime, states)
     return json.dumps(
         {
             "theta": theta,

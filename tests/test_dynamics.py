@@ -10,7 +10,7 @@ import scipy.special
 
 from oracles import brute_force_phase_star, dense_frame_levels, dense_multiplier
 from starqm import dynamics as dyn
-from starqm import moments, operators, phasecalc, symbols
+from starqm import operators, phasecalc, symbols
 from starqm.dynamics import OscillatorParams, PacketParams, Potential
 from starqm.fieldgrid import Field1D, Field2D, GridSpec, sample_field, spectral_derivative
 from starqm.star import StarKernel
@@ -233,6 +233,19 @@ class TestOscillatorSpectrum:
         osc = OscillatorParams(m=1.0, omega=1.0, theta=0.1)
         with pytest.raises(ValueError, match="n_max"):
             dyn.oscillator_spectrum(osc, -1)
+
+    def test_a_diagonalization_off_the_closed_form_raises(self, monkeypatch):
+        """A dense operator shifted by 1e-3 I moves every level by 1e-3, far
+        past the 1e-6 (1 + E) agreement the closed form must reach."""
+        operator = dyn.oscillator_momentum_operator
+
+        def shifted(*args, **kwargs):
+            p, H = operator(*args, **kwargs)
+            return p, H + 1e-3 * np.eye(len(p))
+
+        monkeypatch.setattr(dyn, "oscillator_momentum_operator", shifted)
+        with pytest.raises(RuntimeError, match="spectrum verification failed"):
+            dyn.oscillator_spectrum(OscillatorParams(m=1.0, omega=1.0, theta=0.1), 4)
 
 
 class TestMomentumOperator:
@@ -496,6 +509,15 @@ class TestStationarySolve:
             assert st.metadata["iterations"] > 2
             assert st.metadata["residual"] < 1e-10
 
+    def test_an_unsettled_level_raises(self, monkeypatch):
+        """The tilt's level moves with the frame energy, so one re-solve
+        cannot settle it: the solve raises instead of returning the level."""
+        monkeypatch.setattr(dyn, "_MAX_RESOLVES", 1)
+        with pytest.raises(RuntimeError, match="level 0 did not settle within 1 re-solves"):
+            dyn.stationary_solve(
+                Potential.custom(lambda x: x), StarKernel(0.1), 1.0, (-13.0, -9.0), eigenstate_grid(0.1)
+            )
+
     @pytest.mark.parametrize(
         "potential, theta, window, levels, modes",
         [
@@ -615,7 +637,7 @@ class TestStationarySolve:
         slices, built without the solver, satisfy it to the same bound."""
         spec = eigenstate_grid(theta)
         pot = Potential.harmonic(1.0, 1.0)
-        h_theta = dyn._deformed_hamiltonian(1.0, pot, theta)
+        h_theta = operators.hamiltonian(1.0, pot.coeffs, theta)
         for n in range(3):
             st = dyn.oscillator_eigenstate(OscillatorParams(1.0, 1.0, theta), n, spec)
             res = operators.apply(h_theta, st).values - st.metadata["energy"] * st.values
@@ -726,9 +748,6 @@ class TestStationarySolve:
         monkeypatch.setattr(phasecalc, "phase_star", counting_star)
         pairs = dyn.stationary_solve(potential, StarKernel(0.15), 1.0, window, eigenstate_grid(0.15))
         assert len(count) == calls == (0 if potential.kind == "polynomial" else len(pairs))
-
-    def test_one_deformed_hamiltonian_builder(self):
-        assert moments._deformed_hamiltonian is dyn._deformed_hamiltonian
 
 
 class TestPotential:
@@ -1111,6 +1130,21 @@ class TestTransitionAmplitude:
         y = self._pulse()(ts) * np.exp(1.3j * ts)
         want = scipy.integrate.simpson(y, x=ts)
         assert abs(dyn._simpson(y, ts[1] - ts[0]) - want) <= 1e-15 * abs(want)
+
+    def test_a_time_pulse_potential_gives_the_callable_amplitude(self):
+        theta = 0.1
+        spec = eigenstate_grid(theta)
+        kern = StarKernel(theta)
+        osc = OscillatorParams(m=1.0, omega=1.0, theta=theta)
+        s0, s1 = (dyn.oscillator_eigenstate(osc, n, spec) for n in (0, 1))
+        pulse = self._pulse()
+        bare = dyn.transition_amplitude(pulse, s0, s1, 12.0, theta, kern)
+        wrapped = dyn.transition_amplitude(Potential.time_pulse(pulse), s0, s1, 12.0, theta, kern)
+        assert wrapped == bare
+        with pytest.raises(ValueError, match="must be a time_pulse"):
+            dyn.transition_amplitude(Potential.harmonic(1.0, 1.0), s0, s1, 12.0, theta, kern)
+        with pytest.raises(TypeError, match="pulse must be a Potential or callable"):
+            dyn.transition_amplitude(0.05, s0, s1, 12.0, theta, kern)
 
     def test_frozen_reference_amplitude(self):
         spec = eigenstate_grid(0.1)

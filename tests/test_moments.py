@@ -38,7 +38,7 @@ def displaced_packet(p0: float = 0.0):
 
 
 def monomial(terms: dict, theta: float = THETA) -> SymbolOperator:
-    return SymbolOperator("composite", theta, terms)
+    return SymbolOperator(theta, terms)
 
 
 def random_spd(rng: np.random.Generator) -> np.ndarray:
@@ -147,8 +147,21 @@ class TestExpectation:
         h = operators.hamiltonian(1.0, None, theta) + x_op.compose(x_op) * 0.5
         assert moments.expectation(h, psi, kernel).real == pytest.approx(0.5, rel=1e-10)
         # The oscillator's polynomial loop composes the same terms.
-        harmonic = dynamics._deformed_hamiltonian(1.0, Potential.harmonic(1.0, 1.0), theta)
+        harmonic = operators.hamiltonian(1.0, Potential.harmonic(1.0, 1.0).coeffs, theta)
         assert harmonic.terms == h.terms
+
+    @pytest.mark.parametrize("theta", [0.1, 0.2])
+    def test_hamiltonian_generates_the_oscillator_levels(self, theta):
+        """<H_theta> on closed-form level n is n + 1/2 because the potential
+        acts through X_theta^L; plain x^2 read 2.51875 on level 2 at theta = 0.2."""
+        kernel = StarKernel(theta)
+        osc = OscillatorParams(1.0, 1.0, theta)
+        h = operators.hamiltonian(1.0, [0, 0, 0.5], theta)
+        for n in range(3):
+            psi = dynamics.oscillator_eigenstate(osc, n, eigenstate_grid(theta))
+            assert abs(moments.expectation(h, psi, kernel) - (n + 0.5)) < 1e-12
+        # At theta = 0 the powers of X_theta^L are the plain x^j.
+        assert operators.hamiltonian(1.0, [0, 0, 0.5]).terms == {(0, 0, 0, 2): -0.5, (0, 2, 0, 0): 0.5}
 
     def test_plain_multiplication_sees_the_displaced_density(self):
         # left-multiplication by x alone picks up the center theta E / 2
@@ -317,6 +330,25 @@ class TestUncertaintyProduct:
         )
         assert got == pytest.approx(THETA / 2.0, rel=1e-5)
 
+    @pytest.mark.parametrize(
+        "shift, message",
+        [(1e-3j, "carry imaginary residues"), (1.0, "lost positivity")],
+        ids=["imaginary-residue", "negative-variance"],
+    )
+    def test_broken_moments_raise(self, shift, message, monkeypatch):
+        """A residue on <X>, or <X> pushed up by 1 so that <X^2> - <X>^2 < 0,
+        is reported rather than folded into a spread."""
+        kernel, psi = ground_state()
+        pair = moments._expectations
+
+        def shifted(ops, *args, **kwargs):
+            values = pair(ops, *args, **kwargs)
+            return [values[0] + shift, *values[1:]]
+
+        monkeypatch.setattr(moments, "_expectations", shifted)
+        with pytest.raises(ValueError, match=message):
+            moments.uncertainty_product(operators.x_theta_l(THETA), operators.p_x(), psi, kernel)
+
 
 class TestCoherentVarianceMatrix:
     def test_closed_form_and_cross_check(self):
@@ -341,6 +373,18 @@ class TestCoherentVarianceMatrix:
         small = moments.coherent_variance_matrix(0.05)
         assert small.values[0, 0] == pytest.approx(0.025)
         assert small.metadata["cross_check_max_abs"] < 1e-6
+
+    def test_a_numeric_matrix_off_the_closed_form_raises(self, monkeypatch):
+        """<{P_t, P_t}> moved by 1e-3 moves V[P_t, P_t] by 5e-4, past the 1e-6 cross-check."""
+        pair = moments._expectations
+
+        def perturbed(ops, *args, **kwargs):
+            values = pair(ops, *args, **kwargs)
+            return [*values[:-1], values[-1] + 1e-3]
+
+        monkeypatch.setattr(moments, "_expectations", perturbed)
+        with pytest.raises(ValueError, match="numerical covariance disagrees"):
+            moments.coherent_variance_matrix(THETA)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError, match="theta > 0"):

@@ -313,7 +313,7 @@ class TestStackedPairing:
             operators.p_x(),
             operators.x_theta_l,
             operators.t_theta_l,
-            SymbolOperator("composite", 0.0, {(1, 1, 0, 0): 1.0}),
+            SymbolOperator(0.0, {(1, 1, 0, 0): 1.0}),
         ],
         ids=["p_x", "x_theta_l", "t_theta_l", "t_x"],
     )
