@@ -40,6 +40,7 @@ import inspect
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -67,6 +68,13 @@ _BAND_TOL = 1e-10
 _ALGEBRA_TOL = 1e-9
 # Simpson nodes (an odd count) for a transition amplitude's pulse integral.
 _PULSE_SAMPLES = 4097
+# Modes of the oscillator's momentum box, which holds at most this many levels.
+_MOMENTUM_MODES = 256
+# Closed-form ladder vs diagonalization, relative to 1 + E_max: the 256-mode box
+# is off by at most 6e-14 of it up to n_max = 100, and by more than this from 108.
+_LADDER_TOL = 1e-9
+# Verified (m, omega, n_max) ladders kept per process.
+_LADDER_CACHE_SIZE = 64
 
 
 def _as_real(arr: np.ndarray, what: str) -> np.ndarray:
@@ -308,7 +316,7 @@ def _oscillator_momentum_box(params: OscillatorParams, n_top: int, n_modes: int)
 
 
 def oscillator_momentum_operator(
-    params: OscillatorParams, energy: float, n_top: int, n_modes: int = 256
+    params: OscillatorParams, energy: float, n_top: int, n_modes: int = _MOMENTUM_MODES
 ) -> tuple[np.ndarray, np.ndarray]:
     """Dense momentum-space generator (1/2m)[p^2 - m^2 w^2 (d_p + i theta E/2)^2].
 
@@ -337,26 +345,42 @@ def oscillator_momentum_operator(
     return p, H
 
 
-def oscillator_spectrum(params: OscillatorParams, n_max: int) -> list[float]:
-    """Energies (n + 1/2) omega for n <= n_max, cross-checked numerically.
-
-    The closed form is verified against a diagonalization of the
-    gauge-stripped momentum-space operator; a mismatch beyond 1e-6 raises
-    rather than returning silently wrong levels.
-    """
-    if n_max < 0 or int(n_max) != n_max:
-        raise ValueError(f"n_max must be a nonnegative integer, got {n_max}")
+@lru_cache(maxsize=_LADDER_CACHE_SIZE)
+def _verified_ladder(m: float, omega: float, n_max: int) -> tuple[float, ...]:
+    """Closed-form ladder for n <= n_max, checked against a dense diagonalization."""
+    params = OscillatorParams(m, omega)
     closed = [params.level_energy(n) for n in range(n_max + 1)]
     _, H = oscillator_momentum_operator(params, 0.0, n_max)
     # At energy 0 the operator is real symmetric; its imaginary part is rounding.
     levels = scipy.linalg.eigvalsh(H.real, subset_by_index=[0, n_max])
     worst = float(np.max(np.abs(levels - np.asarray(closed))))
-    if worst > 1e-6 * (1.0 + closed[-1]):
+    if worst > _LADDER_TOL * (1.0 + closed[-1]):
         raise RuntimeError(
             f"spectrum verification failed: closed form vs diagonalization "
             f"differ by {worst:.3e} (levels {levels.tolist()})"
         )
-    return closed
+    return tuple(closed)
+
+
+def oscillator_spectrum(params: OscillatorParams, n_max: int) -> list[float]:
+    """Energies (n + 1/2) omega for n <= n_max, cross-checked numerically.
+
+    The closed form is verified against a diagonalization of the
+    gauge-stripped momentum-space operator; a mismatch beyond
+    1e-9 (1 + E_max) raises rather than returning silently wrong levels.
+    That operator and the ladder are free of theta, so the check runs once
+    per (m, omega, n_max) in a process and a theta-scan reuses it.  A failed
+    check is not remembered: it raises again on every call.
+    """
+    # Written so that nan and inf fail here too, not later inside int().
+    if not (n_max >= 0 and n_max % 1 == 0):
+        raise ValueError(f"n_max must be a nonnegative integer, got {n_max}")
+    if n_max >= _MOMENTUM_MODES:
+        raise ValueError(
+            f"n_max={n_max} asks for more levels than the momentum box's "
+            f"{_MOMENTUM_MODES} modes hold"
+        )
+    return list(_verified_ladder(params.m, params.omega, int(n_max)))
 
 
 def oscillator_eigenstate(

@@ -215,7 +215,27 @@ class TestOscillatorParams:
 
 
 class TestOscillatorSpectrum:
-    def test_spectrum_is_theta_independent(self):
+    @pytest.fixture(autouse=True)
+    def fresh_ladders(self):
+        """No verified ladder carries over into or out of a test, so no warm
+        entry can hide a check."""
+        dyn._verified_ladder.cache_clear()
+        yield
+        dyn._verified_ladder.cache_clear()
+
+    @pytest.fixture
+    def eigvalsh_calls(self, monkeypatch):
+        calls = []
+        eigvalsh = scipy.linalg.eigvalsh
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return eigvalsh(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigvalsh", counted)
+        return calls
+
+    def test_spectrum_is_theta_independent(self, eigvalsh_calls):
         ladders = {}
         for theta in (0.0, 0.1, 0.3):
             osc = OscillatorParams(m=1.0, omega=1.0, theta=theta)
@@ -223,29 +243,70 @@ class TestOscillatorSpectrum:
         for theta in (0.1, 0.3):
             assert np.allclose(ladders[theta], ladders[0.0], atol=1e-12)
         assert np.allclose(ladders[0.0], [0.5, 1.5, 2.5, 3.5, 4.5, 5.5], atol=1e-12)
+        # The check is theta-free, so the scan diagonalizes once.
+        assert eigvalsh_calls == [(256, 256)]
+
+    def test_a_new_mass_omega_or_level_count_is_checked_again(self, eigvalsh_calls):
+        for m, omega, n_max in [(1.0, 1.0, 5), (1.0, 0.7, 5), (1.0, 0.7, 6), (2.0, 0.7, 6)]:
+            dyn.oscillator_spectrum(OscillatorParams(m, omega, theta=0.2), n_max)
+        dyn.oscillator_spectrum(OscillatorParams(2.0, 0.7), 6.0)
+        assert len(eigvalsh_calls) == 4
+
+    def test_a_returned_ladder_belongs_to_the_caller(self):
+        osc = OscillatorParams(m=1.0, omega=1.0, theta=0.1)
+        ladder = dyn.oscillator_spectrum(osc, 3)
+        ladder[0] = -1.0
+        ladder.append(9.9)
+        assert dyn.oscillator_spectrum(osc, 3) == [0.5, 1.5, 2.5, 3.5]
 
     def test_spacing_is_omega(self):
         osc = OscillatorParams(m=2.0, omega=0.7, theta=0.1)
         es = dyn.oscillator_spectrum(osc, 4)
         assert np.allclose(np.diff(es), 0.7, atol=1e-12)
 
+    @pytest.mark.parametrize("m, omega", [(1.0, 1.0), (2.0, 0.7), (0.5, 3.0)])
+    def test_a_hundred_levels_pass_the_check(self, m, omega):
+        # The 256-mode box reproduces them to 1e-13 (1 + E), well inside 1e-9.
+        ladder = dyn.oscillator_spectrum(OscillatorParams(m, omega), 100)
+        assert ladder[-1] == 100.5 * omega
+
+    def test_accepts_an_integral_float_level_count(self):
+        osc = OscillatorParams(m=1.0, omega=1.0, theta=0.1)
+        assert dyn.oscillator_spectrum(osc, 2.0) == [0.5, 1.5, 2.5]
+
     def test_rejects_negative_level_count(self):
         osc = OscillatorParams(m=1.0, omega=1.0, theta=0.1)
         with pytest.raises(ValueError, match="n_max"):
             dyn.oscillator_spectrum(osc, -1)
 
+    @pytest.mark.parametrize("n_max", [2.5, math.nan, math.inf])
+    def test_rejects_a_level_count_that_is_no_integer(self, n_max):
+        osc = OscillatorParams(m=1.0, omega=1.0, theta=0.1)
+        with pytest.raises(ValueError, match="n_max must be a nonnegative integer"):
+            dyn.oscillator_spectrum(osc, n_max)
+
+    @pytest.mark.parametrize("n_max", [256, 300])
+    def test_rejects_more_levels_than_the_box_has_modes(self, n_max):
+        osc = OscillatorParams(m=1.0, omega=1.0, theta=0.1)
+        with pytest.raises(ValueError, match=f"n_max={n_max} .* 256 modes"):
+            dyn.oscillator_spectrum(osc, n_max)
+
     def test_a_diagonalization_off_the_closed_form_raises(self, monkeypatch):
-        """A dense operator shifted by 1e-3 I moves every level by 1e-3, far
-        past the 1e-6 (1 + E) agreement the closed form must reach."""
+        """A dense operator shifted by s I moves every level by s.  Both shifts
+        lie past the 1e-9 (1 + E) agreement the closed form must reach, and a
+        failed check is not remembered, so every call raises."""
         operator = dyn.oscillator_momentum_operator
+        osc = OscillatorParams(m=1.0, omega=1.0, theta=0.1)
+        for shift in (1e-3, 1e-7):
 
-        def shifted(*args, **kwargs):
-            p, H = operator(*args, **kwargs)
-            return p, H + 1e-3 * np.eye(len(p))
+            def shifted(*args, shift=shift, **kwargs):
+                p, H = operator(*args, **kwargs)
+                return p, H + shift * np.eye(len(p))
 
-        monkeypatch.setattr(dyn, "oscillator_momentum_operator", shifted)
-        with pytest.raises(RuntimeError, match="spectrum verification failed"):
-            dyn.oscillator_spectrum(OscillatorParams(m=1.0, omega=1.0, theta=0.1), 4)
+            monkeypatch.setattr(dyn, "oscillator_momentum_operator", shifted)
+            for _ in range(2):
+                with pytest.raises(RuntimeError, match="spectrum verification failed"):
+                    dyn.oscillator_spectrum(osc, 4)
 
 
 class TestMomentumOperator:

@@ -75,10 +75,11 @@ def _public_defs(tree: ast.Module) -> set[str]:
 
 def test_no_unused_import_or_orphaned_private_name():
     # A half-done deletion leaves one of these behind: a module-level import
-    # the module no longer uses, a module-level _private name, or a public
-    # def, class or method that nothing under src/, tests/ or perfbench/
-    # refers to beyond its definition.  A name counts as referenced wherever
-    # it is loaded, read as an attribute or imported by name.
+    # the module no longer uses, in any module under src/, tests/ or
+    # perfbench/; or, in starqm, a module-level _private name, or a public
+    # def, class or method that nothing under those folders refers to beyond
+    # its definition.  A name counts as referenced wherever it is loaded,
+    # read as an attribute or imported by name.
     trees = {
         path: ast.parse(path.read_text(), str(path))
         for folder in ("src", "tests", "perfbench")
@@ -95,11 +96,13 @@ def test_no_unused_import_or_orphaned_private_name():
                 references.update(a.name for a in node.names)
     problems = []
     for path, tree in trees.items():
-        if path.parent.name != "starqm":
-            continue
         imports, defined, exported = _module_names(tree)
         loads = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-        problems += [f"{path.name}: unused import {name}" for name in imports - loads - exported]
+        problems += [
+            f"{path.relative_to(ROOT)}: unused import {name}" for name in imports - loads - exported
+        ]
+        if path.parent.name != "starqm":
+            continue
         problems += [
             f"{path.name}: {name} is never referenced"
             for name in defined
