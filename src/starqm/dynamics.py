@@ -397,7 +397,8 @@ def oscillator_eigenstate(
     at theta m omega = 2 needs no branch.  The slice is normalized to unit
     induced norm and tagged with metadata['energy'] and metadata['level'].
     """
-    if n < 0 or int(n) != n:
+    # Written so that nan and inf fail here too, not later inside int().
+    if not (n >= 0 and n % 1 == 0):
         raise ValueError(f"level must be a nonnegative integer, got {n}")
     _require_grid_theta(params.theta, spec, "oscillator theta")
     energy = params.level_energy(n)

@@ -30,9 +30,10 @@ EDGE_DECAY_TOL = 1e-10
 # leaves relative to its peak mode.
 DEFAULT_MODE_CUTOFF = 1e-14
 
-# Plane and fixed-line pairings of full fields drop modes at this coarser
-# level; its one reader is symbols._pairing, which computes both.  Their
-# partner mode pairs carry Voros growth up to e^{theta |k||k'|/2}.
+# Fixed-line pairings of full fields, and plane pairings of fields without a
+# frame, drop modes at this coarser level; its one reader is
+# symbols._pairing, which computes both.  Their partner mode pairs carry
+# Voros growth up to e^{theta |k||k'|/2}.
 # Derivative factors in a composed operator lift the rounding floor of the
 # input spectrum above 1e-14, and the growth then amplifies exactly those
 # modes: for a coherent symbol centred at (0.3, -0.5) sqrt(theta) on the
@@ -146,15 +147,27 @@ def _as_field_values(values: np.ndarray, shape: tuple[int, ...], what: str) -> n
 
 @dataclass(frozen=True)
 class Field2D:
-    """Complex field on the full (t, x) box, values indexed [i_t, i_x]."""
+    """Complex field on the full (t, x) box, values indexed [i_t, i_x].
+
+    values is the Voros symbol.  frame, when present, is the same state's
+    Weyl amplitude: its Fourier modes are those of values times
+    e^{theta |k|^2/4} at the grid's theta, known in closed form.  Only
+    `symbols.coherent_symbol` sets it, and every field built from new values
+    carries None, so a frame always belongs to the values beside it.  The
+    whole-plane pairing of `moments.expectation` reads the frame when there
+    is one; fixed-line pairings and unframed fields use values only.
+    """
 
     spec: GridSpec
     values: np.ndarray
     metadata: dict = field(default_factory=dict)
+    frame: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        arr = _as_field_values(self.values, (self.spec.n_t, self.spec.n_x), "Field2D")
-        object.__setattr__(self, "values", arr)
+        shape = (self.spec.n_t, self.spec.n_x)
+        object.__setattr__(self, "values", _as_field_values(self.values, shape, "Field2D"))
+        if self.frame is not None:
+            object.__setattr__(self, "frame", _as_field_values(self.frame, shape, "Field2D frame"))
 
 
 @dataclass(frozen=True)

@@ -8,13 +8,19 @@ no line selected is paired over the whole plane, integral dt dx psi* (star)
 O psi -- the right reading for coherent basis elements, which are not on
 shell.  Every pairing needs only sums of the star product, so
 `phasecalc._pairing` (slices) and `symbols._pairing` (full fields) evaluate
-it in closed form over partner Fourier modes.  A batch of operators is
-paired on one full field, or on a stack of slices at once: the slices of a
-trajectory are lifted into one phase polynomial with a slice axis, so the
-bra side is transformed once per batch and each ket O psi once per
-operator, whatever the number of slices.  The kets of a full field share
-one derivative cache, so each derivative order of psi is taken once per
-batch.
+it in closed form over partner Fourier modes.  A full field that carries a
+frame (its Weyl amplitude phi, which `symbols.coherent_symbol` sets) is
+paired over the whole plane without that sum: the plane integral of a Voros
+product is the plain integral of the Weyl amplitudes, so the pairing is
+sum conj(phi) (O_W phi) dt dx with O_W the operator conjugated into the
+frame (`operators._weyl_frame`), with no growth weight and no mode cutoff.
+Fixed-line pairings and unframed fields keep the partner sum.  A batch of
+operators is paired on one full field, or on a stack of slices at once: the
+slices of a trajectory are lifted into one phase polynomial with a slice
+axis, so the bra side is transformed once per batch and each ket O psi once
+per operator, whatever the number of slices.  The kets of a full field (or
+of its frame) share one derivative cache, so each derivative order is taken
+once per batch.
 
 On top of that sit the uncertainty products, the 4x4 covariance matrix of
 the coherent element together with its commutator (symplectic) form, the
@@ -50,6 +56,7 @@ from .operators import (
     SymbolOperator,
     _apply_field2d,
     _apply_phasepoly,
+    _weyl_frame,
     commutator,
     hamiltonian,
     p_t,
@@ -63,7 +70,9 @@ from .symbols import CoherentPoint, coherent_symbol
 _IMAG_TOL = 1e-8
 _NORM_TOL = 1e-6
 _VAR_FLOOR = -1e-10
-_CROSS_TOL = 1e-6
+# coherent_variance_matrix's numeric matrix must match the closed form to
+# this fraction of the closed form's largest entry.
+_CROSS_TOL = 1e-12
 _BOUND_TOL = 1e-8
 
 # Members of a Williamson eigenvalue pair must agree to this relative gap.
@@ -218,10 +227,14 @@ def expectation(
 
     A Field2D with explicit t pairs on that fixed-t grid line, integral
     dx psi* (star) O psi; with t=None it pairs over the whole plane,
-    integral dt dx psi* (star) O psi.  Both are the closed-form sum over
-    partner modes of `symbols._pairing`, whose mode-pair multiplier is
-    exact; only kernel.theta enters it, and input modes below the pairing
-    cutoff fieldgrid._PAIRING_MODE_CUTOFF are dropped.  On a full field, the
+    integral dt dx psi* (star) O psi.  Over the whole plane, a field with a
+    frame (the Weyl amplitude phi of `symbols.coherent_symbol`) pairs as the
+    grid sum of conj(phi) (O_W phi) dt dx, with O conjugated into the frame at
+    the grid's theta.  The fixed-line pairing, and the plane pairing of an
+    unframed field, are the closed-form sum over partner modes of
+    `symbols._pairing`, whose mode-pair multiplier is exact; only
+    kernel.theta enters it, and input modes below the pairing cutoff
+    fieldgrid._PAIRING_MODE_CUTOFF are dropped.  On a full field, the
     functions that pair several operators on one state (uncertainty
     products, covariance, bound checks) build every O psi from one
     derivative cache of psi, and transform the bra side once per batch.
@@ -261,10 +274,22 @@ def _expectations(
     _require_voros(kernel, spec, "the expectation value")
 
     if isinstance(psi, Field2D):
+        if t is None and psi.frame is not None:
+            # Weyl amplitudes pair over the plane as the plain grid sum of
+            # conj(phi) (O_W phi) dt dx.
+            phi = Field2D(spec, psi.frame)
+            area = spec.dt * spec.dx
+
+            def pair(ket: Field2D) -> complex:
+                return complex(np.vdot(phi.values, ket.values)) * area
+
+            ops = [_weyl_frame(op, spec.theta) for op in ops]
+        else:
+            phi = psi
+            pair = symbols._pairing(kernel.theta, psi, t)
         # One derivative cache serves every operator of the batch.
-        act = partial(_apply_field2d, fld=psi, derivs={})
-        pair = symbols._pairing(kernel.theta, psi, t)
-        norm = _checked_norm(complex(pair(psi)))
+        act = partial(_apply_field2d, fld=phi, derivs={})
+        norm = _checked_norm(complex(pair(phi)))
         return [complex(pair(act(op))) / norm for op in ops]
 
     ts = np.array([phasecalc._slice_time(fld) if t is None else float(t) for fld in states])
@@ -334,10 +359,11 @@ def coherent_variance_matrix(
     1/4, so det V = 1/16 at every theta.
 
     The same matrix is recomputed numerically from the sampled symbol via
-    `expectation` over the whole plane, and the two must agree entrywise
-    within 1e-6; the achieved deviation lands in
-    metadata['cross_check_max_abs'].  Omitting spec uses a box of
-    reach 8 sqrt(theta) at 128x128.
+    `expectation` over the whole plane, which pairs the element's Weyl
+    amplitude (its frame) with the operators conjugated into that frame, and
+    the two must agree entrywise within 1e-12 of the closed form's largest
+    entry; the achieved deviation lands in metadata['cross_check_max_abs'].
+    Omitting spec uses a box of reach 8 sqrt(theta) at 128x128.
     """
     if not theta > 0:
         raise ValueError(f"the coherent element needs theta > 0, got {theta}")
@@ -363,10 +389,11 @@ def coherent_variance_matrix(
     analytic[0, 3] = analytic[3, 0] = 0.5
     analytic[1, 2] = analytic[2, 1] = -0.5
     deviation = float(np.max(np.abs(numeric - analytic)))
-    if deviation > _CROSS_TOL:
+    bound = _CROSS_TOL * float(np.max(np.abs(analytic)))
+    if deviation > bound:
         raise ValueError(
             f"numerical covariance disagrees with the closed form by "
-            f"{deviation:.3e} (> {_CROSS_TOL}):\nnumeric =\n{numeric}\n"
+            f"{deviation:.3e} (> {bound:.3e}):\nnumeric =\n{numeric}\n"
             f"closed form =\n{analytic}"
         )
     return VarianceMatrix(analytic, theta, {"cross_check_max_abs": deviation})

@@ -230,6 +230,28 @@ def commutator(A: SymbolOperator, B: SymbolOperator) -> SymbolOperator:
     return A.compose(B) - B.compose(A)
 
 
+def _weyl_frame(op: SymbolOperator, theta: float) -> SymbolOperator:
+    """op conjugated into the Weyl frame of a grid at theta, by the Weierstrass map.
+
+    A Voros symbol is its Weyl amplitude damped by D = e^{(theta/4) Laplacian},
+    so O acts on the amplitude as D^{-1} O D, which sends t^a x^b d_t^c d_x^d
+    to (t - (theta/2) d_t)^a (x - (theta/2) d_x)^b d_t^c d_x^d; derivatives
+    commute with D.  theta is the grid's: an operator built at theta = 0
+    acts on the same damped symbols.  X_theta^L becomes x - (i theta/2) d_t,
+    T_theta^L becomes t + (i theta/2) d_x, and X_c, T_c become x, t.
+    """
+    t_w = {(1, 0, 0, 0): 1.0, (0, 0, 1, 0): -theta / 2}
+    x_w = {(0, 1, 0, 0): 1.0, (0, 0, 0, 1): -theta / 2}
+    out: dict[Monomial, complex] = {}
+    for (a, b, c, d), coef in op.terms.items():
+        term = {(0, 0, c, d): coef}
+        for factor in (x_w,) * b + (t_w,) * a:
+            term = _compose_terms(factor, term)
+        for key, v in term.items():
+            out[key] = out.get(key, 0.0) + v
+    return SymbolOperator(op.theta, out)
+
+
 # --------------------------------------------------------------------------
 # application to states
 

@@ -111,6 +111,14 @@ def coherent_symbol(point: CoherentPoint, spec: GridSpec) -> Field2D:
     the 1/sqrt(2 pi theta) scale).  The grid box must reach at least
     6 sqrt(theta) beyond the center on every side so the periodified tails
     stay at rounding level.
+
+    The field also carries the element's Weyl amplitude as its frame, in
+    closed form: the width-sqrt(theta/2) Gaussian
+        (2/sqrt(2 pi theta)) e^{-((t-t0)^2 + (x-x0)^2) / theta},
+    whose modes are the symbol's times e^{theta |k|^2/4}.  The whole-plane
+    pairing of `moments.expectation` reads it, as the bounded sum
+    integral dt dx  conj(phi) (O_W phi) with no Voros growth weight; the
+    fixed-line pairings and `_pairing` read the symbol only.
     """
     _require_grid_theta(point.theta, spec, "basis point theta")
     s = math.sqrt(point.theta)
@@ -125,10 +133,11 @@ def coherent_symbol(point: CoherentPoint, spec: GridSpec) -> Field2D:
         )
     tt = spec.t[:, None] - point.t
     xx = spec.x[None, :] - point.x
-    vals = np.exp(-(tt**2 + xx**2) / (2.0 * point.theta)) / math.sqrt(
-        2.0 * math.pi * point.theta
-    )
-    return Field2D(spec, vals, {"center_t": point.t, "center_x": point.x})
+    r2 = tt**2 + xx**2
+    norm = math.sqrt(2.0 * math.pi * point.theta)
+    vals = np.exp(-r2 / (2.0 * point.theta)) / norm
+    frame = np.exp(-r2 / point.theta) * (2.0 / norm)
+    return Field2D(spec, vals, {"center_t": point.t, "center_x": point.x}, frame)
 
 
 # ---------------------------------------------------------------------------

@@ -403,6 +403,13 @@ class TestOscillatorEigenstates:
         with pytest.raises(ValueError, match="level"):
             dyn.oscillator_eigenstate(osc, -1, spec)
 
+    @pytest.mark.parametrize("n", [math.nan, math.inf, -1, 2.5])
+    def test_rejects_a_level_that_is_no_nonnegative_integer(self, n):
+        spec = eigenstate_grid(0.1)
+        osc = OscillatorParams(m=1.0, omega=1.0, theta=0.1)
+        with pytest.raises(ValueError, match="level must be a nonnegative integer"):
+            dyn.oscillator_eigenstate(osc, n, spec)
+
 
 class TestOscillatorGround:
     @pytest.mark.parametrize("theta", [0.0625, 0.1, 0.2])

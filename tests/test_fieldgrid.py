@@ -212,6 +212,20 @@ class TestFieldValidation:
         with pytest.raises(ValueError, match="non-finite"):
             Field2D(spec, vals)
 
+    def test_frame_is_validated_like_values(self):
+        spec = square_box(n=16)
+        vals = np.zeros((16, 16))
+        assert Field2D(spec, vals).frame is None
+        fld = Field2D(spec, vals, {}, np.ones((16, 16)))
+        assert fld.frame.dtype == np.complex128
+        assert not fld.frame.flags.writeable
+        with pytest.raises(ValueError, match="frame: expected shape"):
+            Field2D(spec, vals, {}, np.ones((16, 8)))
+        bad = np.ones((16, 16), complex)
+        bad[2, 5] = np.inf
+        with pytest.raises(ValueError, match="frame: non-finite"):
+            Field2D(spec, vals, {}, bad)
+
 
 class TestCsv:
     def test_header_and_shape(self):

@@ -358,7 +358,7 @@ class TestCoherentVarianceMatrix:
         want[1, 2] = want[2, 1] = -0.5
         assert np.allclose(v.values, want, atol=1e-14)
         assert v.theta == THETA
-        assert v.metadata["cross_check_max_abs"] < 1e-6
+        assert v.metadata["cross_check_max_abs"] <= 1e-12 * np.max(np.abs(want))
 
     def test_determinant_is_theta_independent(self):
         for theta in (0.1, 0.4):
@@ -367,15 +367,16 @@ class TestCoherentVarianceMatrix:
 
     def test_cross_check_on_a_coarse_grid_and_at_small_theta(self):
         s = math.sqrt(THETA)
-        coarse = GridSpec(64, 64, -8 * s, 8 * s, -8 * s, 8 * s, THETA)
-        assert moments.coherent_variance_matrix(THETA, spec=coarse).metadata[
-            "cross_check_max_abs"] < 1e-6
+        coarse = moments.coherent_variance_matrix(
+            THETA, spec=GridSpec(64, 64, -8 * s, 8 * s, -8 * s, 8 * s, THETA)
+        )
+        assert coarse.metadata["cross_check_max_abs"] <= 1e-12 * np.max(np.abs(coarse.values))
         small = moments.coherent_variance_matrix(0.05)
         assert small.values[0, 0] == pytest.approx(0.025)
-        assert small.metadata["cross_check_max_abs"] < 1e-6
+        assert small.metadata["cross_check_max_abs"] <= 1e-12 * np.max(np.abs(small.values))
 
     def test_a_numeric_matrix_off_the_closed_form_raises(self, monkeypatch):
-        """<{P_t, P_t}> moved by 1e-3 moves V[P_t, P_t] by 5e-4, past the 1e-6 cross-check."""
+        """<{P_t, P_t}> moved by 1e-3 moves V[P_t, P_t] by 5e-4, past the 1e-11 cross-check."""
         pair = moments._expectations
 
         def perturbed(ops, *args, **kwargs):
@@ -495,13 +496,26 @@ class TestPlanePairing:
 
     def test_far_off_centre_state_is_still_rejected(self):
         # centred at (2, -2) sqrt(theta) the pairing norm reads ~7.5e113 with
-        # an imaginary residue; the partner sum must report it, not return it
+        # an imaginary residue; the partner sum must report it, not return it.
+        # The copy drops the frame, so the plane pairing takes the partner sum.
         s = math.sqrt(THETA)
         psi = symbols.coherent_symbol(
             CoherentPoint(2 * s, -2 * s, THETA), coherent_box(THETA)
         )
         with pytest.raises(ValueError, match="imaginary residue"):
-            moments.expectation(operators.p_x(), psi, StarKernel(THETA))
+            moments.expectation(operators.p_x(), Field2D(psi.spec, psi.values), StarKernel(THETA))
+
+    def test_far_off_centre_framed_state_returns_the_closed_form(self):
+        # the same state with its frame pairs as a bounded sum: <P_x> = 0, <X> = x0
+        s = math.sqrt(THETA)
+        psi = symbols.coherent_symbol(
+            CoherentPoint(2 * s, -2 * s, THETA), coherent_box(THETA)
+        )
+        kernel = StarKernel(THETA)
+        assert abs(moments.expectation(operators.p_x(), psi, kernel)) <= 1e-12 / s
+        assert moments.expectation(operators.x_theta_l(THETA), psi, kernel) == pytest.approx(
+            -2 * s, rel=1e-12
+        )
 
     @pytest.mark.parametrize("theta", [0.0625, 0.1, 0.2])
     @pytest.mark.parametrize("centre", [(0.0, 0.0), (0.3, -0.5)])
@@ -509,7 +523,9 @@ class TestPlanePairing:
         # The batch prepares the bra once and shares derivatives between
         # operators; each entry must still be its own one-shot pairing, over
         # the plane and on a grid line alike.
-        plane_psi, _ = covariance_kets(theta, centre)
+        framed, _ = covariance_kets(theta, centre)
+        # without its frame the plane pairing is the partner sum, as here
+        plane_psi = Field2D(framed.spec, framed.values)
         ops = covariance_ops(theta)
         for t in (None, 0.0):
             # the symbol has unit norm over the plane, not on a line
@@ -521,6 +537,32 @@ class TestPlanePairing:
             )
             assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("theta", [0.0625, 0.1, 0.2])
+    @pytest.mark.parametrize("centre", [(0.0, 0.0), (0.3, -0.5), (1.0, 0.0)])
+    def test_framed_batch_is_the_frame_pairing_and_the_partner_sum(self, theta, centre):
+        # The framed batch must be each operator's one-shot frame pairing, and
+        # agree with the partner sum of the same symbol.  x, x^2 and tx are
+        # built at theta = 0: the frame reads them at the grid's theta.
+        psi, _ = covariance_kets(theta, centre)
+        spec = psi.spec
+        plain = [SymbolOperator(0.0, {key: 1.0}) for key in ((0, 1, 0, 0), (0, 2, 0, 0), (1, 1, 0, 0))]
+        ops = covariance_ops(theta) + plain
+        got = np.array(moments._expectations(ops, psi, StarKernel(theta)))
+
+        phi = Field2D(spec, psi.frame)
+        area = spec.dt * spec.dx
+        norm = np.vdot(phi.values, phi.values).real * area
+        one_shot = np.array([
+            np.vdot(phi.values, operators.apply(operators._weyl_frame(op, theta), phi).values)
+            * area / norm
+            for op in ops
+        ])
+        assert np.max(np.abs(got - one_shot)) <= 1e-15 * np.max(np.abs(one_shot))
+
+        pair = symbols._pairing(theta, psi)
+        partner = np.array([pair(operators.apply(op, psi)) for op in ops]) / pair(psi).real
+        assert np.max(np.abs(got - partner)) <= 1e-8 * np.max(np.abs(partner))
+
     def test_off_centre_batch_is_quiet(self):
         # Centred at (1, 0) sqrt(theta) the quasi-projection reads garbage
         # (ROADMAP item 7); the plane pairings must neither warn nor drift.
@@ -528,6 +570,35 @@ class TestPlanePairing:
         psi = symbols.coherent_symbol(CoherentPoint(s, 0.0, THETA), coherent_box(THETA))
         means = moments._expectations(covariance_ops(THETA)[:4], psi, StarKernel(THETA))
         assert np.allclose(means, [0.0, s, 0.0, 0.0], rtol=0.0, atol=1e-12)
+
+
+class TestTranslationInvariance:
+    """A displaced coherent element: the same covariance, moved means.
+
+    Its frame pairs over the whole plane without Voros growth, so an
+    off-centre state the partner sum cannot pair (see
+    test_far_off_centre_state_is_still_rejected) reads its closed form as
+    the centred one does.
+    """
+
+    @pytest.mark.parametrize("theta", [0.0625, 0.1, 0.2])
+    @pytest.mark.parametrize("centre", [(0.0, 0.0), (1.5, 0.7), (2.0, -2.0)])
+    def test_moments_follow_the_centre(self, theta, centre):
+        psi, _ = covariance_kets(theta, centre)
+        values = np.array(moments._expectations(covariance_ops(theta), psi, StarKernel(theta)))
+        closed = moments.coherent_variance_matrix(theta).values
+        spreads = np.sqrt(np.diag(closed))
+        s = math.sqrt(theta)
+        # (X, T, P_x, P_t) at a centre (t0, x0) sqrt(theta)
+        want = np.array([centre[1] * s, centre[0] * s, 0.0, 0.0])
+        means = values[:4]
+        assert np.all(np.abs(means - want) <= 1e-12 * spreads)
+        central = np.zeros((4, 4))
+        upper = [(i, j) for i in range(4) for j in range(i, 4)]
+        for (i, j), anti in zip(upper, values[4:]):
+            central[i, j] = central[j, i] = 0.5 * anti.real - means[i].real * means[j].real
+        assert np.max(np.abs(values.imag)) <= 1e-12 * np.max(np.abs(closed))
+        assert np.max(np.abs(central - closed)) <= 1e-12 * np.max(np.abs(closed))
 
 
 @pytest.mark.filterwarnings("error")

@@ -7,6 +7,7 @@ from starqm.fieldgrid import EDGE_DECAY_TOL, Field1D, Field2D, GridSpec
 from starqm.moments import transform_matrix
 from starqm.operators import (
     SymbolOperator,
+    _weyl_frame,
     apply,
     boost_transform,
     commutator,
@@ -90,6 +91,28 @@ class TestSymbolAlgebra:
         theta = 0.35
         comm = commutator(x_theta_l(theta), t_theta_l(theta))
         assert comm.terms == {(0, 0, 0, 0): pytest.approx(-1j * theta)}
+
+    def test_weyl_frame_conjugation_of_the_coordinates(self):
+        theta = 0.3
+        half = theta / 2
+        assert _weyl_frame(x_theta_l(theta), theta).terms == {
+            (0, 1, 0, 0): 1.0, (0, 0, 1, 0): -1j * half}
+        assert _weyl_frame(t_theta_l(theta), theta).terms == {
+            (1, 0, 0, 0): 1.0, (0, 0, 0, 1): 1j * half}
+        assert _weyl_frame(x_c(theta), theta).terms == {(0, 1, 0, 0): 1.0}
+        assert _weyl_frame(t_c(theta), theta).terms == {(1, 0, 0, 0): 1.0}
+
+    def test_weyl_frame_reads_the_theta_it_is_given(self):
+        # x^2 built at theta = 0 still acts on symbols damped at the grid's
+        # theta: (x - (theta/2) d_x)^2 = x^2 - theta x d_x - theta/2 + (theta^2/4) d_x^2
+        theta = 0.2
+        x_sq = SymbolOperator(0.0, {(0, 2, 0, 0): 1.0})
+        got = _weyl_frame(x_sq, theta)
+        assert got.theta == 0.0
+        assert got.terms == pytest.approx({
+            (0, 2, 0, 0): 1.0, (0, 1, 0, 1): -theta, (0, 0, 0, 0): -theta / 2,
+            (0, 0, 0, 2): theta**2 / 4})
+        assert _weyl_frame(p_x(), theta).terms == p_x().terms
 
     def test_commutator_commuting_coordinates_vanishes(self):
         comm = commutator(t_c(0.5), x_c(0.5))

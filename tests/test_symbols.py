@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from oracles import brute_force_star, dense_quasi_projection
-from starqm import symbols
-from starqm.fieldgrid import Field1D, Field2D, GridSpec, sample_field, spectral_derivative
+from starqm import operators, symbols
+from starqm.fieldgrid import Field1D, Field2D, GridSpec, _edge_magnitude, sample_field
+from starqm.fieldgrid import spectral_derivative
 from starqm.star import StarKernel, star
 from starqm.symbols import CoherentPoint, MomentumLabel
 
@@ -106,6 +107,41 @@ class TestBasisOverlap:
             symbols.gauss_delta(0.0, math.inf)
         z = CoherentPoint(t=1.0, x=2.0, theta=0.5).z
         assert z == pytest.approx((1.0 + 2.0j) / 1.0)
+
+
+class TestCoherentFrame:
+    """The closed-form Weyl amplitude that coherent_symbol stores as its frame."""
+
+    @pytest.mark.parametrize("theta", [0.0625, 0.1, 0.2])
+    @pytest.mark.parametrize("centre", [(0.0, 0.0), (1.5, 0.7), (2.0, -2.0)])
+    def test_damped_frame_is_the_symbol(self, theta, centre):
+        # Damping each mode by e^{-theta |k|^2/4} is the well-conditioned
+        # direction.  It returns the periodic sum of the symbol's Gaussian,
+        # which differs from the sampled symbol by the tail of its nearest
+        # periodic image: no more than the symbol's own edge magnitude.
+        s = math.sqrt(theta)
+        spec = GridSpec(128, 128, -8 * s, 8 * s, -8 * s, 8 * s, theta)
+        psi = symbols.coherent_symbol(CoherentPoint(centre[0] * s, centre[1] * s, theta), spec)
+        k_sq = spec.k_t[:, None] ** 2 + spec.k_x[None, :] ** 2
+        damped = np.fft.ifft2(np.fft.fft2(psi.frame) * np.exp(-theta * k_sq / 4))
+        peak = np.max(np.abs(psi.values))
+        seam = max(_edge_magnitude(psi.values, 0), _edge_magnitude(psi.values, 1))
+        assert np.max(np.abs(damped - psi.values)) <= seam * peak
+
+    def test_fields_built_from_new_values_carry_no_frame(self):
+        theta = 0.1
+        s = math.sqrt(theta)
+        spec = GridSpec(64, 64, -8 * s, 8 * s, -8 * s, 8 * s, theta)
+        psi = symbols.coherent_symbol(CoherentPoint(0.0, 0.0, theta), spec)
+        assert psi.frame is not None
+        derived = [
+            operators.apply(operators.x_theta_l(theta), psi),
+            operators.apply(operators.p_x(), psi),
+            operators.boost_transform(psi, 0.0, 1.0),
+            spectral_derivative(psi, "x"),
+            symbols.quasi_projection_apply(0.0, psi),
+        ]
+        assert all(fld.frame is None for fld in derived)
 
 
 class TestInducedInnerProduct:
