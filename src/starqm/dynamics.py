@@ -394,8 +394,11 @@ def oscillator_eigenstate(
     1/(2 s^2) + theta/4, y = x - theta E_n/2 and h_n = g^n H_n(w/g) for
     w = iy/(2 s beta), g^2 = 1 - 1/(s^2 beta), built by the recurrence
     h_{k+1} = 2w h_k - 2k g^2 h_{k-1}.  Only g^2 enters, so its sign change
-    at theta m omega = 2 needs no branch.  The slice is normalized to unit
-    induced norm and tagged with metadata['energy'] and metadata['level'].
+    at theta m omega = 2 needs no branch.  The frame (the undamped profile)
+    is the same transform at beta_0 = 1/(2 s^2), times
+    sqrt(beta/beta_0) e^{theta E_n^2/4}.  The slice is normalized to unit
+    induced norm, sum |frame|^2 dx, and tagged with metadata['energy'] and
+    metadata['level'].
     """
     # Written so that nan and inf fail here too, not later inside int().
     if not (n >= 0 and n % 1 == 0):
@@ -403,14 +406,20 @@ def oscillator_eigenstate(
     _require_grid_theta(params.theta, spec, "oscillator theta")
     energy = params.level_energy(n)
     s_sq = params.m * params.omega
-    beta = 1.0 / (2.0 * s_sq) + params.theta / 4.0
+    beta_0 = 1.0 / (2.0 * s_sq)
+    beta = beta_0 + params.theta / 4.0
     y = spec.x - params.theta * energy / 2.0
-    two_w = 1j * y / (math.sqrt(s_sq) * beta)
-    g_sq = 1.0 - 1.0 / (s_sq * beta)
-    h_prev, h = np.zeros_like(two_w), np.ones_like(two_w)
-    for k in range(int(n)):
-        h_prev, h = h, two_w * h - 2.0 * k * g_sq * h_prev
-    vals = np.exp(-1j * energy * t) * np.exp(-(y**2) / (4.0 * beta)) * h
+
+    def transform(beta: float) -> np.ndarray:
+        """e^{-iEt} e^{-y^2/4beta} h_n at width parameter beta."""
+        two_w = 1j * y / (math.sqrt(s_sq) * beta)
+        g_sq = 1.0 - 1.0 / (s_sq * beta)
+        h_prev, h = np.zeros_like(two_w), np.ones_like(two_w)
+        for k in range(int(n)):
+            h_prev, h = h, two_w * h - 2.0 * k * g_sq * h_prev
+        return np.exp(-1j * energy * t) * np.exp(-(y**2) / (4.0 * beta)) * h
+
+    vals = transform(beta)
     edge = max(abs(vals[0]), abs(vals[-1])) / float(np.max(np.abs(vals)))
     if edge > 1e-12:
         raise ValueError(
@@ -418,14 +427,13 @@ def oscillator_eigenstate(
             "of its peak at the box edge, and the induced-product mode weights "
             "would amplify the truncation junk; widen the box"
         )
-    fld = Field1D(spec, t, vals, {"energy": energy, "level": int(n)})
-    kernel = StarKernel(params.theta)
-    norm_sq = symbols.induced_inner_product(kernel, fld, fld).real
+    gain = math.sqrt(beta / beta_0) * math.exp(params.theta * energy**2 / 4.0)
+    frame = transform(beta_0) * gain
+    norm_sq = float(np.vdot(frame, frame).real) * spec.dx
     if not (math.isfinite(norm_sq) and norm_sq > 0):
         raise RuntimeError(f"eigenstate normalization failed (norm^2 = {norm_sq})")
-    return Field1D(
-        spec, t, vals / math.sqrt(norm_sq), {"energy": energy, "level": int(n)}
-    )
+    norm = math.sqrt(norm_sq)
+    return Field1D(spec, t, vals / norm, {"energy": energy, "level": int(n)}, frame / norm)
 
 
 def oscillator_ground(
@@ -437,7 +445,11 @@ def oscillator_ground(
     e^{-i E0 t} at unit induced norm.  The density is the star square,
     normalized to integrate to one; its mean sits at theta E0 (the
     star square doubles the symbol shift) and its variance at
-    sigma_theta^2/2 + theta/4, and both are checked before returning.
+    sigma_theta^2/2 + theta/4, and both are checked before returning.  The
+    first slice carries its frame in closed form, the Gaussian of variance
+    sigma_theta^2 - theta/2 about theta E0/2 with amplitude
+    sqrt(sigma_theta^2/(sigma_theta^2 - theta/2)) e^{theta E0^2/4}, so its
+    density is the bounded frame route of `slice_density`.
     """
     energy = params.level_energy(0)
     s_sq = params.sigma_theta_sq
@@ -471,7 +483,10 @@ def oscillator_ground(
     symbol = Field2D(spec, np.exp(-1j * energy * spec.t)[:, None] * profile, {"energy": energy})
     # The periodic t-box makes the symbol a single t-mode, so the energy-tagged
     # slice density (d_t -> -i E0) gives the full density's row exactly.
-    first = Field1D(spec, spec.t[0], symbol.values[0], {"energy": energy})
+    w_sq = s_sq - params.theta / 2.0
+    gain = scale * math.sqrt(s_sq / w_sq) * math.exp(params.theta * energy**2 / 4.0)
+    frame = gain * np.exp(-1j * energy * spec.t[0] - (spec.x - center) ** 2 / (2.0 * w_sq))
+    first = Field1D(spec, spec.t[0], symbol.values[0], {"energy": energy}, frame)
     row = slice_density(StarKernel(params.theta), first).values.real
     total = float(np.sum(row)) * spec.dx
     row = row / total
@@ -528,7 +543,9 @@ def stationary_solve(
     belongs to the window by its settled energy.  Each level is checked as
     soon as it settles, so a failing level stops the solve.  Slices carry
     the global phase that makes the frame vector's x-space peak real and
-    positive, and unit induced norm.  metadata holds 'energy', 'level' (the
+    positive, and unit induced norm: each carries its frame (the frame vector
+    at that phase, times e^{theta E^2/4}) and is normalized by the frame's L2
+    norm, which is the induced norm.  metadata holds 'energy', 'level' (the
     full-spectrum index), 'iterations' (eigensolves with the scan included:
     2 for a level clear of the box edge), 'band_modes', 'residual' (the
     frame residual; above 1e-6 the solver raises) and 'cross_residual', a
@@ -639,6 +656,7 @@ def stationary_solve(
         peak = frame_vec[int(np.argmax(np.abs(frame_vec)))]
         phase = np.conj(peak) / abs(peak) * np.exp(-1j * energy * spec.t[0])
         vals = np.fft.ifft(c[:, 0] * damp) * phase
+        frame = frame_vec * phase * math.exp(theta * energy**2 / 4.0)
         fld = Field1D(spec, spec.t[0], vals, {"energy": energy})
         cross = float(np.linalg.norm(h_apply(fld) - energy * vals) / np.linalg.norm(vals))
         if potential.kind == "polynomial" and cross > _ALGEBRA_TOL:
@@ -647,7 +665,7 @@ def stationary_solve(
                 f"{lvl} (E = {energy:.6g}, edge magnitude {_edge_magnitude(vals, 0):.2e}); "
                 "a level that reaches the box edge is not resolved: widen the box"
             )
-        norm_sq = symbols.induced_inner_product(kernel, fld, fld).real
+        norm = math.sqrt(float(np.vdot(frame, frame).real) * spec.dx)
         meta = {
             "energy": energy,
             "level": int(lvl),
@@ -656,7 +674,7 @@ def stationary_solve(
             "iterations": len(trace),
             "band_modes": modes,
         }
-        return Field1D(spec, spec.t[0], vals / math.sqrt(norm_sq), meta)
+        return Field1D(spec, spec.t[0], vals / norm, meta, frame / norm)
 
     # The frame can carry a level across a window edge, so membership is decided
     # on settled energies: levels settle outward from the first scan level at or
@@ -698,6 +716,12 @@ def evolve(
     e^{+theta k^2/4}, which conserves the induced norm exactly (the two
     frames differ by a diagonal mode weight).  Snapshots keep the launch
     slice label; physical time offsets live in metadata['elapsed'].
+
+    A framed psi0 walks its frame: the start is fft(frame) e^{-theta E^2/4},
+    with no mode cut, and each snapshot carries ifft(phi_hat) e^{theta E^2/4}
+    as its frame beside the damped values, so the pairings along the
+    trajectory take the bounded frame route.  An unframed psi0 starts from
+    its cut values and returns unframed snapshots.
     """
     spec = psi0.spec
     theta = spec.theta
@@ -739,16 +763,23 @@ def evolve(
         return np.exp(-1j * dt * potential.sample_space(x_frame, t))
 
     tag = {} if energy is None else {"energy": float(energy)}
-    damp = np.exp(-theta * spec.k_x**2 / 4.0) if use_frame else 1.0
+    framed = psi0.frame is not None
+    # A framed walk runs on the frame's modes whatever the potential.
+    damp = np.exp(-theta * spec.k_x**2 / 4.0) if use_frame or framed else 1.0
+    gain = math.exp(theta * float(energy) ** 2 / 4.0) if framed and theta > 0 else 1.0
 
     def snapshot(step: int, hat: np.ndarray) -> Field1D:
         meta = {"step": step, "elapsed": step * dt, **tag}
-        return Field1D(spec, t0, np.fft.ifft(hat * damp), meta)
+        frame = np.fft.ifft(hat) * gain if framed else None
+        return Field1D(spec, t0, np.fft.ifft(hat * damp), meta, frame)
 
     meta0 = {**psi0.metadata, "step": 0, "elapsed": 0.0, **tag}
-    trajectory = [Field1D(spec, t0, psi0.values, meta0)]
+    trajectory = [Field1D(spec, t0, psi0.values, meta0, psi0.frame)]
     record = [*range(record_every, steps, record_every), steps]
-    phi_hat, _ = _drop_noise_modes(np.fft.fft(psi0.values))
+    if framed:
+        phi_hat = np.fft.fft(psi0.frame) / gain
+    else:
+        phi_hat, _ = _drop_noise_modes(np.fft.fft(psi0.values))
     if potential.kind == "none":
         # All factors commute, so each snapshot's phase is composed in one
         # exponential from its exact elapsed time; repeated multiplication
@@ -757,7 +788,7 @@ def evolve(
             snapshot(n, phi_hat * np.exp(-1j * spec.k_x**2 * (n * dt) / (2.0 * m)))
             for n in record
         ]
-    if use_frame:
+    if use_frame and not framed:
         phi_hat = phi_hat * np.exp(theta * spec.k_x**2 / 4.0)
     kin_half = np.exp(-1j * spec.k_x**2 * dt / (4.0 * m))
     fixed = None if per_step else phase(0.0)
@@ -787,12 +818,26 @@ def slice_density(kernel: StarKernel, fld: Field1D, m: float | None = None) -> F
     (k' - k) mod N, and one inverse FFT follows.  The weight matrix is
     positive semidefinite (a Schur product), so a negative value is rounding
     and the sum is returned unclipped.
+
+    A framed, energy-tagged slice takes the frame route instead: with phi
+    its frame, the same density is
+
+        rho = sqrt(2 pi theta) ifft(fft(|phi|^2) e^{-theta q^2/4 - i theta E q/2}),
+
+    |phi|^2 smoothed by a variance-theta/2 Gaussian and shifted by theta E/2:
+    O(N log N), bounded and free of any mode cut.
     """
     _require_voros(kernel, fld.spec, "the slice density")
     spec = fld.spec
     if kernel.theta == 0.0:
         return Field1D(spec, fld.t_slice, np.abs(fld.values) ** 2)
     energy = fld.metadata.get("energy")
+    if fld.frame is not None:
+        # A frame at theta > 0 always carries its energy tag.
+        q = spec.k_x
+        smooth = np.exp(-kernel.theta * q**2 / 4.0 - 0.5j * kernel.theta * float(energy) * q)
+        rho = np.fft.ifft(np.fft.fft(np.abs(fld.frame) ** 2) * smooth).real
+        return Field1D(spec, fld.t_slice, math.sqrt(2.0 * math.pi * kernel.theta) * rho)
     if energy is None:
         if m is None:
             raise ValueError(

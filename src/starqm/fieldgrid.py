@@ -172,16 +172,38 @@ class Field2D:
 
 @dataclass(frozen=True)
 class Field1D:
-    """Complex field on a fixed-t slice of the box, values indexed [i_x]."""
+    """Complex field on a fixed-t slice of the box, values indexed [i_x].
+
+    values is the Voros symbol on the slice.  frame, when present, is the
+    same state's Weyl amplitude on the slice, in x-space and with the same
+    e^{-iEt} phase: its Fourier modes are those of values times
+    e^{theta (E^2 + k^2)/4}, E = metadata['energy'], so a frame at
+    theta > 0 needs that tag.  The induced norm of a framed slice is
+    sum |frame|^2 dx.  The library's energy-tagged constructors set it where
+    they build the amplitude (`dynamics.oscillator_eigenstate`,
+    `stationary_solve`, `evolve` from a framed start, and the first slice of
+    `oscillator_ground`), and `spectral_derivative` and `operators.apply`
+    carry it; every slice built from new values carries None.  Slice
+    pairings and `dynamics.slice_density` read the frame when every input
+    has one; otherwise they read values through the partner sum.
+    """
 
     spec: GridSpec
     t_slice: float
     values: np.ndarray
     metadata: dict = field(default_factory=dict)
+    frame: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        arr = _as_field_values(self.values, (self.spec.n_x,), "Field1D")
-        object.__setattr__(self, "values", arr)
+        shape = (self.spec.n_x,)
+        object.__setattr__(self, "values", _as_field_values(self.values, shape, "Field1D"))
+        if self.frame is not None:
+            object.__setattr__(self, "frame", _as_field_values(self.frame, shape, "Field1D frame"))
+            if self.spec.theta > 0 and self.metadata.get("energy") is None:
+                raise ValueError(
+                    "a Field1D frame at theta > 0 needs metadata['energy']: its modes "
+                    "carry the damping e^{-theta (E^2 + k^2)/4}"
+                )
         if not (self.spec.t_min <= self.t_slice <= self.spec.t_max):
             raise ValueError(
                 f"t_slice={self.t_slice} outside box [{self.spec.t_min}, {self.spec.t_max}]"
@@ -275,6 +297,8 @@ def spectral_derivative(
     Exact for band-limited periodic fields.  Unless periodic=True, the result
     metadata carries an 'edge_decay_warning' entry when the field has not
     decayed below EDGE_DECAY_TOL (relative) at the box edges of that axis.
+    A framed Field1D has its frame differentiated too: the multiplier
+    commutes with the damping that relates the two.
     """
     if order < 1 or int(order) != order:
         raise ValueError(f"derivative order must be a positive integer, got {order}")
@@ -296,14 +320,15 @@ def spectral_derivative(
         if edge > EDGE_DECAY_TOL:
             metadata["edge_decay_warning"] = {"axis": axis, "relative_edge_magnitude": edge}
 
-    mult = (1j * k) ** order
-    shape = [1] * fld.values.ndim
-    shape[axnum] = k.size
-    out = np.fft.ifft(np.fft.fft(fld.values, axis=axnum) * mult.reshape(shape), axis=axnum)
+    mult = ((1j * k) ** order).reshape([-1 if i == axnum else 1 for i in range(fld.values.ndim)])
+
+    def derive(values: np.ndarray) -> np.ndarray:
+        return np.fft.ifft(np.fft.fft(values, axis=axnum) * mult, axis=axnum)
 
     if isinstance(fld, Field1D):
-        return Field1D(fld.spec, fld.t_slice, out, metadata)
-    return Field2D(fld.spec, out, metadata)
+        frame = None if fld.frame is None else derive(fld.frame)
+        return Field1D(fld.spec, fld.t_slice, derive(fld.values), metadata, frame)
+    return Field2D(fld.spec, derive(fld.values), metadata)
 
 
 def integrate(fld: Field2D | Field1D, axes: str | Iterable[str] | None = None) -> complex | np.ndarray:

@@ -318,7 +318,9 @@ def apply(op: SymbolOperator, psi):
 
     A Field1D result is read back as a stationary slice, so an operator that
     leaves a t-polynomial of degree > 0 on it is rejected: its d_t would be
-    lost in any later pairing.
+    lost in any later pairing.  A framed Field1D returns the frame of the
+    result too, O_W acting on its frame with O conjugated into the Weyl
+    frame at the grid's theta (`_weyl_frame`).
     """
     if isinstance(psi, Field2D):
         return _apply_field2d(op, psi, {})
@@ -331,7 +333,11 @@ def apply(op: SymbolOperator, psi):
                 "Field1D cannot carry; use moments.expectation, or apply it to the "
                 "PhasePoly of phasecalc._slice_part"
             )
-        return Field1D(psi.spec, psi.t_slice, poly.values_at(t), metadata=dict(psi.metadata))
+        frame = None
+        if psi.frame is not None:
+            op_w = _weyl_frame(op, psi.spec.theta)
+            frame = _apply_phasepoly(op_w, _slice_part(psi, t, [op_w], frame=True)).values_at(t)
+        return Field1D(psi.spec, psi.t_slice, poly.values_at(t), dict(psi.metadata), frame)
     if isinstance(psi, PhasePoly):
         return _apply_phasepoly(op, psi)
     raise TypeError(f"cannot apply an operator to {type(psi).__name__}")

@@ -18,7 +18,23 @@ multiplication by t -- which a periodic grid cannot represent -- is an exact
 degree shift.  A slice pairing integral dx bra* * ket is the zero x-mode of
 that product, so `_pairing` sums only the partner pairs k' = -k, with the bra
 prepared once.  A weight beyond floating-point range gives a non-finite
-result, which both reject.
+result, which both reject with a ValueError.
+
+That partner sum multiplies damped amplitudes by a growth e^{theta k^2/2}.
+On Weyl amplitudes (frames, see `fieldgrid.Field1D`) the growth cancels:
+the Voros mode of q e^{iat} is its frame mode times
+e^{(theta/4)((ia + D)^2 - k^2)}, and with F the conjugated bra frame
+(frequency a_F) and G the ket frame (a_G) the partner pair k, -k becomes
+
+    (bra, ket)_t = (dx/N_x) sum_k [e^{(theta/4)(A + D)(B + D)} (F_k G_{-k})](t),
+
+A = i(a_F + a_G), B = A + 2k, D = d/dt on the product's t-polynomial.
+`_frame_pairing` evaluates it: for real frequencies |e^{(theta/4)AB}| =
+e^{-theta (a_F + a_G)^2/4} <= 1, D only brings powers of A + B, and no mode
+is cut.  A degree-0 pair of equal energies is the plain sum
+conj(phi_bra) phi_ket dx.  `moments.expectation` and
+`symbols.induced_inner_product` take this route when every slice has a
+frame, and `_pairing` otherwise.
 
 A PhasePoly may also be a stack of S slices on one grid: coefficients of
 shape (degree+1, S, n_x) and one frequency a per slice.  `_slice_stack`
@@ -31,6 +47,7 @@ with S.  A single state is the stack of one.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -104,13 +121,9 @@ def _slice_time(fld: Field1D) -> float:
     return fld.t_slice + float(fld.metadata.get("elapsed", 0.0))
 
 
-def _slice_part(fld: Field1D, t: float | None = None, ops: Iterable = ()) -> PhasePoly:
-    """Lift a slice psi(x) e^{-iEt}, E = metadata['energy'], to its degree-0 phase polynomial.
-
-    The values are unwound by e^{iEt} at time t (default: the slice label),
-    so the part evaluates back to them there.  An untagged slice lifts at
-    E = 0 only at theta = 0, and only if no operator of ops has a d_t factor.
-    """
+def _slice_energy(fld: Field1D, ops: Iterable = ()) -> float:
+    """metadata['energy'] of a slice; an untagged one reads 0 only at theta = 0,
+    and only if no operator of ops has a d_t factor."""
     energy = fld.metadata.get("energy")
     if energy is None:
         if fld.spec.theta != 0.0 or any(key[2] for op in ops for key in op.terms):
@@ -118,20 +131,37 @@ def _slice_part(fld: Field1D, t: float | None = None, ops: Iterable = ()) -> Pha
                 "slice is missing temporal information: the stationary reduction "
                 "d_t -> -i*energy needs metadata['energy'] on the Field1D"
             )
-        energy = 0.0
-    energy = float(energy)
+        return 0.0
+    return float(energy)
+
+
+def _slice_part(
+    fld: Field1D, t: float | None = None, ops: Iterable = (), frame: bool = False
+) -> PhasePoly:
+    """Lift a slice psi(x) e^{-iEt}, E = metadata['energy'], to its degree-0 phase polynomial.
+
+    The values (its frame, with frame=True) are unwound by e^{iEt} at time t
+    (default: the slice label), so the part evaluates back to them there.
+    An untagged slice lifts at E = 0 as `_slice_energy` allows.
+    """
+    energy = _slice_energy(fld, ops)
     t = fld.t_slice if t is None else t
-    return stationary_part(fld.spec, energy, fld.values * np.exp(1j * energy * t))
+    row = fld.frame if frame else fld.values
+    return stationary_part(fld.spec, energy, row * np.exp(1j * energy * t))
 
 
-def _slice_stack(flds: Sequence[Field1D], ts: Sequence[float], ops: Iterable = ()) -> PhasePoly:
-    """Lift slices on one GridSpec into one stack, slice s by `_slice_part` at time ts[s]."""
+def _slice_stack(
+    flds: Sequence[Field1D], ts: Sequence[float], ops: Iterable = (), frame: bool = False
+) -> PhasePoly:
+    """Lift slices on one GridSpec into one stack, slice s as `_slice_part` lifts it at ts[s]."""
     spec = flds[0].spec
     if any(fld.spec != spec for fld in flds):
         raise ValueError("a slice stack requires states on the same GridSpec")
-    parts = [_slice_part(fld, t, ops) for fld, t in zip(flds, ts)]
-    a = np.array([p.a for p in parts])
-    return PhasePoly(spec, a, np.stack([p.coef for p in parts], axis=1))
+    ops = list(ops)
+    energies = np.array([_slice_energy(fld, ops) for fld in flds])
+    rows = np.array([fld.frame if frame else fld.values for fld in flds])
+    unwind = np.exp(1j * energies * np.asarray(ts, dtype=float))[:, None]
+    return PhasePoly(spec, -energies, (rows * unwind)[None])
 
 
 def conjugate(poly: PhasePoly) -> PhasePoly:
@@ -158,7 +188,11 @@ def _dt_stack(coef: np.ndarray) -> list[np.ndarray]:
 
 
 def _term_sum(c: float, alpha, beta, fd: list, gd: list) -> np.ndarray:
-    """The module docstring's (p, q, j) sum on mode pairs, from the d/dt stacks fd and gd."""
+    """The module docstring's (p, q, j) sum on mode pairs, from the d/dt stacks fd and gd.
+
+    A weight beyond floating-point range comes out non-finite without a
+    numpy warning: the callers reject it with their own ValueError.
+    """
     acc = 0.0
     for p, fp in enumerate(fd):
         for q, gq in enumerate(gd):
@@ -168,7 +202,8 @@ def _term_sum(c: float, alpha, beta, fd: list, gd: list) -> np.ndarray:
                 for j in range(min(p, q) + 1)
             )
             acc = acc + w * _poly_mult(fp, gq)
-    return np.exp(c * alpha * beta) * acc
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.exp(c * alpha * beta) * acc
 
 
 def phase_star(F: PhasePoly, G: PhasePoly) -> PhasePoly:
@@ -201,7 +236,8 @@ def _pairing(bra: PhasePoly, t) -> Callable[[PhasePoly], complex | np.ndarray]:
     per slice.  The bra is conjugated, transformed, cut (not at theta = 0)
     and differentiated once; each slice of either side is cut relative to
     its own peak, and the Voros weight is exponentiated only on the partner
-    pairs live in both.
+    pairs live in both.  This is the route for slices without a frame;
+    framed slices pair through `_frame_pairing`.
     """
     spec, c, n = bra.spec, bra.spec.theta / 2.0, bra.spec.n_x
     cutoff = DEFAULT_MODE_CUTOFF if c > 0.0 else 0.0  # cutoff 0 keeps every mode
@@ -235,9 +271,11 @@ def _pairing(bra: PhasePoly, t) -> Callable[[PhasePoly], complex | np.ndarray]:
         beta = np.where(live, 1j * a_ket[:, None] - spec.k_x[partner[cols]], 0.0)
         fd_cols, gd_cols = [f[..., cols] for f in fd], _dt_stack(gh[..., cols])
         acc = _term_sum(c, alpha[:, cols], beta, fd_cols, gd_cols)
-        poly = np.sum(acc, axis=-1)
-        powers = ts ** np.arange(poly.shape[0])[:, None]
-        total = np.exp(1j * (a_ket - a_bra) * ts) * np.sum(powers * poly, axis=0)
+        powers = ts ** np.arange(acc.shape[0])[:, None]
+        # An overflowed weight is rejected below, by name, not by a numpy warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            poly = np.sum(acc, axis=-1)
+            total = np.exp(1j * (a_ket - a_bra) * ts) * np.sum(powers * poly, axis=0)
         bad = np.flatnonzero(~np.isfinite(total))
         if bad.size:
             s = int(bad[0])
@@ -246,6 +284,57 @@ def _pairing(bra: PhasePoly, t) -> Callable[[PhasePoly], complex | np.ndarray]:
                 "a Voros weight overflowed"
             )
         total = total * spec.dx / spec.n_x
+        return total if shape else complex(total[0])
+
+    return pair
+
+
+def _frame_pairing(bra: PhasePoly, t) -> Callable[[PhasePoly], complex | np.ndarray]:
+    """ket -> (bra, ket)_t for Weyl frames: the module docstring's bounded line sum.
+
+    bra and ket are the frames' phase polynomials, single states or stacks
+    paired slice by slice as in `_pairing`, with the same dx/N_x scaling and
+    no mode cutoff.  The exponential of the nilpotent D is the finite sum
+
+        e^{(theta/4)(A + D)(B + D)} = e^{(theta/4)AB}
+            sum_m D^m sum_{j <= m/2} (theta/4)^{m-j} (A + B)^{m-2j} / (j! (m-2j)!),
+
+    and a degree-0 pair of equal frequencies, where it is 1, is summed in
+    x-space without a transform.
+    """
+    spec, c, n = bra.spec, bra.spec.theta / 4.0, bra.spec.n_x
+    shape = np.shape(bra.a)  # () for a single state, (S,) for a stack
+    ts = np.broadcast_to(np.asarray(t, dtype=float), shape).reshape(-1)
+    a_bra = np.reshape(bra.a, -1)
+    fc = np.conj(bra.coef).reshape(bra.coef.shape[0], -1, n)
+    bra_modes = functools.cache(lambda: np.fft.fft(fc, axis=-1))  # taken once, if a ket needs it
+    partner = -np.arange(n) % n
+
+    def pair(ket: PhasePoly) -> complex | np.ndarray:
+        if ket.spec != spec:
+            raise ValueError("the slice star requires states on the same GridSpec")
+        if np.shape(ket.a) != shape:
+            raise ValueError(f"ket stack {np.shape(ket.a)} does not match bra stack {shape}")
+        gc = ket.coef.reshape(ket.coef.shape[0], -1, n)
+        big_a = 1j * (np.reshape(ket.a, -1) - a_bra)  # A = i(a_F + a_G), a_F = -a_bra
+        if fc.shape[0] == gc.shape[0] == 1 and not np.any(big_a):
+            total = np.einsum("sx,sx->s", fc[0], gc[0])
+        else:
+            prod = _poly_mult(bra_modes(), np.fft.fft(gc, axis=-1)[..., partner])
+            big_a = big_a[:, None]
+            big_b = big_a + 2.0 * spec.k_x
+            acc = dm = prod
+            for m in range(1, prod.shape[0]):
+                dm = _dt_poly(dm)
+                acc = acc + dm * sum(
+                    c ** (m - j) * (big_a + big_b) ** (m - 2 * j)
+                    / (math.factorial(j) * math.factorial(m - 2 * j))
+                    for j in range(m // 2 + 1)
+                )
+            poly = np.sum(np.exp(c * big_a * big_b) * acc, axis=-1)
+            powers = ts ** np.arange(poly.shape[0])[:, None]
+            total = np.exp(big_a[:, 0] * ts) * np.sum(powers * poly, axis=0) / n
+        total = total * spec.dx
         return total if shape else complex(total[0])
 
     return pair

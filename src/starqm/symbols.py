@@ -215,9 +215,13 @@ def induced_inner_product(
 
     Field1D inputs must share a GridSpec and slice time; each is lifted by
     `phasecalc._slice_part` (metadata['energy'] is needed for theta > 0)
-    and paired at t_slice by `phasecalc._pairing`.  Field2D inputs carry
-    their own temporal neighborhoods; pass the slice time t (a grid point)
-    explicitly.  Their pairing is the closed-form sum over x-partner modes
+    and paired at t_slice.  When both carry a frame (their Weyl amplitudes,
+    see `fieldgrid.Field1D`) the frames are paired by
+    `phasecalc._frame_pairing`, a bounded sum with no mode cutoff, which for
+    equal energies is the plain sum conj(frame_psi) frame_phi dx; otherwise
+    the values are paired by the partner sum `phasecalc._pairing`.  Field2D
+    inputs carry their own temporal neighborhoods; pass the slice time t (a
+    grid point) explicitly.  Their pairing is the closed-form sum over x-partner modes
     of `_pairing`, which drops input modes at the pairing cutoff
     fieldgrid._PAIRING_MODE_CUTOFF; no star product is built.
     """
@@ -229,8 +233,13 @@ def induced_inner_product(
                 f"slices live at different times: {psi.t_slice} vs {phi.t_slice}"
             )
         _require_voros(kernel, psi.spec, "the induced product")
-        bra = phasecalc._slice_part(psi)
-        return phasecalc._pairing(bra, psi.t_slice)(phasecalc._slice_part(phi))
+        framed = psi.frame is not None and phi.frame is not None
+        if framed and psi.metadata.get("energy") == phi.metadata.get("energy"):
+            # One energy at one time: the frame pairing is the plain L2 sum.
+            return complex(np.vdot(psi.frame, phi.frame)) * psi.spec.dx
+        pairing = phasecalc._frame_pairing if framed else phasecalc._pairing
+        bra, ket = (phasecalc._slice_part(s, frame=framed) for s in (psi, phi))
+        return pairing(bra, psi.t_slice)(ket)
     if isinstance(psi, Field2D) and isinstance(phi, Field2D):
         if psi.spec != phi.spec:
             raise ValueError("induced product requires both fields on the same GridSpec")

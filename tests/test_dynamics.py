@@ -12,7 +12,8 @@ from oracles import brute_force_phase_star, dense_frame_levels, dense_multiplier
 from starqm import dynamics as dyn
 from starqm import operators, phasecalc, symbols
 from starqm.dynamics import OscillatorParams, PacketParams, Potential
-from starqm.fieldgrid import Field1D, Field2D, GridSpec, sample_field, spectral_derivative
+from starqm.fieldgrid import Field1D, Field2D, GridSpec, _edge_magnitude, sample_field
+from starqm.fieldgrid import spectral_derivative
 from starqm.star import StarKernel
 
 
@@ -372,7 +373,7 @@ class TestOscillatorEigenstates:
             gram = np.array(
                 [[symbols.induced_inner_product(kern, a, b) for b in states] for a in states]
             )
-            assert float(np.max(np.abs(gram - np.eye(5)))) < 1e-10
+            assert float(np.max(np.abs(gram - np.eye(5)))) < 1e-13
 
     def test_derivative_matrix_element_closed_form(self):
         # |(1, d_x 0)| = sqrt(m w/2) e^{-theta w^2/4}
@@ -427,6 +428,17 @@ class TestOscillatorGround:
         assert den.metadata["density_shift"] == pytest.approx(theta / 2.0)
         total = float(np.sum(den.values.real) * spec.dx)
         assert total == pytest.approx(1.0, rel=1e-9)
+
+    @pytest.mark.parametrize("theta", [0.25, 0.4, 0.5])
+    def test_density_moments_on_the_workload_box_at_larger_theta(self, theta):
+        # On the unframed row the partner-sum density amplifies rounding here
+        # (variance 21-29 against 0.63-0.75); the first slice's closed-form
+        # frame gives the bounded density route.
+        spec = GridSpec(256, 256, 0.0, 4.0 * math.pi, -8.0, 8.0, theta)
+        osc = OscillatorParams(m=1.0, omega=1.0, theta=theta)
+        _, den = dyn.oscillator_ground(osc, spec)
+        assert den.metadata["mean"] == pytest.approx(theta / 2.0, abs=1e-12)
+        assert den.metadata["variance"] == pytest.approx((1.0 + theta) / 2.0, abs=1e-12)
 
     def test_symbol_matches_the_sampled_closed_form(self):
         theta = 0.1
@@ -1065,6 +1077,17 @@ class TestSliceDensity:
         rho = dyn.slice_density(kern, psi)
         assert rel_err(rho.values, np.abs(psi.values) ** 2) < 1e-14
 
+    @pytest.mark.parametrize("theta", [0.0625, 0.2, 0.4])
+    def test_frame_route_matches_the_partner_sum(self, theta):
+        spec = eigenstate_grid(theta)
+        kern = StarKernel(theta)
+        osc = OscillatorParams(m=1.0, omega=1.0, theta=theta)
+        for n in range(4):
+            framed = dyn.oscillator_eigenstate(osc, n, spec)
+            bare = Field1D(spec, framed.t_slice, framed.values, dict(framed.metadata))
+            want = dyn.slice_density(kern, bare).values
+            assert rel_err(dyn.slice_density(kern, framed).values, want) < 1e-13
+
     def test_tagged_eigenstate_reproduces_ground_density_moments(self):
         spec = eigenstate_grid(0.1)
         kern = StarKernel(0.1)
@@ -1360,3 +1383,102 @@ class TestTabularExport:
         lines = text.strip().split("\n")
         assert lines[0] == "theta,rate"
         assert lines[1].startswith("0.02,")
+
+
+def seam_error(fld: Field1D) -> tuple[float, float]:
+    """(|damped frame - values| / peak, the slice's seam): the seam is the larger
+    edge magnitude of values and frame relative to their peaks."""
+    spec, energy = fld.spec, fld.metadata.get("energy", 0.0)
+    weight = np.exp(-spec.theta * (energy**2 + spec.k_x**2) / 4.0)
+    damped = np.fft.ifft(np.fft.fft(fld.frame) * weight)
+    err = float(np.max(np.abs(damped - fld.values))) / float(np.max(np.abs(fld.values)))
+    return err, max(_edge_magnitude(fld.values, 0), _edge_magnitude(fld.frame, 0))
+
+
+class TestFrames:
+    """Every library-built frame damps back onto its values to within the
+    slice's own seam (100 (seam + eps) of the peak), and slices built from
+    new values carry none."""
+
+    @staticmethod
+    def assert_frame_holds(fld: Field1D) -> None:
+        assert fld.frame is not None
+        err, seam = seam_error(fld)
+        assert err <= 100.0 * (seam + np.finfo(float).eps), (err, seam)
+
+    @pytest.mark.parametrize("theta", [0.0, 0.1, 0.4, 2.5])
+    def test_eigenstates(self, theta):
+        # theta m omega = 2.5 > 2 puts the closed form's g^2 above zero.
+        half = 24.0 if theta > 1 else 12.0
+        spec = GridSpec(8, 512, 0.0, 0.2, -half, half, theta)
+        osc = OscillatorParams(m=1.0, omega=1.0, theta=theta)
+        for n in (0, 1, 3, 6):
+            fld = dyn.oscillator_eigenstate(osc, n, spec, t=0.1)
+            self.assert_frame_holds(fld)
+            # The induced norm of a framed slice is its frame's L2 norm.
+            assert float(np.sum(np.abs(fld.frame) ** 2)) * spec.dx == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("theta", [0.0, 0.1, 0.3])
+    def test_stationary_levels_and_their_evolution(self, theta):
+        spec = eigenstate_grid(theta)
+        kern = StarKernel(theta)
+        for potential in (Potential.harmonic(1.0, 1.0), Potential.polynomial([0, 0, 0.5, 0, 0.1])):
+            pairs = dyn.stationary_solve(potential, kern, 1.0, (0.2, 2.8), spec)
+            assert pairs
+            for _, fld in pairs:
+                self.assert_frame_holds(fld)
+                norm_sq = float(np.sum(np.abs(fld.frame) ** 2)) * spec.dx
+                assert norm_sq == pytest.approx(1.0, abs=1e-14)
+            for snap in dyn.evolve(pairs[-1][1], potential, kern, 1.0, 1e-4, 40, record_every=20):
+                self.assert_frame_holds(snap)
+
+    @pytest.mark.parametrize("theta", [0.1, 0.4])
+    def test_derivatives_and_operators_carry_the_frame(self, theta):
+        spec = eigenstate_grid(theta)
+        osc = OscillatorParams(m=1.0, omega=1.0, theta=theta)
+        psi = dyn.oscillator_eigenstate(osc, 2, spec)
+        for order in (1, 2):
+            self.assert_frame_holds(spectral_derivative(psi, "x", order))
+        for op in (operators.p_x(), operators.x_theta_l(theta), operators.x_c(theta),
+                   operators.hamiltonian(1.0, [0.0, 0.3, 0.5], theta)):
+            self.assert_frame_holds(operators.apply(op, psi))
+
+    def test_free_evolution_keeps_the_frame(self):
+        spec = eigenstate_grid(0.2)
+        psi = dyn.oscillator_eigenstate(OscillatorParams(1.0, 1.0, 0.2), 1, spec)
+        kern = StarKernel(0.2)
+        for snap in dyn.evolve(psi, Potential.none(), kern, 1.0, 2e-4, 20, record_every=10):
+            self.assert_frame_holds(snap)
+
+    def test_slices_built_from_new_values_carry_none(self):
+        theta = 0.2
+        spec = eigenstate_grid(theta)
+        kern = StarKernel(theta)
+        psi = dyn.oscillator_eigenstate(OscillatorParams(1.0, 1.0, theta), 0, spec)
+        bare = Field1D(spec, psi.t_slice, psi.values, dict(psi.metadata))
+        assert bare.frame is None
+        assert dyn.slice_density(kern, psi).frame is None
+        assert operators.apply(operators.p_x(), bare).frame is None
+        assert spectral_derivative(bare, "x").frame is None
+        packet = dyn.free_packet(PacketParams(1.0, 1.0, theta), 0.0, spec)
+        assert packet.frame is None
+        harmonic = Potential.harmonic(1.0, 1.0)
+        assert all(s.frame is None for s in dyn.evolve(bare, harmonic, kern, 1.0, 2e-4, 10, 5))
+        box = GridSpec(256, 256, 0.0, 4.0 * math.pi, -8.0, 8.0, theta)
+        _, density = dyn.oscillator_ground(OscillatorParams(1.0, 1.0, theta), box)
+        assert density.frame is None
+
+    def test_unframed_start_keeps_the_cut_values_route(self):
+        # A framed start and its unframed copy walk the same state: their
+        # snapshots agree to rounding, and only the framed walk keeps frames.
+        theta = 0.15
+        spec = eigenstate_grid(theta)
+        kern = StarKernel(theta)
+        psi = dyn.oscillator_eigenstate(OscillatorParams(1.0, 1.0, theta), 1, spec)
+        bare = Field1D(spec, psi.t_slice, psi.values, dict(psi.metadata))
+        harmonic = Potential.harmonic(1.0, 1.0)
+        framed = dyn.evolve(psi, harmonic, kern, 1.0, 2e-4, 20, record_every=10)
+        plain = dyn.evolve(bare, harmonic, kern, 1.0, 2e-4, 20, record_every=10)
+        for a, b in zip(framed, plain):
+            assert rel_err(a.values, b.values) < 1e-13
+            assert b.frame is None

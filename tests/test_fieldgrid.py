@@ -142,6 +142,15 @@ class TestSpectralDerivative:
         b = spectral_derivative(spectral_derivative(f, "x"), "t")
         assert np.max(np.abs(a.values - b.values)) < 1e-10
 
+    def test_a_slice_frame_is_differentiated_beside_its_values(self):
+        spec = square_box(n=128)
+        values, frame = np.exp(-(spec.x**2)), np.exp(-(spec.x**2) / 2 + 0.4j * spec.x)
+        d = spectral_derivative(Field1D(spec, 0.0, values, {}, frame), "x", order=2)
+        alone = spectral_derivative(Field1D(spec, 0.0, frame), "x", order=2)
+        assert np.array_equal(d.frame, alone.values)
+        assert np.array_equal(d.values, spectral_derivative(Field1D(spec, 0.0, values), "x", 2).values)
+        assert spectral_derivative(Field1D(spec, 0.0, values), "x").frame is None
+
     def test_field1d_axis_restriction(self):
         g = slice_gaussian(lambda x: np.exp(-(x**2)))
         with pytest.raises(ValueError, match="axis"):
@@ -225,6 +234,28 @@ class TestFieldValidation:
         bad[2, 5] = np.inf
         with pytest.raises(ValueError, match="frame: non-finite"):
             Field2D(spec, vals, {}, bad)
+
+    def test_slice_frame_is_validated_like_values(self):
+        spec = square_box(n=16)
+        assert Field1D(spec, 0.0, np.zeros(16)).frame is None
+        fld = Field1D(spec, 0.0, np.zeros(16), {}, np.ones(16))
+        assert fld.frame.dtype == np.complex128
+        assert not fld.frame.flags.writeable
+        with pytest.raises(ValueError, match="frame: expected shape"):
+            Field1D(spec, 0.0, np.zeros(16), {}, np.ones(8))
+        bad = np.ones(16, complex)
+        bad[4] = np.nan
+        with pytest.raises(ValueError, match="frame: non-finite"):
+            Field1D(spec, 0.0, np.zeros(16), {}, bad)
+
+    def test_deformed_slice_frame_needs_an_energy_tag(self):
+        # The frame's modes carry e^{theta (E^2 + k^2)/4}; without E they are
+        # not defined.  At theta = 0 the frame is the values and needs no tag.
+        spec = square_box(n=16, half=0.1, theta=0.2)
+        with pytest.raises(ValueError, match="frame at theta > 0 needs metadata"):
+            Field1D(spec, 0.0, np.zeros(16), {}, np.ones(16))
+        assert Field1D(spec, 0.0, np.zeros(16), {"energy": 0.5}, np.ones(16)).frame is not None
+        assert Field1D(square_box(n=16), 0.0, np.zeros(16), {}, np.ones(16)).frame is not None
 
 
 class TestCsv:

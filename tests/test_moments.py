@@ -246,8 +246,10 @@ class TestExpectation:
 
     def test_slice_batch_prepares_the_bra_once(self, monkeypatch):
         # No operator has a d_x factor, so every transform in the batch is
-        # the pairing's: one for the bra, one per ket (the norm and K ops).
-        kernel, psi = ground_state()
+        # the partner sum's: one for the bra, one per ket (the norm and K
+        # ops).  The slice is an unframed copy, which takes that route.
+        kernel, framed = ground_state()
+        psi = Field1D(framed.spec, framed.t_slice, framed.values, dict(framed.metadata))
         ops = [
             monomial({(0, 1, 0, 0): 1.0}),
             monomial({(1, 0, 0, 0): 1.0}),
@@ -268,6 +270,41 @@ class TestExpectation:
         got = moments._expectations(ops, psi, kernel)
         assert calls == {"conj": 1, "fft": len(ops) + 2}
         assert got == want
+
+    def test_framed_slice_batch_transforms_the_bra_at_most_once(self, monkeypatch):
+        # In the Weyl frame no operator here has a d_x factor (t becomes
+        # t - (theta/2) d_t), so every transform is the frame pairing's: the
+        # bra once, and one per ket of degree > 0.  The norm and P_t are
+        # degree 0 at the slice's own energy and pair in x-space.
+        kernel, psi = ground_state()
+        t_op = monomial({(1, 0, 0, 0): 1.0})
+        ops = [t_op, operators.p_t(), t_op.compose(t_op), t_op.compose(operators.p_t())]
+        want = [moments.expectation(op, psi, kernel) for op in ops]
+        calls = {"conj": 0, "fft": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np, "conj", counted("conj", np.conj))
+        monkeypatch.setattr(np.fft, "fft", counted("fft", np.fft.fft))
+        got = moments._expectations(ops, psi, kernel)
+        assert calls == {"conj": 1, "fft": 1 + 3}
+        assert got == want
+        assert got[1] == pytest.approx(-0.5, abs=1e-14)  # P_t = -i d_t reads -E
+
+    @pytest.mark.parametrize("theta", [0.1, 0.2, 0.4, 0.5])
+    def test_squared_generator_reads_the_squared_level_energy(self, theta):
+        # H_theta psi_n = E_n psi_n, so <H_theta^2> = E_n^2.  The framed
+        # slice pairs the conjugated operator without growth weights.
+        kernel, spec = StarKernel(theta), eigenstate_grid(theta)
+        h = operators.hamiltonian(1.0, [0.0, 0.0, 0.5], theta)
+        for n in range(4):
+            psi = dynamics.oscillator_eigenstate(OscillatorParams(1.0, 1.0, theta), n, spec)
+            energy = n + 0.5
+            assert abs(moments.expectation(h.compose(h), psi, kernel) - energy**2) <= 1e-13 * energy**2
 
     def test_rejects_unnormalized_state(self):
         kernel, psi = ground_state()

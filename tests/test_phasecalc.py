@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from oracles import brute_force_phase_star
 
-from starqm import operators
+from starqm import dynamics, operators
 from starqm.fieldgrid import Field1D, GridSpec
 from starqm.operators import SymbolOperator
 from starqm.phasecalc import (
     PhasePoly,
+    _frame_pairing,
     _pairing,
     _slice_part,
     _slice_stack,
@@ -269,13 +270,15 @@ class TestBruteForceOracle:
 
 def test_overflowing_weight_raises():
     # White noise at spacing sqrt(theta)/32: the top Voros weights reach
-    # e^{512 pi^2}, beyond floating-point range.
+    # e^{512 pi^2}, beyond floating-point range.  The named ValueError is all
+    # the caller sees: no numpy RuntimeWarning comes first, which under
+    # filterwarnings = error would replace it.
     theta = 0.1
     spec = phase_box(32, theta, half=math.sqrt(theta) / 2.0)
     f = PhasePoly(spec, 0.0, oracle_rows(spec, 0, "white", np.random.default_rng(5)))
-    with pytest.raises(ValueError, match="finite"), pytest.warns(RuntimeWarning):
+    with pytest.raises(ValueError, match="finite"):
         phase_star(f, f)
-    with pytest.raises(ValueError, match="finite"), pytest.warns(RuntimeWarning):
+    with pytest.raises(ValueError, match="finite"):
         _pairing(f, 0.0)(f)
 
 
@@ -363,6 +366,69 @@ class TestStackedPairing:
         rng = np.random.default_rng(5)
         smooth, white = oracle_rows(spec, 0, "band", rng), oracle_rows(spec, 0, "white", rng)
         stack = PhasePoly(spec, np.zeros(2), np.stack([smooth, white], axis=1))
-        with pytest.raises(ValueError, match="not finite on slice 1 at t = 0.5"), \
-                pytest.warns(RuntimeWarning):
+        with pytest.raises(ValueError, match="not finite on slice 1 at t = 0.5"):
             _pairing(stack, [0.0, 0.5])(stack)
+
+
+def eigenstates(theta, levels=3):
+    """Closed-form oscillator levels with their frames, on the 512-point x in [-12, 12] slice."""
+    spec = GridSpec(8, 512, 0.0, 0.2, -12.0, 12.0, theta)
+    osc = dynamics.OscillatorParams(1.0, 1.0, theta)
+    return [dynamics.oscillator_eigenstate(osc, n, spec) for n in range(levels)]
+
+
+class TestFramePairing:
+    """The bounded line sum on Weyl frames against the partner sum on values."""
+
+    @pytest.mark.parametrize("theta", [0.0625, 0.1, 0.15])
+    def test_matches_the_partner_sum_on_kets_of_any_t_degree(self, theta):
+        # Off-diagonal pairs carry A = i(E_bra - E_ket) != 0; T, T^2, t x and
+        # T^3 give the ket t-polynomials of degree 1 to 3, so every D term of
+        # the finite exponential is exercised.
+        states = eigenstates(theta)
+        t_op, x_op = operators.t_theta_l(theta), operators.x_theta_l(theta)
+        ops = [t_op, t_op.compose(t_op), SymbolOperator(theta, {(1, 1, 0, 0): 1.0}),
+               x_op.compose(t_op), t_op.compose(t_op).compose(t_op)]
+        t = 0.1
+        for op in ops:
+            op_w = operators._weyl_frame(op, theta)
+            for bra in states:
+                for ket in states:
+                    got = _frame_pairing(_slice_part(bra, t, frame=True), t)(
+                        operators.apply(op_w, _slice_part(ket, t, frame=True)))
+                    want = _pairing(_slice_part(bra, t), t)(
+                        operators.apply(op, _slice_part(ket, t)))
+                    assert abs(got - want) <= 1e-15 * max(1.0, abs(want))
+
+    def test_equal_energies_of_degree_zero_pair_as_the_l2_sum(self):
+        states = eigenstates(0.2)
+        spec = states[0].spec
+        stack = _slice_stack(states, [0.0, 0.05, 0.1], frame=True)
+        got = _frame_pairing(stack, [0.0, 0.05, 0.1])(stack)
+        want = [np.vdot(s.frame, s.frame) * spec.dx for s in states]
+        assert np.allclose(got, want, rtol=1e-15, atol=0.0)
+        assert np.allclose(got, 1.0, rtol=0.0, atol=1e-14)
+
+    def test_a_stack_pairs_like_one_pairing_per_slice(self):
+        # Each slice of the ket carries another level than the bra's slice,
+        # so every slice takes the transformed route with its own A.
+        states = eigenstates(0.15, levels=4)
+        ts = [0.02, 0.07, 0.11]
+        op_w = operators._weyl_frame(operators.x_theta_l(0.15), 0.15)
+        bra = _slice_stack(states[:3], ts, frame=True)
+        ket = _slice_stack(states[1:], ts, frame=True)
+        got = _frame_pairing(bra, ts)(operators.apply(op_w, ket))
+        for s, (b, k, t) in enumerate(zip(states[:3], states[1:], ts)):
+            single = _frame_pairing(_slice_part(b, t, frame=True), t)(
+                operators.apply(op_w, _slice_part(k, t, frame=True)))
+            assert isinstance(single, complex)
+            assert got[s] == pytest.approx(single, rel=1e-14)
+
+    def test_stack_shapes_are_checked(self):
+        states = eigenstates(0.1)
+        stack = _slice_stack(states, [0.0, 0.0, 0.0], frame=True)
+        with pytest.raises(ValueError, match="does not match bra stack"):
+            _frame_pairing(stack, 0.0)(_slice_part(states[0], frame=True))
+        other = PhasePoly(phase_box(64, 0.1), 0.0, np.ones(64))
+        with pytest.raises(ValueError, match="same GridSpec"):
+            _frame_pairing(_slice_part(states[0], frame=True), 0.0)(other)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import brute_force_star, dense_quasi_projection
-from starqm import operators, symbols
+from starqm import dynamics, operators, symbols
 from starqm.fieldgrid import Field1D, Field2D, GridSpec, _edge_magnitude, sample_field
 from starqm.fieldgrid import spectral_derivative
 from starqm.star import StarKernel, star
@@ -196,6 +196,32 @@ class TestInducedInnerProduct:
         length = spec.x_max - spec.x_min
         diag = symbols.induced_inner_product(k, s1, s1)
         assert diag.real == pytest.approx(length / (4.0 * math.pi**2), rel=1e-12)
+
+    @pytest.mark.parametrize("theta", [0.1, 0.2, 0.4, 0.5])
+    def test_momentum_norm_of_the_ground_state_through_frames(self, theta):
+        # <P_x psi0, P_x psi0> = m omega / 2 = 0.5.  The partner sum on the
+        # values is unbounded here (2e164 at theta = 0.2, overflow from 0.4);
+        # apply carries the frame, and framed slices pair as an L2 sum.
+        spec = GridSpec(8, 512, 0.0, 0.2, -12.0, 12.0, theta)
+        kern = StarKernel(theta)
+        psi = dynamics.oscillator_eigenstate(dynamics.OscillatorParams(1.0, 1.0, theta), 0, spec)
+        p_psi = operators.apply(operators.p_x(), psi)
+        ratio = symbols.induced_inner_product(kern, p_psi, p_psi) / symbols.induced_inner_product(
+            kern, psi, psi
+        )
+        assert abs(ratio - 0.5) <= 1e-13
+
+    def test_an_overflowing_partner_sum_raises_its_own_error(self):
+        # The unframed copy takes the partner sum, whose Voros weight leaves
+        # floating-point range at theta = 0.4: the caller sees the named
+        # ValueError, not a numpy RuntimeWarning (warnings are errors here).
+        theta = 0.4
+        spec = GridSpec(8, 512, 0.0, 0.2, -12.0, 12.0, theta)
+        psi = dynamics.oscillator_eigenstate(dynamics.OscillatorParams(1.0, 1.0, theta), 0, spec)
+        p_psi = operators.apply(operators.p_x(), psi)
+        bare = Field1D(spec, p_psi.t_slice, p_psi.values, dict(p_psi.metadata))
+        with pytest.raises(ValueError, match="not finite"):
+            symbols.induced_inner_product(StarKernel(theta), bare, bare)
 
     def test_field2d_path_matches_slice_path(self):
         # two-mode on-shell state with grid-aligned frequencies
