@@ -429,7 +429,9 @@ def oscillator_eigenstate(
         )
     gain = math.sqrt(beta / beta_0) * math.exp(params.theta * energy**2 / 4.0)
     frame = transform(beta_0) * gain
-    norm_sq = float(np.vdot(frame, frame).real) * spec.dx
+    fld = Field1D(spec, t, vals, {"energy": energy, "level": int(n)}, frame)
+    kernel = StarKernel(params.theta)
+    norm_sq = symbols.induced_inner_product(kernel, fld, fld).real
     if not (math.isfinite(norm_sq) and norm_sq > 0):
         raise RuntimeError(f"eigenstate normalization failed (norm^2 = {norm_sq})")
     norm = math.sqrt(norm_sq)
@@ -544,13 +546,13 @@ def stationary_solve(
     soon as it settles, so a failing level stops the solve.  Slices carry
     the global phase that makes the frame vector's x-space peak real and
     positive, and unit induced norm: each carries its frame (the frame vector
-    at that phase, times e^{theta E^2/4}) and is normalized by the frame's L2
-    norm, which is the induced norm.  metadata holds 'energy', 'level' (the
-    full-spectrum index), 'iterations' (eigensolves with the scan included:
-    2 for a level clear of the box edge), 'band_modes', 'residual' (the
-    frame residual; above 1e-6 the solver raises) and 'cross_residual', a
-    check of the level outside the frame, taken on the slice before it is
-    normalized:
+    at that phase, times e^{theta E^2/4}) and is normalized by the induced
+    norm of that framed slice, the frame's L2 norm.  metadata holds
+    'energy', 'level' (the full-spectrum index), 'iterations' (eigensolves
+    with the scan included: 2 for a level clear of the box edge),
+    'band_modes', 'residual' (the frame residual; above 1e-6 the solver
+    raises) and 'cross_residual', a check of the level outside the frame,
+    taken on the values of the slice before it is normalized:
 
     - polynomial: ||(H_theta - E) psi|| / ||psi||, with H_theta = P_x^2/2m +
       V(X_theta^L) composed by `operators.hamiltonian` and applied through
@@ -626,7 +628,8 @@ def stationary_solve(
         h_theta = operators.hamiltonian(m, potential.coeffs, theta)
 
         def h_apply(fld: Field1D) -> np.ndarray:
-            return operators.apply(h_theta, fld).values
+            # Lifted from the values alone: the residual never reads the frame.
+            return operators.apply(h_theta, phasecalc._slice_part(fld)).values_at(fld.t_slice)
 
     else:
         # The potential acts through the slice star by its operator symbol,
@@ -657,7 +660,7 @@ def stationary_solve(
         phase = np.conj(peak) / abs(peak) * np.exp(-1j * energy * spec.t[0])
         vals = np.fft.ifft(c[:, 0] * damp) * phase
         frame = frame_vec * phase * math.exp(theta * energy**2 / 4.0)
-        fld = Field1D(spec, spec.t[0], vals, {"energy": energy})
+        fld = Field1D(spec, spec.t[0], vals, {"energy": energy}, frame)
         cross = float(np.linalg.norm(h_apply(fld) - energy * vals) / np.linalg.norm(vals))
         if potential.kind == "polynomial" and cross > _ALGEBRA_TOL:
             raise RuntimeError(
@@ -665,7 +668,7 @@ def stationary_solve(
                 f"{lvl} (E = {energy:.6g}, edge magnitude {_edge_magnitude(vals, 0):.2e}); "
                 "a level that reaches the box edge is not resolved: widen the box"
             )
-        norm = math.sqrt(float(np.vdot(frame, frame).real) * spec.dx)
+        norm = math.sqrt(symbols.induced_inner_product(kernel, fld, fld).real)
         meta = {
             "energy": energy,
             "level": int(lvl),

@@ -217,8 +217,7 @@ def induced_inner_product(
     `phasecalc._slice_part` (metadata['energy'] is needed for theta > 0)
     and paired at t_slice.  When both carry a frame (their Weyl amplitudes,
     see `fieldgrid.Field1D`) the frames are paired by
-    `phasecalc._frame_pairing`, a bounded sum with no mode cutoff, which for
-    equal energies is the plain sum conj(frame_psi) frame_phi dx; otherwise
+    `phasecalc._frame_pairing`, a bounded sum with no mode cutoff; otherwise
     the values are paired by the partner sum `phasecalc._pairing`.  Field2D
     inputs carry their own temporal neighborhoods; pass the slice time t (a
     grid point) explicitly.  Their pairing is the closed-form sum over x-partner modes
@@ -234,9 +233,6 @@ def induced_inner_product(
             )
         _require_voros(kernel, psi.spec, "the induced product")
         framed = psi.frame is not None and phi.frame is not None
-        if framed and psi.metadata.get("energy") == phi.metadata.get("energy"):
-            # One energy at one time: the frame pairing is the plain L2 sum.
-            return complex(np.vdot(psi.frame, phi.frame)) * psi.spec.dx
         pairing = phasecalc._frame_pairing if framed else phasecalc._pairing
         bra, ket = (phasecalc._slice_part(s, frame=framed) for s in (psi, phi))
         return pairing(bra, psi.t_slice)(ket)
