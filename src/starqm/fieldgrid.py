@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable
 
 import numpy as np
@@ -124,15 +125,21 @@ class GridSpec:
     def x(self) -> np.ndarray:
         return self.x_min + self.dx * np.arange(self.n_x)
 
-    @property
+    # The wavenumbers are computed once per spec and shared by every caller,
+    # so they are read-only.
+    @cached_property
     def k_t(self) -> np.ndarray:
-        """Angular frequencies of the temporal Fourier modes."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.n_t, d=self.dt)
+        """Angular frequencies of the temporal Fourier modes (read-only)."""
+        k = 2.0 * np.pi * np.fft.fftfreq(self.n_t, d=self.dt)
+        k.setflags(write=False)
+        return k
 
-    @property
+    @cached_property
     def k_x(self) -> np.ndarray:
-        """Angular wavenumbers of the spatial Fourier modes."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.n_x, d=self.dx)
+        """Angular wavenumbers of the spatial Fourier modes (read-only)."""
+        k = 2.0 * np.pi * np.fft.fftfreq(self.n_x, d=self.dx)
+        k.setflags(write=False)
+        return k
 
 
 def _as_field_values(values: np.ndarray, shape: tuple[int, ...], what: str) -> np.ndarray:

@@ -50,10 +50,13 @@ def _falling(n: int, k: int) -> int:
     return out
 
 
-def _compose_terms(A: dict[Monomial, complex], B: dict[Monomial, complex]) -> dict[Monomial, complex]:
+def _compose_terms(A: dict[Monomial, complex], B: dict[Monomial, complex],
+                   leading: bool = True) -> dict[Monomial, complex]:
     """Normal-ordered product: move A's derivatives past B's coordinates.
 
     d_t^c t^e = sum_j C(c,j) e!/(e-j)! t^{e-j} d_t^{c-j}, and likewise in x.
+    leading=False omits each pair's leading term (j = k = 0), which AB and
+    BA share with the same coefficient.
     """
     out: dict[Monomial, complex] = {}
     for (a, b, c, d), ca in A.items():
@@ -61,6 +64,8 @@ def _compose_terms(A: dict[Monomial, complex], B: dict[Monomial, complex]) -> di
             for j in range(min(c, e) + 1):
                 wj = math.comb(c, j) * _falling(e, j)
                 for k in range(min(d, f) + 1):
+                    if not (leading or j or k):
+                        continue
                     w = ca * cb * wj * math.comb(d, k) * _falling(f, k)
                     key = (a + e - j, b + f - k, c - j + g, d - k + h)
                     out[key] = out.get(key, 0.0) + w
@@ -227,7 +232,17 @@ def hamiltonian(m: float, potential=None, theta: float = 0.0) -> SymbolOperator:
 
 
 def commutator(A: SymbolOperator, B: SymbolOperator) -> SymbolOperator:
-    return A.compose(B) - B.compose(A)
+    """[A, B] = AB - BA, without the terms the two orders share.
+
+    Each pair of monomials gives AB and BA the same leading term, so the
+    commutator omits it instead of summing it into other pairs' terms and
+    cancelling it afterwards.  That cancellation rounded: at theta = 0.15,
+    [H, P_x] for V = x^2/2 read 0.07499999999999998 i d_x instead of
+    i theta/2, and its Weyl frame kept a spurious 1.4e-17 d_x term.
+    """
+    theta = _merge_theta(A.theta, B.theta)
+    ab = SymbolOperator(theta, _compose_terms(A.terms, B.terms, leading=False))
+    return ab - SymbolOperator(theta, _compose_terms(B.terms, A.terms, leading=False))
 
 
 def _weyl_frame(op: SymbolOperator, theta: float) -> SymbolOperator:

@@ -39,6 +39,19 @@ Gaussian of width sqrt(theta) on a +-8 sqrt(theta) box keeps 41 modes per
 axis, so it runs on 81 x 81 slots at N = 128 and N = 256 alike.  The growth
 is evaluated only on modes that survive the mode cutoff; a weight beyond
 floating-point range gives non-finite values, which Field2D rejects.
+
+A square, star(kernel, f, f) with g the same object as f, takes the forward
+transform, the mode cutoff and the growth once.  Its Bopp-shifted rows then
+come from one table, T[v, a] = f~(a, x + theta v/2), with v in the shift set
+{k0_a} u {-k0_a} of the live t-rows: the f-side row of pair (a, a') is
+T[k0_{a'}, a] and the g-side row T[-k0_a, a'], so one batched inverse FFT of
+|V| x rows x M_x points replaces two per g-row.  Pairs are multiplied and
+summed in the general loop's order, so the two paths agree to the bit
+wherever a batched inverse FFT transforms each line as a one-row call does
+(numpy 2.4 does).  The table is built only when it fits in
+_SQUARE_TABLE_BYTES (16 MiB); a larger square, such as white noise on the
+original grid, and every product of two different fields take the general
+row loop.
 """
 
 from __future__ import annotations
@@ -49,6 +62,12 @@ import numpy as np
 
 from starqm.fieldgrid import DEFAULT_MODE_CUTOFF, Field2D, GridSpec, _drop_noise_modes
 from starqm.fieldgrid import _require_grid_theta, _require_nonnegative
+
+# Largest table of Bopp-shifted rows a star square builds, in bytes.  The
+# benchmark's Gaussians need 2.2 MB (41 shifts x 41 rows x 81 points); a
+# white-noise square needs 34 MB at 128^2 (Moyal) and 0.54 GB at 256^2
+# (Voros), and takes the general row loop instead.
+_SQUARE_TABLE_BYTES = 16 * 2**20
 
 
 @dataclass(frozen=True)
@@ -115,6 +134,36 @@ def _moyal_rows(fh: np.ndarray, gh: np.ndarray, k_t: np.ndarray, k_x: np.ndarray
     return acc
 
 
+def _moyal_square_rows(fh: np.ndarray, k_t: np.ndarray, k_x: np.ndarray,
+                       theta: float) -> np.ndarray:
+    """`_moyal_rows(fh, fh, ...)` from one table of Bopp-shifted rows.
+
+    In a square the f-side row of pair (a, a'), f~(a, x + theta k0_{a'}/2),
+    and the g-side row, f~(a', x - theta k0_a/2), are both entries of
+    T[v, a] = f~(a, x + theta v/2) with v in the shift set
+    V = {k0_a} u {-k0_a} of the live rows, so one batched inverse FFT builds
+    every row the sum reads.  T is indexed by shift frequency, not by slot:
+    at the Moyal cap M = N the Nyquist slot's -k0 is no slot's frequency.
+    Each pair is multiplied and summed in the order `_moyal_rows` uses.  A
+    table over _SQUARE_TABLE_BYTES (16 bytes per entry, |V| x rows x M_x
+    entries) is not built; the square then takes the general loop.
+    """
+    m_t, m_x = fh.shape
+    rows = np.flatnonzero(np.any(fh != 0, axis=1))
+    shifts = np.unique(np.concatenate([k_t[rows], -k_t[rows]]))
+    if 16 * shifts.size * rows.size * m_x > _SQUARE_TABLE_BYTES:
+        return _moyal_rows(fh, fh, k_t, k_x, theta)
+    phases = np.exp((0.5j * theta) * np.multiply.outer(shifts, k_x))
+    table = fh[rows] * phases[:, None, :]
+    np.fft.ifft(table, axis=2, out=table)
+    plus = np.searchsorted(shifts, k_t[rows])
+    minus = np.searchsorted(shifts, -k_t[rows])
+    acc = np.zeros((m_t, m_x), dtype=np.complex128)
+    for j, row in enumerate(rows):
+        acc[(rows + row) % m_t] += table[plus[j]] * table[minus, j]
+    return acc
+
+
 def _smooth_length(n: int) -> int:
     """Smallest 2^a 3^b >= n."""
     best, p3 = 1 << (n - 1).bit_length(), 1
@@ -164,7 +213,9 @@ def _star_compact(fh: np.ndarray, gh: np.ndarray, spec: GridSpec, theta: float,
     """
     n_t, n_x = fh.shape
     cap = 2 if voros else 1
-    nonzero = [fh != 0, gh != 0]
+    square = gh is fh
+    nonzero = [fh != 0]
+    nonzero.append(nonzero[0] if square else gh != 0)
     live_t = [np.flatnonzero(np.any(nz, axis=1)) for nz in nonzero]
     live_x = [np.flatnonzero(np.any(nz, axis=0)) for nz in nonzero]
     slots_t, m_t, k_t = _compact_axis(live_t, n_t, spec.dt, cap * n_t)
@@ -181,7 +232,11 @@ def _star_compact(fh: np.ndarray, gh: np.ndarray, spec: GridSpec, theta: float,
         out[np.ix_(slots_t[i], slots_x[i])] = block
         return out
 
-    acc = _moyal_rows(placed(0, fh), placed(1, gh), k_t, k_x, theta)
+    fp = placed(0, fh)
+    if square:
+        acc = _moyal_square_rows(fp, k_t, k_x, theta)
+    else:
+        acc = _moyal_rows(fp, placed(1, gh), k_t, k_x, theta)
     np.fft.fft(acc, axis=1, out=acc)
     # The x transforms left 1/M_x; the mode-pair sum needs 1/(n_t n_x).
     scale = m_x / (n_t * n_x)
@@ -202,6 +257,13 @@ def star(kernel: StarKernel, f: Field2D, g: Field2D) -> Field2D:
     other result records the compact mode grid it ran on as
     metadata['mode_grid'] = [M_t, M_x], and the input modes it dropped below
     DEFAULT_MODE_CUTOFF as metadata['mode_cutoff'].
+
+    When g is f the product is a square: one forward transform and cutoff
+    serve both sides, and the shifted rows come from one table of at most
+    _SQUARE_TABLE_BYTES (16 MiB) of f's rows at every shift the sum needs
+    (see the module docstring).  A square whose table would be larger, and
+    any pair of distinct fields, even with equal values, takes the general
+    row loop, which sums the same pairs in the same order.
     """
     if not isinstance(f, Field2D) or not isinstance(g, Field2D):
         raise TypeError("star operates on Field2D inputs")
@@ -211,7 +273,10 @@ def star(kernel: StarKernel, f: Field2D, g: Field2D) -> Field2D:
     if kernel.theta == 0.0:
         return Field2D(f.spec, f.values * g.values)
     fh, dropped_f = _drop_noise_modes(np.fft.fft2(f.values))
-    gh, dropped_g = _drop_noise_modes(np.fft.fft2(g.values))
+    if g is f:
+        gh, dropped_g = fh, dropped_f
+    else:
+        gh, dropped_g = _drop_noise_modes(np.fft.fft2(g.values))
     metadata: dict = {}
     if dropped_f or dropped_g:
         metadata["mode_cutoff"] = {

@@ -57,6 +57,18 @@ class TestGridSpec:
             with pytest.raises(ValueError, match=f"{axis}_max - {axis}_min must be finite"):
                 GridSpec(n_t=8, n_x=8, **huge)
 
+    def test_wavenumbers_cached_read_only(self):
+        spec = GridSpec(n_t=16, n_x=32, t_min=-1.0, t_max=3.0, x_min=-4.0, x_max=4.0)
+        for k, n, d in ((spec.k_t, 16, spec.dt), (spec.k_x, 32, spec.dx)):
+            np.testing.assert_array_equal(k, 2.0 * np.pi * np.fft.fftfreq(n, d=d))
+            with pytest.raises(ValueError, match="read-only"):
+                k[0] = 1.0
+        assert spec.k_t is spec.k_t
+        assert spec.k_x is spec.k_x
+        # The cache is not a field: equality and hashing read the geometry only.
+        fresh = GridSpec(n_t=16, n_x=32, t_min=-1.0, t_max=3.0, x_min=-4.0, x_max=4.0)
+        assert spec == fresh and hash(spec) == hash(fresh)
+
     def test_axes_exclude_right_endpoint(self):
         spec = square_box(n=16, half=4.0)
         assert spec.dx == pytest.approx(0.5)

@@ -834,6 +834,20 @@ class TestEhrenfestResidual:
             out = moments.ehrenfest_residual(traj, op, kernel, 1.0, pot)
             assert float(np.max(out["residual"])) <= 1e-10
 
+    @pytest.mark.parametrize("theta", [0.0625, 0.1, 0.15, 0.2])
+    def test_residual_as_with_commutator_orders_summed_first(self, theta, monkeypatch):
+        # The commutator omits the leading terms its two orders share, which
+        # drops a rounding d_x term from [H, P_x]; the residual moves by
+        # rounding only.
+        kernel, psi = ground_state(theta)
+        pot = Potential.harmonic(1.0, 1.0)
+        traj = dynamics.evolve(psi, pot, kernel, 1.0, 2e-4, 50, record_every=5)
+        got = moments.ehrenfest_residual(traj, operators.p_x(), kernel, 1.0, pot)
+        monkeypatch.setattr(moments, "commutator", lambda a, b: a.compose(b) - b.compose(a))
+        want = moments.ehrenfest_residual(traj, operators.p_x(), kernel, 1.0, pot)
+        for key in ("residual", "force_residual"):
+            assert np.max(np.abs(got[key] - want[key])) <= 1e-15 * np.max(want[key])
+
     def test_quartic_force_form_misses_order_theta_squared(self):
         """-V' - (theta/2) V'' (d_x - i d_t) is V'(X_theta^L) to first order
         only: for the x^4/10 term the rest starts at (theta^2/8) V''' (d_x - i d_t)^2,

@@ -114,6 +114,15 @@ class TestSymbolAlgebra:
             (0, 0, 0, 2): theta**2 / 4})
         assert _weyl_frame(p_x(), theta).terms == p_x().terms
 
+    @pytest.mark.parametrize("theta", [0.0625, 0.1, 0.15, 0.2])
+    def test_force_commutator_has_no_rounding_dx_term(self, theta):
+        # [H, P_x] = i X_theta^L for V = x^2/2, whose Weyl frame is i x + (theta/2) d_t.
+        # Cancelling the leading terms after summing each order left
+        # 0.07499999999999998 i d_x at theta = 0.15, and the frame a 1.4e-17 d_x term.
+        comm = commutator(hamiltonian(1.0, [0, 0, 0.5], theta), p_x())
+        assert comm.terms[(0, 0, 0, 1)] == 1j * theta / 2
+        assert _weyl_frame(comm, theta).terms == {(0, 1, 0, 0): 1j, (0, 0, 1, 0): theta / 2}
+
     def test_commutator_commuting_coordinates_vanishes(self):
         comm = commutator(t_c(0.5), x_c(0.5))
         assert comm.terms == {}

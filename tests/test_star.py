@@ -1,3 +1,6 @@
+import importlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +8,10 @@ from hypothesis import strategies as st
 
 from oracles import brute_force_star
 from starqm.fieldgrid import Field2D, GridSpec, sample_field
-from starqm.star import StarKernel, plane_wave_star_factor, star
+from starqm.star import _SQUARE_TABLE_BYTES, StarKernel, plane_wave_star_factor, star
+
+# The package rebinds the name `starqm.star` to the function.
+star_module = importlib.import_module("starqm.star")
 
 
 def star_box(n, theta, half=None):
@@ -425,6 +431,82 @@ class TestMoyalEngine:
         want = brute(brute(f.values, g.values), h.values)
         assert rel_max_err(lhs, want) < 1e-12
         assert rel_max_err(rhs, want) < 1e-12
+
+
+def boosted_gaussian(n, theta, boost):
+    """Centred width-sqrt(theta) Gaussian on +-8 sqrt(theta), times the t-mode e^{2 pi i boost t/L}."""
+    f, _, _ = centred_gaussian(n, theta, 8.0, 1.0)
+    spec = f.spec
+    wave = np.exp(2j * np.pi * boost * (spec.t - spec.t_min) / (spec.t_max - spec.t_min))
+    return Field2D(spec, f.values * wave[:, None])
+
+
+def live_t_modes(f):
+    """Signed t-indices of the rows that survive the product mode cutoff."""
+    fh = np.fft.fft2(f.values)
+    rows = np.flatnonzero(np.any(np.abs(fh) > 1e-14 * np.max(np.abs(fh)), axis=1))
+    return (rows + f.spec.n_t // 2) % f.spec.n_t - f.spec.n_t // 2
+
+
+SQUARE_CASES = {
+    "gaussian_128": lambda: centred_gaussian(128, 0.1, 8.0, 1.0)[0],
+    "gaussian_256": lambda: centred_gaussian(256, 0.1, 8.0, 1.0)[0],
+    "boosted_128": lambda: boosted_gaussian(128, 0.1, 24),
+    "narrow_32": lambda: centred_gaussian(32, 0.1, 4.0, 0.5)[0],
+    "band_limited_32": lambda: random_band_limited(star_box(32, 0.2), band=5, seed=11),
+}
+
+
+class TestStarSquare:
+    """star(k, f, f) reads one table of Bopp-shifted rows; a copy of f takes the general loop."""
+
+    @staticmethod
+    def general_rows_counted(monkeypatch):
+        calls = []
+        rows = star_module._moyal_rows
+        monkeypatch.setattr(star_module, "_moyal_rows", lambda *a: calls.append(1) or rows(*a))
+        return calls
+
+    @pytest.mark.parametrize("flavor", ["voros", "moyal"])
+    @pytest.mark.parametrize("case", sorted(SQUARE_CASES))
+    def test_square_matches_general_loop(self, flavor, case, monkeypatch):
+        f = SQUARE_CASES[case]()
+        kernel = StarKernel(f.spec.theta, flavor)
+        calls = self.general_rows_counted(monkeypatch)
+        got = star(kernel, f, f)
+        assert calls == []
+        want = star(kernel, f, Field2D(f.spec, f.values.copy()))
+        assert calls == [1]
+        assert np.max(np.abs(got.values - want.values)) <= 1e-15 * np.max(np.abs(want.values))
+        assert got.metadata == want.metadata
+
+    def test_cases_reach_one_sided_rows_and_the_nyquist_row(self):
+        # The boosted field's live t-rows are all positive, so {k_a} and {-k_a}
+        # are disjoint; the narrow field's Nyquist row is live at the Moyal cap
+        # M = N, where its -k is the frequency of no slot.
+        assert np.min(live_t_modes(SQUARE_CASES["boosted_128"]())) > 0
+        narrow = SQUARE_CASES["narrow_32"]()
+        assert -16 in live_t_modes(narrow)
+        assert star(StarKernel(0.1, "moyal"), narrow, narrow).metadata["mode_grid"] == [32, 32]
+
+    def test_square_over_table_budget_takes_general_loop(self, monkeypatch):
+        # White noise fills all 128 rows at the Moyal cap: a table would hold
+        # 16 * 129 shifts * 128 rows * 128 points = 34 MB, over the budget.
+        spec = star_box(128, 0.1)
+        f = white_noise(spec, 3)
+        kernel = StarKernel(0.1, "moyal")
+        want = star(kernel, f, Field2D(spec, f.values.copy()))
+        calls = self.general_rows_counted(monkeypatch)
+        tracemalloc.start()
+        try:
+            got = star(kernel, f, f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert calls == [1]
+        assert peak < _SQUARE_TABLE_BYTES
+        assert np.max(np.abs(got.values - want.values)) <= 1e-15 * np.max(np.abs(want.values))
+        assert got.metadata == want.metadata
 
 
 class TestThetaScaling:
