@@ -723,8 +723,8 @@ def evolve(
     A framed psi0 walks its frame: the start is fft(frame) e^{-theta E^2/4},
     with no mode cut, and each snapshot carries ifft(phi_hat) e^{theta E^2/4}
     as its frame beside the damped values, so the pairings along the
-    trajectory take the bounded frame route.  An unframed psi0 starts from
-    its cut values and returns unframed snapshots.
+    trajectory read it instead of growing one from the values.  An unframed
+    psi0 starts from its cut values and returns unframed snapshots.
     """
     spec = psi0.spec
     theta = spec.theta

@@ -25,8 +25,9 @@ EDGE_DECAY_TOL = 1e-10
 # Fourier-mode magnitudes below this fraction of the peak count as rounding
 # noise and are dropped: the Voros multiplier grows like e^{theta |k||k'|/2}
 # for anti-aligned mode pairs, so such noise must not participate.  Star
-# products, phasecalc.phase_star and _pairing (at theta > 0), densities, the
-# evolver and the quasi-projection drop modes at this level: about 45
+# products, phasecalc.phase_star, the frame of an unframed slice
+# (phasecalc._frames, at theta > 0), densities, the evolver and the
+# quasi-projection drop modes at this level: about 45
 # double-precision epsilons, just above the rounding floor a transform
 # leaves relative to its peak mode.
 DEFAULT_MODE_CUTOFF = 1e-14
@@ -191,8 +192,10 @@ class Field1D:
     `stationary_solve`, `evolve` from a framed start, and the first slice of
     `oscillator_ground`), and `spectral_derivative` and `operators.apply`
     carry it; every slice built from new values carries None.  Slice
-    pairings and `dynamics.slice_density` read the frame when every input
-    has one; otherwise they read values through the partner sum.
+    pairings always read a frame: one without gets it from the values in
+    `phasecalc._frames`, for that pairing only, and it is never stored
+    here.  `dynamics.slice_density` reads the frame when there is one, and
+    the values otherwise.
     """
 
     spec: GridSpec

@@ -6,26 +6,23 @@ d_t monomials act exactly, a full field paired on a fixed-t line reads the
 induced product integral dx psi* (star) O psi there, and a full field with
 no line selected is paired over the whole plane, integral dt dx psi* (star)
 O psi -- the right reading for coherent basis elements, which are not on
-shell.  Every pairing needs only sums of the star product, so
-`phasecalc._pairing` (slices) and `symbols._pairing` (full fields) evaluate
-it in closed form over partner Fourier modes.  A full field that carries a
-frame (its Weyl amplitude phi, which `symbols.coherent_symbol` sets) is
-paired over the whole plane without that sum: the plane integral of a Voros
-product is the plain integral of the Weyl amplitudes, so the pairing is
-sum conj(phi) (O_W phi) dt dx with O_W the operator conjugated into the
-frame (`operators._weyl_frame`), with no growth weight and no mode cutoff.
-Slices take the same turn: when every slice carries a frame (the
-library's energy-tagged eigenstates, stationary levels and framed
-trajectories do), O_W acts on the frames and `phasecalc._frame_pairing`
-pairs them by a bounded line sum, which for a degree-0 ket at the slice's
-own energy is the plain sum conj(phi) (O_W phi) dx.  Fixed-line pairings of
-full fields, unframed fields and unframed slices keep the partner sum.  A
-batch of operators is paired on one full field, or on a stack of slices at
-once: the slices of a trajectory are lifted into one phase polynomial with a
-slice axis, so the bra side is transformed at most once per batch and each
-ket O psi at most once per operator, whatever the number of slices.  The
-kets of a full field (or of its frame) share one derivative cache, so each
-derivative order is taken once per batch.
+shell.  Every pairing needs only sums of the star product.  A full field
+that carries a frame (its Weyl amplitude phi, which
+`symbols.coherent_symbol` sets) is paired over the whole plane as sum
+conj(phi) (O_W phi) dt dx, the plain integral of the Weyl amplitudes, with
+O_W the operator conjugated into the frame (`operators._weyl_frame`): no
+growth weight and no mode cutoff.  Fixed-line pairings of full fields, and
+plane pairings of unframed fields, are the closed-form sum over partner
+Fourier modes of `symbols._pairing`.  Every slice pairs through its frame:
+O_W acts on the frames and `phasecalc._frame_pairing` pairs them by a
+bounded line sum, which for a degree-0 ket at the slice's own energy is the
+plain sum conj(phi) (O_W phi) dx (a slice built without a frame gets one in
+`phasecalc._frames`).  A batch of operators is paired on one full field, or
+on a stack of slices at once: the slices of a trajectory are lifted into one
+phase polynomial with a slice axis, so the bra side is transformed at most
+once per batch and each ket O psi at most once per operator, whatever the
+number of slices.  The kets of a full field (or of its frame) share one
+derivative cache, so each derivative order is taken once per batch.
 
 On top of that sit the uncertainty products, the 4x4 covariance matrix of
 the coherent element together with its commutator (symplectic) form, the
@@ -228,10 +225,10 @@ def expectation(
     factors (`phasecalc._slice_part`).  The slice is paired as a stack of
     one, the pass that pairs a whole trajectory at once in
     `ehrenfest_residual`; a norm check that fails there names the slice and
-    its time.  When every slice has a frame, O is conjugated into the Weyl
-    frame and the frames pair by `phasecalc._frame_pairing`, with no growth
-    weight and no mode cutoff; otherwise the values pair by the partner sum
-    `phasecalc._pairing`.
+    its time.  O is conjugated into the Weyl frame and the slice's frame
+    (computed from its values if it has none, see `phasecalc._frames`)
+    pairs by `phasecalc._frame_pairing`, with no growth weight and no mode
+    cutoff.
 
     A Field2D with explicit t pairs on that fixed-t grid line, integral
     dx psi* (star) O psi; with t=None it pairs over the whole plane,
@@ -301,12 +298,10 @@ def _expectations(
         return [complex(pair(act(op))) / norm for op in ops]
 
     ts = np.array([phasecalc._slice_time(fld) if t is None else float(t) for fld in states])
-    framed = all(fld.frame is not None for fld in states)
-    if framed:
-        # Weyl amplitudes pair by the bounded line sum, with O_W acting on them.
-        ops = [_weyl_frame(op, spec.theta) for op in ops]
-    state = phasecalc._slice_stack(states, ts, ops, framed)
-    pair = (phasecalc._frame_pairing if framed else phasecalc._pairing)(state, ts)
+    state = phasecalc._slice_stack(states, ts, ops)
+    # Weyl amplitudes pair by the bounded line sum, with O_W acting on them.
+    ops = [_weyl_frame(op, spec.theta) for op in ops]
+    pair = phasecalc._frame_pairing(state, ts)
     norms = np.empty(len(states))
     for s, norm in enumerate(pair(state)):
         try:

@@ -15,13 +15,12 @@ the finite sum, over p <= deg F, q <= deg G and j <= min(p, q),
 The product sums this over the x-mode pairs that survive the noise cutoff
 into the output mode (k + k') mod N_x: no series and no periodic t-grid, and
 multiplication by t -- which a periodic grid cannot represent -- is an exact
-degree shift.  A slice pairing integral dx bra* * ket is the zero x-mode of
-that product, so `_pairing` sums only the partner pairs k' = -k, with the bra
-prepared once.  A weight beyond floating-point range gives a non-finite
-result, which both reject with a ValueError.
+degree shift.  A weight beyond floating-point range gives a non-finite
+product, which `phase_star` rejects with a ValueError.
 
-That partner sum multiplies damped amplitudes by a growth e^{theta k^2/2}.
-On Weyl amplitudes (frames, see `fieldgrid.Field1D`) the growth cancels:
+A slice pairing integral dx bra* * ket is the zero x-mode of that product.
+On Voros amplitudes its partner pairs k, -k carry a growth e^{theta k^2/2};
+on Weyl amplitudes (frames, see `fieldgrid.Field1D`) the growth cancels:
 the Voros mode of q e^{iat} is its frame mode times
 e^{(theta/4)((ia + D)^2 - k^2)}, and with F the conjugated bra frame
 (frequency a_F) and G the ket frame (a_G) the partner pair k, -k becomes
@@ -32,17 +31,18 @@ A = i(a_F + a_G), B = A + 2k, D = d/dt on the product's t-polynomial.
 `_frame_pairing` evaluates it: for real frequencies |e^{(theta/4)AB}| =
 e^{-theta (a_F + a_G)^2/4} <= 1, D only brings powers of A + B, and no mode
 is cut.  A degree-0 pair of equal energies is the plain sum
-conj(phi_bra) phi_ket dx.  `moments.expectation` and
-`symbols.induced_inner_product` take this route when every slice has a
-frame, and `_pairing` otherwise.
+conj(phi_bra) phi_ket dx.  It is the one slice pairing:
+`moments.expectation` and `symbols.induced_inner_product` lift every slice
+by its frame.  A slice built without one gets it from `_frames`, the one
+values-to-frame conversion, for that lift only: the frame is never stored
+on the Field1D.
 
 A PhasePoly may also be a stack of S slices on one grid: coefficients of
 shape (degree+1, S, n_x) and one frequency a per slice.  `_slice_stack`
 lifts a trajectory into one, operators apply to the whole stack, and
-`_pairing` pairs slice s of the bra with slice s of each ket at its own
-time: one FFT per stack, one noise cut per slice (relative to that slice's
-own peak) and one weighted sum, so the work in numpy calls does not grow
-with S.  A single state is the stack of one.
+`_frame_pairing` pairs slice s of the bra with slice s of each ket at its
+own time, so the work in numpy calls does not grow with S.  A single state
+is the stack of one.
 """
 
 from __future__ import annotations
@@ -54,8 +54,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from starqm.fieldgrid import DEFAULT_MODE_CUTOFF, Field1D, GridSpec, _drop_noise_modes
-from starqm.fieldgrid import _scatter_sum
+from starqm.fieldgrid import Field1D, GridSpec, _drop_noise_modes, _scatter_sum
 
 
 def _dt_poly(coef: np.ndarray) -> np.ndarray:
@@ -135,31 +134,66 @@ def _slice_energy(fld: Field1D, ops: Iterable = ()) -> float:
     return float(energy)
 
 
+def _frames(flds: Sequence[Field1D], energies: np.ndarray) -> np.ndarray:
+    """The Weyl frame of each slice, one row per slice, at energies E.
+
+    A framed slice gives its own.  This is the one place an unframed slice
+    gets one: its value modes, cut at DEFAULT_MODE_CUTOFF relative to its
+    own peak, grow by e^{theta (E^2 + k^2)/4} (at theta = 0 the frame is the
+    values, uncut).  That is the growth a partner sum of values applies
+    inside every pair, taken once; the frame serves the caller's lift and
+    is never stored on the slice.  Only the kept modes grow, so a cut mode
+    whose weight is beyond floating-point range stays zero; a kept one
+    raises the pairing's named ValueError.
+    """
+    rows = np.array([fld.values if fld.frame is None else fld.frame for fld in flds])
+    bare = [s for s, fld in enumerate(flds) if fld.frame is None]
+    spec = flds[0].spec
+    if bare and spec.theta > 0.0:
+        modes, _ = _drop_noise_modes(np.fft.fft(rows[bare], axis=-1), axis=-1)
+        exponent = spec.theta * (energies[bare, None] ** 2 + spec.k_x**2) / 4.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            growth = np.exp(np.where(modes != 0.0, exponent, -np.inf))
+            rows[bare] = np.fft.ifft(modes * growth, axis=-1)
+        bad = np.flatnonzero(~np.all(np.isfinite(rows), axis=-1))
+        if bad.size:
+            raise ValueError(
+                f"slice pairing is not finite on slice {bad[0]}: the Voros weight "
+                "e^{theta (E^2 + k^2)/4} that grows its frame from its values overflowed"
+            )
+    return rows
+
+
 def _slice_part(
     fld: Field1D, t: float | None = None, ops: Iterable = (), frame: bool = False
 ) -> PhasePoly:
     """Lift a slice psi(x) e^{-iEt}, E = metadata['energy'], to its degree-0 phase polynomial.
 
-    The values (its frame, with frame=True) are unwound by e^{iEt} at time t
-    (default: the slice label), so the part evaluates back to them there.
-    An untagged slice lifts at E = 0 as `_slice_energy` allows.
+    The values (its frame, with frame=True, from `_frames`) are unwound by
+    e^{iEt} at time t (default: the slice label), so the part evaluates back
+    to them there.  An untagged slice lifts at E = 0 as `_slice_energy`
+    allows.
     """
     energy = _slice_energy(fld, ops)
     t = fld.t_slice if t is None else t
-    row = fld.frame if frame else fld.values
+    if not frame:
+        row = fld.values
+    else:
+        row = fld.frame if fld.frame is not None else _frames([fld], np.array([energy]))[0]
     return stationary_part(fld.spec, energy, row * np.exp(1j * energy * t))
 
 
-def _slice_stack(
-    flds: Sequence[Field1D], ts: Sequence[float], ops: Iterable = (), frame: bool = False
-) -> PhasePoly:
-    """Lift slices on one GridSpec into one stack, slice s as `_slice_part` lifts it at ts[s]."""
+def _slice_stack(flds: Sequence[Field1D], ts: Sequence[float], ops: Iterable = ()) -> PhasePoly:
+    """Lift the frames of slices on one GridSpec into one stack, slice s at ts[s].
+
+    Slice s is lifted as `_slice_part(flds[s], ts[s], ops, frame=True)` lifts it.
+    """
     spec = flds[0].spec
     if any(fld.spec != spec for fld in flds):
         raise ValueError("a slice stack requires states on the same GridSpec")
     ops = list(ops)
     energies = np.array([_slice_energy(fld, ops) for fld in flds])
-    rows = np.array([fld.frame if frame else fld.values for fld in flds])
+    rows = _frames(flds, energies)
     unwind = np.exp(1j * energies * np.asarray(ts, dtype=float))[:, None]
     return PhasePoly(spec, -energies, (rows * unwind)[None])
 
@@ -191,7 +225,7 @@ def _term_sum(c: float, alpha, beta, fd: list, gd: list) -> np.ndarray:
     """The module docstring's (p, q, j) sum on mode pairs, from the d/dt stacks fd and gd.
 
     A weight beyond floating-point range comes out non-finite without a
-    numpy warning: the callers reject it with their own ValueError.
+    numpy warning, for the caller to reject by name.
     """
     acc = 0.0
     for p, fp in enumerate(fd):
@@ -228,79 +262,21 @@ def phase_star(F: PhasePoly, G: PhasePoly) -> PhasePoly:
     return PhasePoly(spec, F.a + G.a, _trimmed(np.fft.ifft(out, axis=-1) / n))
 
 
-def _pairing(bra: PhasePoly, t) -> Callable[[PhasePoly], complex | np.ndarray]:
-    """ket -> (bra, ket)_t = integral dx bra* * ket: the zero x-mode at t, times dx/N_x.
-
-    On a stack, slice s of the bra pairs with slice s of the ket at time t[s]
-    (t may be one time for every slice), and the result holds one pairing
-    per slice.  The bra is conjugated, transformed, cut (not at theta = 0)
-    and differentiated once; each slice of either side is cut relative to
-    its own peak, and the Voros weight is exponentiated only on the partner
-    pairs live in both.  This is the route for slices without a frame;
-    framed slices pair through `_frame_pairing`.
-    """
-    spec, c, n = bra.spec, bra.spec.theta / 2.0, bra.spec.n_x
-    cutoff = DEFAULT_MODE_CUTOFF if c > 0.0 else 0.0  # cutoff 0 keeps every mode
-    shape = np.shape(bra.a)  # () for a single state, (S,) for a stack
-
-    def modes(coef: np.ndarray) -> np.ndarray:
-        """Transform to (degree+1, S, n_x) and cut each slice at its own peak."""
-        fh = np.fft.fft(coef, axis=-1).reshape(coef.shape[0], -1, n)
-        return _drop_noise_modes(fh, cutoff, axis=(0, 2))[0]
-
-    ts = np.broadcast_to(np.asarray(t, dtype=float), shape).reshape(-1)
-    a_bra = np.reshape(bra.a, -1)
-    bh = modes(np.conj(bra.coef))
-    bra_live = np.any(bh, axis=0)
-    kb = np.flatnonzero(np.any(bra_live, axis=0))
-    bra_live, partner, fd = bra_live[:, kb], -kb % n, _dt_stack(bh[..., kb])
-    alpha = -1j * a_bra[:, None] + spec.k_x[kb]
-
-    def pair(ket: PhasePoly) -> complex | np.ndarray:
-        if ket.spec != spec:
-            raise ValueError("the slice star requires states on the same GridSpec")
-        if np.shape(ket.a) != shape:
-            raise ValueError(f"ket stack {np.shape(ket.a)} does not match bra stack {shape}")
-        a_ket = np.reshape(ket.a, -1)
-        gh = modes(ket.coef)[..., partner]
-        live = bra_live & np.any(gh, axis=0)
-        cols = np.flatnonzero(np.any(live, axis=0))
-        live = live[:, cols]
-        # A pair dead in one slice but live in another keeps a zero exponent:
-        # its amplitudes are zero there, and its Voros weight is never formed.
-        beta = np.where(live, 1j * a_ket[:, None] - spec.k_x[partner[cols]], 0.0)
-        fd_cols, gd_cols = [f[..., cols] for f in fd], _dt_stack(gh[..., cols])
-        acc = _term_sum(c, alpha[:, cols], beta, fd_cols, gd_cols)
-        powers = ts ** np.arange(acc.shape[0])[:, None]
-        # An overflowed weight is rejected below, by name, not by a numpy warning.
-        with np.errstate(over="ignore", invalid="ignore"):
-            poly = np.sum(acc, axis=-1)
-            total = np.exp(1j * (a_ket - a_bra) * ts) * np.sum(powers * poly, axis=0)
-        bad = np.flatnonzero(~np.isfinite(total))
-        if bad.size:
-            s = int(bad[0])
-            raise ValueError(
-                f"slice pairing is not finite on slice {s} at t = {ts[s]:.6g} ({total[s]}): "
-                "a Voros weight overflowed"
-            )
-        total = total * spec.dx / spec.n_x
-        return total if shape else complex(total[0])
-
-    return pair
-
-
 def _frame_pairing(bra: PhasePoly, t) -> Callable[[PhasePoly], complex | np.ndarray]:
     """ket -> (bra, ket)_t for Weyl frames: the module docstring's bounded line sum.
 
-    bra and ket are the frames' phase polynomials, single states or stacks
-    paired slice by slice as in `_pairing`, with the same dx/N_x scaling and
-    no mode cutoff.  The exponential of the nilpotent D is the finite sum
+    bra and ket are the frames' phase polynomials, single states or stacks.
+    On a stack, slice s of the bra pairs with slice s of the ket at time
+    t[s] (t may be one time for every slice), and the result holds one
+    pairing per slice.  No mode is cut.  The exponential of the nilpotent D
+    is the finite sum
 
         e^{(theta/4)(A + D)(B + D)} = e^{(theta/4)AB}
             sum_m D^m sum_{j <= m/2} (theta/4)^{m-j} (A + B)^{m-2j} / (j! (m-2j)!),
 
     and a degree-0 pair of equal frequencies, where it is 1, is summed in
-    x-space without a transform.
+    x-space without a transform.  A result beyond floating-point range
+    raises a ValueError that names the slice, with no numpy warning first.
     """
     spec, c, n = bra.spec, bra.spec.theta / 4.0, bra.spec.n_x
     shape = np.shape(bra.a)  # () for a single state, (S,) for a stack
@@ -317,24 +293,32 @@ def _frame_pairing(bra: PhasePoly, t) -> Callable[[PhasePoly], complex | np.ndar
             raise ValueError(f"ket stack {np.shape(ket.a)} does not match bra stack {shape}")
         gc = ket.coef.reshape(ket.coef.shape[0], -1, n)
         big_a = 1j * (np.reshape(ket.a, -1) - a_bra)  # A = i(a_F + a_G), a_F = -a_bra
-        if fc.shape[0] == gc.shape[0] == 1 and not np.any(big_a):
-            total = np.einsum("sx,sx->s", fc[0], gc[0])
-        else:
-            prod = _poly_mult(bra_modes(), np.fft.fft(gc, axis=-1)[..., partner])
-            big_a = big_a[:, None]
-            big_b = big_a + 2.0 * spec.k_x
-            acc = dm = prod
-            for m in range(1, prod.shape[0]):
-                dm = _dt_poly(dm)
-                acc = acc + dm * sum(
-                    c ** (m - j) * (big_a + big_b) ** (m - 2 * j)
-                    / (math.factorial(j) * math.factorial(m - 2 * j))
-                    for j in range(m // 2 + 1)
-                )
-            poly = np.sum(np.exp(c * big_a * big_b) * acc, axis=-1)
-            powers = ts ** np.arange(poly.shape[0])[:, None]
-            total = np.exp(big_a[:, 0] * ts) * np.sum(powers * poly, axis=0) / n
-        total = total * spec.dx
+        # An overflow is rejected below, by name, not by a numpy warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if fc.shape[0] == gc.shape[0] == 1 and not np.any(big_a):
+                total = np.einsum("sx,sx->s", fc[0], gc[0])
+            else:
+                prod = _poly_mult(bra_modes(), np.fft.fft(gc, axis=-1)[..., partner])
+                big_a = big_a[:, None]
+                big_b = big_a + 2.0 * spec.k_x
+                acc = dm = prod
+                for m in range(1, prod.shape[0]):
+                    dm = _dt_poly(dm)
+                    acc = acc + dm * sum(
+                        c ** (m - j) * (big_a + big_b) ** (m - 2 * j)
+                        / (math.factorial(j) * math.factorial(m - 2 * j))
+                        for j in range(m // 2 + 1)
+                    )
+                poly = np.sum(np.exp(c * big_a * big_b) * acc, axis=-1)
+                powers = ts ** np.arange(poly.shape[0])[:, None]
+                total = np.exp(big_a[:, 0] * ts) * np.sum(powers * poly, axis=0) / n
+            total = total * spec.dx
+        if not np.all(np.isfinite(total)):
+            s = int(np.flatnonzero(~np.isfinite(total))[0])
+            raise ValueError(
+                f"slice pairing is not finite on slice {s} at t = {ts[s]:.6g} ({total[s]}): "
+                "the frames, or the Voros weight that grew one from values, overflowed"
+            )
         return total if shape else complex(total[0])
 
     return pair

@@ -213,29 +213,27 @@ def induced_inner_product(
 ) -> complex:
     """Fixed-t pairing (psi, phi)_t = integral dx  psi* (star) phi.
 
-    Field1D inputs must share a GridSpec and slice time; each is lifted by
-    `phasecalc._slice_part` (metadata['energy'] is needed for theta > 0)
-    and paired at t_slice.  When both carry a frame (their Weyl amplitudes,
-    see `fieldgrid.Field1D`) the frames are paired by
-    `phasecalc._frame_pairing`, a bounded sum with no mode cutoff; otherwise
-    the values are paired by the partner sum `phasecalc._pairing`.  Field2D
-    inputs carry their own temporal neighborhoods; pass the slice time t (a
-    grid point) explicitly.  Their pairing is the closed-form sum over x-partner modes
-    of `_pairing`, which drops input modes at the pairing cutoff
+    Field1D inputs must share a GridSpec and physical time t_slice +
+    metadata['elapsed'] (`phasecalc._slice_time`, equal to 1e-12 relative
+    or absolute); each is lifted at psi's time by its Weyl frame
+    (`phasecalc._slice_part`, metadata['energy'] is needed for theta > 0),
+    and the frames are paired by `phasecalc._frame_pairing`, a bounded sum
+    with no mode cutoff.  Field2D inputs carry their own
+    temporal neighborhoods; pass the slice time t (a grid point) explicitly.
+    Their pairing is the closed-form sum over x-partner modes of `_pairing`,
+    which drops input modes at the pairing cutoff
     fieldgrid._PAIRING_MODE_CUTOFF; no star product is built.
     """
     if isinstance(psi, Field1D) and isinstance(phi, Field1D):
         if psi.spec != phi.spec:
             raise ValueError("induced product requires both slices on the same GridSpec")
-        if psi.t_slice != phi.t_slice:
-            raise ValueError(
-                f"slices live at different times: {psi.t_slice} vs {phi.t_slice}"
-            )
+        t_psi, t_phi = phasecalc._slice_time(psi), phasecalc._slice_time(phi)
+        # Only the rounding of t_slice + step * dt may tell two equal times apart.
+        if not math.isclose(t_psi, t_phi, rel_tol=1e-12, abs_tol=1e-12):
+            raise ValueError(f"slices live at different times: {t_psi} vs {t_phi}")
         _require_voros(kernel, psi.spec, "the induced product")
-        framed = psi.frame is not None and phi.frame is not None
-        pairing = phasecalc._frame_pairing if framed else phasecalc._pairing
-        bra, ket = (phasecalc._slice_part(s, frame=framed) for s in (psi, phi))
-        return pairing(bra, psi.t_slice)(ket)
+        bra, ket = (phasecalc._slice_part(s, t_psi, frame=True) for s in (psi, phi))
+        return phasecalc._frame_pairing(bra, t_psi)(ket)
     if isinstance(psi, Field2D) and isinstance(phi, Field2D):
         if psi.spec != phi.spec:
             raise ValueError("induced product requires both fields on the same GridSpec")

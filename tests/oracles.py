@@ -1,11 +1,15 @@
 """Independent brute-force references shared across test modules.
 
 These deliberately avoid the library's own fast paths: the star oracle is the
-literal O(N^4) mode-pair sum, written once and kept dumb.
+literal O(N^4) mode-pair sum, written once and kept dumb.  The slice partner
+sum is the route the library's frame pairing replaced, kept as its reference.
 """
 
 import numpy as np
 import scipy.linalg
+
+from starqm.fieldgrid import DEFAULT_MODE_CUTOFF, _drop_noise_modes
+from starqm.phasecalc import PhasePoly, _dt_stack, _term_sum
 
 
 def dense_multiplier(symbol):
@@ -179,3 +183,76 @@ def dense_boost(values, t, x, k_t, k_x, theta, v, m, cutoff=1e-14):
         origin = np.exp(-1j * (kt * t[0] + kx * x[0]))
         out += amps[a, b] * origin * weight * np.outer(np.exp(1j * kt2 * t), np.exp(1j * kx2 * x))
     return out
+
+
+def partner_pairing(bra, t):
+    """ket -> (bra, ket)_t = integral dx bra* * ket by the Voros partner sum on values.
+
+    bra and ket are phase polynomials of Voros amplitudes (values, not
+    frames).  The pairing is the zero x-mode of bra * ket at t, times dx/N_x:
+    the term sum of `phasecalc.phase_star` on the partner pairs k, -k alone,
+    each weighted by its growth e^{(theta/2) alpha beta}.  On a stack, slice
+    s of the bra pairs with slice s of the ket at time t[s] (t may be one
+    time for every slice), and the result holds one pairing per slice.
+    Each slice of either side is cut at DEFAULT_MODE_CUTOFF relative to its
+    own peak (not at theta = 0), and the weight is exponentiated only on
+    the partner pairs live in both.  A weight beyond floating-point range
+    raises a ValueError that names the slice.  The library pairs slices
+    through their Weyl frames instead; this is the reference it must match.
+    """
+    spec, c, n = bra.spec, bra.spec.theta / 2.0, bra.spec.n_x
+    cutoff = DEFAULT_MODE_CUTOFF if c > 0.0 else 0.0  # cutoff 0 keeps every mode
+    shape = np.shape(bra.a)  # () for a single state, (S,) for a stack
+
+    def modes(coef):
+        """Transform to (degree+1, S, n_x) and cut each slice at its own peak."""
+        fh = np.fft.fft(coef, axis=-1).reshape(coef.shape[0], -1, n)
+        return _drop_noise_modes(fh, cutoff, axis=(0, 2))[0]
+
+    ts = np.broadcast_to(np.asarray(t, dtype=float), shape).reshape(-1)
+    a_bra = np.reshape(bra.a, -1)
+    bh = modes(np.conj(bra.coef))
+    bra_live = np.any(bh, axis=0)
+    kb = np.flatnonzero(np.any(bra_live, axis=0))
+    bra_live, partner, fd = bra_live[:, kb], -kb % n, _dt_stack(bh[..., kb])
+    alpha = -1j * a_bra[:, None] + spec.k_x[kb]
+
+    def pair(ket):
+        if ket.spec != spec:
+            raise ValueError("the slice star requires states on the same GridSpec")
+        if np.shape(ket.a) != shape:
+            raise ValueError(f"ket stack {np.shape(ket.a)} does not match bra stack {shape}")
+        a_ket = np.reshape(ket.a, -1)
+        gh = modes(ket.coef)[..., partner]
+        live = bra_live & np.any(gh, axis=0)
+        cols = np.flatnonzero(np.any(live, axis=0))
+        live = live[:, cols]
+        # A pair dead in one slice but live in another keeps a zero exponent:
+        # its amplitudes are zero there, and its Voros weight is never formed.
+        beta = np.where(live, 1j * a_ket[:, None] - spec.k_x[partner[cols]], 0.0)
+        fd_cols, gd_cols = [f[..., cols] for f in fd], _dt_stack(gh[..., cols])
+        acc = _term_sum(c, alpha[:, cols], beta, fd_cols, gd_cols)
+        powers = ts ** np.arange(acc.shape[0])[:, None]
+        # An overflowed weight is rejected below, by name, not by a numpy warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            poly = np.sum(acc, axis=-1)
+            total = np.exp(1j * (a_ket - a_bra) * ts) * np.sum(powers * poly, axis=0)
+        bad = np.flatnonzero(~np.isfinite(total))
+        if bad.size:
+            s = int(bad[0])
+            raise ValueError(
+                f"slice pairing is not finite on slice {s} at t = {ts[s]:.6g} ({total[s]}): "
+                "a Voros weight overflowed"
+            )
+        total = total * spec.dx / spec.n_x
+        return total if shape else complex(total[0])
+
+    return pair
+
+
+def value_stack(flds, ts):
+    """The values of energy-tagged slices on one GridSpec as one phase-polynomial
+    stack, slice s unwound by e^{iEt} at ts[s]: the input `partner_pairing` takes."""
+    energies = np.array([fld.metadata["energy"] for fld in flds])
+    unwind = np.exp(1j * energies * np.asarray(ts, dtype=float))[:, None]
+    return PhasePoly(flds[0].spec, -energies, np.array([fld.values for fld in flds])[None] * unwind)

@@ -895,8 +895,13 @@ class TestEvolve:
         for snap in traj[1:]:
             rho = dyn.slice_density(kern, snap).values
             assert float(np.max(np.abs(rho - rho0))) < 1e-6
-        # return phase is e^{-i E0 T}
-        ov = symbols.induced_inner_product(kern, g0, traj[-1])
+        # return phase is e^{-i E0 T}: the last snapshot's values, read at
+        # the launch time (the pairing compares physical times), are the
+        # launch values times that phase
+        last = traj[-1]
+        ov = symbols.induced_inner_product(
+            kern, g0, Field1D(spec, last.t_slice, last.values, {**last.metadata, "elapsed": 0.0},
+                              last.frame))
         assert abs(abs(ov) - 1.0) < 1e-9
         assert abs(ov / abs(ov) - np.exp(-1j * e0 * 2.0 * math.pi)) < 1e-7
 

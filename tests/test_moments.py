@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import brute_force_star
+from oracles import brute_force_star, partner_pairing
 from starqm import dynamics, moments, operators, phasecalc, star, symbols
 from starqm.dynamics import OscillatorParams, Potential
 from starqm.fieldgrid import _PAIRING_MODE_CUTOFF, Field1D, Field2D, GridSpec, _drop_noise_modes
@@ -240,14 +240,18 @@ class TestExpectation:
             operators.apply(t_op, snap)
         t = phasecalc._slice_time(snap)
         part = phasecalc._slice_part(snap, t)
-        got = phasecalc._pairing(part, t)(operators.apply(t_op, part))
+        got = partner_pairing(part, t)(operators.apply(t_op, part))
         assert got.real == pytest.approx(want.real, rel=1e-10)
         assert abs(got.imag) < 1e-12
 
     def test_slice_batch_prepares_the_bra_once(self, monkeypatch):
-        # No operator has a d_x factor, so every transform in the batch is
-        # the partner sum's: one for the bra, one per ket (the norm and K
-        # ops).  The slice is an unframed copy, which takes that route.
+        # The slice is an unframed copy, so its frame is grown once from its
+        # values: 1 transform.  In the Weyl frame x becomes x - (theta/2) d_x
+        # (1 transform for its d_x) and t becomes t - (theta/2) d_t, so the
+        # last operator has 4 terms with a d_x factor (4 transforms).  The
+        # norm, x and P_t are degree 0 at the slice's own energy and pair in
+        # x-space; t and the last operator are degree 1, so the bra is
+        # transformed once (1) and each of them once (2).  9 in all.
         kernel, framed = ground_state()
         psi = Field1D(framed.spec, framed.t_slice, framed.values, dict(framed.metadata))
         ops = [
@@ -268,7 +272,7 @@ class TestExpectation:
         monkeypatch.setattr(np, "conj", counted("conj", np.conj))
         monkeypatch.setattr(np.fft, "fft", counted("fft", np.fft.fft))
         got = moments._expectations(ops, psi, kernel)
-        assert calls == {"conj": 1, "fft": len(ops) + 2}
+        assert calls == {"conj": 1, "fft": 1 + 1 + 4 + 1 + 2}
         assert got == want
 
     def test_framed_slice_batch_transforms_the_bra_at_most_once(self, monkeypatch):
@@ -337,6 +341,37 @@ class TestExpectation:
             moments.expectation("P_x", psi, kernel)
         with pytest.raises(TypeError, match="Field1D or Field2D"):
             moments.expectation(operators.p_x(), psi.values, kernel)
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+@pytest.mark.parametrize("theta", [0.0, 0.0625, 0.1, 0.2, 0.4])
+def test_unframed_slices_pair_as_the_partner_sum(theta, level):
+    """Bare-value copies of the eigenstates carry no frame, so the library
+    grows one from their values.  Their norm, a cross pair with the next
+    level, and seven expectations match the partner sum on the values to
+    1e-13 of the unit norm (measured: 1.5e-15)."""
+    spec = eigenstate_grid(theta)
+    osc = OscillatorParams(1.0, 1.0, theta)
+    kernel = StarKernel(theta)
+    bra, ket = (
+        Field1D(spec, s.t_slice, s.values, dict(s.metadata))
+        for s in (dynamics.oscillator_eigenstate(osc, n, spec) for n in (level, (level + 1) % 4))
+    )
+    x_op, t_op = operators.x_theta_l(theta), operators.t_theta_l(theta)
+    ops = [x_op, t_op, operators.p_x(), operators.p_t(),
+           operators.hamiltonian(1.0, Potential.harmonic(1.0, 1.0).coeffs, theta),
+           t_op.compose(operators.p_t()), x_op.compose(x_op)]
+    got = [symbols.induced_inner_product(kernel, bra, bra),
+           symbols.induced_inner_product(kernel, bra, ket),
+           *moments._expectations(ops, bra, kernel)]
+    part = phasecalc._slice_part(bra)
+    pair = partner_pairing(part, bra.t_slice)
+    norm = pair(part)
+    want = [norm, pair(phasecalc._slice_part(ket)),
+            *(pair(operators.apply(op, part)) / norm for op in ops)]
+    assert bra.frame is None and ket.frame is None
+    for g, w in zip(got, want, strict=True):
+        assert abs(g - w) <= 1e-13 * max(1.0, abs(w))
 
 
 class TestUncertaintyProduct:

@@ -23,8 +23,10 @@ from starqm.operators import (
     x_theta_l,
     x_theta_r,
 )
-from starqm.phasecalc import _pairing, _slice_part, stationary_part
-from oracles import dense_boost
+from starqm.phasecalc import _slice_part, stationary_part
+from starqm.star import StarKernel
+from starqm.symbols import induced_inner_product
+from oracles import dense_boost, partner_pairing
 
 
 def square_box(n, theta, half):
@@ -328,7 +330,8 @@ class TestApplyPhasePoly:
 
     def test_self_adjoint_deformed_position(self):
         # (phi, X_L psi)_t == (X_L phi, psi)_t under the induced product,
-        # including across distinct energies.
+        # including across distinct energies: by the partner sum on values,
+        # and by the library on unframed slices of the same values.
         theta = 0.2
         spec = GridSpec(8, 128, 0.0, 0.5, -7.0, 7.0, theta=theta)
         p = spec.k_x
@@ -344,8 +347,13 @@ class TestApplyPhasePoly:
         for Eb, Ek in [(0.8, 0.8), (0.4, 1.3)]:
             bra = packet(Eb, 0.6, 1.4, 0.2)
             ket = packet(Ek, -0.3, 1.1, -0.4)
-            lhs = _pairing(bra, 0.25)(apply(X, ket))
-            rhs = _pairing(apply(X, bra), 0.25)(ket)
+            lhs = partner_pairing(bra, 0.25)(apply(X, ket))
+            rhs = partner_pairing(apply(X, bra), 0.25)(ket)
+            assert abs(lhs - rhs) / max(abs(lhs), abs(rhs)) < 1e-8
+            phi, psi = (Field1D(spec, 0.25, part.values_at(0.25), {"energy": -part.a})
+                        for part in (bra, ket))
+            lhs = induced_inner_product(StarKernel(theta), phi, apply(X, psi))
+            rhs = induced_inner_product(StarKernel(theta), apply(X, phi), psi)
             assert abs(lhs - rhs) / max(abs(lhs), abs(rhs)) < 1e-8
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import brute_force_phase_star
+from oracles import brute_force_phase_star, partner_pairing, value_stack
 
 from starqm import dynamics, operators
 from starqm.fieldgrid import Field1D, GridSpec
@@ -10,7 +10,7 @@ from starqm.operators import SymbolOperator
 from starqm.phasecalc import (
     PhasePoly,
     _frame_pairing,
-    _pairing,
+    _frames,
     _slice_part,
     _slice_stack,
     conjugate,
@@ -79,7 +79,7 @@ class TestConstruction:
     def test_mixed_spec_rejected(self):
         a = t_monomial(phase_box(16, 0.1), 0)
         b = t_monomial(phase_box(32, 0.1), 0)
-        for product in (phase_star, lambda bra, ket: _pairing(bra, 0.0)(ket)):
+        for product in (phase_star, lambda bra, ket: _frame_pairing(bra, 0.0)(ket)):
             with pytest.raises(ValueError, match="GridSpec"):
                 product(a, b)
 
@@ -161,7 +161,18 @@ def gaussian_amps(spec, center, width, shift=0.0):
     return np.exp(-((p - center) ** 2) / (2 * width**2) + 1j * shift * p)
 
 
+def both_pairings(bra, ket, t):
+    """(bra, ket)_t of two stationary parts: by the partner sum on their values,
+    and by the library's frame pairing of the unframed, energy-tagged slices
+    of the same values (each slice gets its frame from `_frames`)."""
+    slices = [Field1D(p.spec, 0.0, p.values_at(t), {"energy": -p.a}) for p in (bra, ket)]
+    frames = [_slice_part(fld, t, frame=True) for fld in slices]
+    return partner_pairing(bra, t)(ket), _frame_pairing(frames[0], t)(frames[1])
+
+
 class TestInducedProduct:
+    """Closed forms for the partner sum and for the frame route alike."""
+
     def test_same_energy_reduces_to_momentum_overlap(self):
         # (psi, phi)_t = integral dp conj(psi(p)) phi(p): the damping in the
         # symbols exactly cancels the Voros growth, for every slice t.
@@ -175,8 +186,8 @@ class TestInducedProduct:
         dp = 2 * np.pi / (spec.x_max - spec.x_min)
         want = np.sum(np.conj(a1) * a2) * dp
         for t in (0.0, 0.8):
-            got = _pairing(bra, t)(ket)
-            assert rel_err(got, want) < 1e-10
+            for got in both_pairings(bra, ket, t):
+                assert rel_err(got, want) < 1e-10
 
     def test_cross_energy_closed_form(self):
         # Distinct energies: an extra phase e^{-i dE t}, a Gaussian suppression
@@ -194,15 +205,15 @@ class TestInducedProduct:
         overlap = np.sum(np.conj(a1) * a2 * np.exp(1j * theta / 2 * p * dE)) * dp
         for t in (0.0, 1.1):
             want = np.exp(-1j * dE * t) * np.exp(-theta / 4 * dE**2) * overlap
-            got = _pairing(bra, t)(ket)
-            assert rel_err(got, want) < 1e-10
+            for got in both_pairings(bra, ket, t):
+                assert rel_err(got, want) < 1e-10
 
     def test_norm_is_positive(self):
         spec = phase_box(128, 0.15)
         ket = onshell_packet(spec, 0.7, gaussian_amps(spec, 0.5, 1.0))
-        norm = _pairing(ket, 0.3)(ket)
-        assert abs(norm.imag) < 1e-14 * abs(norm)
-        assert norm.real > 0
+        for norm in both_pairings(ket, ket, 0.3):
+            assert abs(norm.imag) < 1e-14 * abs(norm)
+            assert norm.real > 0
 
 
 class TestStateAlgebra:
@@ -216,7 +227,7 @@ class TestStateAlgebra:
         # The slice pairing is the plain sum times dx: (1, 1)_t is the box length.
         spec = phase_box(32, 0.1)
         one = t_monomial(spec, 0)
-        assert _pairing(one, 0.0)(one) == pytest.approx(spec.x_max - spec.x_min)
+        assert _frame_pairing(one, 0.0)(one) == pytest.approx(spec.x_max - spec.x_min)
 
 
 def oracle_rows(spec, degree, kind, rng):
@@ -236,9 +247,9 @@ def oracle_rows(spec, degree, kind, rng):
 @pytest.mark.parametrize("deg_f", [0, 1, 2])
 @pytest.mark.parametrize("theta", [0.1, 0.5])
 class TestBruteForceOracle:
-    """The pair sum against the literal expm-per-mode-pair product F * G.
+    """The pair sums against the literal expm-per-mode-pair product F * G.
 
-    `_pairing` pairs bra = conj(F) with ket = G, so the one oracle
+    `partner_pairing` pairs bra = conj(F) with ket = G, so the one oracle
     product serves both checks; one prepared bra then serves kets of every
     degree and several frequencies against the oracle's zero output mode.
     """
@@ -256,10 +267,10 @@ class TestBruteForceOracle:
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
         bra = PhasePoly(spec, -F.a, np.conj(F.coef))
-        got = _pairing(bra, t)(G)
+        got = partner_pairing(bra, t)(G)
         assert abs(got - np.sum(want) * spec.dx) <= 1e-12 * np.sum(np.abs(want)) * spec.dx
 
-        pair = _pairing(bra, t)
+        pair = partner_pairing(bra, t)
         for deg, b in ((0, 1.1), (1, -0.9), (2, 0.0)):
             ket = PhasePoly(spec, b, oracle_rows(spec, deg, kind, rng))
             coef = brute_force_phase_star(F.coef, F.a, ket.coef, b, spec.k_x, theta,
@@ -279,7 +290,12 @@ def test_overflowing_weight_raises():
     with pytest.raises(ValueError, match="finite"):
         phase_star(f, f)
     with pytest.raises(ValueError, match="finite"):
-        _pairing(f, 0.0)(f)
+        partner_pairing(f, 0.0)(f)
+    # The library grows the frame of the same values by e^{theta k^2/4},
+    # which is beyond range here too, and names the pairing as well.
+    bare = Field1D(spec, 0.0, f.coef[0], {"energy": 0.0})
+    with pytest.raises(ValueError, match="slice pairing is not finite on slice 0"):
+        _slice_part(bare, frame=True)
 
 
 PACKETS = ((-0.5, 0.3, 1.0, 0.5, 0.0), (0.8, -0.6, 0.8, 1.7, 0.05), (0.2, 1.1, 1.3, -0.4, 0.13))
@@ -297,17 +313,24 @@ def packet_slices(theta, shapes=PACKETS, scales=(1.0, 1.0, 1.0)):
 
 
 class TestStackedPairing:
-    """One stacked pass against one `_pairing` per slice, to 1e-14 relative."""
+    """The library's stacked pass on unframed slices against one pairing per
+    slice, to 1e-14 relative: its own single-slice route, and the partner sum."""
 
     def stacked_and_single(self, slices, op):
+        """The stacked pairings, the library's per slice, and the partner sum's per slice."""
         ts = [f.t_slice for f in slices]
-        stack = _slice_stack(slices, ts, [op])
-        got = _pairing(stack, ts)(operators.apply(op, stack))
-        want = []
+        op_w = operators._weyl_frame(op, slices[0].spec.theta)
+
+        def frame_pairs(part, t):
+            return _frame_pairing(part, t)(operators.apply(op_w, part))
+
+        got = frame_pairs(_slice_stack(slices, ts, [op]), ts)
+        single, partner = [], []
         for fld, t in zip(slices, ts):
+            single.append(frame_pairs(_slice_part(fld, t, [op], frame=True), t))
             part = _slice_part(fld, t, [op])
-            want.append(_pairing(part, t)(operators.apply(op, part)))
-        return got, np.array(want)
+            partner.append(partner_pairing(part, t)(operators.apply(op, part)))
+        return got, np.array(single), np.array(partner)
 
     @pytest.mark.parametrize("theta", [0.0, 0.1, 0.2])
     @pytest.mark.parametrize(
@@ -324,36 +347,40 @@ class TestStackedPairing:
         """Slices with their own energy tags and times; operators of t-degree
         0 and 1; theta = 0 keeps every mode."""
         op = op(theta) if callable(op) else op
-        got, want = self.stacked_and_single(packet_slices(theta), op)
+        got, single, partner = self.stacked_and_single(packet_slices(theta), op)
         assert got.shape == (3,)
-        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+        for want in (single, partner):
+            assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
     def test_each_slice_is_cut_by_its_own_peak(self):
         """The small slice is narrow: at theta = 0.2 its Voros weights lift its
         modes between 1e-14 and 1e-8 of its peak to about 1e-3 of its
-        pairing, so a cut relative to the 1e6 times larger slice shows."""
+        pairing, so a cut relative to the 1e6 times larger slice shows.
+        The partner sum is no reference here: it cuts the operator's image
+        of the values, the frame route the values, and on this slice the
+        cut moves the pairing by about 1e-5 either way."""
         theta = 0.2
         narrow = ((0.3, 0.4, 0.35, 0.9, 0.02),) + PACKETS[:1]
         slices = packet_slices(theta, narrow, scales=(1.0, 1e6))
         for op in (operators.x_theta_l(theta), operators.p_x()):
-            got, want = self.stacked_and_single(slices, op)
-            assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+            got, single, _ = self.stacked_and_single(slices, op)
+            assert np.all(np.abs(got - single) <= 1e-14 * np.abs(single))
 
     def test_a_single_state_pairs_to_a_complex_number(self):
         fld = packet_slices(0.1)[0]
         part = _slice_part(fld)
-        stack = _slice_stack([fld], [fld.t_slice])
-        single = _pairing(part, fld.t_slice)(part)
+        stack = value_stack([fld], [fld.t_slice])
+        single = partner_pairing(part, fld.t_slice)(part)
         assert isinstance(single, complex)
-        assert _pairing(stack, [fld.t_slice])(stack) == np.array([single])
+        assert partner_pairing(stack, [fld.t_slice])(stack) == np.array([single])
 
     def test_stack_shapes_are_checked(self):
         slices = packet_slices(0.1)
-        stack = _slice_stack(slices, [0.0, 0.0, 0.0])
+        stack = value_stack(slices, [0.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="one frequency a per slice"):
             PhasePoly(stack.spec, 0.0, stack.coef)
         with pytest.raises(ValueError, match="does not match bra stack"):
-            _pairing(stack, 0.0)(_slice_part(slices[0]))
+            partner_pairing(stack, 0.0)(_slice_part(slices[0]))
         with pytest.raises(ValueError, match="single states, not stacks"):
             phase_star(stack, stack)
         other = Field1D(phase_box(64, 0.1), 0.0, np.ones(64), {"energy": 0.0})
@@ -367,7 +394,7 @@ class TestStackedPairing:
         smooth, white = oracle_rows(spec, 0, "band", rng), oracle_rows(spec, 0, "white", rng)
         stack = PhasePoly(spec, np.zeros(2), np.stack([smooth, white], axis=1))
         with pytest.raises(ValueError, match="not finite on slice 1 at t = 0.5"):
-            _pairing(stack, [0.0, 0.5])(stack)
+            partner_pairing(stack, [0.0, 0.5])(stack)
 
 
 def eigenstates(theta, levels=3):
@@ -396,14 +423,14 @@ class TestFramePairing:
                 for ket in states:
                     got = _frame_pairing(_slice_part(bra, t, frame=True), t)(
                         operators.apply(op_w, _slice_part(ket, t, frame=True)))
-                    want = _pairing(_slice_part(bra, t), t)(
+                    want = partner_pairing(_slice_part(bra, t), t)(
                         operators.apply(op, _slice_part(ket, t)))
                     assert abs(got - want) <= 1e-15 * max(1.0, abs(want))
 
     def test_equal_energies_of_degree_zero_pair_as_the_l2_sum(self):
         states = eigenstates(0.2)
         spec = states[0].spec
-        stack = _slice_stack(states, [0.0, 0.05, 0.1], frame=True)
+        stack = _slice_stack(states, [0.0, 0.05, 0.1])
         got = _frame_pairing(stack, [0.0, 0.05, 0.1])(stack)
         want = [np.vdot(s.frame, s.frame) * spec.dx for s in states]
         assert np.allclose(got, want, rtol=1e-15, atol=0.0)
@@ -415,8 +442,8 @@ class TestFramePairing:
         states = eigenstates(0.15, levels=4)
         ts = [0.02, 0.07, 0.11]
         op_w = operators._weyl_frame(operators.x_theta_l(0.15), 0.15)
-        bra = _slice_stack(states[:3], ts, frame=True)
-        ket = _slice_stack(states[1:], ts, frame=True)
+        bra = _slice_stack(states[:3], ts)
+        ket = _slice_stack(states[1:], ts)
         got = _frame_pairing(bra, ts)(operators.apply(op_w, ket))
         for s, (b, k, t) in enumerate(zip(states[:3], states[1:], ts)):
             single = _frame_pairing(_slice_part(b, t, frame=True), t)(
@@ -426,9 +453,57 @@ class TestFramePairing:
 
     def test_stack_shapes_are_checked(self):
         states = eigenstates(0.1)
-        stack = _slice_stack(states, [0.0, 0.0, 0.0], frame=True)
+        stack = _slice_stack(states, [0.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="does not match bra stack"):
             _frame_pairing(stack, 0.0)(_slice_part(states[0], frame=True))
         other = PhasePoly(phase_box(64, 0.1), 0.0, np.ones(64))
         with pytest.raises(ValueError, match="same GridSpec"):
             _frame_pairing(_slice_part(states[0], frame=True), 0.0)(other)
+
+    def test_an_overflowing_pair_is_named(self):
+        # Frames of 1e200 are finite, but their L2 sum is not: the pairing
+        # names the slice instead of returning inf, with no numpy warning
+        # first (warnings are errors here), in x-space (the norm) and
+        # through the transform (a ket of t-degree 1).
+        states = eigenstates(0.1, levels=2)
+        huge = Field1D(states[1].spec, 0.0, states[1].values, dict(states[1].metadata),
+                       states[1].frame * 1e200)
+        ts = [0.0, 0.5]
+        stack = _slice_stack([states[0], huge], ts)
+        t_w = operators._weyl_frame(operators.t_theta_l(0.1), 0.1)
+        for ket in (stack, operators.apply(t_w, stack)):
+            with pytest.raises(ValueError, match="not finite on slice 1 at t = 0.5"):
+                _frame_pairing(stack, ts)(ket)
+
+
+class TestUnframedSlices:
+    """A slice without a frame is paired through the frame `_frames` grows from its values."""
+
+    @pytest.mark.parametrize("theta", [0.0, 0.0625, 0.1, 0.2])
+    def test_the_grown_frame_is_the_one_the_constructor_sets(self, theta):
+        # Bare copies of the eigenstates: their values grown by
+        # e^{theta (E^2 + k^2)/4} give back the closed-form frames, which at
+        # theta = 0 are the values themselves.
+        states = eigenstates(theta, levels=4)
+        bare = [Field1D(s.spec, s.t_slice, s.values, dict(s.metadata)) for s in states]
+        energies = np.array([s.metadata["energy"] for s in states])
+        got = _frames(bare, energies)
+        for row, state in zip(got, states):
+            if theta == 0.0:
+                assert np.array_equal(row, state.values)
+            assert rel_err(row, state.frame) <= 1e-13
+        assert all(fld.frame is None for fld in bare)  # grown for the caller, never stored
+
+    @pytest.mark.parametrize("n_x, theta", [(1024, 0.2), (512, 0.64)])
+    def test_cut_modes_beyond_the_growth_range_stay_zero(self, n_x, theta):
+        # theta k_max^2 / 4 is about 898 and 719: the top modes' growth is
+        # beyond floating-point range, but they are cut, and a smooth
+        # Gaussian pairs as the partner sum pairs it.
+        spec = GridSpec(8, n_x, 0.0, 0.2, -12.0, 12.0, theta)
+        assert theta * np.max(spec.k_x**2) / 4.0 > 709.8
+        fld = Field1D(spec, 0.0, np.exp(-spec.x**2 / 2), {"energy": 0.7})
+        part = _slice_part(fld, frame=True)
+        got = _frame_pairing(part, 0.0)(part)
+        values = _slice_part(fld)
+        want = partner_pairing(values, 0.0)(values)
+        assert abs(got - want) <= 1e-13 * abs(want)

@@ -212,7 +212,8 @@ class TestInducedInnerProduct:
         assert abs(ratio - 0.5) <= 1e-13
 
     def test_an_overflowing_partner_sum_raises_its_own_error(self):
-        # The unframed copy takes the partner sum, whose Voros weight leaves
+        # The unframed copy's frame is grown from its values by the Voros
+        # weight a partner sum would apply, and its pairing leaves
         # floating-point range at theta = 0.4: the caller sees the named
         # ValueError, not a numpy RuntimeWarning (warnings are errors here).
         theta = 0.4
@@ -285,6 +286,31 @@ class TestInducedInnerProduct:
             symbols.induced_inner_product(StarKernel(0.1), a, a)
         with pytest.raises(TypeError):
             symbols.induced_inner_product(StarKernel(0.2), a.values, a.values)
+
+    def test_slices_pair_at_their_physical_times(self):
+        # An evolved snapshot keeps its launch label t_slice = 0 and lives at
+        # t_slice + metadata['elapsed'] = 0.1, as moments.expectation reads it.
+        theta = 0.1
+        spec = GridSpec(8, 512, 0.0, 0.2, -12.0, 12.0, theta)
+        kern = StarKernel(theta)
+        osc = dynamics.OscillatorParams(1.0, 1.0, theta)
+        launch = dynamics.oscillator_eigenstate(osc, 1, spec)
+        snap = dynamics.evolve(launch, dynamics.Potential.harmonic(1.0, 1.0), kern, 1.0, 2e-4,
+                               500, record_every=500)[-1]
+        with pytest.raises(ValueError, match="different times: 0.0 vs 0.1"):
+            symbols.induced_inner_product(kern, launch, snap)
+        later = dynamics.oscillator_eigenstate(osc, 1, spec, t=0.1)
+        assert abs(symbols.induced_inner_product(kern, later, snap) - 1.0) <= 1e-8
+        # step * dt can land one rounding off the time it names (2128 steps of
+        # 0.3/2128 end at 0.29999999999999993): that is the same time, and a
+        # time 1e-9 away is not.
+        def at(elapsed):
+            return Field1D(spec, 0.0, snap.values, {**snap.metadata, "elapsed": elapsed}, snap.frame)
+
+        rounded = at(math.nextafter(0.1, 0.0))
+        assert abs(symbols.induced_inner_product(kern, later, rounded) - 1.0) <= 1e-8
+        with pytest.raises(ValueError, match="different times"):
+            symbols.induced_inner_product(kern, later, at(0.1 + 1e-9))
 
 
 class TestProbabilityDensity:
