@@ -792,7 +792,10 @@ def evolve(
             for n in record
         ]
     if use_frame and not framed:
-        phi_hat = phi_hat * np.exp(theta * spec.k_x**2 / 4.0)
+        # Only the kept modes grow: a cut mode stays zero where its weight
+        # would overflow.
+        live = phi_hat != 0
+        phi_hat = phi_hat * np.exp(theta * spec.k_x**2 / 4.0, out=np.zeros(live.shape), where=live)
     kin_half = np.exp(-1j * spec.k_x**2 * dt / (4.0 * m))
     fixed = None if per_step else phase(0.0)
     done = 0

@@ -21,8 +21,10 @@ plain sum conj(phi) (O_W phi) dx (a slice built without a frame gets one in
 on a stack of slices at once: the slices of a trajectory are lifted into one
 phase polynomial with a slice axis, so the bra side is transformed at most
 once per batch and each ket O psi at most once per operator, whatever the
-number of slices.  The kets of a full field (or of its frame) share one
-derivative cache, so each derivative order is taken once per batch.
+number of slices.  The kets of a full field share one derivative cache, so
+each derivative order is taken once per batch.  A framed field paired over
+the whole plane builds no kets: the pairing is linear in O_W, so each
+distinct monomial of the batch's frames is paired once (`_plane_moments`).
 
 On top of that sit the uncertainty products, the 4x4 covariance matrix of
 the coherent element together with its commutator (symplectic) form, the
@@ -58,6 +60,7 @@ from .operators import (
     SymbolOperator,
     _apply_field2d,
     _apply_phasepoly,
+    _derivative,
     _weyl_frame,
     commutator,
     hamiltonian,
@@ -241,8 +244,14 @@ def expectation(
     kernel.theta enters it, and input modes below the pairing cutoff
     fieldgrid._PAIRING_MODE_CUTOFF are dropped.  On a full field, the
     functions that pair several operators on one state (uncertainty
-    products, covariance, bound checks) build every O psi from one
-    derivative cache of psi, and transform the bra side once per batch.
+    products, covariance, bound checks) pair them as one batch.  A framed
+    field over the whole plane pairs by monomial moments: each distinct
+    monomial t^a x^b d_t^c d_x^d of the batch's frames is paired with phi
+    once, as one grid sum against its derivative from one memoised cache,
+    and each operator combines its coefficients' moments; no ket O_W phi is
+    built, and the norm is the (0, 0, 0, 0) moment.  Otherwise every O psi
+    is built from one derivative cache of psi, and the bra side is
+    transformed once per batch.
 
     An operator built at a theta other than 0 or the grid's is rejected.
     The state must arrive normalized: a pairing norm off unity beyond 1e-6
@@ -281,20 +290,20 @@ def _expectations(
     if isinstance(psi, Field2D):
         if t is None and psi.frame is not None:
             # Weyl amplitudes pair over the plane as the plain grid sum of
-            # conj(phi) (O_W phi) dt dx.
-            phi = Field2D(spec, psi.frame)
+            # conj(phi) (O_W phi) dt dx, which is linear in O_W: each distinct
+            # monomial is paired once and the frames combine the moments.
+            frames = [_weyl_frame(op, spec.theta) for op in ops]
+            moment = _plane_moments(Field2D(spec, psi.frame), frames)
             area = spec.dt * spec.dx
-
-            def pair(ket: Field2D) -> complex:
-                return complex(np.vdot(phi.values, ket.values)) * area
-
-            ops = [_weyl_frame(op, spec.theta) for op in ops]
-        else:
-            phi = psi
-            pair = symbols._pairing(kernel.theta, psi, t)
+            norm = _checked_norm(moment[(0, 0, 0, 0)] * area)
+            return [
+                complex(sum(coef * moment[key] for key, coef in frame.terms.items())) * area / norm
+                for frame in frames
+            ]
+        pair = symbols._pairing(kernel.theta, psi, t)
         # One derivative cache serves every operator of the batch.
-        act = partial(_apply_field2d, fld=phi, derivs={})
-        norm = _checked_norm(complex(pair(phi)))
+        act = partial(_apply_field2d, fld=psi, derivs={})
+        norm = _checked_norm(complex(pair(psi)))
         return [complex(pair(act(op))) / norm for op in ops]
 
     ts = np.array([phasecalc._slice_time(fld) if t is None else float(t) for fld in states])
@@ -310,6 +319,33 @@ def _expectations(
             raise ValueError(f"slice {s} at t = {ts[s]:.6g}: {err}") from None
     values = np.array([pair(_apply_phasepoly(op, state)) for op in ops]).T / norms[:, None]
     return values if stack else [complex(v) for v in values[0]]
+
+
+def _plane_moments(phi: Field2D, frames: Sequence[SymbolOperator]) -> dict:
+    """<phi, t^a x^b d_t^c d_x^d phi> as a grid sum, once per monomial of the frames.
+
+    The norm's monomial (0, 0, 0, 0) is always included.  Each derivative
+    order is taken once, from one memoised cache of phi, and the t^a x^b
+    weight is applied in one scratch buffer reused by every monomial, so no
+    ket O_W phi is built.  The monomials run grouped by derivative order,
+    d_t order first, and a cached derivative is dropped once no later order
+    is built on it, so the cache holds at most two derivatives at a time.
+    """
+    spec = phi.spec
+    keys = {(0, 0, 0, 0)}.union(*(frame.terms for frame in frames))
+    derivs: dict = {}
+    scratch = np.empty((spec.n_t, spec.n_x), dtype=np.complex128)
+    moment = {}
+    for a, b, c, d in sorted(keys, key=lambda key: key[2:] + key[:2]):
+        for order in [o for o in derivs if o[0] != c or o[1] not in (0, d)]:
+            del derivs[order]
+        vals = _derivative(phi, (c, d), derivs).values
+        if a:
+            vals = np.multiply(vals, spec.t[:, None] ** a, out=scratch)
+        if b:
+            vals = np.multiply(vals, spec.x[None, :] ** b, out=scratch)
+        moment[a, b, c, d] = complex(np.vdot(phi.values, vals))
+    return moment
 
 
 def _mean_variance(mean: complex, second: complex, label: str) -> tuple[float, float]:

@@ -376,6 +376,13 @@ def _quasi_projectors(spec: GridSpec, *times: float) -> list[Callable[[np.ndarra
     once for the grid; each time multiplies in its per-row phase and builds
     its real envelope.  A map takes amplitudes that were already cut and does
     not cut again, so it is linear in its argument.
+
+    Each map owns one zero-padded (2 N_t, N_x) buffer, allocated when the map
+    is built and refilled on every call: the energy collapse runs in place
+    in it (`np.fft.ifft` with out=) and the envelope multiplies in place.
+    Only the x synthesis allocates, and its output is what the map returns,
+    so no returned array is ever a reused buffer.  The buffer lives as long
+    as the map: nothing is cached beyond it.
     """
     theta = spec.theta
     if not theta > 0:
@@ -405,16 +412,18 @@ def _quasi_projectors(spec: GridSpec, *times: float) -> list[Callable[[np.ndarra
         with np.errstate(invalid="ignore"):
             weight = mode_weight * np.exp(-0.5j * E * (t0 - spec.t_min))[:, None]
         envelope = scale * np.exp(-0.5 * np.outer(tau, p) - (tau**2 / (2.0 * theta))[:, None])
+        padded = np.empty((2 * n_t, n_x), dtype=np.complex128)
 
         def project(amps: np.ndarray) -> np.ndarray:
             # Row s of the energy axis goes to slot s mod 2 N_t: the rows
             # s < N_t/2 stay, the rest (the Nyquist row first) end the array.
-            padded = np.zeros((2 * n_t, n_x), dtype=np.complex128)
+            padded.fill(0)
             live = amps != 0
             np.multiply(amps[:half], weight[:half], out=padded[:half], where=live[:half])
             np.multiply(amps[half:], weight[half:], out=padded[n_t + half:], where=live[half:])
-            by_p = np.fft.ifft(padded, axis=0)[:n_t]  # [t'', p]
-            return np.fft.ifft(by_p * envelope, axis=1)
+            by_p = np.fft.ifft(padded, axis=0, out=padded)[:n_t]  # [t'', p]
+            by_p *= envelope
+            return np.fft.ifft(by_p, axis=1)
 
         return project
 

@@ -1052,6 +1052,17 @@ class TestEvolve:
         same = dyn.evolve(psi0, Potential.harmonic(1.0, math.sqrt(0.1)), kern, 1.0, 5e-4, 1600)
         assert float(np.max(np.abs(walk[-1].values - same[-1].values))) < 1e-12
 
+    @pytest.mark.filterwarnings("error")
+    def test_unframed_start_grows_only_kept_modes(self):
+        # At theta = 0.2 on this slice theta k_max^2/4 is about 900, past the
+        # exponent range of a double; the cut modes must stay zero, not overflow.
+        spec = GridSpec(8, 1024, 0.0, 0.2, -12.0, 12.0, 0.2)
+        kern = StarKernel(0.2)
+        psi0 = Field1D(spec, 0.0, np.exp(-spec.x**2 / 2.0) / math.pi**0.25, {"energy": 0.5})
+        traj = dyn.evolve(psi0, Potential.harmonic(1.0, 1.0), kern, 1.0, 1e-5, 2)
+        first, last = (symbols.induced_inner_product(kern, s, s) for s in (traj[0], traj[-1]))
+        assert abs(last - first) <= 1e-12 * abs(first)
+
     def test_requires_energy_tag_for_deformed_potentials(self):
         spec = GridSpec(32, 512, 0.0, 2.0, -20.0, 20.0, 0.1)
         kern = StarKernel(0.1)

@@ -459,6 +459,25 @@ class TestCoherentVarianceMatrix:
         with pytest.raises(ValueError, match="numerical covariance disagrees"):
             moments.coherent_variance_matrix(THETA)
 
+    def test_framed_covariance_pairs_moments_without_kets(self, monkeypatch):
+        # The 14 frames share 15 monomials and 5 nonzero derivative orders:
+        # each order is taken once and no ket O_W phi is built.
+        calls = {"apply": 0, "derivative": 0}
+
+        def counted(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for module in (moments, operators):
+            monkeypatch.setattr(module, "_apply_field2d", counted("apply", module._apply_field2d))
+        monkeypatch.setattr(
+            operators, "spectral_derivative", counted("derivative", operators.spectral_derivative)
+        )
+        moments.coherent_variance_matrix(THETA)
+        assert calls == {"apply": 0, "derivative": 5}
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError, match="theta > 0"):
             moments.coherent_variance_matrix(0.0)
@@ -588,6 +607,14 @@ class TestPlanePairing:
         assert moments.expectation(operators.x_theta_l(THETA), psi, kernel) == pytest.approx(
             -2 * s, rel=1e-12
         )
+
+    def test_framed_state_off_unit_norm_is_refused(self):
+        # A frame scaled by 1.1 pairs to norm 1.21 over the plane, whatever
+        # its values read.
+        psi = symbols.coherent_symbol(CoherentPoint(0.0, 0.0, THETA), coherent_box(THETA))
+        scaled = Field2D(psi.spec, psi.values, dict(psi.metadata), 1.1 * psi.frame)
+        with pytest.raises(ValueError, match="not normalized"):
+            moments.expectation(operators.x_theta_l(THETA), scaled, StarKernel(THETA))
 
     @pytest.mark.parametrize("theta", [0.0625, 0.1, 0.2])
     @pytest.mark.parametrize("centre", [(0.0, 0.0), (0.3, -0.5)])

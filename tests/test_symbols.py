@@ -635,6 +635,24 @@ class TestQuasiProjection:
         ]
         assert both["states"] == alone
 
+    def test_returned_projections_share_no_buffer(self):
+        # A result kept across a later projection must not change: no
+        # returned array aliases a buffer the projector refills.
+        theta = 0.25
+        spec = GridSpec(64, 64, -4.0, 4.0, -4.0, 4.0, theta)
+        psi = two_mode_state(spec)
+        first = symbols.quasi_projection_apply(0.0, psi)
+        second = symbols.quasi_projection_apply(0.125, psi)
+        assert np.array_equal(first.values, symbols.quasi_projection_apply(0.0, psi).values)
+        assert not np.array_equal(first.values, second.values)
+        # one projector called twice, on two amplitude sets
+        amps = symbols._projection_amplitudes(psi)
+        (project,) = symbols._quasi_projectors(spec, 0.0)
+        kept = project(amps)
+        project(2j * amps)
+        (fresh,) = symbols._quasi_projectors(spec, 0.0)
+        assert np.array_equal(kept, fresh(amps))
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_report_transforms_each_state_twice(self, monkeypatch, k):
         # psi and pi_t psi are each transformed once; the defect reuses both.
