@@ -1,9 +1,10 @@
 """Packet, oscillator, and evolution solvers on the deformed line.
 
 Free Gaussian packets are built by direct momentum quadrature of their
-on-shell mode sum.  Harmonic-oscillator energies come with an independent
-momentum-space diagonalization check, and eigenstate slices are the closed
-Gaussian-Hermite transforms of the damped, gauge-phased momentum profiles.
+on-shell mode sum.  Harmonic-oscillator energies are the closed-form ladder,
+checked against a diagonalization of the stationary solver's Fourier-band
+block at theta = 0, and eigenstate slices are the closed Gaussian-Hermite
+transforms of the damped, gauge-phased momentum profiles.
 A polynomial potential, the oscillator among them, has the deformed generator
 H_theta = P_x^2/2m + V(X_theta^L) composed symbolically by
 `operators.hamiltonian`; the stationary solver gates every polynomial level
@@ -68,10 +69,10 @@ _BAND_TOL = 1e-10
 _ALGEBRA_TOL = 1e-9
 # Simpson nodes (an odd count) for a transition amplitude's pulse integral.
 _PULSE_SAMPLES = 4097
-# Modes of the oscillator's momentum box, which holds at most this many levels.
-_MOMENTUM_MODES = 256
-# Closed-form ladder vs diagonalization, relative to 1 + E_max: the 256-mode box
-# is off by at most 6e-14 of it up to n_max = 100, and by more than this from 108.
+# Modes of the ladder check's band block, which holds at most this many levels.
+_LADDER_MODES = 256
+# Closed-form ladder vs the band block's levels, relative to 1 + E_max: off by
+# at most 6e-14 of it up to n_max = 100, and by more than this from 108.
 _LADDER_TOL = 1e-9
 # Verified (m, omega, n_max) ladders kept per process.
 _LADDER_CACHE_SIZE = 64
@@ -307,52 +308,29 @@ def first_order_packet(
 # ---------------------------------------------------------------------------
 
 
-def _oscillator_momentum_box(params: OscillatorParams, n_top: int, n_modes: int) -> np.ndarray:
-    """Periodic p-grid wide enough for levels up to n_top."""
-    scale = math.sqrt(params.m * params.omega)
-    extent = scale * (math.sqrt(2.0 * n_top + 1.0) + 10.0)
-    dp = 2.0 * extent / n_modes
-    return -extent + dp * np.arange(n_modes)
-
-
-def oscillator_momentum_operator(
-    params: OscillatorParams, energy: float, n_top: int, n_modes: int = _MOMENTUM_MODES
-) -> tuple[np.ndarray, np.ndarray]:
-    """Dense momentum-space generator (1/2m)[p^2 - m^2 w^2 (d_p + i theta E/2)^2].
-
-    Returns (p, H) on a periodic p-box sized for levels up to n_top.  At
-    energy = 0 this is the gauge-stripped, theta-free operator; at the
-    level energies it is the deformed one whose eigenfunctions carry the
-    e^{-i theta E p/2} phase.
-    """
-    p = _oscillator_momentum_box(params, n_top, n_modes)
-    dp = float(p[1] - p[0])
-    if params.theta * abs(energy) * dp / 2.0 > math.pi:
-        raise ValueError(
-            "gauge phase wraps across one momentum step "
-            f"(theta*E*dp/2 = {params.theta * abs(energy) * dp / 2.0:.4g} > pi); "
-            "refine the momentum box"
-        )
-    k = 2.0 * np.pi * np.fft.fftfreq(n_modes, d=dp)
-    # (d_p + i theta E/2)^2 is the Fourier multiplier (ik + i theta E/2)^2,
-    # whose dense matrix is the circulant c[(i - j) mod n] of c = ifft(symbol).
-    # It is scaled, given its diagonal and Hermitized in place.
-    H = scipy.linalg.circulant(np.fft.ifft((1j * k + 0.5j * params.theta * energy) ** 2))
-    H *= -(params.m * params.omega**2 / 2.0)
-    H[np.diag_indices(n_modes)] += p**2 / (2.0 * params.m)
-    H += H.conj().T
-    H *= 0.5
-    return p, H
+def _band_block(v_hat: np.ndarray, kinetic: np.ndarray, band: np.ndarray) -> np.ndarray:
+    """Frame operator on the Fourier modes `band`: kinetic[band] on the diagonal
+    plus the Toeplitz block v_hat[(i - j) mod n] of the potential's modes."""
+    block = v_hat[(band[:, None] - band) % len(v_hat)]
+    block[np.diag_indices(len(band))] += kinetic[band]
+    return block
 
 
 @lru_cache(maxsize=_LADDER_CACHE_SIZE)
 def _verified_ladder(m: float, omega: float, n_max: int) -> tuple[float, ...]:
-    """Closed-form ladder for n <= n_max, checked against a dense diagonalization."""
+    """Closed-form ladder for n <= n_max, checked against the band block at theta = 0."""
     params = OscillatorParams(m, omega)
     closed = [params.level_energy(n) for n in range(n_max + 1)]
-    _, H = oscillator_momentum_operator(params, 0.0, n_max)
-    # At energy 0 the operator is real symmetric; its imaginary part is rounding.
-    levels = scipy.linalg.eigvalsh(H.real, subset_by_index=[0, n_max])
+    # An x-box whose Fourier modes reach |k| = sqrt(m omega)(sqrt(2 n_max + 1) + 10),
+    # centred on x = 0, with every mode in the band.
+    dx = math.pi / (math.sqrt(m * omega) * (math.sqrt(2.0 * n_max + 1.0) + 10.0))
+    x = dx * (np.arange(_LADDER_MODES) - _LADDER_MODES // 2)
+    v_hat = np.fft.fft(Potential.harmonic(m, omega).sample_space(x)) / _LADDER_MODES
+    k = 2.0 * np.pi * np.fft.fftfreq(_LADDER_MODES, d=dx)
+    block = _band_block(v_hat, k**2 / (2.0 * m), np.arange(_LADDER_MODES))
+    # V is even on a grid symmetric about 0, so v_hat is (-1)^k times a real
+    # sequence: the block is real symmetric, and its imaginary part is rounding.
+    levels = scipy.linalg.eigvalsh(block.real, subset_by_index=[0, n_max])
     worst = float(np.max(np.abs(levels - np.asarray(closed))))
     if worst > _LADDER_TOL * (1.0 + closed[-1]):
         raise RuntimeError(
@@ -365,20 +343,22 @@ def _verified_ladder(m: float, omega: float, n_max: int) -> tuple[float, ...]:
 def oscillator_spectrum(params: OscillatorParams, n_max: int) -> list[float]:
     """Energies (n + 1/2) omega for n <= n_max, cross-checked numerically.
 
-    The closed form is verified against a diagonalization of the
-    gauge-stripped momentum-space operator; a mismatch beyond
-    1e-9 (1 + E_max) raises rather than returning silently wrong levels.
-    That operator and the ladder are free of theta, so the check runs once
-    per (m, omega, n_max) in a process and a theta-scan reuses it.  A failed
+    The closed form is the independent side.  It is checked against the
+    lowest levels of the stationary solver's band block (`_band_block`) for
+    k^2/2m + m omega^2 x^2/2 on all 256 modes of an x-box sized for level
+    n_max; a mismatch beyond 1e-9 (1 + E_max) raises rather than returning
+    silently wrong levels.  A static potential's spectrum is free of theta
+    (see the module docstring), so the check runs at theta = 0, once per
+    (m, omega, n_max) in a process, and a theta-scan reuses it.  A failed
     check is not remembered: it raises again on every call.
     """
     # Written so that nan and inf fail here too, not later inside int().
     if not (n_max >= 0 and n_max % 1 == 0):
         raise ValueError(f"n_max must be a nonnegative integer, got {n_max}")
-    if n_max >= _MOMENTUM_MODES:
+    if n_max >= _LADDER_MODES:
         raise ValueError(
-            f"n_max={n_max} asks for more levels than the momentum box's "
-            f"{_MOMENTUM_MODES} modes hold"
+            f"n_max={n_max} asks for more levels than the ladder check's "
+            f"{_LADDER_MODES} modes hold"
         )
     return list(_verified_ladder(params.m, params.omega, int(n_max)))
 
@@ -592,8 +572,7 @@ def stationary_solve(
         v_hat = np.fft.fft(v) / n
         while True:
             band = np.arange(-(modes // 2), (modes + 1) // 2) % n
-            block = v_hat[(band[:, None] - band) % n]
-            block[np.diag_indices(modes)] += kinetic[band]
+            block = _band_block(v_hat, kinetic, band)
             subset = None if lvl is None else [lvl, lvl]
             w, vecs = scipy.linalg.eigh(block, overwrite_a=True, subset_by_index=subset)
             if lvl is None:
@@ -732,10 +711,12 @@ def evolve(
     _require_positive(m, "mass")
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and > 0, got {dt}")
-    if steps < 1 or int(steps) != steps:
+    # Written so that nan and inf fail here too, not later inside int().
+    if not (steps >= 1 and steps % 1 == 0):
         raise ValueError(f"steps must be a positive integer, got {steps}")
-    if record_every < 1 or int(record_every) != record_every:
+    if not (record_every >= 1 and record_every % 1 == 0):
         raise ValueError(f"record_every must be a positive integer, got {record_every}")
+    steps, record_every = int(steps), int(record_every)
     if theta > 0 and not potential.static:
         raise ValueError(
             "time-dependent potentials at theta > 0 are outside the single-"

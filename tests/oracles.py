@@ -2,8 +2,12 @@
 
 These deliberately avoid the library's own fast paths: the star oracle is the
 literal O(N^4) mode-pair sum, written once and kept dumb.  The slice partner
-sum is the route the library's frame pairing replaced, kept as its reference.
+sum is the route the library's frame pairing replaced, kept as its reference,
+and the dense momentum-space oscillator is the one the ladder check's band
+block replaced.
 """
+
+import math
 
 import numpy as np
 import scipy.linalg
@@ -16,6 +20,42 @@ def dense_multiplier(symbol):
     """Fourier multiplier as a dense matrix, F^-1 diag(symbol) F, from transforms of the identity."""
     modes = np.fft.fft(np.eye(len(symbol)), axis=0)
     return np.fft.ifft(modes * symbol[:, None], axis=0)
+
+
+def oscillator_momentum_box(params, n_top, n_modes):
+    """Periodic p-grid wide enough for levels up to n_top."""
+    scale = math.sqrt(params.m * params.omega)
+    extent = scale * (math.sqrt(2.0 * n_top + 1.0) + 10.0)
+    dp = 2.0 * extent / n_modes
+    return -extent + dp * np.arange(n_modes)
+
+
+def oscillator_momentum_operator(params, energy, n_top, n_modes=256):
+    """Dense momentum-space generator (1/2m)[p^2 - m^2 w^2 (d_p + i theta E/2)^2].
+
+    Returns (p, H) on a periodic p-box sized for levels up to n_top.  At
+    energy = 0 this is the gauge-stripped, theta-free operator; at the
+    level energies it is the deformed one whose eigenfunctions carry the
+    e^{-i theta E p/2} phase.
+    """
+    p = oscillator_momentum_box(params, n_top, n_modes)
+    dp = float(p[1] - p[0])
+    if params.theta * abs(energy) * dp / 2.0 > math.pi:
+        raise ValueError(
+            "gauge phase wraps across one momentum step "
+            f"(theta*E*dp/2 = {params.theta * abs(energy) * dp / 2.0:.4g} > pi); "
+            "refine the momentum box"
+        )
+    k = 2.0 * np.pi * np.fft.fftfreq(n_modes, d=dp)
+    # (d_p + i theta E/2)^2 is the Fourier multiplier (ik + i theta E/2)^2,
+    # whose dense matrix is the circulant c[(i - j) mod n] of c = ifft(symbol).
+    # It is scaled, given its diagonal and Hermitized in place.
+    H = scipy.linalg.circulant(np.fft.ifft((1j * k + 0.5j * params.theta * energy) ** 2))
+    H *= -(params.m * params.omega**2 / 2.0)
+    H[np.diag_indices(n_modes)] += p**2 / (2.0 * params.m)
+    H += H.conj().T
+    H *= 0.5
+    return p, H
 
 
 def dense_frame_levels(v_fn, x, k_x, m, theta, levels, e_scan, max_resolves=60):

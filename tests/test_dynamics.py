@@ -9,6 +9,7 @@ import scipy.linalg
 import scipy.special
 
 from oracles import brute_force_phase_star, dense_frame_levels, dense_multiplier
+from oracles import oscillator_momentum_operator
 from starqm import dynamics as dyn
 from starqm import operators, phasecalc, symbols
 from starqm.dynamics import OscillatorParams, PacketParams, Potential
@@ -271,6 +272,39 @@ class TestOscillatorSpectrum:
         ladder = dyn.oscillator_spectrum(OscillatorParams(m, omega), 100)
         assert ladder[-1] == 100.5 * omega
 
+    @pytest.mark.parametrize("m, omega", [(1.0, 1.0), (2.0, 0.7), (0.5, 3.0)])
+    def test_the_check_verifies_up_to_107_levels(self, m, omega):
+        # The band block holds the ladder to 5.7e-10 (1 + E) at n_max = 107 and
+        # misses by 2.7e-9 from 108: the range the dense momentum check had.
+        osc = OscillatorParams(m, omega)
+        assert dyn.oscillator_spectrum(osc, 107)[-1] == 107.5 * omega
+        with pytest.raises(RuntimeError, match="spectrum verification failed"):
+            dyn.oscillator_spectrum(osc, 108)
+
+    @pytest.mark.parametrize("n_max", [10, 100])
+    @pytest.mark.parametrize("m, omega", [(1.0, 1.0), (2.0, 0.7), (0.5, 3.0), (1.3, 0.8)])
+    def test_the_band_block_has_the_dense_momentum_operators_levels(
+        self, monkeypatch, m, omega, n_max
+    ):
+        """The oscillator is self-dual: at energy 0 the dense p-space operator
+        is the ladder check's x-space band block written in the other basis."""
+        blocks = []
+        band_block = dyn._band_block
+
+        def kept(*args):
+            blocks.append(band_block(*args))
+            return blocks[-1]
+
+        monkeypatch.setattr(dyn, "_band_block", kept)
+        dyn.oscillator_spectrum(OscillatorParams(m, omega), n_max)
+        (block,) = blocks
+        # The check diagonalizes the real part; the imaginary part is rounding.
+        assert float(np.max(np.abs(block.imag))) < 1e-15 * float(np.max(np.abs(block.real)))
+        _, ham = oscillator_momentum_operator(OscillatorParams(m, omega), 0.0, n_top=n_max)
+        want = scipy.linalg.eigvalsh(ham.real, subset_by_index=[0, n_max])
+        got = scipy.linalg.eigvalsh(block.real, subset_by_index=[0, n_max])
+        assert float(np.max(np.abs(got - want))) < 1e-11
+
     def test_accepts_an_integral_float_level_count(self):
         osc = OscillatorParams(m=1.0, omega=1.0, theta=0.1)
         assert dyn.oscillator_spectrum(osc, 2.0) == [0.5, 1.5, 2.5]
@@ -293,18 +327,18 @@ class TestOscillatorSpectrum:
             dyn.oscillator_spectrum(osc, n_max)
 
     def test_a_diagonalization_off_the_closed_form_raises(self, monkeypatch):
-        """A dense operator shifted by s I moves every level by s.  Both shifts
+        """A band block shifted by s I moves every level by s.  Both shifts
         lie past the 1e-9 (1 + E) agreement the closed form must reach, and a
         failed check is not remembered, so every call raises."""
-        operator = dyn.oscillator_momentum_operator
+        operator = dyn._band_block
         osc = OscillatorParams(m=1.0, omega=1.0, theta=0.1)
         for shift in (1e-3, 1e-7):
 
             def shifted(*args, shift=shift, **kwargs):
-                p, H = operator(*args, **kwargs)
-                return p, H + shift * np.eye(len(p))
+                block = operator(*args, **kwargs)
+                return block + shift * np.eye(len(block))
 
-            monkeypatch.setattr(dyn, "oscillator_momentum_operator", shifted)
+            monkeypatch.setattr(dyn, "_band_block", shifted)
             for _ in range(2):
                 with pytest.raises(RuntimeError, match="spectrum verification failed"):
                     dyn.oscillator_spectrum(osc, 4)
@@ -316,7 +350,7 @@ class TestMomentumOperator:
         osc = OscillatorParams(m=1.0, omega=1.0, theta=0.3)
         for n in range(4):
             energy = osc.level_energy(n)
-            p, ham = dyn.oscillator_momentum_operator(osc, energy, n_top=6)
+            p, ham = oscillator_momentum_operator(osc, energy, n_top=6)
             vals, vecs = np.linalg.eigh(ham)
             vec = vecs[:, n] * np.exp(0.5j * 0.3 * energy * p)
             ref = scipy.special.eval_hermite(n, p) * np.exp(-0.5 * p**2)
@@ -330,7 +364,7 @@ class TestMomentumOperator:
 
     def test_operator_is_hermitian(self):
         osc = OscillatorParams(m=1.0, omega=1.0, theta=0.1)
-        _, ham = dyn.oscillator_momentum_operator(osc, 0.5, n_top=3)
+        _, ham = oscillator_momentum_operator(osc, 0.5, n_top=3)
         assert float(np.max(np.abs(ham - ham.conj().T))) < 1e-12
 
     @pytest.mark.parametrize("energy", [0.0, 1.5])
@@ -338,7 +372,7 @@ class TestMomentumOperator:
         # Reference: d_p + i theta E/2 as F^-1 diag(ik) F + i theta E/2, squared
         # by a matrix product; the operator forms the squared multiplier directly.
         osc = OscillatorParams(m=1.3, omega=0.8, theta=0.3)
-        p, ham = dyn.oscillator_momentum_operator(osc, energy, n_top=4, n_modes=128)
+        p, ham = oscillator_momentum_operator(osc, energy, n_top=4, n_modes=128)
         k = 2.0 * np.pi * np.fft.fftfreq(128, d=p[1] - p[0])
         shift = dense_multiplier(1j * k) + 0.5j * 0.3 * energy * np.eye(128)
         ref = np.diag(p**2 / 2.6) - (1.3 * 0.8**2 / 2.0) * (shift @ shift)
@@ -348,7 +382,7 @@ class TestMomentumOperator:
     @pytest.mark.parametrize("theta, energy", [(0.1, 0.0), (0.3, 1.5), (0.2, 2.5)])
     def test_in_place_build_equals_the_out_of_place_formula(self, theta, energy):
         osc = OscillatorParams(m=1.3, omega=0.8, theta=theta)
-        p, ham = dyn.oscillator_momentum_operator(osc, energy, n_top=10)
+        p, ham = oscillator_momentum_operator(osc, energy, n_top=10)
         k = 2.0 * np.pi * np.fft.fftfreq(256, d=p[1] - p[0])
         shift_sq = scipy.linalg.circulant(np.fft.ifft((1j * k + 0.5j * theta * energy) ** 2))
         ref = np.diag(p**2 / (2.0 * 1.3)) - (1.3 * 0.8**2 / 2.0) * shift_sq
@@ -357,7 +391,7 @@ class TestMomentumOperator:
     def test_rejects_wrapping_gauge_phase(self):
         osc = OscillatorParams(m=1.0, omega=1.0, theta=0.3)
         with pytest.raises(ValueError, match="gauge phase wraps"):
-            dyn.oscillator_momentum_operator(osc, 2.5e2, n_top=2)
+            oscillator_momentum_operator(osc, 2.5e2, n_top=2)
 
 
 class TestOscillatorEigenstates:
@@ -1070,6 +1104,21 @@ class TestEvolve:
         with pytest.raises(ValueError, match="metadata\\['energy'\\]"):
             dyn.evolve(psi0, Potential.harmonic(1.0, 1.0), kern, 1.0, 1e-4, 10)
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("count", ["steps", "record_every"])
+    def test_rejects_a_non_finite_step_count(self, count, value):
+        spec = GridSpec(8, 256, 0.0, 1.0, -10.0, 10.0, 0.0)
+        psi0 = dyn.free_packet(PacketParams(1.0, 1.0, 0.0), 0.0, spec)
+        counts = {"steps": 10, "record_every": 1, count: value}
+        with pytest.raises(ValueError, match=f"{count} must be a positive integer"):
+            dyn.evolve(psi0, Potential.none(), StarKernel(0.0), 1.0, 1e-3, **counts)
+
+    def test_accepts_integral_float_step_counts(self):
+        spec = GridSpec(8, 256, 0.0, 1.0, -10.0, 10.0, 0.0)
+        psi0 = dyn.free_packet(PacketParams(1.0, 1.0, 0.0), 0.0, spec)
+        traj = dyn.evolve(psi0, Potential.none(), StarKernel(0.0), 1.0, 1e-4, 4.0, record_every=2.0)
+        assert [snap.metadata["step"] for snap in traj] == [0, 2, 4]
+
     def test_rejects_malformed_stepping(self):
         spec = GridSpec(8, 256, 0.0, 1.0, -10.0, 10.0, 0.0)
         kern = StarKernel(0.0)
@@ -1116,6 +1165,23 @@ class TestSliceDensity:
         mean, var = density_moments(spec.x, rho.values, spec.dx)
         assert mean == pytest.approx(0.05, abs=1e-8)
         assert var == pytest.approx(0.55, abs=1e-7)
+
+    @pytest.mark.parametrize("theta", [0.0625, 0.15, 0.2])
+    @pytest.mark.parametrize("m, omega", [(1.0, 1.0), (1.3, 0.8)])
+    def test_eigenstate_density_moments_have_closed_forms(self, m, omega, theta):
+        """Mass sqrt(2 pi theta), mean theta E_n and variance (n + 1/2)/(m omega)
+        + theta/2: the commutative level's spread, smoothed by a variance-theta/2
+        Gaussian and shifted by theta E_n/2 twice."""
+        spec = eigenstate_grid(theta)
+        kern = StarKernel(theta)
+        osc = OscillatorParams(m, omega, theta)
+        for n in range(4):
+            rho = dyn.slice_density(kern, dyn.oscillator_eigenstate(osc, n, spec)).values
+            mean, var = density_moments(spec.x, rho, spec.dx)
+            total = float(np.sum(rho.real) * spec.dx)
+            assert total == pytest.approx(math.sqrt(2.0 * math.pi * theta), rel=1e-12)
+            assert mean == pytest.approx(theta * osc.level_energy(n), rel=1e-12)
+            assert var == pytest.approx((n + 0.5) / (m * omega) + theta / 2.0, rel=1e-12)
 
     def test_energy_and_mass_routes_agree_on_shell(self):
         spec = GridSpec(8, 128, 0.0, 0.2, -math.pi, math.pi, 0.05)
