@@ -50,7 +50,7 @@ import scipy.linalg
 from . import operators, phasecalc, symbols
 from .fieldgrid import Field1D, Field2D, GridSpec, spectral_derivative
 from .fieldgrid import _csv, _drop_noise_modes, _require_grid_theta, _require_nonnegative
-from .fieldgrid import _edge_magnitude, _require_positive, _sample, _scatter_sum
+from .fieldgrid import _edge_magnitude, _require_count, _require_positive, _sample, _scatter_sum
 from .star import StarKernel, _require_voros
 
 # Quadratures are cut off where the integrand magnitude drops below this.
@@ -352,15 +352,13 @@ def oscillator_spectrum(params: OscillatorParams, n_max: int) -> list[float]:
     (m, omega, n_max) in a process, and a theta-scan reuses it.  A failed
     check is not remembered: it raises again on every call.
     """
-    # Written so that nan and inf fail here too, not later inside int().
-    if not (n_max >= 0 and n_max % 1 == 0):
-        raise ValueError(f"n_max must be a nonnegative integer, got {n_max}")
+    n_max = _require_count(n_max, "n_max", 0)
     if n_max >= _LADDER_MODES:
         raise ValueError(
             f"n_max={n_max} asks for more levels than the ladder check's "
             f"{_LADDER_MODES} modes hold"
         )
-    return list(_verified_ladder(params.m, params.omega, int(n_max)))
+    return list(_verified_ladder(params.m, params.omega, n_max))
 
 
 def oscillator_eigenstate(
@@ -380,9 +378,7 @@ def oscillator_eigenstate(
     induced norm, sum |frame|^2 dx, and tagged with metadata['energy'] and
     metadata['level'].
     """
-    # Written so that nan and inf fail here too, not later inside int().
-    if not (n >= 0 and n % 1 == 0):
-        raise ValueError(f"level must be a nonnegative integer, got {n}")
+    n = _require_count(n, "level", 0)
     _require_grid_theta(params.theta, spec, "oscillator theta")
     energy = params.level_energy(n)
     s_sq = params.m * params.omega
@@ -395,7 +391,7 @@ def oscillator_eigenstate(
         two_w = 1j * y / (math.sqrt(s_sq) * beta)
         g_sq = 1.0 - 1.0 / (s_sq * beta)
         h_prev, h = np.zeros_like(two_w), np.ones_like(two_w)
-        for k in range(int(n)):
+        for k in range(n):
             h_prev, h = h, two_w * h - 2.0 * k * g_sq * h_prev
         return np.exp(-1j * energy * t) * np.exp(-(y**2) / (4.0 * beta)) * h
 
@@ -409,13 +405,13 @@ def oscillator_eigenstate(
         )
     gain = math.sqrt(beta / beta_0) * math.exp(params.theta * energy**2 / 4.0)
     frame = transform(beta_0) * gain
-    fld = Field1D(spec, t, vals, {"energy": energy, "level": int(n)}, frame)
+    fld = Field1D(spec, t, vals, {"energy": energy, "level": n}, frame)
     kernel = StarKernel(params.theta)
     norm_sq = symbols.induced_inner_product(kernel, fld, fld).real
     if not (math.isfinite(norm_sq) and norm_sq > 0):
         raise RuntimeError(f"eigenstate normalization failed (norm^2 = {norm_sq})")
     norm = math.sqrt(norm_sq)
-    return Field1D(spec, t, vals / norm, {"energy": energy, "level": int(n)}, frame / norm)
+    return Field1D(spec, t, vals / norm, {"energy": energy, "level": n}, frame / norm)
 
 
 def oscillator_ground(
@@ -699,11 +695,13 @@ def evolve(
     frames differ by a diagonal mode weight).  Snapshots keep the launch
     slice label; physical time offsets live in metadata['elapsed'].
 
-    A framed psi0 walks its frame: the start is fft(frame) e^{-theta E^2/4},
-    with no mode cut, and each snapshot carries ifft(phi_hat) e^{theta E^2/4}
-    as its frame beside the damped values, so the pairings along the
-    trajectory read it instead of growing one from the values.  An unframed
-    psi0 starts from its cut values and returns unframed snapshots.
+    A framed psi0, or a tagged one under an x-dependent potential at
+    theta > 0, walks on frames from fft(frame) e^{-theta E^2/4}, the frame
+    from `phasecalc._frames` (never stored for an unframed psi0).  Only a
+    framed psi0's snapshots carry ifft(phi_hat) e^{theta E^2/4} as their
+    frame, for the pairings along the trajectory to read.  Any other walk
+    (theta = 0, or an unframed psi0 under `Potential.none`) runs on the cut
+    values.
     """
     spec = psi0.spec
     theta = spec.theta
@@ -711,12 +709,8 @@ def evolve(
     _require_positive(m, "mass")
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and > 0, got {dt}")
-    # Written so that nan and inf fail here too, not later inside int().
-    if not (steps >= 1 and steps % 1 == 0):
-        raise ValueError(f"steps must be a positive integer, got {steps}")
-    if not (record_every >= 1 and record_every % 1 == 0):
-        raise ValueError(f"record_every must be a positive integer, got {record_every}")
-    steps, record_every = int(steps), int(record_every)
+    steps = _require_count(steps, "steps", 1)
+    record_every = _require_count(record_every, "record_every", 1)
     if theta > 0 and not potential.static:
         raise ValueError(
             "time-dependent potentials at theta > 0 are outside the single-"
@@ -749,8 +743,9 @@ def evolve(
     tag = {} if energy is None else {"energy": float(energy)}
     framed = psi0.frame is not None
     # A framed walk runs on the frame's modes whatever the potential.
-    damp = np.exp(-theta * spec.k_x**2 / 4.0) if use_frame or framed else 1.0
-    gain = math.exp(theta * float(energy) ** 2 / 4.0) if framed and theta > 0 else 1.0
+    on_frames = use_frame or framed
+    damp = np.exp(-theta * spec.k_x**2 / 4.0) if on_frames else 1.0
+    gain = math.exp(theta * float(energy) ** 2 / 4.0) if on_frames and theta > 0 else 1.0
 
     def snapshot(step: int, hat: np.ndarray) -> Field1D:
         meta = {"step": step, "elapsed": step * dt, **tag}
@@ -760,8 +755,9 @@ def evolve(
     meta0 = {**psi0.metadata, "step": 0, "elapsed": 0.0, **tag}
     trajectory = [Field1D(spec, t0, psi0.values, meta0, psi0.frame)]
     record = [*range(record_every, steps, record_every), steps]
-    if framed:
-        phi_hat = np.fft.fft(psi0.frame) / gain
+    if on_frames:
+        row = phasecalc._frames([psi0], np.array([phasecalc._slice_energy(psi0)]))[0]
+        phi_hat = np.fft.fft(row) / gain
     else:
         phi_hat, _ = _drop_noise_modes(np.fft.fft(psi0.values))
     if potential.kind == "none":
@@ -772,11 +768,6 @@ def evolve(
             snapshot(n, phi_hat * np.exp(-1j * spec.k_x**2 * (n * dt) / (2.0 * m)))
             for n in record
         ]
-    if use_frame and not framed:
-        # Only the kept modes grow: a cut mode stays zero where its weight
-        # would overflow.
-        live = phi_hat != 0
-        phi_hat = phi_hat * np.exp(theta * spec.k_x**2 / 4.0, out=np.zeros(live.shape), where=live)
     kin_half = np.exp(-1j * spec.k_x**2 * dt / (4.0 * m))
     fixed = None if per_step else phase(0.0)
     done = 0
@@ -790,13 +781,19 @@ def evolve(
 
 
 def slice_density(kernel: StarKernel, fld: Field1D, m: float | None = None) -> Field1D:
-    """Star-density sqrt(2 pi theta) psi* (star) psi of one slice, as one mode-pair sum.
+    """Star-density sqrt(2 pi theta) psi* (star) psi of one slice.
 
     theta = 0 returns |psi|^2.  For theta > 0 the temporal derivative needs a
-    frequency scale: metadata['energy'] supplies the stationary reduction
-    (E_k = E on every mode), or a mass m supplies the free on-shell one
-    (E_k = k^2/2m).  With m_k = -i E_k - k, the multiplier of d_t + i d_x on
-    x-mode k,
+    frequency scale, and each kind of slice has one route.  An energy-tagged
+    slice (d_t -> -iE, E = metadata['energy']) reads its Weyl frame phi, its
+    own or one from `phasecalc._frames`:
+
+        rho = sqrt(2 pi theta) ifft(fft(|phi|^2) e^{-theta q^2/4 - i theta E q/2}),
+
+    |phi|^2 smoothed by a variance-theta/2 Gaussian and shifted by theta E/2.
+    An untagged slice with a mass m takes the free on-shell reduction
+    E_k = k^2/2m, which has no single frame.  With m_k = -i E_k - k, the
+    multiplier of d_t + i d_x on x-mode k, it is the mode-pair sum
 
         rho(x) = sqrt(2 pi theta)/N^2 sum_{k,k'} conj(psi_k) psi_k'
                  e^{(theta/2) conj(m_k) m_k'} e^{i(k' - k)(x - x_min)}
@@ -806,25 +803,13 @@ def slice_density(kernel: StarKernel, fld: Field1D, m: float | None = None) -> F
     positive semidefinite (a Schur product), so a negative value is rounding
     and the sum is returned unclipped.
 
-    A framed, energy-tagged slice takes the frame route instead: with phi
-    its frame, the same density is
-
-        rho = sqrt(2 pi theta) ifft(fft(|phi|^2) e^{-theta q^2/4 - i theta E q/2}),
-
-    |phi|^2 smoothed by a variance-theta/2 Gaussian and shifted by theta E/2:
-    O(N log N), bounded and free of any mode cut.
+    A density beyond floating-point range raises a ValueError that names it.
     """
     _require_voros(kernel, fld.spec, "the slice density")
     spec = fld.spec
     if kernel.theta == 0.0:
         return Field1D(spec, fld.t_slice, np.abs(fld.values) ** 2)
     energy = fld.metadata.get("energy")
-    if fld.frame is not None:
-        # A frame at theta > 0 always carries its energy tag.
-        q = spec.k_x
-        smooth = np.exp(-kernel.theta * q**2 / 4.0 - 0.5j * kernel.theta * float(energy) * q)
-        rho = np.fft.ifft(np.fft.fft(np.abs(fld.frame) ** 2) * smooth).real
-        return Field1D(spec, fld.t_slice, math.sqrt(2.0 * math.pi * kernel.theta) * rho)
     if energy is None:
         if m is None:
             raise ValueError(
@@ -832,15 +817,29 @@ def slice_density(kernel: StarKernel, fld: Field1D, m: float | None = None) -> F
                 "for the on-shell reduction"
             )
         _require_positive(m, "mass")
-    vhat, _ = _drop_noise_modes(np.fft.fft(fld.values))
-    live = np.flatnonzero(vhat)
-    k, amps = spec.k_x[live], vhat[live]
-    mult = -1j * (k**2 / (2.0 * m) if energy is None else float(energy)) - k
-    weight = np.outer(np.conj(amps), amps) * np.exp(
-        (kernel.theta / 2.0) * np.outer(np.conj(mult), mult)
-    )
-    spectrum = _scatter_sum((live - live[:, None]) % spec.n_x, weight, spec.n_x)
-    rho = (math.sqrt(2.0 * math.pi * kernel.theta) / spec.n_x) * np.fft.ifft(spectrum).real
+    # An overflow is rejected below, by name, not by a numpy warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if energy is not None:
+            frame = phasecalc._frames([fld], np.array([float(energy)]))[0]
+            q = spec.k_x
+            smooth = np.exp(-kernel.theta * q**2 / 4.0 - 0.5j * kernel.theta * float(energy) * q)
+            spectrum, scale = np.fft.fft(np.abs(frame) ** 2) * smooth, 1.0
+        else:
+            vhat, _ = _drop_noise_modes(np.fft.fft(fld.values))
+            live = np.flatnonzero(vhat)
+            k, amps = spec.k_x[live], vhat[live]
+            mult = -1j * (k**2 / (2.0 * m)) - k
+            weight = np.outer(np.conj(amps), amps) * np.exp(
+                (kernel.theta / 2.0) * np.outer(np.conj(mult), mult)
+            )
+            spectrum = _scatter_sum((live - live[:, None]) % spec.n_x, weight, spec.n_x)
+            scale = 1.0 / spec.n_x
+        rho = (math.sqrt(2.0 * math.pi * kernel.theta) * scale) * np.fft.ifft(spectrum).real
+    if not np.all(np.isfinite(rho)):
+        raise ValueError(
+            "slice density is not finite: |frame|^2, or a Voros weight "
+            "e^{(theta/2) conj(m_k) m_k'} of the on-shell mode-pair sum, overflowed"
+        )
     return Field1D(spec, fld.t_slice, rho)
 
 

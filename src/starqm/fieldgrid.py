@@ -11,6 +11,7 @@ caller explicitly opts into periodic semantics.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable
@@ -26,10 +27,11 @@ EDGE_DECAY_TOL = 1e-10
 # noise and are dropped: the Voros multiplier grows like e^{theta |k||k'|/2}
 # for anti-aligned mode pairs, so such noise must not participate.  Star
 # products, phasecalc.phase_star, the frame of an unframed slice
-# (phasecalc._frames, at theta > 0), densities, the evolver and the
-# quasi-projection drop modes at this level: about 45
-# double-precision epsilons, just above the rounding floor a transform
-# leaves relative to its peak mode.
+# (phasecalc._frames, at theta > 0, which every slice pairing, tagged slice
+# density and split-step start on frames reads), the on-shell slice density,
+# the values walk of the evolver and the quasi-projection drop modes at this
+# level: about 45 double-precision epsilons, just above the rounding floor a
+# transform leaves relative to its peak mode.
 DEFAULT_MODE_CUTOFF = 1e-14
 
 # Fixed-line pairings of full fields, and plane pairings of fields without a
@@ -64,6 +66,14 @@ def _require_nonnegative(value: float, what: str) -> None:
         raise ValueError(f"{what} must be >= 0, got {value}")
 
 
+def _require_count(value: float, what: str, minimum: int) -> int:
+    """A whole number >= minimum (0 or 1) as an int; nan and inf fail here, not in int()."""
+    if not (value >= minimum and value % 1 == 0):
+        kind = "positive" if minimum >= 1 else "nonnegative"
+        raise ValueError(f"{what} must be a {kind} integer, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Geometry of the periodic (t, x) sampling box.
@@ -84,7 +94,7 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         for name, n in (("n_t", self.n_t), ("n_x", self.n_x)):
-            if n < 8 or not _is_power_of_two(n):
+            if not isinstance(n, numbers.Integral) or n < 8 or not _is_power_of_two(n):
                 raise ValueError(f"{name} must be a power of two >= 8, got {n}")
         for name in ("t_min", "t_max", "x_min", "x_max"):
             edge = getattr(self, name)
@@ -192,10 +202,11 @@ class Field1D:
     `stationary_solve`, `evolve` from a framed start, and the first slice of
     `oscillator_ground`), and `spectral_derivative` and `operators.apply`
     carry it; every slice built from new values carries None.  Slice
-    pairings always read a frame: one without gets it from the values in
-    `phasecalc._frames`, for that pairing only, and it is never stored
-    here.  `dynamics.slice_density` reads the frame when there is one, and
-    the values otherwise.
+    pairings, energy-tagged slice densities and split-step starts on frames
+    always read a frame: a slice without one gets it from the values in
+    `phasecalc._frames`, for that one caller, and it is never stored here.
+    Only the untagged on-shell density of `dynamics.slice_density` reads
+    the values, since its modes sit at different energies.
     """
 
     spec: GridSpec
@@ -310,8 +321,7 @@ def spectral_derivative(
     A framed Field1D has its frame differentiated too: the multiplier
     commutes with the damping that relates the two.
     """
-    if order < 1 or int(order) != order:
-        raise ValueError(f"derivative order must be a positive integer, got {order}")
+    order = _require_count(order, "derivative order", 1)
     if axis not in ("t", "x"):
         raise ValueError(f"axis must be 't' or 'x', got {axis!r}")
 

@@ -33,9 +33,10 @@ e^{-theta (a_F + a_G)^2/4} <= 1, D only brings powers of A + B, and no mode
 is cut.  A degree-0 pair of equal energies is the plain sum
 conj(phi_bra) phi_ket dx.  It is the one slice pairing:
 `moments.expectation` and `symbols.induced_inner_product` lift every slice
-by its frame.  A slice built without one gets it from `_frames`, the one
-values-to-frame conversion, for that lift only: the frame is never stored
-on the Field1D.
+by its frame.  A slice built without one gets it from `_frames`, the
+library's one values-to-frame conversion, which also serves the tagged
+densities and the split-step starts of `dynamics`; the frame serves that
+one caller and is never stored on the Field1D.
 
 A PhasePoly may also be a stack of S slices on one grid: coefficients of
 shape (degree+1, S, n_x) and one frequency a per slice.  `_slice_stack`
@@ -137,14 +138,16 @@ def _slice_energy(fld: Field1D, ops: Iterable = ()) -> float:
 def _frames(flds: Sequence[Field1D], energies: np.ndarray) -> np.ndarray:
     """The Weyl frame of each slice, one row per slice, at energies E.
 
-    A framed slice gives its own.  This is the one place an unframed slice
-    gets one: its value modes, cut at DEFAULT_MODE_CUTOFF relative to its
-    own peak, grow by e^{theta (E^2 + k^2)/4} (at theta = 0 the frame is the
-    values, uncut).  That is the growth a partner sum of values applies
-    inside every pair, taken once; the frame serves the caller's lift and
-    is never stored on the slice.  Only the kept modes grow, so a cut mode
-    whose weight is beyond floating-point range stays zero; a kept one
-    raises the pairing's named ValueError.
+    A framed slice gives its own, unchanged.  This is the one place an
+    unframed slice gets one, for slice pairings, `dynamics.slice_density`
+    and the split-step start of `dynamics.evolve` alike: its value modes,
+    cut at DEFAULT_MODE_CUTOFF relative to its own peak, grow by
+    e^{theta (E^2 + k^2)/4} (at theta = 0 the frame is the values, uncut).
+    That is the growth a partner sum of values applies inside every pair,
+    taken once; the frame serves the caller and is never stored on the
+    slice.  Only the kept modes grow, so a cut mode whose weight is beyond
+    floating-point range stays zero; a kept one raises a ValueError that
+    names the conversion and the slice.
     """
     rows = np.array([fld.values if fld.frame is None else fld.frame for fld in flds])
     bare = [s for s, fld in enumerate(flds) if fld.frame is None]
@@ -158,8 +161,8 @@ def _frames(flds: Sequence[Field1D], energies: np.ndarray) -> np.ndarray:
         bad = np.flatnonzero(~np.all(np.isfinite(rows), axis=-1))
         if bad.size:
             raise ValueError(
-                f"slice pairing is not finite on slice {bad[0]}: the Voros weight "
-                "e^{theta (E^2 + k^2)/4} that grows its frame from its values overflowed"
+                f"the Weyl frame grown from slice {bad[0]}'s values is not finite: "
+                "the Voros weight e^{theta (E^2 + k^2)/4} overflowed"
             )
     return rows
 
@@ -317,7 +320,7 @@ def _frame_pairing(bra: PhasePoly, t) -> Callable[[PhasePoly], complex | np.ndar
             s = int(np.flatnonzero(~np.isfinite(total))[0])
             raise ValueError(
                 f"slice pairing is not finite on slice {s} at t = {ts[s]:.6g} ({total[s]}): "
-                "the frames, or the Voros weight that grew one from values, overflowed"
+                "the sum over its frames overflowed"
             )
         return total if shape else complex(total[0])
 

@@ -3,8 +3,9 @@
 These deliberately avoid the library's own fast paths: the star oracle is the
 literal O(N^4) mode-pair sum, written once and kept dumb.  The slice partner
 sum is the route the library's frame pairing replaced, kept as its reference,
-and the dense momentum-space oscillator is the one the ladder check's band
-block replaced.
+as is the tagged mode-pair density its frame-route density replaced, and the
+dense momentum-space oscillator is the one the ladder check's band block
+replaced.
 """
 
 import math
@@ -296,3 +297,27 @@ def value_stack(flds, ts):
     energies = np.array([fld.metadata["energy"] for fld in flds])
     unwind = np.exp(1j * energies * np.asarray(ts, dtype=float))[:, None]
     return PhasePoly(flds[0].spec, -energies, np.array([fld.values for fld in flds])[None] * unwind)
+
+
+def tagged_pair_density(values, energy, k_x, theta):
+    """Star-density sqrt(2 pi theta) psi* (star) psi of a slice tagged with energy E,
+    by the mode-pair sum on its values.
+
+    With m_k = -iE - k the multiplier of d_t + i d_x on x-mode k,
+
+        rho(x) = sqrt(2 pi theta)/N^2 sum_{k,k'} conj(psi_k) psi_k'
+                 e^{(theta/2) conj(m_k) m_k'} e^{i(k' - k)(x - x_min)},
+
+    over the modes that survive DEFAULT_MODE_CUTOFF: each pair lands in mode
+    (k' - k) mod N, then one inverse FFT.  The library reads the slice's
+    Weyl frame instead; this is the reference that route must match.
+    """
+    n = len(values)
+    vhat, _ = _drop_noise_modes(np.fft.fft(values))
+    live = np.flatnonzero(vhat)
+    k, amps = k_x[live], vhat[live]
+    mult = -1j * energy - k
+    weight = np.outer(np.conj(amps), amps) * np.exp((theta / 2.0) * np.outer(np.conj(mult), mult))
+    spectrum = np.zeros(n, dtype=complex)
+    np.add.at(spectrum, (live - live[:, None]) % n, weight)
+    return (math.sqrt(2.0 * math.pi * theta) / n) * np.fft.ifft(spectrum).real

@@ -9,7 +9,7 @@ import scipy.linalg
 import scipy.special
 
 from oracles import brute_force_phase_star, dense_frame_levels, dense_multiplier
-from oracles import oscillator_momentum_operator
+from oracles import oscillator_momentum_operator, tagged_pair_density
 from starqm import dynamics as dyn
 from starqm import operators, phasecalc, symbols
 from starqm.dynamics import OscillatorParams, PacketParams, Potential
@@ -1144,14 +1144,17 @@ class TestSliceDensity:
 
     @pytest.mark.parametrize("theta", [0.0625, 0.2, 0.4])
     def test_frame_route_matches_the_partner_sum(self, theta):
+        # A framed eigenstate reads its own frame, its unframed copy one grown
+        # by phasecalc._frames; both match the mode-pair sum on the values.
         spec = eigenstate_grid(theta)
         kern = StarKernel(theta)
         osc = OscillatorParams(m=1.0, omega=1.0, theta=theta)
         for n in range(4):
             framed = dyn.oscillator_eigenstate(osc, n, spec)
             bare = Field1D(spec, framed.t_slice, framed.values, dict(framed.metadata))
-            want = dyn.slice_density(kern, bare).values
-            assert rel_err(dyn.slice_density(kern, framed).values, want) < 1e-13
+            want = tagged_pair_density(framed.values, framed.metadata["energy"], spec.k_x, theta)
+            for fld in (framed, bare):
+                assert rel_err(dyn.slice_density(kern, fld).values, want) < 1e-13
 
     def test_tagged_eigenstate_reproduces_ground_density_moments(self):
         spec = eigenstate_grid(0.1)
@@ -1225,6 +1228,49 @@ class TestSliceDensity:
             fld = Field1D(spec, 0.0, vals, {"energy": 0.7})
             rho = dyn.slice_density(kern, fld)
             assert float(np.min(rho.values.real)) > -1e-12
+
+    def test_an_overflowing_weight_is_named(self):
+        # A Gaussian plus 1e-3 of one mode on the 1024-point +-12 slice at
+        # theta = 0.2.  At mode 500 the frame's growth e^{theta k^2/4} = e^{857}
+        # is beyond range, and _frames names it for the density and the walk
+        # alike; at mode 400 (e^{548}) the frame is finite but |frame|^2 is
+        # not, and at mode 200 the on-shell weight of E_k = k^2/2 overflows.
+        spec = GridSpec(8, 1024, 0.0, 0.2, -12.0, 12.0, 0.2)
+        kern = StarKernel(0.2)
+
+        def plus_mode(j, meta):
+            vals = np.exp(-(spec.x**2) / 2.0) + 1e-3 * np.exp(1j * spec.k_x[j] * spec.x)
+            return Field1D(spec, 0.0, vals, meta)
+
+        grown = "Weyl frame grown from slice 0's values is not finite"
+        with pytest.raises(ValueError, match=grown):
+            dyn.slice_density(kern, plus_mode(500, {"energy": 0.5}))
+        harmonic = Potential.harmonic(1.0, 1.0)
+        with pytest.raises(ValueError, match=grown):
+            dyn.evolve(plus_mode(500, {"energy": 0.5}), harmonic, kern, 1.0, 1e-5, 2)
+        with pytest.raises(ValueError, match="slice density is not finite"):
+            dyn.slice_density(kern, plus_mode(400, {"energy": 0.5}))
+        with pytest.raises(ValueError, match="slice density is not finite"):
+            dyn.slice_density(kern, plus_mode(200, {}), m=1.0)
+
+    def test_an_unframed_tagged_slice_converts_once(self, monkeypatch):
+        theta = 0.15
+        spec = eigenstate_grid(theta)
+        psi = dyn.oscillator_eigenstate(OscillatorParams(1.0, 1.0, theta), 1, spec)
+        bare = Field1D(spec, psi.t_slice, psi.values, dict(psi.metadata))
+        calls = []
+        frames = phasecalc._frames
+
+        def counted(*args):
+            calls.append(1)
+            return frames(*args)
+
+        monkeypatch.setattr(phasecalc, "_frames", counted)
+        dyn.slice_density(StarKernel(theta), bare)
+        assert len(calls) == 1
+        harmonic = Potential.harmonic(1.0, 1.0)
+        dyn.evolve(bare, harmonic, StarKernel(theta), 1.0, 2e-4, 20, record_every=10)
+        assert len(calls) == 2
 
     def test_needs_a_frequency_scale_when_deformed(self):
         spec = GridSpec(8, 128, 0.0, 0.2, -math.pi, math.pi, 0.05)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,18 @@ class TestGridSpec:
     def test_rejects_small_counts(self):
         with pytest.raises(ValueError, match="power of two"):
             GridSpec(n_t=4, n_x=16, t_min=0, t_max=1, x_min=0, x_max=1)
+
+    @pytest.mark.parametrize("count", ["n_t", "n_x"])
+    @pytest.mark.parametrize("value", [8.0, 64.0, math.inf, math.nan])
+    def test_rejects_a_count_that_is_no_integer(self, count, value):
+        # Even a whole float is rejected by name, not by a TypeError from `n & (n - 1)`.
+        counts = {"n_t": 64, "n_x": 64, count: value}
+        with pytest.raises(ValueError, match=f"{count} must be a power of two >= 8"):
+            GridSpec(**counts, t_min=0, t_max=1, x_min=0, x_max=1)
+
+    def test_accepts_numpy_integer_counts(self):
+        spec = GridSpec(np.int64(16), np.int32(32), 0.0, 1.0, 0.0, 1.0)
+        assert (spec.n_t, spec.n_x) == (16, 32)
 
     def test_rejects_negative_theta(self):
         # NaN and inf both pass a bare `theta < 0` test.
@@ -136,6 +150,18 @@ class TestSpectralDerivative:
         f = sample_field(lambda t, x: np.exp(-(x**2)), square_box(n=16))
         with pytest.raises(ValueError, match="order"):
             spectral_derivative(f, "x", order=0)
+
+    @pytest.mark.parametrize("order", [1.5, -1, math.inf, math.nan])
+    def test_an_order_that_is_no_positive_integer_is_named(self, order):
+        # inf and nan fail by name, not in int() with an OverflowError or ValueError.
+        f = sample_field(lambda t, x: np.exp(-(x**2)), square_box(n=16))
+        with pytest.raises(ValueError, match="derivative order must be a positive integer"):
+            spectral_derivative(f, "x", order=order)
+
+    def test_an_integral_float_order_is_the_integer_order(self):
+        f = slice_gaussian(lambda x: np.exp(-(x**2)))
+        twice = spectral_derivative(f, "x", order=2.0)
+        assert np.array_equal(twice.values, spectral_derivative(f, "x", order=2).values)
 
     def test_edge_decay_violation_flagged(self):
         # Gaussian on a box only +-2 wide: e^{-4} ~ 0.018 at the edge.

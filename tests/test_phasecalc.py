@@ -292,9 +292,9 @@ def test_overflowing_weight_raises():
     with pytest.raises(ValueError, match="finite"):
         partner_pairing(f, 0.0)(f)
     # The library grows the frame of the same values by e^{theta k^2/4},
-    # which is beyond range here too, and names the pairing as well.
+    # which is beyond range here too, and names that conversion.
     bare = Field1D(spec, 0.0, f.coef[0], {"energy": 0.0})
-    with pytest.raises(ValueError, match="slice pairing is not finite on slice 0"):
+    with pytest.raises(ValueError, match="Weyl frame grown from slice 0's values is not finite"):
         _slice_part(bare, frame=True)
 
 
