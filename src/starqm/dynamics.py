@@ -24,11 +24,14 @@ that static-potential spectra do not depend on theta at all: the deformed
 problem is a similarity transform of the commutative one shifted by
 theta E/2, and a shift never moves eigenvalues.  The stationary solver
 writes each frame operator in the Fourier basis of the slice, on the
-narrowest band of low modes whose levels pass a full-grid residual check,
-and solves every level in the frame at its own energy until that energy
-settles, checking each level before the next is solved; a level clear of
-the box edge, where the sampled potential is a pure translate, settles at
-the first re-solve.
+narrowest band of low modes whose levels pass a full-grid residual check.
+One scan solves the frame at the window's midpoint; each level then starts
+from its scan vector translated into the frame at its own energy, and is
+settled there when that translate passes the same residual check.  A level
+clear of the box edge, where the sampled potential is a pure translate,
+needs no eigensolve of its own; one that fails is re-solved in the frame at
+its own energy until that energy settles.  Each level is checked before the
+next is settled.
 
 Time-dependent pulses V(t) are handled perturbatively by
 transition_amplitude; the split-step evolver accepts a time-dependent
@@ -78,8 +81,15 @@ _LADDER_TOL = 1e-9
 _LADDER_CACHE_SIZE = 64
 
 
-def _as_real(arr: np.ndarray, what: str) -> np.ndarray:
+def _as_real(arr: np.ndarray, what: str, nodes: np.ndarray | float) -> np.ndarray:
+    """Real values of a potential sampled on `nodes`; a non-finite sample is
+    rejected with the first offending node named."""
     arr = np.asarray(arr, dtype=np.complex128)
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        i = int(bad[0])
+        value = arr.flat[i] if arr.flat[i].imag else arr.flat[i].real
+        raise ValueError(f"{what} is not finite at node {i} ({np.ravel(nodes)[i]:.6g}): {value}")
     scale = 1.0 + np.max(np.abs(arr.real)) if arr.size else 1.0
     if arr.size and np.max(np.abs(arr.imag)) > _REAL_TOL * scale:
         raise ValueError(f"{what} must be real-valued (hermiticity), got imaginary part")
@@ -209,17 +219,17 @@ class Potential:
         if self.kind in ("none", "polynomial"):
             return sum((c * x**j for j, c in enumerate(self.coeffs) if c), np.zeros_like(x))
         if self.kind == "time_pulse":
-            val = float(_as_real(np.asarray(self.fn(t)), "time_pulse sample"))
+            val = float(_as_real(np.asarray(self.fn(t)), "time_pulse sample", t))
             return np.full_like(x, val)
         args = (x,) if self.static else (x, t)
-        return _as_real(_sample(self.fn, x.shape, *args), "custom potential sample")
+        return _as_real(_sample(self.fn, x.shape, *args), "custom potential sample", x)
 
     def sample_time(self, ts: np.ndarray) -> np.ndarray:
         """Real samples V(t) of a time_pulse on the given times."""
         if self.kind != "time_pulse":
             raise ValueError(f"sample_time needs a time_pulse potential, got {self.kind!r}")
         ts = np.asarray(ts, dtype=float)
-        return _as_real(_sample(self.fn, ts.shape, ts), "time_pulse sample")
+        return _as_real(_sample(self.fn, ts.shape, ts), "time_pulse sample", ts)
 
 
 # ---------------------------------------------------------------------------
@@ -511,21 +521,25 @@ def stationary_solve(
     v_hat = fft(V(x - theta E/2))/n, on a band of the lowest |k| modes.  The
     band starts at _BAND_START modes and doubles, up to the whole grid,
     while a solved level's full-grid residual exceeds _BAND_TOL.  A scan in
-    the frame at the window's midpoint finds the levels up to hi and their
-    indices in the full spectrum; its band must also pass on the first level
-    above hi, since a narrow band lifts energies.  A level is re-solved in
-    the frame at its latest energy until the energy moves by at most
-    1e-10 (1 + |E|), and one still moving after _MAX_RESOLVES re-solves
-    raises.  Levels settle outward from the first whose scan energy is at
-    least lo until one has settled past each edge of the window, and a level
-    belongs to the window by its settled energy.  Each level is checked as
-    soon as it settles, so a failing level stops the solve.  Slices carry
-    the global phase that makes the frame vector's x-space peak real and
+    the frame at the window's midpoint E_s counts the levels up to hi, then
+    solves for those levels and the first above hi, with their indices in
+    the full spectrum; its band must also pass on that first level above
+    hi, since a narrow band lifts energies.  A scan level at energy E starts
+    from its scan vector translated by theta (E - E_s)/2, the phase
+    e^{-ik theta (E - E_s)/2} on its modes, and is settled at E when that
+    vector's full-grid residual in the frame at E is at most _BAND_TOL.
+    Any other level is re-solved in the frame at its latest energy until
+    the energy moves by at most 1e-10 (1 + |E|), and one still moving after
+    _MAX_RESOLVES re-solves raises.  Levels settle outward from the first
+    whose scan energy is at least lo until one has settled past each edge of
+    the window, and a level belongs to the window by its settled energy.
+    Each level is checked as soon as it settles, so a failing level stops
+    the solve.  Slices carry the global phase that makes the frame vector's x-space peak real and
     positive, and unit induced norm: each carries its frame (the frame vector
     at that phase, times e^{theta E^2/4}) and is normalized by the induced
     norm of that framed slice, the frame's L2 norm.  metadata holds
     'energy', 'level' (the full-spectrum index), 'iterations' (eigensolves
-    with the scan included: 2 for a level clear of the box edge),
+    with the scan counted as one: 1 for a level taken from the scan),
     'band_modes', 'residual' (the frame residual; above 1e-6 the solver
     raises) and 'cross_residual', a check of the level outside the frame,
     taken on the values of the slice before it is normalized:
@@ -553,13 +567,22 @@ def stationary_solve(
         raise ValueError(
             "the stationary solver needs a time-independent potential: pass a one-argument V(x)"
         )
-    e_lo, e_hi = float(e_window[0]), float(e_window[1])
+    try:
+        e_lo, e_hi = map(float, e_window)
+    except (TypeError, ValueError):
+        raise ValueError(f"energy window must be two numbers (lo, hi), got {e_window!r}") from None
     if not (math.isfinite(e_lo) and math.isfinite(e_hi)):
         raise ValueError(f"energy window must be finite, got ({e_lo}, {e_hi})")
     if not e_lo < e_hi:
         raise ValueError(f"energy window must satisfy lo < hi, got ({e_lo}, {e_hi})")
     theta, n = spec.theta, spec.n_x
     kinetic = spec.k_x**2 / (2.0 * m)
+
+    def frame_residuals(v: np.ndarray, c: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Full-grid residuals of the mode vectors c (columns) with energies w
+        in the frame whose potential samples are v."""
+        h_c = kinetic[:, None] * c + np.fft.fft(v[:, None] * np.fft.ifft(c, axis=0), axis=0)
+        return np.linalg.norm(h_c - w * c, axis=0)
 
     def band_solve(energy: float, modes: int, lvl: int | None = None):
         """Frame eigenpairs at `energy` on the first band that passes, as full-grid
@@ -569,26 +592,38 @@ def stationary_solve(
         while True:
             band = np.arange(-(modes // 2), (modes + 1) // 2) % n
             block = _band_block(v_hat, kinetic, band)
-            subset = None if lvl is None else [lvl, lvl]
-            w, vecs = scipy.linalg.eigh(block, overwrite_a=True, subset_by_index=subset)
             if lvl is None:
-                top = np.count_nonzero(w <= e_hi) + 1
-                w, vecs = w[:top], vecs[:, :top]
+                # Count the levels up to e_hi, then take their vectors and the next one's.
+                below = scipy.linalg.eigh(block, eigvals_only=True, subset_by_value=(-np.inf, e_hi))
+                subset = [0, min(len(below), modes - 1)]
+            else:
+                subset = [lvl, lvl]
+            w, vecs = scipy.linalg.eigh(block, overwrite_a=True, subset_by_index=subset)
             c = np.zeros((n, len(w)), dtype=np.complex128)
             c[band] = vecs
-            h_c = kinetic[:, None] * c + np.fft.fft(v[:, None] * np.fft.ifft(c, axis=0), axis=0)
-            residuals = np.linalg.norm(h_c - w * c, axis=0)
+            residuals = frame_residuals(v, c, w)
             if modes == n or not np.any(residuals > _BAND_TOL):
                 return w, c, residuals, modes
             modes = min(2 * modes, n)
 
-    w, _, _, scan_modes = band_solve(0.5 * (e_lo + e_hi), min(_BAND_START, n))
+    e_scan = 0.5 * (e_lo + e_hi)
+    w, c_scan, _, scan_modes = band_solve(e_scan, min(_BAND_START, n))
 
     def settle(lvl: int):
-        """Re-solve level lvl in the frame at its latest energy until it settles,
-        starting from its scan energy (the scan's top one past the scan)."""
+        """Settle level lvl in the frame at its own energy.  A scan level starts
+        from its scan vector translated there; one whose frame residual passes is
+        settled, and any other is re-solved in the frame at its latest energy
+        until that energy settles (a level past the scan starts from the scan's
+        top energy)."""
         trace = [float(w[min(lvl, len(w) - 1)])]
         modes = scan_modes if lvl < scan_modes else n
+        if lvl < len(w):
+            shift = np.exp(-0.5j * theta * (trace[0] - e_scan) * spec.k_x)
+            c = c_scan[:, [lvl]] * shift[:, None]
+            v = potential.sample_space(spec.x - theta * trace[0] / 2.0, 0.0)
+            res = frame_residuals(v, c, w[[lvl]])
+            if res[0] <= _BAND_TOL:
+                return trace, c, float(res[0]), modes
         for _ in range(_MAX_RESOLVES):
             e_new, c, res, modes = band_solve(trace[-1], modes, lvl)
             trace.append(float(e_new[0]))

@@ -533,16 +533,17 @@ class TestStationarySolve:
             assert st.metadata["iterations"] <= 4
 
     @pytest.mark.parametrize("theta", [0.0625, 0.1, 0.2])
-    def test_harmonic_levels_settle_at_the_first_resolve(self, theta):
-        """A level clear of the box edge keeps its scan energy in its own frame,
-        so the scan and one re-solve are its only eigensolves."""
+    def test_harmonic_levels_settle_from_the_scan(self, theta):
+        """A level clear of the box edge is its scan vector translated into its
+        own frame, which passes the frame residual there: the scan is its only
+        eigensolve."""
         spec = eigenstate_grid(theta)
         pairs = dyn.stationary_solve(
             Potential.harmonic(1.0, 1.0), StarKernel(theta), 1.0, (0.2, 2.8), spec
         )
         assert [st.metadata["level"] for _, st in pairs] == [0, 1, 2]
         for _, st in pairs:
-            assert st.metadata["iterations"] == 2
+            assert st.metadata["iterations"] == 1
             assert st.metadata["residual"] < 1e-10
             # The star-product check loses digits to the mode weights as theta
             # grows (about 1e-4 at theta = 0.2 on this grid, with frame
@@ -550,6 +551,25 @@ class TestStationarySolve:
             # conditioned.
             if theta <= 0.1:
                 assert st.metadata["cross_residual"] < 5e-9
+
+    @pytest.mark.parametrize("theta", [0.0625, 0.15, 0.2])
+    def test_the_workload_solve_takes_two_eigensolves(self, theta, monkeypatch):
+        """Work count: the scan counts the levels up to hi, then takes their
+        vectors and the next one's, and every level settles from its scan
+        vector translated into its own frame, with no eigensolve of its own."""
+        calls = []
+        eigh = scipy.linalg.eigh
+
+        def counting_eigh(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
+        pairs = dyn.stationary_solve(
+            Potential.harmonic(1.0, 1.0), StarKernel(theta), 1.0, (0.2, 2.8), eigenstate_grid(theta)
+        )
+        assert len(calls) == 2
+        assert [st.metadata["iterations"] for _, st in pairs] == [1, 1, 1]
 
     def test_window_levels_keep_their_global_index(self):
         spec = eigenstate_grid(0.1)
@@ -700,6 +720,31 @@ class TestStationarySolve:
                 Potential.harmonic(1.0, 1.0), StarKernel(0.1), 1.0, window, eigenstate_grid(0.1)
             )
 
+    @pytest.mark.parametrize("window", [(0.2, 2.8, 99), (0.2,), 2.8, (0.2, 2.8j), (0.2, "hi")])
+    def test_rejects_a_window_that_is_not_two_numbers(self, window):
+        with pytest.raises(ValueError, match=r"energy window must be two numbers \(lo, hi\)"):
+            dyn.stationary_solve(
+                Potential.harmonic(1.0, 1.0), StarKernel(0.1), 1.0, window, eigenstate_grid(0.1)
+            )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "edge, node",
+        [
+            (lambda x: x > 11.9, r"node 510 \(11\.9062\)"),
+            (lambda x: x < -12.1, r"node 0 \(-12\.125\)"),
+        ],
+        ids=["right-edge", "left-of-the-box"],
+    )
+    def test_rejects_a_non_finite_potential_sample(self, bad, edge, node):
+        """A callable V that is not finite near x = 12 fails where the check
+        samples the box; one not finite below x = -12.1 is first read by level
+        2's translated start, in the frame at E = 2.5, whose nodes run from
+        -12 - theta E / 2 = -12.125."""
+        pot = Potential.custom(lambda x: np.where(edge(x), bad, 0.5 * x**2))
+        with pytest.raises(ValueError, match=f"potential sample is not finite at {node}: {bad}"):
+            dyn.stationary_solve(pot, StarKernel(0.1), 1.0, (0.2, 2.8), eigenstate_grid(0.1))
+
     def test_empty_window_returns_nothing(self):
         spec = GridSpec(8, 512, 0.0, 0.2, -12.0, 12.0, 0.0)
         kern = StarKernel(0.0)
@@ -814,9 +859,12 @@ class TestStationarySolve:
 
     def test_a_failing_level_stops_the_solve(self, monkeypatch):
         """Each level is gated as it settles: the window (8, 40) at theta = 0.2
-        raises on level 16 after 13 eigensolves, four for the scan (its band
-        widens from 64 to 512 modes) and one re-solve for each of levels 8 to
-        16.  Settling every level of the window before checking any took 101."""
+        raises on level 16 after 12 eigensolves.  The scan takes two on each of
+        its four bands (64 to 512 modes): a count of the levels up to 40, then
+        their vectors.  Levels 8 to 12 settle from their translated scan
+        vectors; levels 13 to 16 reach far enough toward the box edge that the
+        translate's frame residual (3e-10 to 1e-8) fails, and each re-solves
+        once.  Settling every level of the window before checking any took 101."""
         calls = []
         eigh = scipy.linalg.eigh
 
@@ -829,7 +877,7 @@ class TestStationarySolve:
             dyn.stationary_solve(
                 Potential.harmonic(1.0, 1.0), StarKernel(0.2), 1.0, (8.0, 40.0), eigenstate_grid(0.2)
             )
-        assert len(calls) == 13
+        assert len(calls) == 12
 
     def test_the_level_below_the_edge_gate_is_returned(self):
         spec = eigenstate_grid(0.1)
@@ -894,6 +942,19 @@ class TestPotential:
         bad = Potential.custom(lambda x, t: 1j * x)
         with pytest.raises(ValueError, match="real-valued"):
             bad.sample_space(np.array([1.0]), 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_samples_naming_the_node(self, bad):
+        x = np.linspace(-1.0, 1.0, 5)
+        custom = Potential.custom(lambda x: np.where(x > 0.2, bad, x))
+        node = r"is not finite at node 3 \(0\.5\)"
+        with pytest.raises(ValueError, match=f"custom potential sample {node}: {bad}"):
+            custom.sample_space(x)
+        pulse = Potential.time_pulse(lambda t: np.where(t > 0.2, bad, t))
+        with pytest.raises(ValueError, match=f"time_pulse sample {node}: {bad}"):
+            pulse.sample_time(x)
+        with pytest.raises(ValueError, match=r"time_pulse sample is not finite at node 0 \(0\.7\)"):
+            pulse.sample_space(x, 0.7)
 
     def test_rejects_unknown_kind_and_missing_callable(self):
         with pytest.raises(ValueError, match="unknown potential kind"):
@@ -1050,6 +1111,15 @@ class TestEvolve:
         g0 = dyn.oscillator_eigenstate(osc, 0, spec)
         with pytest.raises(ValueError, match="unstable step"):
             dyn.evolve(g0, Potential.harmonic(1.0, 1.0), kern, 1.0, 1e-2, 10)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_a_non_finite_potential_sample(self, bad):
+        """Such a V used to fail later as an unstable step (inf) or as
+        non-finite slice entries (nan)."""
+        g0 = dyn.oscillator_eigenstate(OscillatorParams(1.0, 1.0, 0.1), 0, eigenstate_grid(0.1))
+        pot = Potential.custom(lambda x: np.where(x > 11.9, bad, 0.5 * x**2))
+        with pytest.raises(ValueError, match=f"potential sample is not finite at node 511 .*: {bad}"):
+            dyn.evolve(g0, pot, StarKernel(0.1), 1.0, 2e-4, 10)
 
     def test_rejects_time_dependence_under_deformation(self):
         spec = eigenstate_grid(0.1)
@@ -1478,6 +1548,9 @@ class TestTransitionAmplitude:
             dyn.transition_amplitude(self._pulse(), s0, s1, 0.0, 0.1, kern)
         with pytest.raises(ValueError, match="time_pulse"):
             dyn.transition_amplitude(Potential.harmonic(1.0, 1.0), s0, s1, 12.0, 0.1, kern)
+        nan_pulse = lambda t: np.full_like(t, math.nan)
+        with pytest.raises(ValueError, match=r"time_pulse sample is not finite at node 0 \(0\): nan"):
+            dyn.transition_amplitude(nan_pulse, s0, s1, 12.0, 0.1, kern)
 
     def test_rate_arithmetic(self):
         assert dyn.transition_rate(3.0 + 4.0j, 5.0) == pytest.approx(5.0)
