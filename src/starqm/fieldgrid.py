@@ -266,17 +266,29 @@ def sample_field(f: Callable[[np.ndarray, np.ndarray], np.ndarray], spec: GridSp
 def _drop_noise_modes(
     fhat: np.ndarray, cutoff: float = DEFAULT_MODE_CUTOFF, axis: tuple[int, ...] | None = None
 ) -> tuple[np.ndarray, int]:
-    """Zero the modes with |fhat| < cutoff * max|fhat|; count them.
+    """Zero the modes with |fhat| < cutoff * max|fhat| in place; return fhat and their count.
 
     The peak is taken over the whole array, or over `axis` only: one peak per
-    index of the other axes, so each state of a stack is cut by its own.
+    index of the other axes, so each state of a stack is cut by its own.  A
+    mode is kept where |fhat| >= cutoff * peak, so a NaN mode, or every mode
+    under a NaN peak, is zeroed.  fhat is overwritten, so every caller passes
+    a transform it has just made and owns.
     """
     mag = np.abs(fhat)
     keep = mag >= cutoff * np.max(mag, axis=axis, keepdims=True)
     dropped = int(fhat.size - np.count_nonzero(keep))
     if dropped:
-        fhat = np.where(keep, fhat, 0.0)
+        np.copyto(fhat, 0.0, where=np.logical_not(keep, out=keep))
     return fhat, dropped
+
+
+def _fft2(values: np.ndarray) -> np.ndarray:
+    """np.fft.fft2(values), written into one fresh complex array.
+
+    Both axis passes write into the out= array, so a transform allocates
+    one array instead of one per pass; the bits are those of plain fft2.
+    """
+    return np.fft.fft2(values, out=np.empty(np.shape(values), dtype=np.complex128))
 
 
 def _scatter_sum(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:

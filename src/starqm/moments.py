@@ -24,16 +24,21 @@ once per batch and each ket O psi at most once per operator, whatever the
 number of slices.  The kets of a full field share one derivative cache, so
 each derivative order is taken once per batch.  A framed field paired over
 the whole plane builds no kets: the pairing is linear in O_W, so each
-distinct monomial of the batch's frames is paired once (`_plane_moments`).
+distinct monomial of the batch's frames is paired once (`_plane_moments`,
+through `_framed_plane`).  That pass builds no Field2D: its spectra,
+derivatives and coordinate weights are written in place into a few arrays
+that live for the one call, and nothing outlives it.
 
 On top of that sit the uncertainty products, the 4x4 covariance matrix of
-the coherent element together with its commutator (symplectic) form, the
-Williamson spectrum, both uncertainty bounds, and the residual of the
-evolution law d<O>/dt = i<[H, O]> + <d_t O> along stored trajectories.  H
-is `operators.hamiltonian`, the deformed generator H_theta = P_x^2/2m +
-V(X_theta^L) of a polynomial potential, and for O = P_x the first-order
-force form -V' - (theta/2) V'' (d_x - i d_t) is one more operator of the
-same batch.
+the coherent element (its frame alone is built, and the ten anticommutator
+frames are composed from the four coordinate frames, since a product's Weyl
+frame is the product of the frames) together with its commutator
+(symplectic) form, the Williamson spectrum, both uncertainty bounds, and the
+residual of the evolution law d<O>/dt = i<[H, O]> + <d_t O> along stored
+trajectories.  H is `operators.hamiltonian`, the deformed generator
+H_theta = P_x^2/2m + V(X_theta^L) of a polynomial potential, and for
+O = P_x the first-order force form -V' - (theta/2) V'' (d_x - i d_t) is one
+more operator of the same batch.
 
 The phase-space coordinates are (X, T, P_x, P_t) in that fixed order,
 CANONICAL_ORDERING.  The Williamson spectrum is taken against the deformed
@@ -60,7 +65,6 @@ from .operators import (
     SymbolOperator,
     _apply_field2d,
     _apply_phasepoly,
-    _derivative,
     _weyl_frame,
     commutator,
     hamiltonian,
@@ -70,7 +74,7 @@ from .operators import (
     x_theta_l,
 )
 from .star import StarKernel, _require_voros
-from .symbols import CoherentPoint, coherent_symbol
+from .symbols import CoherentPoint
 
 _IMAG_TOL = 1e-8
 _NORM_TOL = 1e-6
@@ -247,11 +251,11 @@ def expectation(
     products, covariance, bound checks) pair them as one batch.  A framed
     field over the whole plane pairs by monomial moments: each distinct
     monomial t^a x^b d_t^c d_x^d of the batch's frames is paired with phi
-    once, as one grid sum against its derivative from one memoised cache,
-    and each operator combines its coefficients' moments; no ket O_W phi is
-    built, and the norm is the (0, 0, 0, 0) moment.  Otherwise every O psi
-    is built from one derivative cache of psi, and the bra side is
-    transformed once per batch.
+    once, as one grid sum against its spectral derivative (each derivative
+    order taken once in the call), and each operator combines its
+    coefficients' moments; no ket O_W phi is built, and the norm is the
+    (0, 0, 0, 0) moment.  Otherwise every O psi is built from one derivative
+    cache of psi, and the bra side is transformed once per batch.
 
     An operator built at a theta other than 0 or the grid's is rejected.
     The state must arrive normalized: a pairing norm off unity beyond 1e-6
@@ -289,17 +293,7 @@ def _expectations(
 
     if isinstance(psi, Field2D):
         if t is None and psi.frame is not None:
-            # Weyl amplitudes pair over the plane as the plain grid sum of
-            # conj(phi) (O_W phi) dt dx, which is linear in O_W: each distinct
-            # monomial is paired once and the frames combine the moments.
-            frames = [_weyl_frame(op, spec.theta) for op in ops]
-            moment = _plane_moments(Field2D(spec, psi.frame), frames)
-            area = spec.dt * spec.dx
-            norm = _checked_norm(moment[(0, 0, 0, 0)] * area)
-            return [
-                complex(sum(coef * moment[key] for key, coef in frame.terms.items())) * area / norm
-                for frame in frames
-            ]
+            return _framed_plane([_weyl_frame(op, spec.theta) for op in ops], psi.frame, spec)
         pair = symbols._pairing(kernel.theta, psi, t)
         # One derivative cache serves every operator of the batch.
         act = partial(_apply_field2d, fld=psi, derivs={})
@@ -321,30 +315,84 @@ def _expectations(
     return values if stack else [complex(v) for v in values[0]]
 
 
-def _plane_moments(phi: Field2D, frames: Sequence[SymbolOperator]) -> dict:
+def _framed_plane(
+    frames: Sequence[SymbolOperator], phi: np.ndarray, spec: GridSpec
+) -> list[complex]:
+    """<O> over the whole plane for each operator O_W already in the Weyl frame, on amplitude phi.
+
+    The pairing is the plain grid sum of conj(phi) (O_W phi) dt dx, which is
+    linear in O_W: each distinct monomial is paired once (`_plane_moments`)
+    and each frame combines its coefficients' moments.  The norm is the
+    (0, 0, 0, 0) moment and must be unity (`_checked_norm`).
+    """
+    moment = _plane_moments(phi, spec, frames)
+    area = spec.dt * spec.dx
+    norm = _checked_norm(moment[(0, 0, 0, 0)] * area)
+    return [
+        complex(sum(coef * moment[key] for key, coef in frame.terms.items())) * area / norm
+        for frame in frames
+    ]
+
+
+def _plane_moments(phi: np.ndarray, spec: GridSpec, frames: Sequence[SymbolOperator]) -> dict:
     """<phi, t^a x^b d_t^c d_x^d phi> as a grid sum, once per monomial of the frames.
 
-    The norm's monomial (0, 0, 0, 0) is always included.  Each derivative
-    order is taken once, from one memoised cache of phi, and the t^a x^b
-    weight is applied in one scratch buffer reused by every monomial, so no
-    ket O_W phi is built.  The monomials run grouped by derivative order,
-    d_t order first, and a cached derivative is dropped once no later order
-    is built on it, so the cache holds at most two derivatives at a time.
+    The norm's monomial (0, 0, 0, 0) is always included.  The monomials run
+    grouped by derivative order, d_t order first, and every derivative is
+    spectral, from three kinds of forward one-axis transform taken once
+    each: phi along t (every d_t^c), phi along x (every d_x^d) and, per
+    d_t order c, d_t^c phi along x (every d_t^c d_x^d).  No Field2D is
+    built: the spectra, the current d_t^c phi, the current derivative and
+    the t^a x^b weighting each live in one slab of a block allocated once
+    for this call (only the slabs the monomials use), which every
+    transform, multiplier and inverse transform writes into.  The
+    multipliers (i k)^order, the t^a-then-x^b weighting and one `np.vdot`
+    per monomial are those of `spectral_derivative` and `_apply_field2d`, so
+    the moments are the ones the kets would give, bit for bit.
     """
-    spec = phi.spec
     keys = {(0, 0, 0, 0)}.union(*(frame.terms for frame in frames))
-    derivs: dict = {}
-    scratch = np.empty((spec.n_t, spec.n_x), dtype=np.complex128)
+    roles = []
+    if any(key[2] for key in keys):
+        roles += ["along t", "d_t phi"]
+    if any(key[3] for key in keys):
+        roles += ["along x", "derivative"]
+    if any(key[0] or key[1] for key in keys):
+        roles.append("weighted")
+    # One allocation for every buffer: a freed block this large also lets
+    # glibc keep its pages for the next call (see `symbols._quasi_projectors`).
+    buffer = dict(zip(roles, np.empty((len(roles), spec.n_t, spec.n_x), dtype=np.complex128)))
+
+    def derive(spectrum: np.ndarray, axis: int, order: int, out: np.ndarray) -> np.ndarray:
+        k = spec.k_t[:, None] if axis == 0 else spec.k_x[None, :]
+        np.multiply(spectrum, (1j * k) ** order, out=out)
+        return np.fft.ifft(out, axis=axis, out=out)
+
     moment = {}
+    order = along_t = along_x = None
     for a, b, c, d in sorted(keys, key=lambda key: key[2:] + key[:2]):
-        for order in [o for o in derivs if o[0] != c or o[1] not in (0, d)]:
-            del derivs[order]
-        vals = _derivative(phi, (c, d), derivs).values
+        if order is None or order[0] != c:
+            # d_t^c phi, and a fresh x spectrum of it on first need
+            if c:
+                if along_t is None:
+                    along_t = np.fft.fft(phi, axis=0, out=buffer["along t"])
+                base = derive(along_t, 0, c, buffer["d_t phi"])
+            else:
+                base = phi
+            along_x = None
+        if order != (c, d):
+            order = (c, d)
+            if d:
+                if along_x is None:
+                    along_x = np.fft.fft(base, axis=1, out=buffer["along x"])
+                vals = derive(along_x, 1, d, buffer["derivative"])
+            else:
+                vals = base
+        weighted = vals
         if a:
-            vals = np.multiply(vals, spec.t[:, None] ** a, out=scratch)
+            weighted = np.multiply(weighted, spec.t[:, None] ** a, out=buffer["weighted"])
         if b:
-            vals = np.multiply(vals, spec.x[None, :] ** b, out=scratch)
-        moment[a, b, c, d] = complex(np.vdot(phi.values, vals))
+            weighted = np.multiply(weighted, spec.x[None, :] ** b, out=buffer["weighted"])
+        moment[a, b, c, d] = complex(np.vdot(phi, weighted))
     return moment
 
 
@@ -401,11 +449,14 @@ def coherent_variance_matrix(
     block {X, P_t} and {T, P_x} has determinant (theta/2)(1/theta) - 1/4 =
     1/4, so det V = 1/16 at every theta.
 
-    The same matrix is recomputed numerically from the sampled symbol via
-    `expectation` over the whole plane, which pairs the element's Weyl
-    amplitude (its frame) with the operators conjugated into that frame, and
-    the two must agree entrywise within 1e-12 of the closed form's largest
-    entry; the achieved deviation lands in metadata['cross_check_max_abs'].
+    The same matrix is recomputed numerically over the whole plane, the
+    pairing `expectation` makes of a framed field: the element's Weyl
+    amplitude (its frame, `symbols._coherent_frame`, with the symbol's
+    clearance check) is paired with the operators conjugated into that
+    frame.  Only the four coordinates are conjugated (`_weyl_frame`); the
+    ten anticommutator frames are composed from theirs.  The two matrices
+    must agree entrywise within 1e-12 of the closed form's largest entry;
+    the achieved deviation lands in metadata['cross_check_max_abs'].
     Omitting spec uses a box of reach 8 sqrt(theta) at 128x128.
     """
     if not theta > 0:
@@ -416,11 +467,13 @@ def coherent_variance_matrix(
     if spec.theta != theta:
         raise ValueError(f"grid theta {spec.theta} does not match theta {theta}")
 
-    psi = coherent_symbol(CoherentPoint(0.0, 0.0, theta), spec)
-    ops = [x_theta_l(theta), t_theta_l(theta), p_x(), p_t()]
+    _, phi = symbols._coherent_frame(CoherentPoint(0.0, 0.0, theta), spec)
+    # A product's Weyl frame is the product of the frames, so the ten
+    # anticommutators are composed from the four coordinate frames.
+    zs = [_weyl_frame(op, theta) for op in (x_theta_l(theta), t_theta_l(theta), p_x(), p_t())]
     upper = [(i, j) for i in range(4) for j in range(i, 4)]
-    antis = [ops[i].compose(ops[j]) + ops[j].compose(ops[i]) for i, j in upper]
-    values = [v.real for v in _expectations(ops + antis, psi, StarKernel(theta))]
+    antis = [zs[i].compose(zs[j]) + zs[j].compose(zs[i]) for i, j in upper]
+    values = [v.real for v in _framed_plane(zs + antis, phi, spec)]
     means = values[:4]
     numeric = np.zeros((4, 4))
     for (i, j), anti in zip(upper, values[4:]):

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from starqm.fieldgrid import EDGE_DECAY_TOL, Field1D, Field2D, spectral_derivative
-from starqm.fieldgrid import _drop_noise_modes, _edge_magnitude
+from starqm.fieldgrid import _drop_noise_modes, _edge_magnitude, _fft2
 from starqm.fieldgrid import _require_nonnegative, _require_positive
 from starqm.phasecalc import PhasePoly, _dt_poly, _slice_part, _slice_time
 
@@ -393,7 +393,7 @@ def boost_transform(psi: Field2D, v: float, m: float) -> Field2D:
     if v == 0.0:
         return Field2D(spec, psi.values, metadata=dict(psi.metadata))
 
-    modes, _ = _drop_noise_modes(np.fft.fft2(psi.values))
+    modes, _ = _drop_noise_modes(_fft2(psi.values))
     live = modes != 0
     k_t, k_x = spec.k_t[:, None], spec.k_x[None, :]
     out_t, out_x = k_t + v * k_x - m * v**2 / 2, k_x - m * v

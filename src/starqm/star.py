@@ -60,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from starqm.fieldgrid import DEFAULT_MODE_CUTOFF, Field2D, GridSpec, _drop_noise_modes
+from starqm.fieldgrid import DEFAULT_MODE_CUTOFF, Field2D, GridSpec, _drop_noise_modes, _fft2
 from starqm.fieldgrid import _require_grid_theta, _require_nonnegative
 
 # Largest table of Bopp-shifted rows a star square builds, in bytes.  The
@@ -272,11 +272,11 @@ def star(kernel: StarKernel, f: Field2D, g: Field2D) -> Field2D:
     _require_grid_theta(kernel.theta, f.spec, "kernel theta")
     if kernel.theta == 0.0:
         return Field2D(f.spec, f.values * g.values)
-    fh, dropped_f = _drop_noise_modes(np.fft.fft2(f.values))
+    fh, dropped_f = _drop_noise_modes(_fft2(f.values))
     if g is f:
         gh, dropped_g = fh, dropped_f
     else:
-        gh, dropped_g = _drop_noise_modes(np.fft.fft2(g.values))
+        gh, dropped_g = _drop_noise_modes(_fft2(g.values))
     metadata: dict = {}
     if dropped_f or dropped_g:
         metadata["mode_cutoff"] = {

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import phasecalc
 from .fieldgrid import Field1D, Field2D, GridSpec, spectral_derivative
-from .fieldgrid import _PAIRING_MODE_CUTOFF, _csv, _drop_noise_modes, _node_columns
+from .fieldgrid import _PAIRING_MODE_CUTOFF, _csv, _drop_noise_modes, _fft2, _node_columns
 from .fieldgrid import _require_grid_theta, _require_nonnegative, _require_positive
 from .star import StarKernel, _require_voros, star
 
@@ -120,6 +120,19 @@ def coherent_symbol(point: CoherentPoint, spec: GridSpec) -> Field2D:
     integral dt dx  conj(phi) (O_W phi) with no Voros growth weight; the
     fixed-line pairings and `_pairing` read the symbol only.
     """
+    r2, frame = _coherent_frame(point, spec)
+    vals = np.exp(-r2 / (2.0 * point.theta)) / math.sqrt(2.0 * math.pi * point.theta)
+    return Field2D(spec, vals, {"center_t": point.t, "center_x": point.x}, frame)
+
+
+def _coherent_frame(point: CoherentPoint, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """|r - r0|^2 on the grid, and the element's Weyl amplitude (its frame) there.
+
+    The point's theta must be the grid's, and the box must clear the centre
+    by 6 sqrt(theta) on every side (see `coherent_symbol`).  The frame is
+    built in place in one real array and scaled into the complex array that
+    is returned, which the caller owns.
+    """
     _require_grid_theta(point.theta, spec, "basis point theta")
     s = math.sqrt(point.theta)
     margin = min(
@@ -134,10 +147,11 @@ def coherent_symbol(point: CoherentPoint, spec: GridSpec) -> Field2D:
     tt = spec.t[:, None] - point.t
     xx = spec.x[None, :] - point.x
     r2 = tt**2 + xx**2
-    norm = math.sqrt(2.0 * math.pi * point.theta)
-    vals = np.exp(-r2 / (2.0 * point.theta)) / norm
-    frame = np.exp(-r2 / point.theta) * (2.0 / norm)
-    return Field2D(spec, vals, {"center_t": point.t, "center_x": point.x}, frame)
+    frame = np.negative(r2)
+    frame /= point.theta
+    np.exp(frame, out=frame)
+    scale = 2.0 / math.sqrt(2.0 * math.pi * point.theta)
+    return r2, np.multiply(frame, scale, out=np.empty(frame.shape, dtype=np.complex128))
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +183,7 @@ def _pairing(theta: float, bra: Field2D, t: float | None = None) -> Callable[[Fi
             raise ValueError(f"t={t} is not a grid point (nearest is {spec.t[idx]})")
 
     def modes(values: np.ndarray) -> np.ndarray:
-        fh = np.fft.fft2(values)
+        fh = _fft2(values)
         return _drop_noise_modes(fh, _PAIRING_MODE_CUTOFF)[0] if theta > 0.0 else fh
 
     fh = modes(np.conj(bra.values))
@@ -366,7 +380,7 @@ def _projection_amplitudes(psi: Field2D) -> np.ndarray:
     """Corner-referenced mode amplitudes fft2(psi), cut at DEFAULT_MODE_CUTOFF."""
     if not isinstance(psi, Field2D):
         raise TypeError(f"quasi_projection_apply expects a Field2D, got {type(psi).__name__}")
-    return _drop_noise_modes(np.fft.fft2(psi.values))[0]
+    return _drop_noise_modes(_fft2(psi.values))[0]
 
 
 def _quasi_projectors(spec: GridSpec, *times: float) -> list[Callable[[np.ndarray], np.ndarray]]:
@@ -377,12 +391,16 @@ def _quasi_projectors(spec: GridSpec, *times: float) -> list[Callable[[np.ndarra
     its real envelope.  A map takes amplitudes that were already cut and does
     not cut again, so it is linear in its argument.
 
-    Each map owns one zero-padded (2 N_t, N_x) buffer, allocated when the map
-    is built and refilled on every call: the energy collapse runs in place
-    in it (`np.fft.ifft` with out=) and the envelope multiplies in place.
-    Only the x synthesis allocates, and its output is what the map returns,
-    so no returned array is ever a reused buffer.  The buffer lives as long
-    as the map: nothing is cached beyond it.
+    Every table is built in place, and the complex ones share one block
+    with the maps' buffer: one (N_t, N_x) slab per time for its weight (the
+    mode weight is built in the last slab, which the last time's weight then
+    overwrites), and one zero-padded (2 N_t, N_x) buffer that the maps of one
+    call share, refilled on every call.  Each envelope is one real array.
+    The energy collapse runs in place in the buffer (`np.fft.ifft` with
+    out=) and the envelope multiplies in place, so one map must return
+    before the next starts.  Only the x synthesis allocates, and its output
+    is what a map returns, so no returned array is ever a reused buffer.
+    The block lives as long as the maps: nothing is cached beyond them.
     """
     theta = spec.theta
     if not theta > 0:
@@ -394,25 +412,39 @@ def _quasi_projectors(spec: GridSpec, *times: float) -> list[Callable[[np.ndarra
     half = n_t // 2
     E = -spec.k_t  # modes e^{i kt t} carry energy E = -kt in e^{-iEt} form
     p = spec.k_x
-    # An oversampled grid can overflow the weight on rows no input populates;
-    # a map reads the weight on surviving modes only.
+    # One allocation for the weights and the buffer.  A freed block this
+    # large also lets glibc keep its pages for the next call (its mmap and
+    # trim thresholds rise to the largest block freed), so repeated reports
+    # stop page-faulting.
+    block = np.empty((len(times) + 2, n_t, n_x), dtype=np.complex128)
+    padded = block[len(times):].reshape(2 * n_t, n_x)
+    # exp[(theta/8)(E^2 - p^2) + (i theta/4) E p].  An oversampled grid can
+    # overflow the weight on rows no input populates; a map reads the weight
+    # on surviving modes only.
+    mode_weight = block[len(times) - 1]
+    np.subtract.outer(E**2, p**2, out=mode_weight.real)
+    mode_weight.real *= theta / 8.0
+    np.multiply.outer(E, p, out=mode_weight.imag)
+    mode_weight.imag *= 0.25 * theta
     with np.errstate(over="ignore"):
-        mode_weight = np.exp(
-            (theta / 8.0) * np.subtract.outer(E**2, p**2) + 0.25j * theta * np.outer(E, p)
-        )
+        np.exp(mode_weight, out=mode_weight)
     # The envelope carries the weight's (2 pi theta)^{-1/2} and the factor
     # 2 N_t N_x / (N_t N_x) = 2 that the unscaled fft2 and the two inverse
     # FFTs leave.
     scale = 2.0 / math.sqrt(2.0 * math.pi * theta)
 
-    def projector(t0: float) -> Callable[[np.ndarray], np.ndarray]:
+    def projector(slot: int, t0: float) -> Callable[[np.ndarray], np.ndarray]:
         tau = spec.t - t0
         # e^{-iE t0}, the t_min origin phase e^{iE t_min} of the amplitudes and
         # the j = 0 phase e^{-iE (t_min - t0)/2} of the energy collapse.
+        phase = np.exp(-0.5j * E * (t0 - spec.t_min))[:, None]
         with np.errstate(invalid="ignore"):
-            weight = mode_weight * np.exp(-0.5j * E * (t0 - spec.t_min))[:, None]
-        envelope = scale * np.exp(-0.5 * np.outer(tau, p) - (tau**2 / (2.0 * theta))[:, None])
-        padded = np.empty((2 * n_t, n_x), dtype=np.complex128)
+            weight = np.multiply(mode_weight, phase, out=block[slot])
+        envelope = np.multiply.outer(tau, p)
+        envelope *= -0.5
+        envelope -= (tau**2 / (2.0 * theta))[:, None]
+        np.exp(envelope, out=envelope)
+        envelope *= scale
 
         def project(amps: np.ndarray) -> np.ndarray:
             # Row s of the energy axis goes to slot s mod 2 N_t: the rows
@@ -427,7 +459,7 @@ def _quasi_projectors(spec: GridSpec, *times: float) -> list[Callable[[np.ndarra
 
         return project
 
-    return [projector(t0) for t0 in times]
+    return [projector(slot, t0) for slot, t0 in enumerate(times)]
 
 
 def quasi_projection_apply(t0: float, psi: Field2D) -> Field2D:
@@ -464,6 +496,26 @@ def quasi_projection_apply(t0: float, psi: Field2D) -> Field2D:
     return Field2D(psi.spec, project(amps), {"t0": t0})
 
 
+def _composition_defect(
+    psi: Field2D,
+    at_t: Callable[[np.ndarray], np.ndarray],
+    at_t_prime: Callable[[np.ndarray], np.ndarray],
+    weight: float,
+) -> tuple[float, float]:
+    """max|pi_{t'}(pi_t psi) - w pi_{t'} psi| and max|pi_t psi| for one state.
+
+    The defect is one projection of the amplitude difference, formed in
+    place in the amplitudes of pi_t psi.  Every array is this call's, so a
+    state's arrays are freed before the next state's are made.
+    """
+    amps = _projection_amplitudes(psi)
+    once = Field2D(psi.spec, at_t(amps))
+    amps *= weight
+    diff = _projection_amplitudes(once)
+    diff -= amps
+    return float(np.max(np.abs(at_t_prime(diff)))), float(np.max(np.abs(once.values)))
+
+
 def quasi_projection_report(
     theta: float, t: float, t_prime: float, states: Sequence[Field2D]
 ) -> str:
@@ -473,24 +525,30 @@ def quasi_projection_report(
 
     The defect pi_{t'}(pi_t psi) - w pi_{t'} psi is one projection of the
     amplitude difference, since each projector is linear in its cut
-    amplitudes; the projectors are built once per distinct grid.
+    amplitudes (`_composition_defect`).  Every state is checked, and theta
+    against its grid, before any state is projected; the projectors are
+    built once per distinct grid.
     """
+    if isinstance(states, Field2D):
+        raise TypeError("quasi_projection_report takes a sequence of states, got a single Field2D")
+    states = list(states)
     if not states:
         raise ValueError("need at least one test state")
-    weight = float(gauss_delta(t_prime - t, math.sqrt(theta)))
     projectors: dict[GridSpec, list] = {}
+    for i, psi in enumerate(states):
+        if not isinstance(psi, Field2D):
+            raise TypeError(
+                f"quasi_projection_report: state {i} is a {type(psi).__name__}, not a Field2D"
+            )
+        if psi.spec not in projectors:
+            _require_grid_theta(theta, psi.spec, "theta")
+            projectors[psi.spec] = _quasi_projectors(psi.spec, t, t_prime)
+    weight = float(gauss_delta(t_prime - t, math.sqrt(theta)))
+    delta_0 = float(gauss_delta(0.0, math.sqrt(theta)))
     rows = []
     for psi in states:
-        amps = _projection_amplitudes(psi)
-        spec = psi.spec
-        if spec not in projectors:
-            projectors[spec] = _quasi_projectors(spec, t, t_prime)
-            _require_grid_theta(theta, spec, "theta")
-        at_t, at_t_prime = projectors[spec]
-        once = Field2D(spec, at_t(amps))
-        defect = at_t_prime(_projection_amplitudes(once) - weight * amps)
-        discrepancy = float(np.max(np.abs(defect)))
-        ref = float(np.max(np.abs(once.values)) * gauss_delta(0.0, math.sqrt(theta)))
+        discrepancy, once_max = _composition_defect(psi, *projectors[psi.spec], weight)
+        ref = once_max * delta_0
         rows.append(
             {
                 "discrepancy": discrepancy,
@@ -541,7 +599,7 @@ def reproducing_map(kernel: StarKernel, psi: Field2D) -> Field2D:
     dt_idx = np.fft.fftfreq(spec.n_t, d=1.0 / spec.n_t) * spec.dt
     dx_idx = np.fft.fftfreq(spec.n_x, d=1.0 / spec.n_x) * spec.dx
     k_samples = np.outer(gauss_delta(dt_idx, s), gauss_delta(dx_idx, s))
-    k_hat = np.fft.fft2(k_samples).real * spec.dt * spec.dx
+    k_hat = _fft2(k_samples).real * spec.dt * spec.dx
 
     grow = np.exp(
         (kernel.theta / 2.0) * (spec.k_t[:, None] ** 2 + spec.k_x[None, :] ** 2)
@@ -549,7 +607,7 @@ def reproducing_map(kernel: StarKernel, psi: Field2D) -> Field2D:
     live = k_hat >= _KERNEL_MODE_FLOOR * np.max(k_hat)
     mult = np.where(live, k_hat * grow, 0.0)
 
-    vhat, _ = _drop_noise_modes(np.fft.fft2(psi.values))
+    vhat, _ = _drop_noise_modes(_fft2(psi.values))
     dropped = int(np.sum((~live) & (vhat != 0.0)))
     out = np.fft.ifft2(vhat * mult)
     metadata: dict = {"kernel_modes_dropped": dropped}

@@ -12,6 +12,7 @@ from starqm.fieldgrid import (
     spectral_derivative,
     to_csv,
 )
+from starqm.fieldgrid import _drop_noise_modes
 
 
 def square_box(n=256, half=8.0, theta=0.0):
@@ -193,6 +194,32 @@ class TestSpectralDerivative:
         g = slice_gaussian(lambda x: np.exp(-(x**2)))
         with pytest.raises(ValueError, match="axis"):
             spectral_derivative(g, "t")
+
+
+class TestDropNoiseModes:
+    """The cut zeroes its input in place, where np.where(keep, fhat, 0) would."""
+
+    @pytest.mark.parametrize("axis", [None, (2,), (0, 2)])
+    @pytest.mark.parametrize("case", ["random", "nan_entry", "nan_peak", "zeros"])
+    def test_zeroes_its_input_where_the_copying_rule_does(self, axis, case):
+        rng = np.random.default_rng(17)
+        shape = (3, 4, 16)
+        fhat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        fhat *= 10.0 ** rng.uniform(-20.0, 0.0, shape)  # magnitudes on both sides of the cut
+        if case == "nan_entry":
+            fhat[1, 2, 3] = np.nan
+        elif case == "nan_peak":
+            fhat[np.unravel_index(np.argmax(np.abs(fhat)), shape)] = complex(np.nan, np.nan)
+        elif case == "zeros":
+            fhat[...] = 0.0
+        mag = np.abs(fhat)
+        keep = mag >= 1e-10 * np.max(mag, axis=axis, keepdims=True)
+        want = np.where(keep, fhat, 0.0)
+        out, dropped = _drop_noise_modes(fhat, 1e-10, axis=axis)
+        assert out is fhat
+        assert np.array_equal(out, want)
+        assert dropped == fhat.size - np.count_nonzero(keep)
+        assert (dropped == 0) == (case == "zeros")
 
 
 class TestIntegrate:

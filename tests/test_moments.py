@@ -449,20 +449,23 @@ class TestCoherentVarianceMatrix:
 
     def test_a_numeric_matrix_off_the_closed_form_raises(self, monkeypatch):
         """<{P_t, P_t}> moved by 1e-3 moves V[P_t, P_t] by 5e-4, past the 1e-11 cross-check."""
-        pair = moments._expectations
+        pair = moments._framed_plane
 
-        def perturbed(ops, *args, **kwargs):
-            values = pair(ops, *args, **kwargs)
+        def perturbed(frames, *args, **kwargs):
+            values = pair(frames, *args, **kwargs)
             return [*values[:-1], values[-1] + 1e-3]
 
-        monkeypatch.setattr(moments, "_expectations", perturbed)
+        monkeypatch.setattr(moments, "_framed_plane", perturbed)
         with pytest.raises(ValueError, match="numerical covariance disagrees"):
             moments.coherent_variance_matrix(THETA)
 
     def test_framed_covariance_pairs_moments_without_kets(self, monkeypatch):
         # The 14 frames share 15 monomials and 5 nonzero derivative orders:
-        # each order is taken once and no ket O_W phi is built.
-        calls = {"apply": 0, "derivative": 0}
+        # phi along t, phi along x and d_t phi along x are each transformed
+        # once, each order is one inverse transform, and no ket O_W phi is
+        # built.  Only the 4 coordinate frames are conjugated; the 10
+        # anticommutators are composed from them.
+        calls = {"apply": 0, "derivative": 0, "fft": 0, "ifft": 0, "weyl_frame": 0}
 
         def counted(name, fn):
             def wrapped(*args, **kwargs):
@@ -475,8 +478,18 @@ class TestCoherentVarianceMatrix:
         monkeypatch.setattr(
             operators, "spectral_derivative", counted("derivative", operators.spectral_derivative)
         )
+        monkeypatch.setattr(moments, "_weyl_frame", counted("weyl_frame", moments._weyl_frame))
+        for name in ("fft", "ifft"):
+            monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
         moments.coherent_variance_matrix(THETA)
-        assert calls == {"apply": 0, "derivative": 5}
+        assert calls == {"apply": 0, "derivative": 0, "fft": 3, "ifft": 5, "weyl_frame": 4}
+
+    def test_clearance_is_checked_on_the_frame_alone(self):
+        # The covariance builds only the element's frame; the symbol's
+        # 6 sqrt(theta) clearance check still applies to it.
+        spec = GridSpec(128, 128, -1.5, 1.5, -1.5, 1.5, 0.1)
+        with pytest.raises(ValueError, match=r"needs at least 6 sqrt\(theta\)"):
+            moments.coherent_variance_matrix(0.1, spec=spec)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError, match="theta > 0"):

@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starqm.fieldgrid import EDGE_DECAY_TOL, Field1D, Field2D, GridSpec
 from starqm.moments import transform_matrix
@@ -46,6 +48,12 @@ def gaussian(spec, st=1.0, sx=1.0):
 def rel_err(got, want):
     scale = max(np.max(np.abs(got)), np.max(np.abs(want)), 1e-300)
     return np.max(np.abs(np.asarray(got) - np.asarray(want))) / scale
+
+
+# Monomials t^a x^b d_t^c d_x^d of degree at most 2, and their coefficients.
+MONOMIALS = st.tuples(*[st.integers(0, 2)] * 4).filter(lambda key: sum(key) <= 2)
+# Steps of 1/64 keep every product clear of the subnormal range.
+COEFFICIENTS = st.builds(complex, st.integers(-64, 64), st.integers(-64, 64)).map(lambda c: c / 64)
 
 
 class TestSymbolAlgebra:
@@ -115,6 +123,22 @@ class TestSymbolAlgebra:
             (0, 2, 0, 0): 1.0, (0, 1, 0, 1): -theta, (0, 0, 0, 0): -theta / 2,
             (0, 0, 0, 2): theta**2 / 4})
         assert _weyl_frame(p_x(), theta).terms == p_x().terms
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        a=st.dictionaries(MONOMIALS, COEFFICIENTS, min_size=1, max_size=6),
+        b=st.dictionaries(MONOMIALS, COEFFICIENTS, min_size=1, max_size=6),
+        theta=st.floats(0.01, 1.0),
+    )
+    def test_weyl_frame_of_a_product_is_the_product_of_frames(self, a, b, theta):
+        # The Weyl frame is a conjugation, W(AB) = W(A) W(B): the covariance
+        # composes its anticommutator frames from the coordinate frames.
+        A, B = SymbolOperator(theta, a), SymbolOperator(theta, b)
+        product = _weyl_frame(A.compose(B), theta).terms
+        composed = _weyl_frame(A, theta).compose(_weyl_frame(B, theta)).terms
+        scale = max(map(abs, [*product.values(), *composed.values()]), default=0.0)
+        for key in product.keys() | composed.keys():
+            assert abs(product.get(key, 0.0) - composed.get(key, 0.0)) <= 1e-15 * scale
 
     @pytest.mark.parametrize("theta", [0.0625, 0.1, 0.15, 0.2])
     def test_force_commutator_has_no_rounding_dx_term(self, theta):

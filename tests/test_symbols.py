@@ -734,6 +734,18 @@ class TestQuasiProjection:
         with pytest.raises(ValueError, match="grid theta > 0"):
             symbols.quasi_projection_apply(0.0, flat)
 
+    def test_report_names_bad_input(self):
+        # Every state and theta are checked by the report, before a projector
+        # or the delta weight reads them.
+        theta = 0.25
+        psi = two_mode_state(GridSpec(64, 64, -4.0, 4.0, -4.0, 4.0, theta))
+        with pytest.raises(TypeError, match="quasi_projection_report: state 1 is a str"):
+            symbols.quasi_projection_report(theta, 0.0, 0.125, [psi, "psi"])
+        with pytest.raises(TypeError, match="quasi_projection_report takes a sequence"):
+            symbols.quasi_projection_report(theta, 0.0, 0.125, psi)
+        with pytest.raises(ValueError, match="theta nan does not match grid theta 0.25"):
+            symbols.quasi_projection_report(float("nan"), 0.0, 0.125, [psi])
+
     def test_report_is_strict_json_on_a_zero_state(self):
         # The zero state has reference 0 and so no ratio: null, not Infinity,
         # which RFC 8259 JSON does not have.
